@@ -13,17 +13,20 @@ Beyond the static headline, the report carries one row per kernel
 *path* so the widened envelope is covered end to end:
 
 * ``static_fifo`` — the vectorized multi-pass mode (the headline).
-* ``fair`` — Fair via the columnar-scheduler contract in
-  segmented-replay mode.
+* ``fair`` — Fair via the group-share contract in segmented-replay
+  mode.
 * ``preemptive_fair`` — Fair with HFS-style preemption: live kills on
   the replay path.
+* ``dynamic_priority`` — DynamicPriority via the same group-share
+  contract; its 3x floor keeps it on the kernel (the gate fails a row
+  that falls back to the object loop).
 * ``preemptive_edf`` — MaxEDF+P on a deadline-decorated trace.  This
   row's floor is deliberately below 3x: replay must pop a heap per
   event, and bare ``heappush``+``heappop`` of the event tuples alone
   runs at ~1.1M events/s on the reference box — less than 3x the
   object loop's throughput on this workload — so a 3x ratio is
   unreachable *by construction* for any per-event replay.  The Fair
-  rows clear 3x because the object loop's dynamic dispatch is far more
+  and DP rows clear 3x because the object loop's dynamic dispatch is far more
   expensive there.  See docs/performance.md.
 
 The measured numbers are printed for EXPERIMENTS.md and written to
@@ -44,7 +47,12 @@ import numpy as np
 
 from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine, TraceJob
 from repro.experiments.performance import make_performance_trace
-from repro.schedulers import FairScheduler, FIFOScheduler, MaxEDFScheduler
+from repro.schedulers import (
+    DynamicPriorityScheduler,
+    FairScheduler,
+    FIFOScheduler,
+    MaxEDFScheduler,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_engine_throughput.json"
@@ -65,6 +73,7 @@ PATH_FLOORS = {
     "static_fifo": 3.0,
     "fair": 3.0,
     "preemptive_fair": 3.0,
+    "dynamic_priority": 3.0,
     "preemptive_edf": 1.1,
 }
 
@@ -208,7 +217,7 @@ def test_engine_event_throughput(benchmark):
 
 
 def test_widened_envelope_paths():
-    """Fair / Fair+P / MaxEDF+P rows: replay-mode kernel vs object loop."""
+    """Fair / Fair+P / DP / MaxEDF+P rows: replay-mode kernel vs object loop."""
     dense = make_performance_trace(
         DYNAMIC_JOBS, mean_interarrival=DYNAMIC_INTERARRIVAL, seed=0
     )
@@ -221,6 +230,12 @@ def test_widened_envelope_paths():
             dense,
             lambda: FairScheduler(preemptive=True),
             preemption=True,
+            expect_mode="replay",
+        ),
+        "dynamic_priority": _bench_path(
+            "dynamic_priority",
+            dense,
+            DynamicPriorityScheduler,
             expect_mode="replay",
         ),
         "preemptive_edf": _bench_path(

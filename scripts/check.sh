@@ -116,6 +116,42 @@ print(f"Fair+P replay mode bit-identical with {kills['columnar']} live kills "
 PY
 
 echo
+echo "== DynamicPriority digest smoke (DP replay mode vs object, budget runs dry) =="
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
+import sys
+
+sys.path.insert(0, "src")
+from repro.core import ClusterConfig, simulate
+from repro.experiments.performance import make_performance_trace
+from repro.sanitize.digest import DigestRecorder
+from repro.schedulers import DynamicPriorityScheduler
+
+trace = make_performance_trace(30, mean_interarrival=10.0, seed=7)
+cluster = ClusterConfig(8, 4)
+# One user with a finite budget that runs dry mid-run; everyone else
+# keeps the default unlimited budget.
+user = sorted({tj.profile.name for tj in trace})[0]
+
+def scheduler():
+    return DynamicPriorityScheduler({user: (200.0, 3.0)})
+
+digests = {}
+paths = {}
+for engine in ("object", "columnar"):
+    sched = scheduler()
+    recorder = DigestRecorder()
+    result = simulate(trace, sched, cluster, engine=engine, sanitizer=recorder)
+    digests[engine] = (recorder.hexdigest(), recorder.digest.count)
+    paths[engine] = result.engine_path
+    assert not sched.accounts[user].paying, "the finite budget never ran dry"
+assert digests["object"] == digests["columnar"], (
+    f"DynamicPriority diverged: {digests}")
+assert paths["columnar"] == "kernel", paths
+print(f"DP replay mode bit-identical after user {user!r} ran out of budget "
+      f"({digests['object'][1]} events, digest {digests['object'][0]})")
+PY
+
+echo
 echo "== policy smoke (POL00x certification + pinned simmr evolve) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys

@@ -31,21 +31,23 @@ static-priority schedule to avoid materialising most of those events:
 The kernel has two modes.  **Pass mode** (the original design above)
 covers static-priority, non-preemptive runs.  **Segmented-replay mode**
 widens the envelope to preemptive runs and to dynamic schedulers that
-opt into the :class:`~repro.schedulers.base.ColumnarSchedulerMixin`
-contract (Fair, dynamic policy trees): a single inlined event loop that
-reproduces the object engine's heap mechanics bit-for-bit — epochs
-between scheduler decision points replayed with precomputed duration
-columns, preemption kills sliced out of the running-attempt tables with
-the object engine's exact decorate-sort victim order, and dynamic
-priorities recomputed vectorially from the
-:class:`~repro.core.columns.SchedulerColumns` state arrays instead of
-per-dispatch candidate scans.  The event digest is fed in one
+opt into a kernel contract — the group-share
+:class:`~repro.schedulers.base.ShareSchedulerMixin` (Fair,
+DynamicPriority, Capacity) or the columnar-key
+:class:`~repro.schedulers.base.ColumnarSchedulerMixin` (dynamic policy
+trees): a single inlined event loop that reproduces the object engine's
+heap mechanics bit-for-bit, with precomputed duration lists,
+preemption kills sliced out of the running-attempt tables with the
+object engine's exact decorate-sort victim order, and each dispatch
+decided from kernel-resident state (per-group running sums, or
+:class:`~repro.core.columns.SchedulerColumns` arrays) instead of a
+candidate scan over the job queue.  The event digest is fed in one
 packed-buffer update at the end of the run.
 
 What still falls back to the object engine is a short list: a pluggable
 shuffle model, workflow dependencies (``depends_on``), a
-state-inspecting sanitizer, and dynamic schedulers without the columnar
-contract (Capacity, Flex, DynamicPriority).  ``ColumnarEngine`` is
+state-inspecting sanitizer, and dynamic schedulers without a kernel
+contract (Flex).  ``ColumnarEngine`` is
 always safe to use; :attr:`ColumnarEngine.last_path` reports which path
 a run took and :attr:`ColumnarEngine.last_kernel_mode` which kernel
 mode.
@@ -187,6 +189,188 @@ class _KJob:
         return np.empty(0, dtype=np.int64)
 
 
+class _ShareSide:
+    """One task kind's per-group decision state in a :class:`_ShareBook`.
+
+    Per group: the set of its candidate jobs' ranks and the sum of their
+    running tasks of this kind.  ``run[r]`` is what rank ``r`` adds to
+    its group's sum, -1 when it is not a candidate.
+    """
+
+    __slots__ = ("group", "weight", "paying", "budgeted", "n", "by_running",
+                 "sets", "sums", "run", "key", "keyf")
+
+    def __init__(self, book: "_ShareBook", by_running: bool) -> None:
+        self.group = book.group
+        self.weight = book.weight
+        self.paying = book.paying  # shared: charges update it in place
+        self.budgeted = book.budgeted
+        self.n = n = len(book.group)
+        self.by_running = by_running
+        self.sets: list[set[int]] = [set() for _ in book.weight]
+        self.sums = [0] * len(book.weight)
+        self.run = [-1] * n
+        self.key = list(range(n))
+        self.keyf = self.key.__getitem__ if self.by_running else None
+
+    def update(self, r: int, run: int) -> None:
+        """Rank ``r`` now runs ``run`` tasks as a candidate (-1: none)."""
+        old = self.run[r]
+        if run == old:
+            return
+        g = self.group[r]
+        if old < 0:
+            self.sets[g].add(r)
+            self.sums[g] += run
+        elif run < 0:
+            self.sets[g].discard(r)
+            self.sums[g] -= old
+        else:
+            self.sums[g] += run - old
+        self.run[r] = run
+        if self.by_running and run >= 0:
+            self.key[r] = run * self.n + r
+
+    def pick(self) -> int:
+        """Rank of the job the policy picks; -1 for none.
+
+        ``min`` over groups of ``(sum / weight, best job key)``: the
+        group with the least share wins outright, and groups tied on
+        share compare their best jobs' keys.
+        """
+        keyf = self.keyf
+        best: Optional[set[int]] = None
+        best_d = 0.0
+        ties: Optional[list[set[int]]] = None
+        for cs, total, w, paying in zip(self.sets, self.sums, self.weight, self.paying):
+            if cs and paying:
+                d = total / w
+                if best is None or d < best_d:
+                    best = cs
+                    best_d = d
+                    ties = None
+                elif d == best_d:
+                    if ties is None:
+                        ties = [best, cs]
+                    else:
+                        ties.append(cs)
+        if best is None:
+            if not self.budgeted:
+                return -1
+            # No candidate's group is paying: best-effort FIFO over all.
+            heads = [min(cs) for cs in self.sets if cs]
+            return min(heads) if heads else -1
+        if ties is None:
+            return min(best, key=keyf)
+        return min([min(cs, key=keyf) for cs in ties], key=keyf)
+
+
+class _ShareBook:
+    """Decision state for a group-share policy in replay mode.
+
+    Serves policies carrying :class:`~repro.schedulers.base.
+    ShareSchedulerMixin`.  Jobs are numbered by *rank*, their
+    ``(submit_time, job_id)`` order, so the policy's within-group job key
+    is one int: the rank itself, or ``running * n + rank`` when the
+    policy ranks by running tasks first.  One :class:`_ShareSide` per
+    task kind sums running tasks over each group's candidates only, as
+    the policy's ``choose_next_*`` sums over its candidates.
+    :meth:`sync_map` / :meth:`sync_reduce` re-derive one job's share of
+    that state; the kernel calls them wherever the object engine would
+    re-offer the job, plus after each dispatch.  Departures need no call:
+    a departing job has dispatched every task, so it is a candidate of
+    neither kind already.  A decision then scans the groups, not the
+    job queue.
+    """
+
+    __slots__ = ("rank", "by_rank", "group", "names", "weight", "paying",
+                 "budgeted", "charge", "mdl", "tsl", "rdl", "maps", "reduces")
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        jobs: list[Job],
+        mdl: list[list[float]],
+        tsl: list[list[float]],
+        rdl: list[list[float]],
+    ) -> None:
+        n = len(jobs)
+        order = sorted(range(n), key=lambda i: (jobs[i].submit_time, i))
+        self.rank = [0] * n
+        self.by_rank = [jobs[i] for i in order]
+        group_of = getattr(scheduler, "share_group")
+        names: dict[str, int] = {}
+        self.group = []
+        for r, i in enumerate(order):
+            self.rank[i] = r
+            self.group.append(names.setdefault(group_of(jobs[i]), len(names)))
+        self.names = list(names)
+        weight_of = getattr(scheduler, "share_weight")
+        self.weight = [weight_of(name) for name in self.names]
+        paying_of = getattr(scheduler, "share_paying")
+        self.paying = [bool(paying_of(name)) for name in self.names]
+        self.budgeted = bool(getattr(scheduler, "share_budgeted", False))
+        self.charge = getattr(scheduler, "share_charge")
+        self.mdl = mdl
+        self.tsl = tsl
+        self.rdl = rdl
+        by_running = bool(getattr(scheduler, "share_rank_by_running", False))
+        self.maps = _ShareSide(self, by_running)
+        self.reduces = _ShareSide(self, by_running)
+
+    def sync_map(self, job: Job) -> None:
+        """Re-derive ``job``'s map candidacy and running count."""
+        run = -1
+        if job.state is JobState.RUNNING and job.maps_dispatched < job.num_maps:
+            run = job.maps_dispatched - job.maps_completed
+            cap = job.wanted_map_slots
+            if cap is not None and run >= cap:
+                run = -1
+        self.maps.update(self.rank[job.job_id], run)
+
+    def sync_reduce(self, job: Job) -> None:
+        """Re-derive ``job``'s reduce candidacy and running count."""
+        run = -1
+        if (
+            job.state is JobState.RUNNING
+            and job.reduces_dispatched < job.num_reduces
+            and job.maps_completed >= job.reduce_gate
+        ):
+            run = job.reduces_dispatched - job.reduces_completed
+            cap = job.wanted_reduce_slots
+            if cap is not None and run >= cap:
+                run = -1
+        self.reduces.update(self.rank[job.job_id], run)
+
+    def _charge(self, r: int, slot_seconds: float) -> None:
+        """Charge rank ``r``'s group for its granted task, if paying."""
+        g = self.group[r]
+        if self.paying[g]:
+            self.paying[g] = bool(self.charge(self.names[g], slot_seconds))
+
+    def pick_map(self) -> Optional[Job]:
+        """The job whose next map the policy dispatches."""
+        r = self.maps.pick()
+        if r < 0:
+            return None
+        job = self.by_rank[r]
+        if self.budgeted:
+            self._charge(r, self.mdl[job.job_id][job.maps_dispatched])
+        return job
+
+    def pick_reduce(self) -> Optional[Job]:
+        """The job whose next reduce the policy dispatches."""
+        r = self.reduces.pick()
+        if r < 0:
+            return None
+        job = self.by_rank[r]
+        if self.budgeted:
+            jid = job.job_id
+            index = job.reduces_dispatched
+            self._charge(r, self.tsl[jid][index] + self.rdl[jid][index])
+        return job
+
+
 class ColumnarEngine:
     """Drop-in engine running the columnar kernel where it applies.
 
@@ -263,25 +447,51 @@ class ColumnarEngine:
             return True
         return getattr(scheduler, "preemptive", None) is False
 
+    @staticmethod
+    def _contract_covers(scheduler: Scheduler) -> bool:
+        """True when a kernel contract vouches for the dynamic decision.
+
+        The contract hook (``share_group`` or ``columnar_key_columns``)
+        describes the ``choose_next_*`` of the class defining it.  A
+        subclass that overrides ``choose_next_*`` without restating the
+        hook makes a decision the kernel would not reproduce, so it is
+        not covered and runs on the object engine.
+        """
+        if getattr(scheduler, "share_capable", False):
+            hook = "share_group"
+        elif getattr(scheduler, "columnar_capable", False):
+            hook = "columnar_key_columns"
+        else:
+            return False
+        mro = type(scheduler).__mro__
+
+        def depth(name: str) -> int:
+            return next(
+                (i for i, cls in enumerate(mro) if name in cls.__dict__), len(mro)
+            )
+
+        return all(
+            depth(name) >= depth(hook)
+            for name in ("choose_next_map_task", "choose_next_reduce_task")
+        )
+
     def _fallback_reason(self, trace: Sequence[TraceJob]) -> Optional[str]:
         """Why this run needs the object engine, or None for the kernel.
 
         Pass mode covers static-priority schedules without preemption;
         segmented-replay mode adds preemptive runs and dynamic policies
-        carrying the :class:`~repro.schedulers.base.
-        ColumnarSchedulerMixin` contract.  What remains is a short
-        list.  A state-inspecting sanitizer needs the object engine's
-        per-event state to check invariants against, so it forces the
-        fallback (the observe-only :class:`~repro.sanitize.digest.
-        DigestRecorder` declares ``inspects_state = False`` and stays on
-        the kernel).
+        carrying a kernel contract (:class:`~repro.schedulers.base.
+        ShareSchedulerMixin` or :class:`~repro.schedulers.base.
+        ColumnarSchedulerMixin`).  What remains is a short list.  A
+        state-inspecting sanitizer needs the object engine's per-event
+        state to check invariants against, so it forces the fallback
+        (the observe-only :class:`~repro.sanitize.digest.DigestRecorder`
+        declares ``inspects_state = False`` and stays on the kernel).
         """
         if self.shuffle_model is not None:
             return "pluggable shuffle model"
         scheduler = self.scheduler
-        if not scheduler.static_priority and not getattr(
-            scheduler, "columnar_capable", False
-        ):
+        if not (scheduler.static_priority or self._contract_covers(scheduler)):
             return (
                 f"dynamic scheduler {scheduler.name!r} without the "
                 "columnar contract"
@@ -333,14 +543,14 @@ class ColumnarEngine:
         return result
 
     # ------------------------------------------------------------------ #
-    # segmented replay (preemption / columnar dynamic schedulers)
+    # segmented replay (preemption / contracted dynamic schedulers)
     # ------------------------------------------------------------------ #
 
     def _run_replay(self, trace: Sequence[TraceJob]) -> SimulationResult:
         """Event replay with kernel-resident state: the wide-envelope mode.
 
         Covers what pass mode cannot: live preemption and dynamic
-        schedulers carrying the columnar contract.  The schedule here is
+        schedulers carrying a kernel contract.  The schedule here is
         *not* precomputable, so the loop replays the object engine's
         heap mechanics exactly — same ``(time, type, seq)`` tuples, same
         handler effects, hence bit-identical event streams — but with
@@ -352,12 +562,15 @@ class ColumnarEngine:
           precomputed per job (``_cycled(...).tolist()``), replacing the
           profile accessors' numpy-scalar extraction on every
           arrival/rewrite;
-        * dynamic-policy decisions are vectorized: the kernel maintains
-          :class:`~repro.core.columns.SchedulerColumns` state arrays and
-          resolves each epoch's dispatch with eligibility masks plus the
-          policy's ``columnar_key_columns`` and one ``np.lexsort``,
-          instead of rebuilding candidate lists and evaluating Python
-          keys per job per dispatch;
+        * dynamic-policy decisions never rebuild candidate lists or
+          evaluate Python keys per job.  Group-share policies decide
+          per dispatch by scanning the groups of a :class:`_ShareBook`,
+          whose per-group running sums and candidate sets are updated
+          where the object engine re-offers a job.  Columnar-key
+          policies get :class:`~repro.core.columns.SchedulerColumns`
+          state arrays, and each dispatch is resolved with an
+          eligibility mask plus the policy's ``columnar_key_columns``
+          and one ``np.lexsort``;
         * the event digest is fed in one packed-buffer update after the
           run (pop order is collected as four flat columns), not one
           ``observe_pop`` call per event.
@@ -424,24 +637,29 @@ class ColumnarEngine:
         rt_red: dict[int, _RT] = {}
         records: list[TaskRecord] = []
         fast = scheduler.static_priority
-        track = not fast
         mheap: list[tuple[tuple, int]] = []
         rheap: list[tuple[tuple, int]] = []
-        view = SchedulerColumns(jobs, cluster)
-        key_columns: Any = None
+        # Dynamic policies decide from one of two kernel-resident states:
+        # per-group sums for the share contract (Fair, DP, Capacity), or
+        # SchedulerColumns arrays for columnar-key policies (compiled
+        # policy trees).  Only the latter pays for per-event array writes.
+        share: Optional[_ShareBook] = None
+        if not fast and getattr(scheduler, "share_capable", False):
+            share = _ShareBook(scheduler, jobs, mdl, tsl, rdl)
+        track = not fast and share is None
         if track:
-            getattr(scheduler, "columnar_bind")(view)
+            view = SchedulerColumns(jobs, cluster)
             key_columns = getattr(scheduler, "columnar_key_columns")
-        v_gate = view.gate
-        v_active = view.active
-        v_mdisp = view.mdisp
-        v_mcomp = view.mcomp
-        v_rdisp = view.rdisp
-        v_rcomp = view.rcomp
-        v_nmaps = view.nmaps
-        v_nreds = view.nreds
-        v_capm = view.capm
-        v_capr = view.capr
+            v_gate = view.gate
+            v_active = view.active
+            v_mdisp = view.mdisp
+            v_mcomp = view.mcomp
+            v_rdisp = view.rdisp
+            v_rcomp = view.rcomp
+            v_nmaps = view.nmaps
+            v_nreds = view.nreds
+            v_capm = view.capm
+            v_capr = view.capr
 
         collect = self.sanitizer is not None or self.record_events
         ev_t: list[float] = []
@@ -456,6 +674,9 @@ class ColumnarEngine:
         push = heappush
         _RUNNING = JobState.RUNNING
 
+        # offer_*: called wherever the object engine re-offers a job to
+        # its fast-path heaps — the points where the job's candidacy or
+        # running count may have changed.
         def offer_map(job: Job) -> None:
             if fast and not job.in_map_heap:
                 if job.state is not _RUNNING or job.maps_dispatched >= job.num_maps:
@@ -482,6 +703,10 @@ class ColumnarEngine:
                     return
                 job.in_reduce_heap = True
                 push(rheap, (job.sched_key, job.job_id))
+
+        if share is not None:
+            offer_map = share.sync_map  # type: ignore[assignment]
+            offer_reduce = share.sync_reduce  # type: ignore[assignment]
 
         def maybe_depart(job: Job, now: float) -> None:
             nonlocal seq_c
@@ -599,14 +824,31 @@ class ColumnarEngine:
                     continue
                 dispatch(job, now, False)
 
+        def allocate_share(now: float) -> None:
+            # One group scan per dispatch (see _ShareBook); the dispatch
+            # changed the job's running count, so re-offer it.
+            while free_m > 0:
+                job = pick_map()
+                if job is None:
+                    break
+                dispatch(job, now, True)
+                offer_map(job)
+            while free_r > 0:
+                job = pick_reduce()
+                if job is None:
+                    break
+                dispatch(job, now, False)
+                offer_reduce(job)
+
         def allocate_dynamic(now: float) -> None:
-            # Vectorized epoch decision: one eligibility mask per side,
-            # updated in place for the dispatched job only (nothing else
-            # changes between dispatches of the same epoch), then the
-            # policy's key columns + one lexsort with the kernel-appended
-            # job_id tie-break.  ``min(candidates, key=...)`` with a
-            # total key picks the same job regardless of candidate
-            # order, so increasing-id candidates are sound.
+            # Vectorized decision per dispatch: one eligibility mask per
+            # side per allocation, updated in place for the dispatched
+            # job only (nothing else changes between dispatches of the
+            # same allocation), then the policy's key columns + one
+            # lexsort with the kernel-appended job_id tie-break.
+            # ``min(candidates, key=...)`` with a total key picks the
+            # same job regardless of candidate order, so increasing-id
+            # candidates are sound.
             if free_m > 0:
                 el = v_active & (v_mdisp < v_nmaps) & (v_mdisp - v_mcomp < v_capm)
                 while free_m > 0:
@@ -653,7 +895,14 @@ class ColumnarEngine:
                     v_rdisp[pick] = d
                     el[pick] = d < v_nreds[pick] and d - v_rcomp[pick] < v_capr[pick]
 
-        allocate = allocate_static if fast else allocate_dynamic
+        if fast:
+            allocate = allocate_static
+        elif share is not None:
+            pick_map = share.pick_map
+            pick_reduce = share.pick_reduce
+            allocate = allocate_share
+        else:
+            allocate = allocate_dynamic
 
         processed = 0
         record: Optional[TaskRecord]
@@ -799,9 +1048,7 @@ class ColumnarEngine:
                 scheduler.on_job_arrival(job, now, cluster)
                 if fast:
                     job.sched_key = scheduler.priority_key(job)
-                    offer_map(job)
-                    offer_reduce(job)
-                else:
+                elif track:
                     v_gate[jid] = job.reduce_gate
                     cap_m = job.wanted_map_slots
                     if cap_m is not None:
@@ -812,6 +1059,8 @@ class ColumnarEngine:
                     v_active[jid] = True
                     if now > view.now:
                         view.now = now
+                offer_map(job)
+                offer_reduce(job)
                 if preempt:
                     others = [j for j in job_q if j is not job]
                     for victim, vkind, count in scheduler.preemption_requests(

@@ -183,7 +183,7 @@ def _compile_node(node: Node) -> _Accessor:
     return evaluate
 
 
-# -- columnar evaluation (the kernel's vectorized epoch decisions) --------
+# -- columnar evaluation (the kernel's vectorized dispatch decisions) ----
 #
 # Every feature in the vocabulary is kernel-resident: derivable from the
 # per-job state arrays the columnar kernel maintains in

@@ -25,7 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.cluster import ClusterConfig
     from ..core.job import Job
 
-__all__ = ["ColumnarSchedulerMixin", "Scheduler", "StaticPriorityScheduler"]
+__all__ = [
+    "ColumnarSchedulerMixin",
+    "Scheduler",
+    "ShareSchedulerMixin",
+    "StaticPriorityScheduler",
+]
 
 
 class Scheduler(ABC):
@@ -122,22 +127,12 @@ class ColumnarSchedulerMixin:
     * ``choose_next_*`` must never return ``None`` for a non-empty
       candidate list (policies that deliberately idle slots cannot use
       the kernel).
-    * any state the key reads beyond the view (e.g. Fair's pool table)
-      must be fixed per job for the whole run and set up in
-      ``columnar_bind``.
+    * any state the key reads beyond the view must be fixed per job for
+      the whole run.
     """
 
     #: Envelope flag the kernel checks; the mixin's presence is the opt-in.
     columnar_capable: bool = True
-
-    def columnar_bind(self, view: object) -> None:
-        """Called once per run, before any event: build per-job columns.
-
-        ``view`` is the kernel's :class:`~repro.core.columns.
-        SchedulerColumns`; ``view.jobs`` holds the run's
-        :class:`~repro.core.job.Job` objects in trace order (all still
-        pending).  Default: nothing to set up.
-        """
 
     def columnar_key_columns(
         self, view: object, ids: object, kind: str
@@ -152,6 +147,69 @@ class ColumnarSchedulerMixin:
             f"{type(self).__name__} mixes in ColumnarSchedulerMixin but "
             "defines no columnar_key_columns"
         )
+
+
+class ShareSchedulerMixin:
+    """Opt-in contract for group-share policies (Fair, DP, Capacity).
+
+    These policies share one decision shape.  Every job belongs to a
+    *group* (a pool, user or queue) fixed for the whole run.  A free
+    slot of one kind goes to the eligible job minimising::
+
+        (group running / group weight, job key)
+
+    where *group running* sums that kind's running tasks over the
+    group's **eligible** jobs only (the candidates ``choose_next_*``
+    sees), and the job key is ``(running, submit_time, job_id)`` when
+    :attr:`share_rank_by_running` is set (Fair) and ``(submit_time,
+    job_id)`` otherwise.  Budgeted policies (:attr:`share_budgeted`,
+    DynamicPriority) additionally leave out groups whose budget is
+    spent, fall back to ``(submit_time, job_id)`` over every candidate
+    when no candidate's group is paying, and charge a paying group for
+    each task it is granted.
+
+    Declaring the shape lets the columnar kernel keep per-group running
+    sums and candidate sets as events change them, so each decision
+    scans the groups instead of the job queue.  The policy's own
+    ``choose_next_*`` stays the reference: it must pick exactly the job
+    described above, which ``tests/test_columnar_kernel.py`` asserts by
+    event digest.
+    """
+
+    #: Envelope flag the kernel checks; the mixin's presence is the opt-in.
+    share_capable: bool = True
+    #: Rank jobs inside a group by running tasks first (Fair).
+    share_rank_by_running: bool = False
+    #: Groups hold budgets (see :meth:`share_paying`, :meth:`share_charge`).
+    share_budgeted: bool = False
+
+    def share_group(self, job: "Job") -> str:
+        """The group ``job`` belongs to; constant over the run."""
+        raise NotImplementedError(
+            f"{type(self).__name__} mixes in ShareSchedulerMixin but "
+            "defines no share_group"
+        )
+
+    def share_weight(self, group: str) -> float:
+        """The group's positive weight; constant over the run."""
+        raise NotImplementedError(
+            f"{type(self).__name__} mixes in ShareSchedulerMixin but "
+            "defines no share_weight"
+        )
+
+    def share_paying(self, group: str) -> bool:
+        """Whether the group has budget left (budgeted policies)."""
+        return True
+
+    def share_charge(self, group: str, slot_seconds: float) -> bool:
+        """Charge a paying group for a granted task; True if still paying.
+
+        ``slot_seconds`` is the duration of the task about to be
+        dispatched: for a map, the job's map duration at index
+        ``maps_dispatched``; for a reduce, the typical shuffle plus
+        reduce duration at index ``reduces_dispatched``.
+        """
+        return True
 
 
 class StaticPriorityScheduler(Scheduler):

@@ -10,6 +10,11 @@ the queue whose current usage is furthest *below* its guaranteed share
 submitted job in that queue.  Queues over their share can still receive
 slots when no under-share queue has demand — that is the "elastic"
 borrowing behaviour.
+
+The policy carries the :class:`~repro.schedulers.base.
+ShareSchedulerMixin` contract (queues are its groups, capacity
+fractions their weights), so the columnar kernel runs it with per-queue
+running sums kept as events change them.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..core.job import Job
-from .base import Scheduler
+from .base import Scheduler, ShareSchedulerMixin
 
 __all__ = ["CapacityScheduler"]
 
 QueueFn = Callable[[Job], str]
 
 
-class CapacityScheduler(Scheduler):
+class CapacityScheduler(ShareSchedulerMixin, Scheduler):
     """Multi-queue capacity-guaranteed scheduling.
 
     Parameters
@@ -85,3 +90,11 @@ class CapacityScheduler(Scheduler):
 
     def choose_next_reduce_task(self, job_queue: Sequence[Job]) -> Optional[Job]:
         return self._choose(job_queue, "reduce")
+
+    # -- share contract (the kernel's per-queue decision state) ----------
+
+    def share_group(self, job: Job) -> str:
+        return self._queue(job)
+
+    def share_weight(self, group: str) -> float:
+        return self.capacities[group]

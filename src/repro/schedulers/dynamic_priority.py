@@ -15,8 +15,11 @@ Its market mechanism, reproduced at SimMR's slot granularity:
 * a user whose budget runs out keeps only best-effort access: their jobs
   compete FIFO for slots no paying user wants.
 
-The policy is usage-dependent, so it runs on the engine's dynamic
-(narrow-interface) path.
+The policy is usage-dependent, so the object engine consults it through
+the narrow interface per dispatch.  It also carries the
+:class:`~repro.schedulers.base.ShareSchedulerMixin` contract (users are
+its groups, budgets the charge), so the columnar kernel runs it with
+per-user running sums kept as events change them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..core.job import Job
-from .base import Scheduler
+from .base import Scheduler, ShareSchedulerMixin
 
 __all__ = ["UserAccount", "DynamicPriorityScheduler"]
 
@@ -64,7 +67,7 @@ def _default_user(job: Job) -> str:
     return job.profile.name
 
 
-class DynamicPriorityScheduler(Scheduler):
+class DynamicPriorityScheduler(ShareSchedulerMixin, Scheduler):
     """Proportional-share slot allocation driven by per-user bids.
 
     Parameters
@@ -79,6 +82,7 @@ class DynamicPriorityScheduler(Scheduler):
     """
 
     name = "DynamicPriority"
+    share_budgeted = True
 
     def __init__(
         self,
@@ -146,3 +150,19 @@ class DynamicPriorityScheduler(Scheduler):
 
     def choose_next_reduce_task(self, job_queue: Sequence[Job]) -> Optional[Job]:
         return self._choose(job_queue, "reduce")
+
+    # -- share contract (the kernel's per-user decision state) -----------
+
+    def share_group(self, job: Job) -> str:
+        return self.user_of(job)
+
+    def share_weight(self, group: str) -> float:
+        return self.account(group).spending_rate
+
+    def share_paying(self, group: str) -> bool:
+        return self.account(group).paying
+
+    def share_charge(self, group: str, slot_seconds: float) -> bool:
+        acct = self.account(group)
+        acct.charge(slot_seconds)
+        return acct.paying

@@ -23,27 +23,23 @@ timeout before killing, which a discrete-event replay collapses to
 "immediately on arrival".
 
 Fair also carries the :class:`~repro.schedulers.base.
-ColumnarSchedulerMixin` contract: its whole decision is a function of
-running-task counts the columnar kernel maintains as arrays, so the
-kernel recomputes the ``(pool deficiency, job running, submit)`` key
-columns vectorially per epoch — ``np.bincount`` over a per-job pool
-index built once per run — instead of rebuilding the pool table in
-Python per dispatch.  Digest identity with the object path is asserted
-in ``tests/test_columnar_kernel.py``.
+ShareSchedulerMixin` contract (pools are its groups, the job key leads
+with the job's running tasks), so the columnar kernel keeps per-pool
+running sums as events change them and picks per dispatch by scanning
+the pools, instead of rebuilding the pool table over the job queue.
+Digest identity with the object path is asserted in
+``tests/test_columnar_kernel.py``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from ..core.job import Job
-from .base import ColumnarSchedulerMixin, Scheduler
+from .base import Scheduler, ShareSchedulerMixin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.cluster import ClusterConfig
-    from ..core.columns import SchedulerColumns
 
 __all__ = ["FairScheduler"]
 
@@ -54,7 +50,7 @@ def _default_pool(job: Job) -> str:
     return job.profile.name
 
 
-class FairScheduler(ColumnarSchedulerMixin, Scheduler):
+class FairScheduler(ShareSchedulerMixin, Scheduler):
     """Weighted max-min fair sharing of map and reduce slots.
 
     Parameters
@@ -71,6 +67,7 @@ class FairScheduler(ColumnarSchedulerMixin, Scheduler):
     """
 
     name = "Fair"
+    share_rank_by_running = True
 
     def __init__(
         self,
@@ -87,9 +84,6 @@ class FairScheduler(ColumnarSchedulerMixin, Scheduler):
         self.preemptive = preemptive
         if preemptive:
             self.name = "Fair+P"
-        self._col_pool: Optional[np.ndarray] = None
-        self._col_weight: Optional[np.ndarray] = None
-        self._n_pools = 0
 
     def _weight(self, pool: str) -> float:
         return self.weights.get(pool, 1.0)
@@ -185,43 +179,10 @@ class FairScheduler(ColumnarSchedulerMixin, Scheduler):
     def choose_next_reduce_task(self, job_queue: Sequence[Job]) -> Optional[Job]:
         return self._choose(job_queue, "reduce")
 
-    # -- columnar contract (the kernel's vectorized epoch decisions) -------
+    # -- share contract (the kernel's per-pool decision state) -----------
 
-    def columnar_bind(self, view: "SchedulerColumns") -> None:
-        """Intern each job's pool once; choices then never call pool_of."""
-        jobs = view.jobs
-        pools: dict[str, int] = {}
-        pidx = np.empty(len(jobs), dtype=np.int64)
-        for i, job in enumerate(jobs):
-            name = self.pool_of(job)
-            pid = pools.get(name)
-            if pid is None:
-                pid = len(pools)
-                pools[name] = pid
-            pidx[i] = pid
-        weights = np.empty(len(pools), dtype=np.float64)
-        for name, pid in pools.items():
-            weights[pid] = self._weight(name)
-        self._col_pool = pidx
-        self._col_weight = weights
-        self._n_pools = len(pools)
+    def share_group(self, job: Job) -> str:
+        return self.pool_of(job)
 
-    def columnar_key_columns(
-        self, view: "SchedulerColumns", ids: np.ndarray, kind: str
-    ) -> tuple[np.ndarray, ...]:
-        """``(pool deficiency, job running, submit)`` over the candidates.
-
-        Matches :meth:`_choose` exactly: the pool table sums running
-        tasks over the *eligible* jobs only, and the per-pool division
-        is the same float64 ``int-sum / weight`` the scalar key computes
-        (``np.bincount`` float64 sums of small integers are exact).
-        """
-        if kind == "map":
-            run = (view.mdisp - view.mcomp)[ids]
-        else:
-            run = (view.rdisp - view.rcomp)[ids]
-        assert self._col_pool is not None and self._col_weight is not None
-        pool = self._col_pool[ids]
-        pool_running = np.bincount(pool, weights=run, minlength=self._n_pools)
-        share = pool_running[pool] / self._col_weight[pool]
-        return (share, run, view.submit[ids])
+    def share_weight(self, group: str) -> float:
+        return self._weight(group)

@@ -102,7 +102,7 @@ class TestProfileAndReplay:
         main(["profile", str(history_file), str(out)])
         capsys.readouterr()
         assert main(
-            ["replay", str(out), "--scheduler", "dp", "--format", "json"]
+            ["replay", str(out), "--scheduler", "flex", "--format", "json"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["engine_path"] == "object"

@@ -6,8 +6,9 @@ event stream the object engine produces — same BLAKE2b digest, same
 event count, same task records, same results.  These tests assert that
 contract across the full scheduler zoo, the slow-start range, slot
 caps, degenerate job shapes, live preemption (segmented replay mode),
-columnar dynamic schedulers (Fair and compiled policy trees), and the
-simsan dual-run divergence check, and pin the fallback envelope for
+dynamic schedulers on the replay mode (the group-share policies Fair,
+DynamicPriority and Capacity, and compiled policy trees), and the simsan
+dual-run divergence check, and pin the fallback envelope for
 everything the kernel does not claim.  See ``docs/engine-internals.md``
 for the design.
 """
@@ -35,15 +36,42 @@ from conftest import make_constant_profile, make_random_profile
 #: no caps set by the engine itself — MinEDF sets per-job caps, still
 #: static).
 STATIC_POLICIES = ("FIFO", "MaxEDF", "MinEDF")
-#: Dynamic zoo policies that carry the ColumnarSchedulerMixin contract —
-#: the kernel runs them in segmented-replay mode.
-COLUMNAR_DYNAMIC_POLICIES = ("Fair",)
+#: Dynamic zoo policies that carry a kernel contract (the group-share
+#: ShareSchedulerMixin) — the kernel runs them in segmented-replay mode.
+COLUMNAR_DYNAMIC_POLICIES = ("Fair", "Capacity", "DynamicPriority")
 #: Dynamic zoo policies without the contract: still fall back.
 FALLBACK_POLICIES = tuple(
     p for p in ZOO_POLICIES
     if p not in STATIC_POLICIES and p not in COLUMNAR_DYNAMIC_POLICIES
 )
 DYNAMIC_POLICIES = tuple(p for p in ZOO_POLICIES if p not in STATIC_POLICIES)
+
+
+def _overridden(policy: str):
+    """Factory for the zoo ``policy`` with ``choose_next_map_task``
+    overridden in a subclass that does not restate the kernel contract:
+    the inherited contract no longer describes its decision."""
+
+    def factory():
+        scheduler = ZOO_POLICIES[policy]()
+
+        class Overridden(type(scheduler)):
+            def choose_next_map_task(self, job_queue):
+                # Newest job first: not the decision the contract describes.
+                return job_queue[-1] if job_queue else None
+
+        scheduler.__class__ = Overridden
+        return scheduler
+
+    return factory
+
+
+#: Dynamic policies no kernel contract covers: the uncontracted zoo
+#: policies, and the contracted ones with their decision overridden.
+UNCONTRACTED_POLICIES = {
+    **{p: ZOO_POLICIES[p] for p in FALLBACK_POLICIES},
+    **{f"{p}(overridden)": _overridden(p) for p in COLUMNAR_DYNAMIC_POLICIES},
+}
 
 
 def make_zoo_trace(seed: int = 7, n: int = 24) -> list[TraceJob]:
@@ -129,12 +157,14 @@ class TestDigestIdentityMatrix:
         assert engine.last_kernel_mode == "replay"
         assert engine.fallback_reason is None
 
-    @pytest.mark.parametrize("policy", FALLBACK_POLICIES)
+    @pytest.mark.parametrize("policy", sorted(UNCONTRACTED_POLICIES))
     def test_uncontracted_dynamic_policies_fall_back(self, policy):
-        engine = ColumnarEngine(ClusterConfig(16, 8), ZOO_POLICIES[policy]())
+        factory = UNCONTRACTED_POLICIES[policy]
+        engine = ColumnarEngine(ClusterConfig(16, 8), factory())
         engine.run(make_zoo_trace())
         assert engine.last_path == "object"
         assert "without the columnar contract" in engine.fallback_reason
+        assert_identical(make_zoo_trace(), factory, ClusterConfig(16, 8))
 
     @pytest.mark.parametrize("slowstart", [0.0, 0.05, 0.5, 1.0])
     def test_slowstart_range(self, slowstart):
@@ -418,6 +448,135 @@ class TestColumnarDynamicIdentity:
         assert engine.last_kernel_mode == "passes"
 
 
+def make_shape_trace(shape: str, seed: int = 5, n: int = 24) -> list[TraceJob]:
+    """The zoo trace, or a variant whose jobs are all map-only or all
+    reduce-only (the shapes that skip one side of the share state)."""
+    if shape == "mixed":
+        return make_zoo_trace(seed=seed, n=n)
+    rng = np.random.default_rng(seed)
+    trace = []
+    for _ in range(n):
+        num_maps = int(rng.integers(1, 20)) if shape == "map_only" else 0
+        num_reduces = int(rng.integers(1, 8)) if shape == "reduce_only" else 0
+        profile = JobProfile(
+            name=rng.choice(["WikiTrends", "Bayes", "Sort", "Grep"]),
+            num_maps=num_maps,
+            num_reduces=num_reduces,
+            map_durations=rng.uniform(1, 25, max(num_maps, 1)),
+            first_shuffle_durations=rng.uniform(1, 6, max(num_reduces, 1)),
+            typical_shuffle_durations=rng.uniform(1, 5, max(num_reduces, 1)),
+            reduce_durations=rng.uniform(0.5, 8, max(num_reduces, 1)),
+        )
+        trace.append(TraceJob(profile, float(rng.uniform(0, 60))))
+    return trace
+
+
+def _dp_unequal_rates():
+    from repro.schedulers import DynamicPriorityScheduler
+
+    inf = float("inf")
+    return DynamicPriorityScheduler(
+        {"Sort": (inf, 4.0), "Grep": (inf, 1.0), "Bayes": (inf, 0.5)},
+        default_account=(inf, 2.0),
+    )
+
+
+def _dp_finite_budgets():
+    from repro.schedulers import DynamicPriorityScheduler
+
+    # Budgets far below the trace's slot-seconds: every user runs dry
+    # mid-run, after which decisions take the all-broke FIFO branch.
+    return DynamicPriorityScheduler(
+        {"Sort": (60.0, 3.0), "Grep": (25.0, 1.0), "Bayes": (90.0, 2.0)},
+        default_account=(40.0, 1.5),
+    )
+
+
+def _capacity_with_unmapped_jobs():
+    from repro.schedulers import CapacityScheduler
+
+    # Grep maps to a queue that does not exist: routed to default_queue.
+    queues = {"WikiTrends": "batch", "Bayes": "batch", "Sort": "interactive",
+              "Grep": "no-such-queue"}
+    return CapacityScheduler(
+        {"batch": 0.5, "interactive": 0.3, "adhoc": 0.2},
+        queue_of=lambda job: queues[job.profile.name],
+        default_queue="adhoc",
+    )
+
+
+def _fair_tied_weights():
+    from repro.schedulers import FairScheduler
+
+    # 2:1 and 1:0.5 weight ratios: pools running 2k and k tasks (or k
+    # and k/2) have equal deficiencies, so the job key breaks the tie.
+    return FairScheduler(
+        weights={"Sort": 2.0, "Grep": 1.0, "Bayes": 2.0, "WikiTrends": 0.5}
+    )
+
+
+def _fair_preemptive():
+    from repro.schedulers import FairScheduler
+
+    return FairScheduler(preemptive=True)
+
+
+class TestShareContractIdentity:
+    """The group-share contract (Fair, Fair+P, DynamicPriority, Capacity)
+    on the kernel's replay mode: per-group sums kept by the kernel must
+    pick exactly what the policies' own ``choose_next_*`` pick."""
+
+    CASES = {
+        "dp-unequal-rates": (_dp_unequal_rates, {}),
+        "dp-finite-budgets": (_dp_finite_budgets, {}),
+        "capacity-unmapped": (_capacity_with_unmapped_jobs, {}),
+        "fair-tied-weights": (_fair_tied_weights, {}),
+        "fair-preemptive": (_fair_preemptive, {"preemption": True}),
+    }
+
+    @pytest.mark.parametrize("shape", ["mixed", "map_only", "reduce_only"])
+    @pytest.mark.parametrize("slowstart", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("cluster", [(1, 1), (16, 8), (128, 128)])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_share_policies_bit_identical(self, case, cluster, slowstart, shape):
+        factory, kw = self.CASES[case]
+        trace = make_shape_trace(shape)
+        engine = ColumnarEngine(ClusterConfig(*cluster), factory(), **kw)
+        engine.run(trace)
+        assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay")
+        assert_identical(
+            trace, factory, ClusterConfig(*cluster),
+            min_map_percent_completed=slowstart, **kw,
+        )
+
+    def test_dp_budgets_run_dry_identically(self):
+        """Both engines charge the same slot-seconds, and every user goes
+        broke mid-run, so the all-broke FIFO branch is exercised."""
+        trace = make_zoo_trace(seed=5, n=30)
+        spent = []
+        for engine in ("object", "columnar"):
+            scheduler = _dp_finite_budgets()
+            result = simulate(
+                trace, scheduler, ClusterConfig(8, 4), engine=engine,
+                sanitize=False,
+            )
+            accounts = scheduler.accounts
+            assert accounts and not any(a.paying for a in accounts.values())
+            spent.append(({u: a.spent for u, a in accounts.items()}, result))
+        assert spent[0][0] == spent[1][0]
+        assert spent[1][1].engine_path == "kernel"
+
+    def test_fair_preemptive_kills_in_matrix(self):
+        """The Fair+P cells above are vacuous unless they kill."""
+        trace = make_shape_trace("mixed")
+        result = simulate(
+            trace, _fair_preemptive(), ClusterConfig(16, 8),
+            engine="columnar", preemption=True, sanitize=False,
+        )
+        assert result.engine_path == "kernel"
+        assert any(r.killed for r in result.task_records)
+
+
 class TestFallbackEnvelope:
     def test_preemption_digest_identical(self):
         """Inert preemption (FIFO) stays in pass mode; digests still match
@@ -432,7 +591,7 @@ class TestFallbackEnvelope:
         leave the kernel, nothing else.  A new fallback reason appearing
         here is an envelope regression."""
         from repro.core.shuffle import NetworkShuffleModel
-        from repro.schedulers import CapacityScheduler
+        from repro.schedulers import FlexScheduler
 
         trace = make_zoo_trace(n=6)
         cases = {
@@ -445,7 +604,7 @@ class TestFallbackEnvelope:
                 sanitizer=Sanitizer(fail_fast=True),
             ),
             "without the columnar contract": ColumnarEngine(
-                ClusterConfig(8, 4), CapacityScheduler({"default": 1.0})
+                ClusterConfig(8, 4), FlexScheduler()
             ),
         }
         for expected, engine in cases.items():
@@ -459,12 +618,19 @@ class TestFallbackEnvelope:
         engine.run(dep_trace)
         assert engine.fallback_reason == "workflow dependencies (depends_on)"
         # And nothing else falls back: preemption + a preemptive scheduler
-        # + Fair all stay on the kernel now.
-        from repro.schedulers import FairScheduler
+        # + the group-share policies all stay on the kernel now.
+        from repro.schedulers import (
+            CapacityScheduler,
+            DynamicPriorityScheduler,
+            FairScheduler,
+        )
 
         for scheduler, kw in [
             (MaxEDFScheduler(preemptive=True), {"preemption": True}),
             (FairScheduler(), {}),
+            (FairScheduler(preemptive=True), {"preemption": True}),
+            (DynamicPriorityScheduler(), {}),
+            (CapacityScheduler({"default": 1.0}), {}),
             (FIFOScheduler(), {"preemption": True}),
         ]:
             engine = ColumnarEngine(ClusterConfig(8, 4), scheduler, **kw)

@@ -143,7 +143,7 @@ class TestRunSweep:
     def test_fallback_cells_name_their_reason(self, trace):
         result = run_sweep(
             trace,
-            schedulers=[SchedulerSpec(kind="zoo", name="DynamicPriority")],
+            schedulers=[SchedulerSpec(kind="zoo", name="Flex(avg_response)")],
             clusters=(ClusterConfig(8, 8),),
         )
         cell = result.cells[0]
