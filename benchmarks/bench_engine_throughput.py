@@ -13,6 +13,11 @@ Beyond the static headline, the report carries one row per kernel
 *path* so the widened envelope is covered end to end:
 
 * ``static_fifo`` — the vectorized multi-pass mode (the headline).
+* ``static_fifo_digest`` — the same pass mode streaming the BLAKE2b
+  event digest through a ``DigestRecorder``, as every sweep and service
+  cell does, so the gate sees event emission and the digest too (the
+  headline runs without them).  Both engines digest; the digests must
+  match.
 * ``fair`` — Fair via the group-share contract in segmented-replay
   mode.
 * ``preemptive_fair`` — Fair with HFS-style preemption: live kills on
@@ -47,6 +52,7 @@ import numpy as np
 
 from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine, TraceJob
 from repro.experiments.performance import make_performance_trace
+from repro.sanitize.digest import DigestRecorder
 from repro.schedulers import (
     DynamicPriorityScheduler,
     FairScheduler,
@@ -71,6 +77,7 @@ MIN_SPEEDUP = 3.0
 #: "the replay must beat the object loop", not a softened 3x.
 PATH_FLOORS = {
     "static_fifo": 3.0,
+    "static_fifo_digest": 4.0,
     "fair": 3.0,
     "preemptive_fair": 3.0,
     "dynamic_priority": 3.0,
@@ -133,26 +140,27 @@ def _bench_path(
     expect_mode: str,
     kernel_rounds: int = 2,
     object_rounds: int = 1,
+    digest: bool = False,
 ) -> dict:
-    """Time one kernel path against the object loop on the same workload."""
+    """Time one kernel path against the object loop on the same workload;
+    with ``digest`` both stream the event digest, which must agree."""
     record = preemption  # task records are how kills are counted
-    resk, engine, kernel_eps = _time_engine(
-        lambda: ColumnarEngine(
-            CLUSTER, make_scheduler(), preemption=preemption, record_tasks=record
-        ),
-        trace,
-        kernel_rounds,
-    )
+
+    def factory(engine_cls):
+        return lambda: engine_cls(
+            CLUSTER, make_scheduler(), preemption=preemption, record_tasks=record,
+            sanitizer=DigestRecorder() if digest else None,
+        )
+
+    resk, engine, kernel_eps = _time_engine(factory(ColumnarEngine), trace, kernel_rounds)
     assert engine.last_path == "kernel", engine.fallback_reason
     assert engine.last_kernel_mode == expect_mode
-    reso, _, object_eps = _time_engine(
-        lambda: SimulatorEngine(
-            CLUSTER, make_scheduler(), preemption=preemption, record_tasks=record
-        ),
-        trace,
-        object_rounds,
+    reso, object_engine, object_eps = _time_engine(
+        factory(SimulatorEngine), trace, object_rounds
     )
     assert reso.events_processed == resk.events_processed
+    if digest:
+        assert engine.sanitizer.hexdigest() == object_engine.sanitizer.hexdigest()
     row = {
         "scheduler": make_scheduler().name,
         "trace_jobs": len(trace),
@@ -214,6 +222,22 @@ def test_engine_event_throughput(benchmark):
     )
     assert eps > MIN_EVENTS_PER_SECOND
     assert speedup > MIN_SPEEDUP
+
+
+def test_static_digest_path():
+    """FIFO pass mode with the event digest on: emission and BLAKE2b."""
+    trace = make_performance_trace(500, mean_interarrival=100.0, seed=0)
+    row = _bench_path(
+        "static_fifo_digest", trace, FIFOScheduler, expect_mode="passes",
+        kernel_rounds=3, object_rounds=2, digest=True,
+    )
+    _merge_report({"paths": {"static_fifo_digest": row}})
+    print(
+        f"\nstatic_fifo_digest: {row['events_per_second']:,.0f} events/s over "
+        f"{row['events_processed']} events (object "
+        f"{row['object_events_per_second']:,.0f} events/s, {row['speedup']:.1f}x)"
+    )
+    assert row["speedup"] > PATH_FLOORS["static_fifo_digest"], row["speedup"]
 
 
 def test_widened_envelope_paths():

@@ -27,7 +27,8 @@ a changed bench trace needs an explicit ``--update``, not a silent
 events/s comparison between different workloads.
 
 Beyond the static headline, the report's per-path rows (``paths`` in
-the bench JSON: static multi-pass, Fair replay, preemptive Fair
+the bench JSON: static multi-pass, static multi-pass streaming the
+event digest, Fair replay, preemptive Fair
 replay, preemptive EDF replay) are each held to their own
 machine-independent kernel-vs-object speedup floor (the row's
 ``floor_speedup``, set by the bench), and any path whose baseline ran

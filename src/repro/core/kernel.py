@@ -21,17 +21,21 @@ static-priority schedule to avoid materialising most of those events:
   reduce completion times are one fused ``(mse + first_shuffle) +
   reduce`` vector expression.
 * **bit-identical event digests.**  When an event-digest consumer is
-  attached (or ``record_events=True``), the kernel reconstructs the full
-  event stream — including the heap's ``(time, type, seq)`` tie-breaking
-  — sorts it with one ``np.lexsort``, and streams it through the digest
-  in a single packed-buffer update.  The digest is byte-for-byte the one
-  the object engine produces, which is what lets the simsan divergence
-  toolchain gate this refactor (see ``docs/engine-internals.md``).
+  attached (or ``record_events=True``), the kernel rebuilds the full
+  event stream from the passes' run-wide dispatch columns: one block
+  per event type, each already in the order of its heap tie-break,
+  concatenated in type priority and ordered by one stable sort on time
+  — the heap's ``(time, type, seq)`` order — then streamed through the
+  digest in a single packed-buffer update.  The digest is byte-for-byte
+  the one the object engine produces, which is what lets the simsan
+  divergence toolchain gate this refactor (see
+  ``docs/engine-internals.md``).
 
 The kernel has two modes.  **Pass mode** (the original design above)
-covers static-priority, non-preemptive runs.  **Segmented-replay mode**
-widens the envelope to preemptive runs and to dynamic schedulers that
-opt into a kernel contract — the group-share
+covers static-priority, non-preemptive runs without zero-time tasks.
+**Segmented-replay mode** widens the envelope to those runs, to
+preemptive runs and to dynamic schedulers that opt into a kernel
+contract — the group-share
 :class:`~repro.schedulers.base.ShareSchedulerMixin` (Fair,
 DynamicPriority, Capacity) or the columnar-key
 :class:`~repro.schedulers.base.ColumnarSchedulerMixin` (dynamic policy
@@ -77,6 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["ColumnarEngine"]
 
 _INF = math.inf
+_EMPTY = np.empty(0)
 
 # Event-type priorities (values of repro.core.events.EventType).
 _MAP_DEP = 0
@@ -100,19 +105,17 @@ def _cycled(arr: np.ndarray, n: int) -> np.ndarray:
 
 
 class _KJob:
-    """Per-job kernel state: columnar dispatch logs + derived wave data."""
+    """Per-job kernel state: dispatch counters + derived wave data."""
 
     __slots__ = (
         "job", "idx", "submit", "M", "R", "key", "cap_m", "cap_r",
         # map side
-        "mdl", "md_np", "mstarts", "mseqs", "mseq_runs", "mdispatched",
-        "mcompleted", "finishes", "mseq_arr", "mse", "fm",
+        "mdl", "md_np", "mdispatched", "mcompleted", "mse", "fm",
         # reduce slow-start gate
         "gate_count", "gate_time", "gate_etype", "gate_tie",
         # reduce side
-        "fsl", "tsl", "rdl", "fel", "fs_np", "ts_np", "rd_np", "fe_np",
-        "rstarts", "rseqs", "rseq_runs", "rdispatched", "rcompleted",
-        "nfillers", "maxend", "maxend_i",
+        "fsl", "tsl", "rdl", "fel", "fs_np", "ts_np", "rd_np",
+        "rdispatched", "rcompleted", "maxend", "maxend_i",
         # event-loop flags (capped modes)
         "arrived", "gated", "in_mheap", "in_rheap",
         "completed", "completion_time",
@@ -134,13 +137,8 @@ class _KJob:
         else:
             self.md_np = None
             self.mdl = None
-        self.mstarts: list[float] = []
-        self.mseqs: Optional[list[int]] = None       # capped-mode per-task seqs
-        self.mseq_runs: list[tuple[int, int]] = []   # uncapped (first_seq, count)
         self.mdispatched = 0
         self.mcompleted = 0
-        self.finishes: Optional[np.ndarray] = None
-        self.mseq_arr: Optional[np.ndarray] = None
         # Map-less jobs complete their map stage at submission.
         self.mse = self.submit if self.M == 0 else _INF
         self.fm = -1
@@ -149,13 +147,9 @@ class _KJob:
         self.gate_etype = _JOB_ARR
         self.gate_tie = idx
         self.fsl = self.tsl = self.rdl = self.fel = None
-        self.fs_np = self.ts_np = self.rd_np = self.fe_np = None
-        self.rstarts: list[float] = []
-        self.rseqs: Optional[list[int]] = None
-        self.rseq_runs: list[tuple[int, int]] = []
+        self.fs_np = self.ts_np = self.rd_np = None
         self.rdispatched = 0
         self.rcompleted = 0
-        self.nfillers = 0
         self.maxend = -_INF
         self.maxend_i = -1
         self.arrived = False
@@ -165,28 +159,49 @@ class _KJob:
         self.completed = False
         self.completion_time: Optional[float] = None
 
-    def mseq_array(self) -> np.ndarray:
-        """Global dispatch sequence numbers of this job's maps, in order."""
-        if self.mseq_arr is None:
-            if self.mseqs is not None:
-                self.mseq_arr = np.asarray(self.mseqs, dtype=np.int64)
-            elif self.mseq_runs:
-                self.mseq_arr = np.concatenate(
-                    [np.arange(s, s + c, dtype=np.int64) for s, c in self.mseq_runs]
-                )
-            else:
-                self.mseq_arr = np.empty(0, dtype=np.int64)
-        return self.mseq_arr
 
-    def rseq_array(self) -> np.ndarray:
-        """Global dispatch sequence numbers of this job's reduces."""
-        if self.rseqs is not None:
-            return np.asarray(self.rseqs, dtype=np.int64)
-        if self.rseq_runs:
-            return np.concatenate(
-                [np.arange(s, s + c, dtype=np.int64) for s, c in self.rseq_runs]
-            )
-        return np.empty(0, dtype=np.int64)
+class _DispatchLog:
+    """Run-wide dispatch columns of one task kind, in global dispatch order.
+
+    A pass appends each dispatch's start to :attr:`starts` and each
+    stretch of consecutive dispatches of one job to :attr:`runs` as
+    ``(job, first task, count)``; a dispatch's sequence number is its
+    position in :attr:`starts`.  :meth:`freeze` expands the runs into numpy columns
+    indexed by sequence number (``start``, ``job``, ``task``, ``pos``)
+    plus ``seq_of``, the inverse map from a job-major task position
+    (``offsets[job] + task``) back to the sequence number.  Within a job
+    task ``i`` is its ``i``-th dispatch, and dispatch starts never
+    decrease (the passes pop slot releases and triggers in time order).
+    """
+
+    __slots__ = (
+        "starts", "runs", "start", "job", "task", "pos", "seq_of", "offsets",
+        # derived by the kernel: finish/end times; reduce-only columns
+        "end", "stage_end", "shuffle_end", "first_wave", "filler",
+    )
+
+    def __init__(self) -> None:
+        self.starts: list[float] = []
+        self.runs: list[tuple[int, int, int]] = []
+
+    def freeze(self, sizes: Sequence[int]) -> None:
+        """Build the columns; ``sizes[j]`` is job ``j``'s task count."""
+        n = len(self.starts)
+        self.start = np.asarray(self.starts, dtype=np.float64)
+        jobs, first, counts = np.asarray(self.runs, dtype=np.int64).reshape(-1, 3).T
+        self.job = np.repeat(jobs, counts)
+        # A run's seqs seq0 + i are its tasks task0 + i: task = seq - shift.
+        shift = np.cumsum(counts) - counts - first
+        self.task = np.arange(n, dtype=np.int64) - np.repeat(shift, counts)
+        ends = np.cumsum(sizes, dtype=np.int64)
+        self.offsets = ends - np.asarray(sizes, dtype=np.int64)
+        self.pos = self.offsets[self.job] + self.task
+        self.seq_of = np.full(int(ends[-1]) if len(ends) else 0, -1, dtype=np.int64)
+        self.seq_of[self.pos] = np.arange(n, dtype=np.int64)
+
+    def first_start(self, idx: int) -> float:
+        """Start of job ``idx``'s first dispatch (task 0)."""
+        return self.starts[int(self.seq_of[self.offsets[idx]])]
 
 
 class _ShareSide:
@@ -475,6 +490,30 @@ class ColumnarEngine:
             for name in ("choose_next_map_task", "choose_next_reduce_task")
         )
 
+    @staticmethod
+    def _has_instant_tasks(trace: Sequence[TraceJob]) -> bool:
+        """Whether a task of ``trace`` may take zero time (conservatively).
+
+        Pass mode emits the event stream by sorting it, which reproduces
+        the heap's pop order only while every handler pushes events that
+        sort after the one it handles.  A zero-time task breaks that: its
+        departure, pushed by its own arrival at the same instant, pops
+        ahead of arrivals queued before it.  Such runs take replay mode,
+        which runs the heap itself.
+        """
+        profiles = [tj.profile for tj in trace]
+        maps = [p.map_durations for p in profiles if p.num_maps]
+        if maps and np.concatenate(maps).min() <= 0.0:
+            return True
+        with_r = [p for p in profiles if p.num_reduces]
+        if not with_r:
+            return False
+        shuffles = np.concatenate(
+            [a for p in with_r for a in (p.first_shuffle_durations, p.typical_shuffle_durations)]
+        )
+        reduces = np.concatenate([p.reduce_durations for p in with_r])
+        return shuffles.min() + reduces.min() <= 0.0
+
     def _fallback_reason(self, trace: Sequence[TraceJob]) -> Optional[str]:
         """Why this run needs the object engine, or None for the kernel.
 
@@ -530,8 +569,10 @@ class ColumnarEngine:
         self.last_path = "kernel"
         self.fallback_reason = None
         scheduler = self.scheduler
-        if not scheduler.static_priority or (
-            self.preemption and not self._preemption_inert(scheduler)
+        if (
+            not scheduler.static_priority
+            or (self.preemption and not self._preemption_inert(scheduler))
+            or self._has_instant_tasks(trace)
         ):
             self.last_kernel_mode = "replay"
             result = self._run_replay(trace)
@@ -1159,17 +1200,19 @@ class ColumnarEngine:
         uncapped_m = all(st.cap_m is None for st in states)
         uncapped_r = all(st.cap_r is None for st in states)
 
+        maps = _DispatchLog()
         if uncapped_m:
-            self._map_pass_chain(arr_states)
+            self._map_pass_chain(arr_states, maps)
         else:
-            self._map_pass_capped(arr_states)
-        self._derive_map_results(states)
+            self._map_pass_capped(arr_states, maps)
+        self._derive_map_results(states, maps)
 
         gated = self._build_gates(states)
+        reduces = _DispatchLog()
         if uncapped_r:
-            self._reduce_pass_chain(gated)
+            self._reduce_pass_chain(gated, reduces)
         else:
-            self._reduce_pass_capped(gated)
+            self._reduce_pass_capped(gated, reduces)
 
         # Completion, departures, stall detection ----------------------------
         completion_order: list[tuple[float, int, int]] = []
@@ -1191,21 +1234,6 @@ class ColumnarEngine:
                 job.completion_time = st.completion_time
                 job.map_stage_end = st.mse
                 completion_order.append((st.completion_time, st.idx, st.idx))
-        for st in states:
-            if st.mstarts or st.rstarts:
-                first_m = st.mstarts[0] if st.mstarts else _INF
-                first_r = st.rstarts[0] if st.rstarts else _INF
-                st.job.start_time = min(first_m, first_r)
-            if st.M and st.mse < _INF and not st.completed:
-                st.job.map_stage_end = st.mse
-
-        # Departure hooks in completion order.  The static-priority
-        # contract (constant priority_key) means the hook cannot feed
-        # back into scheduling, so batching it here is observationally
-        # identical for any conforming policy.
-        completion_order.sort()
-        for when, _tie, idx in completion_order:
-            scheduler.on_job_departure(states[idx].job, when)
 
         stuck = [j for j in jobs if j.state is not JobState.COMPLETED]
         if stuck:
@@ -1218,18 +1246,35 @@ class ColumnarEngine:
                 "schedules them"
             )
 
+        # Every task ran: the reduce columns are complete.
+        self._reduce_columns(states, reduces)
+        for st in states:
+            if st.M or st.R:
+                st.job.start_time = min(
+                    maps.first_start(st.idx) if st.M else _INF,
+                    reduces.first_start(st.idx) if st.R else _INF,
+                )
+
+        # Departure hooks in completion order.  The static-priority
+        # contract (constant priority_key) means the hook cannot feed
+        # back into scheduling, so batching it here is observationally
+        # identical for any conforming policy.
+        completion_order.sort()
+        for when, _tie, idx in completion_order:
+            scheduler.on_job_departure(states[idx].job, when)
+
         processed = sum(
             2 + 2 * st.M + 2 * st.R + (1 if st.M else 0) for st in states
         )
 
         records: list[TaskRecord] = []
         if self.record_tasks:
-            records = self._build_records(states)
+            records = self._build_records(states, maps, reduces)
 
         event_log: list = []
         san = self.sanitizer
         if san is not None or self.record_events:
-            event_log = self._emit_events(trace, states, processed)
+            event_log = self._emit_events(trace, states, maps, reduces, processed)
 
         wall = elapsed_since(wall_start)
         makespan = max(
@@ -1250,7 +1295,7 @@ class ColumnarEngine:
     # map pass
     # ------------------------------------------------------------------ #
 
-    def _map_pass_chain(self, arr_states: list[_KJob]) -> None:
+    def _map_pass_chain(self, arr_states: list[_KJob], log: _DispatchLog) -> None:
         """Uncapped map dispatch: slot-release chain loop.
 
         With no slot caps, every free slot goes to the eligible job with
@@ -1269,7 +1314,8 @@ class ColumnarEngine:
         ai = 0
         pending: list[tuple[tuple, int]] = []  # (key, order position)
         by_pos: dict[int, _KJob] = {}
-        mseq = 0
+        starts_append = log.starts.append
+        runs_append = log.runs.append
         while True:
             while pending and by_pos[pending[0][1]].mdispatched >= by_pos[pending[0][1]].M:
                 heappop(pending)
@@ -1285,10 +1331,8 @@ class ColumnarEngine:
             a_j = st.submit
             boundary = arrivals[ai].submit if ai < n_arr else _INF
             mdl = st.mdl
-            starts_append = st.mstarts.append
             k = st.mdispatched
             limit = st.M
-            seq0 = mseq
             while k < limit:
                 t0 = pool[0]
                 start = t0 if t0 > a_j else a_j
@@ -1298,8 +1342,7 @@ class ColumnarEngine:
                 starts_append(start)
                 k += 1
             if k > st.mdispatched:
-                st.mseq_runs.append((seq0, k - st.mdispatched))
-                mseq += k - st.mdispatched
+                runs_append((st.idx, st.mdispatched, k - st.mdispatched))
                 st.mdispatched = k
             if k < limit:
                 # Blocked by the arrival boundary: admit the next job.
@@ -1308,7 +1351,7 @@ class ColumnarEngine:
                 heappush(pending, (st2.key, ai))
                 ai += 1
 
-    def _map_pass_capped(self, arr_states: list[_KJob]) -> None:
+    def _map_pass_capped(self, arr_states: list[_KJob], log: _DispatchLog) -> None:
         """Slot-capped map dispatch: exact event-replay of the map side.
 
         Runs the object engine's arrival/departure/allocate cycle for
@@ -1323,10 +1366,9 @@ class ColumnarEngine:
         free = self.cluster.map_slots
         mheap: list[tuple[tuple, int]] = []
         mseq = 0
-        release_k: dict[int, _KJob] = {}
         while trig:
             now, etype, _tie, idx = heappop(trig)
-            st = states_by_idx[idx] if idx in states_by_idx else release_k[idx]
+            st = states_by_idx[idx]
             if etype == _JOB_ARR:
                 st.arrived = True
             else:
@@ -1344,10 +1386,8 @@ class ColumnarEngine:
                 free -= 1
                 k = s2.mdispatched
                 s2.mdispatched = k + 1
-                s2.mstarts.append(now)
-                if s2.mseqs is None:
-                    s2.mseqs = []
-                s2.mseqs.append(mseq)
+                log.starts.append(now)
+                log.runs.append((s2.idx, k, 1))
                 heappush(trig, (now + s2.mdl[k], _MAP_DEP, mseq, s2.idx))
                 mseq += 1
 
@@ -1358,32 +1398,39 @@ class ColumnarEngine:
         cap = st.cap_m
         return cap is None or st.mdispatched - st.mcompleted < cap
 
-    def _derive_map_results(self, states: list[_KJob]) -> None:
-        """Vectorized wave reductions: finishes, map-stage end, gate event."""
+    def _derive_map_results(self, states: list[_KJob], maps: _DispatchLog) -> None:
+        """Map finishes as one column, then per job the map-stage end and
+        the slow-start gate event."""
+        maps.freeze([st.M for st in states])
+        durations = np.concatenate([_EMPTY] + [st.md_np for st in states if st.M])
+        maps.end = maps.start + durations[maps.pos]
+        offsets = maps.offsets.tolist()
         for st in states:
-            if st.M == 0 or not st.mdispatched:
+            d = st.mdispatched
+            if st.M == 0 or not d:
                 continue
-            starts = np.asarray(st.mstarts)
-            fin = starts + st.md_np[: st.mdispatched]
-            st.finishes = fin
-            seqs = st.mseq_array()
-            if st.mdispatched == st.M:
-                st.mse = float(fin.max())
+            # The job's dispatched maps are its tasks 0 .. d-1, in seq order.
+            seqs = maps.seq_of[offsets[st.idx] : offsets[st.idx] + d]
+            fin = maps.end[seqs]
+            if d == st.M:
                 # Last occurrence of the max: the final departure's
                 # dispatch sequence breaks (time, seq) ties.
-                last = int(len(fin) - 1 - fin[::-1].argmax())
+                last = d - 1 - int(fin[::-1].argmax())
+                st.mse = float(fin[last])
                 st.fm = int(seqs[last])
             k = st.gate_count
-            if 0 < k <= st.mdispatched:
+            if k == st.M and d == st.M:
+                # Slow-start 1: the gate is the final map departure.
+                st.gate_time = st.mse
+                st.gate_etype = _MAP_DEP
+                st.gate_tie = st.fm
+            elif 0 < k <= d:
                 # The k-th map departure in (finish, dispatch-seq) pop
                 # order crosses the reduce slow-start gate.
-                gorder = np.lexsort((seqs, fin))
-                gi = int(gorder[k - 1])
+                gi = int(np.lexsort((seqs, fin))[k - 1])
                 st.gate_time = float(fin[gi])
                 st.gate_etype = _MAP_DEP
                 st.gate_tie = int(seqs[gi])
-            elif k == 0:
-                st.gate_time = st.submit
         # Map-less / zero-gate jobs become reduce-eligible at arrival.
         for st in states:
             if st.M == 0 or st.gate_count == 0:
@@ -1418,16 +1465,15 @@ class ColumnarEngine:
             st.fs_np = _cycled(fs_arr, st.R)
             st.ts_np = _cycled(ts_arr, st.R)
             st.rd_np = _cycled(profile.reduce_durations, st.R)
-            st.fe_np = (st.mse + st.fs_np) + st.rd_np
             st.fsl = st.fs_np.tolist()
             st.tsl = st.ts_np.tolist()
             st.rdl = st.rd_np.tolist()
-            st.fel = st.fe_np.tolist()
+            st.fel = ((st.mse + st.fs_np) + st.rd_np).tolist()
             gated.append(st)
         gated.sort(key=lambda s: (s.gate_time, s.gate_etype, s.gate_tie))
         return gated
 
-    def _reduce_pass_chain(self, gated: list[_KJob]) -> None:
+    def _reduce_pass_chain(self, gated: list[_KJob], log: _DispatchLog) -> None:
         """Uncapped reduce dispatch: chain loop over gate availability.
 
         Same structure as the map chain loop, with two twists: the
@@ -1444,7 +1490,8 @@ class ColumnarEngine:
         ai = 0
         pending: list[tuple[tuple, int]] = []
         by_pos: dict[int, _KJob] = {}
-        rseq = 0
+        starts_append = log.starts.append
+        runs_append = log.runs.append
         while True:
             while pending and by_pos[pending[0][1]].rdispatched >= by_pos[pending[0][1]].R:
                 heappop(pending)
@@ -1468,10 +1515,8 @@ class ColumnarEngine:
             fel = st.fel
             tsl = st.tsl
             rdl = st.rdl
-            starts_append = st.rstarts.append
             k = st.rdispatched
             limit = st.R
-            seq0 = rseq
             maxend = st.maxend
             maxend_i = st.maxend_i
             while k < limit:
@@ -1496,8 +1541,7 @@ class ColumnarEngine:
             st.maxend = maxend
             st.maxend_i = maxend_i
             if k > st.rdispatched:
-                st.rseq_runs.append((seq0, k - st.rdispatched))
-                rseq += k - st.rdispatched
+                runs_append((st.idx, st.rdispatched, k - st.rdispatched))
                 st.rdispatched = k
             if k < limit:
                 if ai >= n_arr:
@@ -1508,7 +1552,7 @@ class ColumnarEngine:
                 heappush(pending, (st2.key, ai))
                 ai += 1
 
-    def _reduce_pass_capped(self, gated: list[_KJob]) -> None:
+    def _reduce_pass_capped(self, gated: list[_KJob], log: _DispatchLog) -> None:
         """Slot-capped reduce dispatch: exact event-replay of the reduce side.
 
         Trigger heap carries gate crossings and reduce departures with
@@ -1543,18 +1587,16 @@ class ColumnarEngine:
                 free -= 1
                 i = s2.rdispatched
                 s2.rdispatched = i + 1
-                s2.rstarts.append(now)
-                if s2.rseqs is None:
-                    s2.rseqs = []
-                s2.rseqs.append(rseq)
+                log.starts.append(now)
+                log.runs.append((s2.idx, i, 1))
                 mse = s2.mse
                 if now < mse:
                     # Filler: departure is pushed by ALL_MAPS_FINISHED,
                     # whose heap position is (mse, 1, final-map-seq).
-                    pos = s2.nfillers
-                    s2.nfillers = pos + 1
+                    # Starts never decrease, so fillers are the job's
+                    # first dispatches and ``i`` is the filler's rank.
                     end = s2.fel[i]
-                    tie = (mse, _ALL_MAPS, s2.fm, pos)
+                    tie = (mse, _ALL_MAPS, s2.fm, i)
                 else:
                     # now >= mse here, so <= means the first-wave boundary.
                     end = s2.fel[i] if now <= mse else (now + s2.tsl[i]) + s2.rdl[i]
@@ -1577,167 +1619,143 @@ class ColumnarEngine:
     # derived outputs
     # ------------------------------------------------------------------ #
 
-    def _reduce_columns(self, st: _KJob) -> tuple:
-        """Vectorized reduce-task columns: (starts, ends, shuffle_ends,
-        first_wave mask, filler mask) for the dispatched reduces."""
-        n = st.rdispatched
-        starts = np.asarray(st.rstarts)
-        fs = st.fs_np[:n]
-        ts = st.ts_np[:n]
-        rd = st.rd_np[:n]
-        fw = starts <= st.mse            # fillers + first wave
-        filler = starts < st.mse
-        shuffle_end = np.where(fw, st.mse + fs, starts + ts)
-        ends = np.where(fw, st.fe_np[:n], shuffle_end + rd)
-        return starts, ends, shuffle_end, fw, filler
+    def _reduce_columns(self, states: list[_KJob], reduces: _DispatchLog) -> None:
+        """Reduce end, shuffle-end, first-wave and filler columns.
 
-    def _build_records(self, states: list[_KJob]) -> list[TaskRecord]:
+        Called once every job completed, so every reduce was dispatched
+        and every reduce job has its duration vectors.  A reduce starting
+        by its job's map-stage end ``mse`` (a filler if strictly before)
+        shuffles until ``mse + first_shuffle``; a later one until
+        ``start + typical_shuffle``.  Either way it ends at
+        ``shuffle_end + reduce`` — the pass's own arithmetic, bit for bit.
+        """
+        reduces.freeze([st.R for st in states])
+        with_r = [st for st in states if st.R]
+        pos = reduces.pos
+        start = reduces.start
+        fs = np.concatenate([_EMPTY] + [st.fs_np for st in with_r])[pos]
+        ts = np.concatenate([_EMPTY] + [st.ts_np for st in with_r])[pos]
+        rd = np.concatenate([_EMPTY] + [st.rd_np for st in with_r])[pos]
+        mse = np.asarray([st.mse for st in states], dtype=np.float64)[reduces.job]
+        reduces.stage_end = mse
+        reduces.first_wave = start <= mse
+        reduces.filler = start < mse
+        reduces.shuffle_end = np.where(reduces.first_wave, mse + fs, start + ts)
+        reduces.end = reduces.shuffle_end + rd
+
+    def _build_records(
+        self, states: list[_KJob], maps: _DispatchLog, reduces: _DispatchLog
+    ) -> list[TaskRecord]:
         """Task records in the object engine's global append order.
 
         The engine appends one record per ``*_TASK_ARRIVAL`` pop, so the
-        global order is ``(start, arrival-event type, dispatch seq)``.
+        global order is ``(start, arrival-event type, dispatch seq)``:
+        one stable sort by start over the map then reduce columns, each
+        already in seq order.
         """
-        keyed: list[tuple[float, int, int, TaskRecord]] = []
-        for st in states:
-            job = st.job
-            jid = st.idx
-            if st.mdispatched:
-                fins = st.finishes.tolist()
-                seqs = st.mseq_array().tolist()
-                for k, (start, end, seq) in enumerate(
-                    zip(st.mstarts, fins, seqs)
-                ):
-                    rec = TaskRecord(
-                        kind="map", job_id=jid, index=k, start=start, end=end
-                    )
-                    job.map_records.append(rec)
-                    keyed.append((start, _MAP_ARR, seq, rec))
-            if st.rdispatched:
-                starts, ends, shuffle_end, fw, _filler = self._reduce_columns(st)
-                seqs = st.rseq_array().tolist()
-                for i, (start, end, se, first, seq) in enumerate(
-                    zip(
-                        starts.tolist(),
-                        ends.tolist(),
-                        shuffle_end.tolist(),
-                        fw.tolist(),
-                        seqs,
-                    )
-                ):
-                    rec = TaskRecord(
-                        kind="reduce",
-                        job_id=jid,
-                        index=i,
-                        start=start,
-                        end=end,
-                        shuffle_end=se,
-                        first_wave=first,
-                    )
-                    job.reduce_records.append(rec)
-                    keyed.append((start, _RED_ARR, seq, rec))
-        keyed.sort(key=lambda t: (t[0], t[1], t[2]))
-        return [rec for _t, _e, _s, rec in keyed]
+        records: list[TaskRecord] = []
+        for jid, k, start, end in zip(
+            maps.job.tolist(), maps.task.tolist(), maps.starts, maps.end.tolist()
+        ):
+            rec = TaskRecord("map", jid, k, start, end)
+            states[jid].job.map_records.append(rec)
+            records.append(rec)
+        for jid, i, start, end, se, first in zip(
+            reduces.job.tolist(),
+            reduces.task.tolist(),
+            reduces.starts,
+            reduces.end.tolist(),
+            reduces.shuffle_end.tolist(),
+            reduces.first_wave.tolist(),
+        ):
+            rec = TaskRecord("reduce", jid, i, start, end, se, first)
+            states[jid].job.reduce_records.append(rec)
+            records.append(rec)
+        order = np.argsort(np.concatenate((maps.start, reduces.start)), kind="stable")
+        return [records[i] for i in order.tolist()]
 
     def _emit_events(
-        self, trace: Sequence[TraceJob], states: list[_KJob], processed: int
+        self,
+        trace: Sequence[TraceJob],
+        states: list[_KJob],
+        maps: _DispatchLog,
+        reduces: _DispatchLog,
+        processed: int,
     ) -> list:
         """Reconstruct the full event stream in heap pop order.
 
-        Events are materialized as numeric columns — time, type, and up
-        to five tie-breaking components encoding each event's heap
-        sequence provenance — sorted with one ``np.lexsort``, and fed to
-        the digest as a single packed-buffer update.  The resulting
-        stream is bit-identical to the object engine's pop sequence
-        (asserted against the arithmetic event count).
+        The heap pops by ``(time, type, seq)``.  Each event type is laid
+        out as one block already sorted by its own tie key, the blocks
+        concatenated in type-priority order; a stable sort by time then
+        yields exactly the heap order.  Map departures/arrivals and
+        reduce arrivals tie on dispatch seq and job arrivals on trace
+        index, so their blocks are sorted for free; the ALL_MAPS, reduce
+        departure and job departure blocks, which tie on the event that
+        pushed them, take one small sort each.  The heap pops in sorted
+        order because in pass mode every handler pushes events that sort
+        after its own (see ``docs/engine-internals.md``).  The stream is
+        bit-identical to the object engine's pop sequence (asserted
+        against the arithmetic event count).
         """
-        t_parts: list[np.ndarray] = []
-        e_parts: list[np.ndarray] = []
-        c_parts: list[np.ndarray] = []  # (n, 5) tie columns
-        j_parts: list[np.ndarray] = []
-        k_parts: list[np.ndarray] = []
+        # ALL_MAPS_FINISHED: pushed by the job's final map departure, so
+        # it ties on that departure's seq, fm.
+        with_m = [st for st in states if st.M]
+        am_order = np.argsort([st.fm for st in with_m], kind="stable")
+        am_time = np.asarray([st.mse for st in with_m], dtype=np.float64)[am_order]
+        am_job = np.asarray([st.idx for st in with_m], dtype=np.int64)[am_order]
 
-        def block(times, etype, ties, jid, tasks):
-            n = len(times)
-            t_parts.append(np.asarray(times, dtype=np.float64))
-            e_parts.append(np.full(n, etype, dtype=np.int64))
-            tie_block = np.zeros((n, 5), dtype=np.float64)
-            for col, vals in enumerate(ties):
-                tie_block[:, col] = vals
-            c_parts.append(tie_block)
-            j_parts.append(
-                np.full(n, jid, dtype=np.int64)
-                if np.isscalar(jid)
-                else np.asarray(jid, dtype=np.int64)
-            )
-            k_parts.append(
-                np.full(n, tasks, dtype=np.int64)
-                if np.isscalar(tasks)
-                else np.asarray(tasks, dtype=np.int64)
-            )
+        # REDUCE_TASK_DEPARTURE: a filler's departure is pushed by its
+        # job's ALL_MAPS pop at (mse, ALL_MAPS, fm), any other's by its own
+        # RED_ARR pop at (start, RED_ARR, seq).  ALL_MAPS pops first at
+        # equal times and the block is in seq order, so a stable sort on
+        # (push time, fm for fillers / past every fm otherwise) orders it.
+        filler = reduces.filler
+        fm = np.asarray([st.fm for st in states], dtype=np.int64)
+        rd_order = np.lexsort((
+            np.where(filler, fm[reduces.job], len(maps.starts)),
+            np.where(filler, reduces.stage_end, reduces.start),
+        ))
+
+        # JOB_DEPARTURE: pushed by the departure that completes the job —
+        # its final map (seq fm) if it has no reduces, else the reduce
+        # ending last — so it ties on where that trigger sits in the
+        # MAP_DEP block followed by the sorted RED_DEP block.
+        rd_rank = np.empty_like(rd_order)
+        rd_rank[rd_order] = np.arange(len(rd_order))
+        has_r = np.asarray([st.R > 0 for st in states], dtype=bool)
+        last = np.asarray([st.maxend_i for st in states], dtype=np.int64)[has_r]
+        trigger = fm.copy()
+        trigger[has_r] = len(maps.starts) + rd_rank[
+            reduces.seq_of[reduces.offsets[has_r] + last]
+        ]
+        jd_order = np.argsort(trigger, kind="stable")
+        jd_time = np.asarray([st.completion_time for st in states], dtype=np.float64)
 
         n_jobs = len(states)
-        submits = np.asarray([st.submit for st in states])
-        block(submits, _JOB_ARR, [np.arange(n_jobs)], np.arange(n_jobs), -1)
-
-        for st in states:
-            jid = st.idx
-            if st.mdispatched:
-                starts = np.asarray(st.mstarts)
-                seqs = st.mseq_array()
-                idxs = np.arange(st.mdispatched)
-                block(starts, _MAP_ARR, [seqs], jid, idxs)
-                block(st.finishes, _MAP_DEP, [seqs], jid, idxs)
-                if st.mdispatched == st.M:
-                    block([st.mse], _ALL_MAPS, [[st.fm]], jid, -1)
-            if st.rdispatched:
-                starts, ends, _se, _fw, filler = self._reduce_columns(st)
-                seqs = st.rseq_array()
-                idxs = np.arange(st.rdispatched)
-                block(starts, _RED_ARR, [seqs], jid, idxs)
-                # Departure tie = the departure event's push site: the
-                # ALL_MAPS rewrite for fillers, the RED_ARR pop otherwise.
-                pos = np.cumsum(filler) - 1
-                c1 = np.where(filler, st.mse, starts)
-                c2 = np.where(filler, _ALL_MAPS, _RED_ARR)
-                c3 = np.where(filler, st.fm, seqs)
-                c4 = np.where(filler, pos, 0)
-                block(ends, _RED_DEP, [c1, c2, c3, c4], jid, idxs)
-            if st.completed:
-                if st.R == 0:
-                    dep_tie = [[_MAP_DEP], [st.fm], [0], [0], [0]]
-                else:
-                    i = st.maxend_i
-                    if st.rstarts[i] < st.mse:
-                        n_fillers_before = sum(
-                            1 for s in st.rstarts[: i + 1] if s < st.mse
-                        )
-                        dep_tie = [
-                            [_RED_DEP], [st.mse], [_ALL_MAPS], [st.fm],
-                            [n_fillers_before - 1],
-                        ]
-                    else:
-                        seqs = st.rseq_array()
-                        dep_tie = [
-                            [_RED_DEP], [st.rstarts[i]], [_RED_ARR],
-                            [int(seqs[i])], [0],
-                        ]
-                block([st.completion_time], _JOB_DEP, dep_tie, jid, -1)
-
-        t = np.concatenate(t_parts)
-        e = np.concatenate(e_parts)
-        c = np.concatenate(c_parts)
-        jcol = np.concatenate(j_parts)
-        kcol = np.concatenate(k_parts)
+        job_ids = np.arange(n_jobs, dtype=np.int64)
+        none = np.full(n_jobs, -1, dtype=np.int64)
+        blocks = (  # (type, times, job ids, task indices), in type priority
+            (_MAP_DEP, maps.end, maps.job, maps.task),
+            (_ALL_MAPS, am_time, am_job, none[: len(am_job)]),
+            (_RED_DEP, reduces.end[rd_order], reduces.job[rd_order], reduces.task[rd_order]),
+            (_JOB_DEP, jd_time[jd_order], jd_order, none),
+            (_JOB_ARR, np.asarray([st.submit for st in states], dtype=np.float64), job_ids, none),
+            (_MAP_ARR, maps.start, maps.job, maps.task),
+            (_RED_ARR, reduces.start, reduces.job, reduces.task),
+        )
+        t = np.concatenate([b[1] for b in blocks])
         if len(t) != processed:
             raise RuntimeError(
                 f"columnar kernel event-count mismatch: emitted {len(t)}, "
                 f"expected {processed}"
             )
-        order = np.lexsort((c[:, 4], c[:, 3], c[:, 2], c[:, 1], c[:, 0], e, t))
+        order = np.argsort(t, kind="stable")
         t = t[order]
-        e = e[order]
-        jcol = jcol[order]
-        kcol = kcol[order]
+        e = np.repeat(
+            np.asarray([b[0] for b in blocks], dtype=np.int64), [len(b[1]) for b in blocks]
+        )[order]
+        jcol = np.concatenate([b[2] for b in blocks])[order]
+        kcol = np.concatenate([b[3] for b in blocks])[order]
 
         san = self.sanitizer
         if san is not None:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.cluster import ClusterConfig
-from ..core.engine import SimulatorEngine
+from ..core.kernel import ColumnarEngine
 from ..core.job import TraceJob
 from ..mumak.simulator import MumakSimulator
 from ..schedulers.fifo import FIFOScheduler
@@ -111,14 +111,19 @@ def run_performance(
     seed: int = 0,
     cluster: ClusterConfig = ClusterConfig(64, 64),
 ) -> PerformanceResult:
-    """Time SimMR and Mumak replaying growing prefixes of one trace."""
+    """Time SimMR and Mumak replaying growing prefixes of one trace.
+
+    SimMR runs on :class:`~repro.core.kernel.ColumnarEngine`, the engine
+    ``simulate`` and the sweeps use by default (its FIFO runs take the
+    kernel's pass mode); the object loop processes the same events.
+    """
     if not job_counts:
         raise ValueError("at least one job count is required")
     full = make_performance_trace(max(job_counts), mean_interarrival=mean_interarrival, seed=seed)
     points = []
     for n in sorted(job_counts):
         trace = full[:n]
-        engine = SimulatorEngine(cluster, FIFOScheduler(), record_tasks=False)
+        engine = ColumnarEngine(cluster, FIFOScheduler(), record_tasks=False)
         simmr_result = engine.run(trace)
         mumak = MumakSimulator(num_nodes=cluster.map_slots)
         mumak_result = mumak.run(trace)

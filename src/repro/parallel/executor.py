@@ -641,9 +641,15 @@ def _simulate_many(
     digest: bool,
     progress: Optional[ProgressFn],
     transport: str = "auto",
+    trace_digests: Optional[Mapping[str, str]] = None,
 ) -> list[SimOutcome]:
+    """:func:`simulate_many` on an opened cache.  ``trace_digests``, when
+    given, holds every trace's :func:`trace_digest` already computed by
+    the caller (the service's request parser), so it is not recomputed."""
     global _LAST_FANOUT
-    digests = {tid: trace_digest(trace) for tid, trace in traces.items()}
+    digests = trace_digests
+    if digests is None:
+        digests = {tid: trace_digest(trace) for tid, trace in traces.items()}
 
     total = len(tasks)
     done = 0

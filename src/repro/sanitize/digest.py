@@ -129,7 +129,7 @@ class EventDigest:
         rec["etype"] = etypes
         rec["job_id"] = job_ids
         rec["task_index"] = task_indices
-        self._hash.update(rec.tobytes())
+        self._hash.update(rec)  # the contiguous record buffer, uncopied
         self.count += len(rec)
         if self.keep_events:
             self.events.extend(

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 from ..core.walltime import elapsed_since, perf_seconds
 from ..parallel.cache import ResultCache, cache_key
-from ..parallel.executor import SimOutcome, simulate_many
+from ..parallel.executor import SimOutcome, _simulate_many
 from .protocol import ReplayRequest
 
 __all__ = ["JobManager", "JobTicket", "QueueFullError", "ServiceClosedError"]
@@ -144,12 +144,17 @@ class JobManager:
     # -- the engine seam ---------------------------------------------------
 
     def _simulate(self, request: ReplayRequest) -> SimOutcome:
-        [outcome] = simulate_many(
+        # The parser already digested the trace: hand that digest over
+        # instead of letting the executor digest it a second time.
+        [outcome] = _simulate_many(
             {request.digest: request.trace},
             [request.task()],
             workers=0,
             cache=self.cache,
+            fresh=False,
             digest=True,
+            progress=None,
+            trace_digests={request.digest: request.digest},
         )
         return outcome
 

@@ -11,6 +11,10 @@ StatAssist is closed-source; this module reproduces the workflow with
 scipy maximum-likelihood fits over a family of candidate distributions,
 ranked by the one-sample KS statistic.  :func:`fit_lognormal` returns the
 paper's ``(mu, sigma)`` parameterization directly.
+
+scipy is imported inside the functions that fit: ``scipy.stats`` takes
+over a second to import, and most commands (``simmr serve`` among them)
+never fit, so ``import repro`` does not pay for it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["FitResult", "fit_candidates", "fit_best", "fit_lognormal", "CANDIDATE_FAMILIES"]
 
@@ -46,6 +49,8 @@ class FitResult:
 
     def frozen(self):
         """The frozen scipy distribution for sampling/evaluation."""
+        from scipy import stats as sps
+
         dist = getattr(sps, self.family)
         return dist(*self.params)
 
@@ -76,6 +81,8 @@ def fit_candidates(
     the sample minimum into ``loc``, producing shifted laws most duration
     models cannot express.
     """
+    from scipy import stats as sps
+
     arr = _clean(sample)
     results: list[FitResult] = []
     for family in families or CANDIDATE_FAMILIES:
@@ -127,6 +134,8 @@ def fit_lognormal(sample: Sequence[float]) -> tuple[float, float, float]:
     arr = _clean(sample)
     if np.any(arr <= 0):
         raise ValueError("lognormal fitting requires strictly positive durations")
+    from scipy import stats as sps
+
     sigma, _loc, scale = sps.lognorm.fit(arr, floc=0.0)
     mu = float(np.log(scale))
     ks = sps.kstest(arr, "lognorm", args=(sigma, 0.0, scale))

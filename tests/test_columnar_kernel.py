@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ClusterConfig, JobProfile, JobState, TraceJob, simulate
 from repro.core.kernel import ColumnarEngine
@@ -839,3 +840,145 @@ class TestServiceProtocol:
             request = parse_request(doc, trace_root=None)
             assert request.engine == engine
             assert request.task().engine == engine
+
+
+# --------------------------------------------------------------------------- #
+# generated differential tests: pass-mode emission order
+# --------------------------------------------------------------------------- #
+
+#: Few distinct values, so arrivals, dispatches and departures tie often.
+_TIE_TIMES = (0.0, 1.0, 2.5)
+_TIE_DURATIONS = (0.0, 1.0, 2.0)
+_PASS_SCHEDULERS = {
+    "FIFO": FIFOScheduler,
+    "MaxEDF": MaxEDFScheduler,
+    "MinEDF": MinEDFScheduler,
+    "Capped(1x1)": lambda: CappedFIFOScheduler(1, 1),
+    "Capped(2xNone)": lambda: CappedFIFOScheduler(2, None),
+    "Capped(Nonex1)": lambda: CappedFIFOScheduler(None, 1),
+}
+
+
+def _tie_job(submit, num_maps, num_reduces, map_durations=(1.0,), duration=1.0):
+    """A job for the pinned examples: every reduce-side duration is
+    ``duration``."""
+    profile = JobProfile(
+        name="tie", num_maps=num_maps, num_reduces=num_reduces,
+        map_durations=list(map_durations), first_shuffle_durations=[duration],
+        typical_shuffle_durations=[duration], reduce_durations=[duration],
+    )
+    return TraceJob(profile, submit)
+
+
+@st.composite
+def _tie_traces(draw):
+    """Adversarial traces: equal submit times, equal durations (zero in
+    half the traces), map-only and reduce-only jobs, optional deadlines."""
+    shape = draw(st.sampled_from(("mixed", "map_only", "reduce_only")))
+    zero_time = draw(st.booleans())
+    durations = st.sampled_from(_TIE_DURATIONS if zero_time else _TIE_DURATIONS[1:])
+    trace = []
+    for _ in range(draw(st.integers(1, 6))):
+        num_maps = 0 if shape == "reduce_only" else draw(st.integers(0, 6))
+        num_reduces = 0 if shape == "map_only" else draw(st.integers(0, 4))
+        if num_maps == num_reduces == 0:
+            num_maps, num_reduces = (0, 1) if shape == "reduce_only" else (1, 0)
+        profile = JobProfile(
+            name="tie",
+            num_maps=num_maps,
+            num_reduces=num_reduces,
+            map_durations=draw(st.lists(durations, min_size=1, max_size=3)),
+            first_shuffle_durations=draw(st.lists(durations, min_size=1, max_size=2)),
+            typical_shuffle_durations=draw(st.lists(durations, min_size=1, max_size=2)),
+            reduce_durations=draw(st.lists(durations, min_size=1, max_size=2)),
+        )
+        submit = draw(st.sampled_from(_TIE_TIMES))
+        deadline = draw(st.sampled_from((None, 3.0, 8.0)))
+        if deadline is not None and deadline < submit:
+            deadline = None
+        trace.append(TraceJob(profile, submit, deadline=deadline))
+    return trace
+
+
+def _first_difference(a: list, b: list) -> str:
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return f"first difference at #{i}: object {x}, kernel {y}"
+    return f"lengths differ: object {len(a)}, kernel {len(b)}"
+
+
+def _assert_pass_mode_matches(trace, policy, cluster, slowstart):
+    from repro.core.engine import SimulatorEngine
+
+    results = []
+    for engine_cls in (SimulatorEngine, ColumnarEngine):
+        engine = engine_cls(
+            ClusterConfig(*cluster), _PASS_SCHEDULERS[policy](),
+            min_map_percent_completed=slowstart, record_events=True,
+        )
+        results.append(engine.run(trace))
+    # Zero-time tasks take replay mode (the sorted stream would pop them
+    # too late); everything else here is pass mode.
+    assert engine.last_kernel_mode == (
+        "replay" if ColumnarEngine._has_instant_tasks(trace) else "passes"
+    )
+    obj, ker = results
+    events = [
+        [(e.time, int(e.event_type), e.job_id, e.task_index) for e in r.event_log]
+        for r in results
+    ]
+    assert events[0] == events[1], _first_difference(*events)
+    records = [
+        [(t.kind, t.job_id, t.index, t.start, t.end, t.shuffle_end, t.first_wave)
+         for t in r.task_records]
+        for r in results
+    ]
+    assert records[0] == records[1], _first_difference(*records)
+    assert obj.events_processed == ker.events_processed == len(events[1])
+    assert [
+        (j.start_time, j.map_stage_end, j.completion_time) for j in obj.jobs
+    ] == [(j.start_time, j.map_stage_end, j.completion_time) for j in ker.jobs]
+
+
+class TestEmissionOrderDifferential:
+    """Pass mode rebuilds the event stream from its dispatch columns; a
+    wrong tie order must show as the first differing event, not only as
+    a digest mismatch."""
+
+    @given(
+        trace=_tie_traces(),
+        policy=st.sampled_from(sorted(_PASS_SCHEDULERS)),
+        cluster=st.sampled_from(((1, 1), (2, 1), (3, 2), (128, 128))),
+        slowstart=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # Zero-time tasks, shrunk: the sorted stream put the departure ahead
+    # of the job's own arrival (they now take replay mode).
+    @example(
+        trace=[_tie_job(0.0, 1, 0, map_durations=(0.0,), duration=0.0)],
+        policy="Capped(1x1)", cluster=(1, 1), slowstart=0.0,
+    )
+    @example(
+        trace=[_tie_job(0.0, 0, 1, duration=0.0)],
+        policy="FIFO", cluster=(1, 1), slowstart=0.0,
+    )
+    # A filler's and a typical reduce's departures pushed at one instant:
+    # the filler's ALL_MAPS push pops first (shrunk from a kernel that
+    # ordered the two by dispatch seq alone).
+    @example(
+        trace=[_tie_job(1.0, 2, 1), _tie_job(1.0, 0, 2)],
+        policy="Capped(1x1)", cluster=(3, 2), slowstart=0.0,
+    )
+    # Fillers of two jobs whose map stages end together: they pop in
+    # ALL_MAPS (final-map seq) order, the reverse of their dispatch order.
+    @example(
+        trace=[
+            _tie_job(0.0, 3, 1, map_durations=(2.0, 2.0, 3.0)),
+            _tie_job(0.0, 2, 1, map_durations=(1.0, 2.0)),
+        ],
+        policy="FIFO", cluster=(4, 2), slowstart=0.5,
+    )
+    def test_event_log_and_records_match_object_engine(
+        self, trace, policy, cluster, slowstart
+    ):
+        _assert_pass_mode_matches(trace, policy, cluster, slowstart)

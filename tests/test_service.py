@@ -190,6 +190,26 @@ class TestJobManager:
             assert manager.front_hits == 1
         cache.close()
 
+    def test_new_request_digests_its_trace_once(self, trace, monkeypatch):
+        from repro.parallel import executor
+        from repro.service import protocol
+
+        calls = []
+        real = protocol.trace_digest
+
+        def counting(t):
+            calls.append(len(t))
+            return real(t)
+
+        monkeypatch.setattr(protocol, "trace_digest", counting)
+        monkeypatch.setattr(executor, "trace_digest", counting)
+        with JobManager(workers=1, queue_size=4) as manager:
+            ticket = manager.submit(self.request(trace))
+            assert ticket.wait(60)
+            assert ticket.error is None and not ticket.outcome.cached
+        assert calls == [len(trace)]
+        assert ticket.outcome.result.event_digest == local_digest(trace)
+
     def test_queue_overflow_raises(self, trace):
         release = threading.Event()
         started = threading.Event()

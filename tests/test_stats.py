@@ -191,3 +191,31 @@ class TestFitting:
     def test_lognormal_requires_positive(self):
         with pytest.raises(ValueError, match="positive"):
             fit_lognormal([0.0, 1.0, 2.0])
+
+
+def test_scipy_is_imported_only_when_fitting():
+    """``import repro`` and the service stay scipy-free; fitting loads it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import repro, repro.service\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported at import time'\n"
+        "from repro.stats.fitting import fit_lognormal\n"
+        "sample = np.random.default_rng(0).lognormal(2.0, 0.5, 400)\n"
+        "mu, sigma, _ks = fit_lognormal(sample)\n"
+        "assert abs(mu - 2.0) < 0.1 and abs(sigma - 0.5) < 0.1, (mu, sigma)\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
