@@ -15,10 +15,10 @@ The tentpole claims of :mod:`repro.parallel`, measured:
 
 A second bench (``test_columnar_fanout``) measures the columnar trace
 subsystem end to end: cold-parse time of the binary format vs JSON,
-bytes shipped per worker under each fan-out transport (shared memory
-must be O(1) in the worker count), and event-digest identity across
-every execution path — serial, shared-memory, tempfile, legacy pickle,
-and the HTTP service.
+bytes shipped per worker through shared memory and its tempfile
+fallback (both must be O(1) in the worker count, far below the pickled
+job list), and event-digest identity across every execution path —
+serial, shared-memory, tempfile, and the HTTP service.
 
 Artifacts: prints the timing tables and writes
 ``BENCH_parallel_sweep.json`` + ``BENCH_columnar.json`` at the repo
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 from pathlib import Path
 
 from repro.core import ClusterConfig
@@ -140,10 +141,15 @@ def _timed(fn, *args, **kwargs):
     return result, elapsed_since(start)
 
 
-def test_columnar_fanout(benchmark, once, tmp_path):
+def _refuse_shared_memory(self, payload):
+    raise OSError("shared memory disabled to measure the tempfile fallback")
+
+
+def test_columnar_fanout(benchmark, once, tmp_path, monkeypatch):
     from repro.parallel.executor import (
         SchedulerSpec,
         SimTask,
+        _PublishedTraces,
         last_fanout_stats,
         simulate_many,
     )
@@ -168,7 +174,8 @@ def test_columnar_fanout(benchmark, once, tmp_path):
     assert trace_digest(from_bin) == digest
 
     # Fan-out accounting: the same 4-task batch at 2 and 4 workers,
-    # under each transport.  Headline number = the shared-memory batch.
+    # through shared memory, then through the tempfile fallback.
+    # Headline number = the shared-memory batch.
     tasks = [
         SimTask(trace_id="t", scheduler=SchedulerSpec(name=name))
         for name in SCHEDULERS
@@ -178,24 +185,27 @@ def test_columnar_fanout(benchmark, once, tmp_path):
     reference = [o.result.event_digest for o in serial]
     assert all(reference)
 
-    once(
-        benchmark, simulate_many, traces, tasks,
-        workers=2, cache=None, transport="shared_memory",
-    )
+    once(benchmark, simulate_many, traces, tasks, workers=2, cache=None)
 
     shipping: dict[str, dict] = {}
     path_digests = {"serial": reference}
-    for transport in ("shared_memory", "tempfile", "pickle"):
+    for transport in ("shared_memory", "tempfile"):
+        if transport == "tempfile":
+            monkeypatch.setattr(
+                _PublishedTraces, "_publish_shm", _refuse_shared_memory
+            )
         per_workers = {}
         for workers in (2, 4):
-            outcomes = simulate_many(
-                traces, tasks, workers=workers, cache=None, transport=transport
-            )
+            outcomes = simulate_many(traces, tasks, workers=workers, cache=None)
             path_digests[f"{transport}@{workers}"] = [
                 o.result.event_digest for o in outcomes
             ]
             per_workers[workers] = last_fanout_stats().to_dict()
+            assert per_workers[workers]["transport"] == transport
         shipping[transport] = per_workers
+    monkeypatch.undo()
+    # What each worker would receive if the job objects were pickled.
+    pickled_bytes = len(pickle.dumps(list(trace)))
 
     # The service path: a served binary trace, replayed over HTTP.
     config = ServiceConfig(port=0, workers=1, trace_root=tmp_path, cache=False)
@@ -213,7 +223,6 @@ def test_columnar_fanout(benchmark, once, tmp_path):
 
     shm2 = shipping["shared_memory"][2]
     shm4 = shipping["shared_memory"][4]
-    pickle4 = shipping["pickle"][4]
     report = {
         "trace_jobs": len(trace),
         "trace_digest": digest,
@@ -224,6 +233,7 @@ def test_columnar_fanout(benchmark, once, tmp_path):
         "binary_load_seconds": bin_s,
         "binary_parse_speedup": json_s / bin_s,
         "shipping": shipping,
+        "pickled_trace_bytes": pickled_bytes,
         "service_first_request_seconds": first_s,
         "service_cached_trace_request_seconds": second_s,
         "service_trace_cache": {
@@ -242,7 +252,7 @@ def test_columnar_fanout(benchmark, once, tmp_path):
         f"\nshm per-worker    : {shm2['bytes_per_worker']} B at 2w, "
         f"{shm4['bytes_per_worker']} B at 4w "
         f"(payload {shm4['payload_bytes']:,} B once)"
-        f"\npickle per-worker : {pickle4['bytes_per_worker']:,} B"
+        f"\npickled job list  : {pickled_bytes:,} B"
         f"\nservice trace LRU : {trace_cache.hits} hit(s), "
         f"{trace_cache.misses} miss(es)"
     )
@@ -258,10 +268,10 @@ def test_columnar_fanout(benchmark, once, tmp_path):
 
     # O(1) shipping: the shared payload does not grow with the worker
     # count, and the per-worker descriptor stays far below the pickled
-    # job lists the legacy transport sends to every worker.
+    # job list.
     assert shm4["payload_bytes"] == shm2["payload_bytes"]
     assert shm4["bytes_per_worker"] == shm2["bytes_per_worker"]
-    assert shm4["bytes_per_worker"] < pickle4["bytes_per_worker"] / 100
+    assert shm4["bytes_per_worker"] < pickled_bytes / 100
     assert shipping["tempfile"][4]["payload_bytes"] == shm4["payload_bytes"]
 
     # The service's second request was served from the parsed-trace LRU.

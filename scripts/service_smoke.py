@@ -6,9 +6,13 @@ the shipped entrypoint exactly the way an operator would:
 
 1. launch ``python -m repro serve --port 0`` as a subprocess;
 2. discover the ephemeral port from the stable "listening on" line;
-3. submit one replay over HTTP and assert its ``event_digest`` equals
-   a local :func:`simulate_many` replay of the same request;
-4. send SIGTERM and assert the graceful drain: exit code 0 and the
+3. submit one registry replay and one ``policy`` replay (a built-in
+   example tree) over HTTP and assert each ``event_digest`` equals a
+   local :func:`simulate_many` replay of the same request;
+4. submit scheduler *source code* under the removed
+   ``inline-certified`` kind and assert the unknown-kind 400, whose
+   message points at ``policy`` (the only kind carrying user logic);
+5. send SIGTERM and assert the graceful drain: exit code 0 and the
    "drained" farewell on stdout.
 
 Exits non-zero on any failure.  Run: ``python scripts/service_smoke.py``
@@ -30,7 +34,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import ClusterConfig  # noqa: E402
 from repro.parallel import SchedulerSpec, SimTask, simulate_many  # noqa: E402
-from repro.service import ServiceClient  # noqa: E402
+from repro.policy import (  # noqa: E402
+    canonical_policy_json,
+    example_policy,
+    parse_policy,
+)
+from repro.service import ServiceClient, ServiceError  # noqa: E402
 from repro.trace.arrivals import ExponentialArrivals  # noqa: E402
 from repro.trace.synthetic import SyntheticTraceGen  # noqa: E402
 from repro.workloads.apps import make_app_specs  # noqa: E402
@@ -59,13 +68,22 @@ def main() -> int:
     trace = gen.generate(6)
     cluster = ClusterConfig(map_slots=32, reduce_slots=32)
 
-    [local] = simulate_many(
+    # Its schedule differs from maxedf's here, so a reply served from the
+    # wrong cache entry cannot match.
+    policy = SchedulerSpec(
+        kind="policy", name="deadline-aware",
+        kwargs=(("tree", canonical_policy_json(
+            parse_policy(example_policy("deadline-aware"))
+        )),),
+    )
+    local, local_policy = simulate_many(
         {"t": trace},
-        [SimTask(trace_id="t", cluster=cluster,
-                 scheduler=SchedulerSpec(kind="registry", name="maxedf"))],
+        [SimTask(trace_id="t", cluster=cluster, scheduler=spec)
+         for spec in (SchedulerSpec(kind="registry", name="maxedf"), policy)],
         cache=None,
     )
     print(f"local digest: {local.result.event_digest}")
+    print(f"local policy digest: {local_policy.result.event_digest}")
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
@@ -78,13 +96,30 @@ def main() -> int:
         )
         try:
             url = wait_for_url(proc)
-            reply = ServiceClient(url, timeout=120.0).replay(
-                trace, scheduler="maxedf", cluster=cluster
-            )
+            client = ServiceClient(url, timeout=120.0)
+            reply = client.replay(trace, scheduler="maxedf", cluster=cluster)
             print(f"served digest: {reply.event_digest} "
                   f"(cached={reply.cached}, {reply.request_id})")
             assert reply.event_digest == local.result.event_digest, \
                 "service digest diverges from local replay"
+
+            reply = client.replay(trace, scheduler=policy, cluster=cluster)
+            print(f"served policy digest: {reply.event_digest}")
+            assert reply.event_digest == local_policy.result.event_digest, \
+                "service policy digest diverges from local replay"
+
+            source = SchedulerSpec(
+                kind="inline-certified", name="TinyFifo",
+                kwargs=(("source", "class TinyFifo:\n    pass\n"),),
+            )
+            try:
+                client.replay(trace, scheduler=source, cluster=cluster)
+            except ServiceError as exc:
+                print(f"scheduler source refused: {exc.status} {exc.message}")
+                assert exc.status == 400, f"expected 400, got {exc.status}"
+                assert "'policy'" in exc.message, "400 does not point at policy"
+            else:
+                raise AssertionError("server accepted scheduler source code")
 
             proc.send_signal(signal.SIGTERM)
             remaining, _ = proc.communicate(timeout=30)
@@ -97,7 +132,8 @@ def main() -> int:
                 proc.kill()
                 proc.wait()
 
-    print("service smoke OK: digest verified, SIGTERM drained cleanly")
+    print("service smoke OK: digests verified, scheduler source refused, "
+          "SIGTERM drained cleanly")
     return 0
 
 

@@ -20,7 +20,7 @@ Layout
 ``concurrency`` thread-entry reachability and the CONC rule family
 ``resources``  acquire/release path tracking and the RES rule family
 ``effects``    per-function effect/determinism inference (the lattice)
-``certify``    signed scheduler safety certificates over the lattice
+``certify``    scheduler safety certificates over the lattice
 ``cache``      the content-addressed incremental analysis store
 ``baseline``   the committed accepted-findings ledger
 ``reporter``   text, JSON, GitHub-annotation and SARIF renderers
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from .baseline import Baseline, load_baseline, partition_findings, write_baseline
 from .cache import AnalysisCache, default_cache_path
-from .certify import certify_target, verify_certificate
+from .certify import certify_target
 from .config import LintConfig
 from .findings import Finding, Severity
 from .registry import RuleInfo, RuleRegistry, default_registry
@@ -61,6 +61,5 @@ __all__ = [
     "render_json",
     "render_github",
     "render_sarif",
-    "verify_certificate",
     "write_baseline",
 ]

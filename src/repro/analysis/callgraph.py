@@ -369,13 +369,8 @@ class CallGraph:
     rules query :meth:`callees_at` and :meth:`witness` afterwards.
     """
 
-    def __init__(self, config: LintConfig, *, strict: bool = False) -> None:
+    def __init__(self, config: LintConfig) -> None:
         self.config = config
-        #: Fail-closed effect inference (see :mod:`repro.analysis.effects`):
-        #: unresolvable calls and dynamic-execution builtins contribute
-        #: the ``unresolved-call`` atom instead of nothing.  Used by the
-        #: inline-certification path, never by lint.
-        self.strict = strict
         self._modules: dict[str, _ModuleIdx] = {}
         self._suppressions: dict[str, dict[int, set[str]]] = {}
         self._whitelisted: dict[str, bool] = {}

@@ -41,20 +41,6 @@ Local effect sources beyond the legacy sinks:
 Unlike the lint rules, these sources honour no inline suppressions:
 a certificate is a safety claim about code, not a style gate, and must
 not be silenceable from inside the code under scrutiny.
-
-**Strict (fail-closed) mode.**  For linting, unresolvable calls
-contribute no effects — the graph never guesses, and a false "may do
-IO" on project code would be noise.  That default is unsound as a gate
-for *untrusted* code: ``eval``, ``__import__('os').system(...)``, or a
-call through a dynamically-chosen receiver would all certify clean.
-A graph built with ``CallGraph(config, strict=True)`` therefore
-inverts the default for exactly those cases: any call (or decorator
-application) the analyzer cannot resolve to a known-pure target, any
-reference to a dynamic-execution or introspection builtin (``eval``,
-``exec``, ``getattr``, ``__import__``, ...), and any non-whitelisted
-dunder attribute access contributes the ``unresolved-call`` atom,
-which certification treats as unsafe.  The inline (service) path is
-the only strict consumer.
 """
 
 from __future__ import annotations
@@ -73,9 +59,7 @@ __all__ = [
     "IO",
     "NONDET",
     "RAISES",
-    "UNRESOLVED",
     "EffectSummary",
-    "import_time_kinds",
     "infer_effects",
     "effect_witness",
 ]
@@ -86,20 +70,17 @@ MUTATES_GLOBAL = "mutates-global"
 IO = "io"
 NONDET = "nondeterministic-source"
 RAISES = "raises"
-UNRESOLVED = "unresolved-call"
 
 #: The lattice atoms, in report order ("pure" is their absence).
-#: ``unresolved-call`` is emitted by strict graphs only.
 EFFECT_ATOMS: tuple[str, ...] = (
     READS_SIM_STATE, MUTATES_SELF, MUTATES_GLOBAL, IO, NONDET, RAISES,
-    UNRESOLVED,
 )
 
 #: Every kind the engine propagates: the four legacy taint kinds the
 #: cross-module rules consume, plus the new lattice-only sources.
 _ALL_KINDS: tuple[str, ...] = (
     "wallclock", "rng", "mutation", "raise",
-    READS_SIM_STATE, MUTATES_SELF, MUTATES_GLOBAL, IO, NONDET, UNRESOLVED,
+    READS_SIM_STATE, MUTATES_SELF, MUTATES_GLOBAL, IO, NONDET,
 )
 
 #: Raw propagation kinds feeding each lattice atom, in witness-priority
@@ -112,7 +93,6 @@ _ATOM_SOURCES: dict[str, tuple[str, ...]] = {
     IO: (IO,),
     NONDET: ("wallclock", "rng", NONDET),
     RAISES: ("raise",),
-    UNRESOLVED: (UNRESOLVED,),
 }
 
 #: Dotted-call prefixes that are I/O no matter the arguments.
@@ -128,54 +108,6 @@ _IO_BUILTINS = frozenset({"open", "print", "input"})
 _IO_METHODS = frozenset({
     "write_text", "read_text", "write_bytes", "read_bytes",
 })
-
-#: Builtins that execute or introspect code dynamically.  In strict
-#: mode their very *mention* (not just their call) defeats static
-#: certification: ``f = getattr`` then ``f(obj, name)()`` would
-#: otherwise launder an arbitrary attribute into a call.
-_DYNAMIC_BUILTINS = frozenset({
-    "eval", "exec", "compile", "__import__", "getattr", "setattr",
-    "delattr", "globals", "locals", "vars", "breakpoint",
-})
-
-#: Builtins a strict graph accepts as call targets without effects
-#: (their results may still be scanned — e.g. a lambda handed to
-#: ``min(key=...)`` has its body merged into the enclosing function).
-_PURE_BUILTINS = frozenset({
-    "abs", "all", "any", "bool", "bytes", "callable", "chr", "complex",
-    "dict", "divmod", "enumerate", "filter", "float", "format",
-    "frozenset", "hasattr", "hash", "hex", "id", "int", "isinstance",
-    "issubclass", "iter", "len", "list", "map", "max", "min", "next",
-    "object", "oct", "ord", "pow", "property", "range", "repr",
-    "reversed", "round", "set", "slice", "sorted", "staticmethod",
-    "classmethod", "str", "sum", "super", "tuple", "type", "zip",
-})
-
-#: Names acceptable as bare-call targets because raising/constructing
-#: exceptions is covered by the ``raises`` kind, not certification.
-_EXCEPTION_NAMES = frozenset({
-    "Exception", "BaseException", "StopIteration", "StopAsyncIteration",
-    "GeneratorExit", "KeyboardInterrupt", "SystemExit", "Warning",
-})
-
-#: Modules whose members a strict graph may call: pure computation
-#: only — no clock, no RNG (``random``/``time`` usage is caught by the
-#: dedicated sinks instead), no filesystem, no dynamic import.
-_PURE_MODULES = frozenset({
-    "math", "cmath", "heapq", "bisect", "itertools", "functools",
-    "collections", "operator", "statistics", "string", "copy", "enum",
-    "abc", "dataclasses", "typing", "decimal", "fractions", "numbers",
-})
-
-#: Dunder attributes legitimate scheduler code touches.  Everything
-#: else (``__class__``, ``__subclasses__``, ``__globals__``, ...) is
-#: the standard introspection escape hatch and is flagged in strict
-#: mode.
-_DUNDER_OK = frozenset({"__init__", "__name__", "__doc__"})
-
-
-def _is_exceptionish(name: str) -> bool:
-    return name in _EXCEPTION_NAMES or name.endswith("Error")
 
 
 @dataclass(frozen=True)
@@ -235,8 +167,6 @@ class _EffectScanner(ast.NodeVisitor):
         module_state: dict[str, int],
         module_callables: set[str],
         out: dict[str, Sink],
-        *,
-        strict: bool = False,
     ) -> None:
         self.bound = bound
         self.params = params
@@ -244,11 +174,6 @@ class _EffectScanner(ast.NodeVisitor):
         self.state = module_state
         self.module_callables = module_callables
         self.out = out
-        self.strict = strict
-        #: Blob-local functions/classes invoked (bare-name calls and
-        #: decorator applications) — the import-time scan merges their
-        #: inferred summaries into the module-level verdict.
-        self.called_locals: set[str] = set()
 
     @classmethod
     def for_function(
@@ -258,8 +183,6 @@ class _EffectScanner(ast.NodeVisitor):
         module_state: dict[str, int],
         module_callables: set[str],
         out: dict[str, Sink],
-        *,
-        strict: bool = False,
     ) -> "_EffectScanner":
         func = fn.node
         assert func is not None
@@ -271,7 +194,7 @@ class _EffectScanner(ast.NodeVisitor):
         params.discard("cls")
         return cls(
             _bound_names(func), params, aliases, module_state,
-            module_callables, out, strict=strict,
+            module_callables, out,
         )
 
     # -- helpers ------------------------------------------------------- #
@@ -301,11 +224,6 @@ class _EffectScanner(ast.NodeVisitor):
             self._add(IO, lineno, f"{dotted}()")
         elif dotted.startswith(_IO_DOTTED_PREFIXES):
             self._add(IO, lineno, f"{dotted}()")
-        if self.strict and dotted.split(".", 1)[0] not in _PURE_MODULES:
-            self._add(
-                UNRESOLVED, lineno,
-                f"{dotted}() is outside the certifiable-module whitelist",
-            )
 
     # -- visits -------------------------------------------------------- #
 
@@ -313,27 +231,6 @@ class _EffectScanner(ast.NodeVisitor):
         self._add(
             MUTATES_GLOBAL, node.lineno, f"global {', '.join(node.names)}"
         )
-
-    def visit_Name(self, node: ast.Name) -> None:
-        # Strict mode: referencing a dynamic-execution builtin (even
-        # without calling it) defeats certification — it can be bound
-        # to a local and invoked later, beyond static resolution.
-        if (
-            self.strict
-            and isinstance(node.ctx, ast.Load)
-            and node.id not in self.bound
-            and node.id not in self.module_callables
-            and node.id not in self.aliases
-        ):
-            if node.id in _DYNAMIC_BUILTINS:
-                self._add(
-                    UNRESOLVED, node.lineno,
-                    f"{node.id} (dynamic execution/introspection is not "
-                    f"certifiable)",
-                )
-            elif node.id in _IO_BUILTINS:
-                self._add(IO, node.lineno, f"reference to {node.id}")
-        self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load):
@@ -347,38 +244,7 @@ class _EffectScanner(ast.NodeVisitor):
                     self._add(
                         READS_SIM_STATE, node.lineno, f"{root.id}.{node.attr}"
                     )
-        if (
-            self.strict
-            and node.attr.startswith("__")
-            and node.attr.endswith("__")
-            and node.attr not in _DUNDER_OK
-        ):
-            self._add(
-                UNRESOLVED, node.lineno,
-                f".{node.attr} (dunder introspection is not certifiable)",
-            )
         self.generic_visit(node)
-
-    def _classify_bare_call(self, name: str, lineno: int) -> None:
-        """Strict fail-closed resolution of a bare-name call target."""
-        if name in self.module_callables:
-            self.called_locals.add(name)
-            return
-        if (
-            name in self.bound
-            or name in _PURE_BUILTINS
-            or _is_exceptionish(name)
-        ):
-            # Locally-bound callables are safe because every way of
-            # *binding* something dangerous (dynamic builtins, IO
-            # references, non-whitelisted dotted loads) is itself
-            # flagged at the binding site.
-            return
-        if name in _DYNAMIC_BUILTINS or name in _IO_BUILTINS:
-            return  # already flagged by visit_Name / the IO check
-        self._add(
-            UNRESOLVED, lineno, f"call to unresolvable name {name!r}"
-        )
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -413,8 +279,6 @@ class _EffectScanner(ast.NodeVisitor):
                 # ``from subprocess import run; run(...)`` — the alias
                 # names a library function; apply the dotted checks.
                 self._dotted_call(dotted, node.lineno)
-            elif self.strict:
-                self._classify_bare_call(func.id, node.lineno)
         elif isinstance(func, ast.Attribute):
             # Dotted library I/O (os.*, subprocess.*, sockets, std streams).
             dotted = self._dotted(func)
@@ -435,48 +299,7 @@ class _EffectScanner(ast.NodeVisitor):
                         MUTATES_GLOBAL, node.lineno,
                         f"{root}.{func.attr}() mutates module state",
                     )
-            if self.strict and dotted is None:
-                self._classify_method_call(func, node.lineno)
-        elif self.strict and not isinstance(func, ast.Lambda):
-            # Calling the result of an expression (``f()()``,
-            # ``table[k]()``, ...): nothing static to certify.  An
-            # immediately-invoked lambda is fine — its body is scanned.
-            self._add(
-                UNRESOLVED, node.lineno,
-                "call through a dynamic expression is not certifiable",
-            )
         self.generic_visit(node)
-
-    def _classify_method_call(self, func: ast.Attribute, lineno: int) -> None:
-        """Strict fail-closed resolution of an attribute-call receiver."""
-        receiver = func.value
-        # ``super().__init__(...)`` — base-class delegation is allowed.
-        if (
-            isinstance(receiver, ast.Call)
-            and isinstance(receiver.func, ast.Name)
-            and receiver.func.id == "super"
-        ):
-            return
-        root = _root_name(receiver)
-        if root is None:
-            self._add(
-                UNRESOLVED, lineno,
-                f".{func.attr}() on a dynamic receiver is not certifiable",
-            )
-            return
-        if (
-            root in ("self", "cls")
-            or root in self.bound
-            or root in self.params
-            or self._is_module_state(root)
-        ):
-            # Method on an engine-provided or module-local object:
-            # covered by the mutator/IO/dunder checks above.
-            return
-        self._add(
-            UNRESOLVED, lineno,
-            f"{root}.{func.attr}() cannot be resolved statically",
-        )
 
     def _write_target(self, target: ast.AST) -> None:
         if not isinstance(target, (ast.Attribute, ast.Subscript)):
@@ -508,9 +331,6 @@ class _EffectScanner(ast.NodeVisitor):
             self._write_target(target)
         self.generic_visit(node)
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.generic_visit(node)
-
 
 def _local_kinds(graph: CallGraph, fn: FuncNode) -> dict[str, Sink]:
     """Every raw kind ``fn`` sources locally, with its first sink.
@@ -529,100 +349,10 @@ def _local_kinds(graph: CallGraph, fn: FuncNode) -> dict[str, Sink]:
     callables: set[str] = set()
     if mod is not None:
         callables = set(mod.functions) | set(mod.classes)
-    scanner = _EffectScanner.for_function(
-        fn, aliases, state, callables, out,
-        strict=getattr(graph, "strict", False),
-    )
+    scanner = _EffectScanner.for_function(fn, aliases, state, callables, out)
     for stmt in fn.node.body:
         scanner.visit(stmt)
     return out
-
-
-class _ImportTimeScanner(_EffectScanner):
-    """Scan the code a module executes at ``exec`` time, strictly.
-
-    That is everything *outside* function bodies: top-level statements,
-    class bodies, decorator applications, default-argument and
-    annotation expressions.  Function bodies are skipped — they only
-    run when called, and the call graph accounts for them — but their
-    decorators/defaults are visited, because ``@evil`` runs at def
-    time.
-    """
-
-    def _decorator(self, dec: ast.expr) -> None:
-        # Applying a decorator *calls* it: classify the application as
-        # a call of the decorator expression.  A factory decorator
-        # (``@dataclass(frozen=True)``) is classified by its own call —
-        # the result of a certifiable factory is accepted as applied.
-        if isinstance(dec, ast.Call):
-            self.visit_Call(dec)
-            return
-        call = ast.copy_location(
-            ast.Call(func=dec, args=[], keywords=[]), dec
-        )
-        self.visit_Call(call)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        for dec in node.decorator_list:
-            self._decorator(dec)
-        args = node.args
-        for default in (*args.defaults, *args.kw_defaults):
-            if default is not None:
-                self.visit(default)
-        # Signature annotations evaluate at def time (the inline module
-        # is exec'd without ``from __future__ import annotations``).
-        all_args = (
-            *args.posonlyargs, *args.args, *args.kwonlyargs,
-            *([args.vararg] if args.vararg else []),
-            *([args.kwarg] if args.kwarg else []),
-        )
-        for arg in all_args:
-            if arg.annotation is not None:
-                self.visit(arg.annotation)
-        if node.returns is not None:
-            self.visit(node.returns)
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        for dec in node.decorator_list:
-            self._decorator(dec)
-        for keyword in node.keywords:
-            self._add(
-                UNRESOLVED, node.lineno,
-                f"class keyword {keyword.arg or '**'}=... (metaclass "
-                f"machinery) is not certifiable",
-            )
-        for base in node.bases:
-            self.visit(base)
-        for stmt in node.body:
-            self.visit(stmt)
-
-
-def import_time_kinds(
-    tree: ast.Module,
-    *,
-    aliases: dict[str, str],
-    state: dict[str, int],
-    callables: set[str],
-) -> tuple[dict[str, Sink], set[str]]:
-    """Strict effect scan of a module's import-time code.
-
-    Returns ``(kinds, called_locals)``: the local sinks the module
-    body can trigger the moment it is exec'd, plus the names of
-    blob-local functions/classes it invokes at import time (whose
-    inferred summaries the caller must fold in).  Module-level writes
-    to the module's *own* names are not flagged — populating fresh
-    module state at import is how constants are built.
-    """
-    out: dict[str, Sink] = {}
-    scanner = _ImportTimeScanner(
-        set(state), set(), dict(aliases), dict(state), set(callables), out,
-        strict=True,
-    )
-    for stmt in tree.body:
-        scanner.visit(stmt)
-    return out, scanner.called_locals
 
 
 def _tarjan_sccs(nodes: list[FuncNode]) -> Iterator[list[FuncNode]]:

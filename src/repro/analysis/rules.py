@@ -774,12 +774,12 @@ class SqliteLifetimeRule(_ProgramRule):
 
 
 # --------------------------------------------------------------------- #
-# POL001-POL005 / CERT001 — policy-tree and certification findings.
+# POL001-POL005 — policy-tree findings.
 # Registered as meta entries (docs, config validation, --list-rules):
 # these ids are produced by repro.policy.validate over *policy JSON
-# documents* and by the service's inline-certification rejections, not
-# by AST rule classes walking Python source.  The finding's path field
-# carries a JSON pointer into the tree (label#/tree/then/...).
+# documents*, not by AST rule classes walking Python source.  The
+# finding's path field carries a JSON pointer into the tree
+# (label#/tree/then/...).
 # --------------------------------------------------------------------- #
 
 for _info in (
@@ -844,17 +844,6 @@ for _info in (
             "dependent schedule."
         ),
         hint="drop the 'static' claim or the dynamic feature",
-    ),
-    RuleInfo(
-        rule_id="CERT001",
-        title="inline scheduler source failed effect-safety certification",
-        severity=Severity.ERROR,
-        rationale=(
-            "The service executes submitted scheduler source only behind "
-            "a passing certificate; a rejection names the witness chain "
-            "from a scheduler method to the effectful sink."
-        ),
-        hint="see docs/service.md for the certification contract",
     ),
 ):
     default_registry.register_meta(_info)

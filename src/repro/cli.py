@@ -25,7 +25,7 @@ Subcommands mirror the SimMR workflow (paper Figure 4):
 * ``simmr validate`` — the end-to-end accuracy loop, pass/fail;
 * ``simmr lint`` — simlint: determinism & simulation-invariant static
   analysis over the source tree (see ``docs/linting.md``);
-* ``simmr certify`` — signed effect-safety certificate for a scheduler
+* ``simmr certify`` — effect-safety certificate for a scheduler
   class (cache-safe / parallel-safe / service-safe; same docs);
 * ``simmr check`` — combined gate: simlint + sanitized dual-run replay
   + POL00x policy-tree certification (see ``docs/sanitizer.md``);
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser(
         "certify",
-        help="certify a scheduler class: signed effect-safety verdict "
+        help="certify a scheduler class: effect-safety verdict "
         "(cache-safe / parallel-safe / service-safe)",
     )
     cert.add_argument(
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cert.add_argument(
         "--format", choices=["json", "text"], default="json", dest="format_",
-        help="verdict format (default json — the signed certificate itself)",
+        help="verdict format (default json — the certificate itself)",
     )
     cert.add_argument(
         "--analysis-cache", type=Path, default=None,

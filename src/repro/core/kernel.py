@@ -500,19 +500,29 @@ class ColumnarEngine:
         departure, pushed by its own arrival at the same instant, pops
         ahead of arrivals queued before it.  Such runs take replay mode,
         which runs the heap itself.
+
+        A positive duration that float addition absorbs (``t + d == t``)
+        takes zero time too.  No event happens later than the last submit
+        plus every task's longest duration run back to back, so a duration
+        no larger than the float spacing at that horizon counts as zero.
         """
         profiles = [tj.profile for tj in trace]
-        maps = [p.map_durations for p in profiles if p.num_maps]
-        if maps and np.concatenate(maps).min() <= 0.0:
-            return True
+        horizon = max((tj.submit_time for tj in trace), default=0.0)
+        shortest = np.inf
+        with_m = [p for p in profiles if p.num_maps]
+        if with_m:
+            maps = np.concatenate([p.map_durations for p in with_m])
+            shortest = maps.min()
+            horizon += sum(p.num_maps for p in with_m) * maps.max()
         with_r = [p for p in profiles if p.num_reduces]
-        if not with_r:
-            return False
-        shuffles = np.concatenate(
-            [a for p in with_r for a in (p.first_shuffle_durations, p.typical_shuffle_durations)]
-        )
-        reduces = np.concatenate([p.reduce_durations for p in with_r])
-        return shuffles.min() + reduces.min() <= 0.0
+        if with_r:
+            shuffles = np.concatenate(
+                [a for p in with_r for a in (p.first_shuffle_durations, p.typical_shuffle_durations)]
+            )
+            reduces = np.concatenate([p.reduce_durations for p in with_r])
+            shortest = min(shortest, shuffles.min() + reduces.min())
+            horizon += sum(p.num_reduces for p in with_r) * (shuffles.max() + reduces.max())
+        return bool(shortest <= np.spacing(horizon))
 
     def _fallback_reason(self, trace: Sequence[TraceJob]) -> Optional[str]:
         """Why this run needs the object engine, or None for the kernel.

@@ -28,7 +28,6 @@ from .executor import (
     SimOutcome,
     SimTask,
     last_fanout_stats,
-    register_spec_kind,
     simulate_many,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "SimOutcome",
     "SimTask",
     "last_fanout_stats",
-    "register_spec_kind",
     "simulate_many",
 ]

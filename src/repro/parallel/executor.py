@@ -31,8 +31,7 @@ packed once into the compact binary format
 ``mmap``-ed read-only by each worker); workers attach lazily and
 rebuild zero-copy :class:`~repro.core.columns.TraceColumns` views, so
 the bytes shipped per worker are O(1) in the trace size and all workers
-share one physical copy of the durations.  The legacy pickle transport
-is kept selectable for measurement (``transport="pickle"``).
+share one physical copy of the durations.
 
 In-process factories (``SchedulerSpec.inline``) are supported for
 ad-hoc policies but always execute in the parent and bypass the cache —
@@ -68,15 +67,8 @@ __all__ = [
     "SimOutcome",
     "last_fanout_stats",
     "simulate_many",
-    "register_spec_kind",
     "spec_kinds",
 ]
-
-#: Trace-shipping transports ``simulate_many`` accepts.  ``"auto"``
-#: prefers shared memory and degrades to a tempfile; the explicit names
-#: force one mechanism (benchmarks, tests); ``"pickle"`` is the legacy
-#: ship-the-job-objects path.
-TRANSPORTS = ("auto", "shared_memory", "tempfile", "pickle")
 
 ProgressFn = Callable[[int, int, "SimOutcome"], None]
 
@@ -99,31 +91,6 @@ def _resolve_zoo(name: str, kwargs: dict[str, Any]) -> Scheduler:
             f"unknown zoo policy {name!r}; known: {sorted(ZOO_POLICIES)}"
         ) from None
     return factory(**kwargs)
-
-
-def _resolve_inline_certified(name: str, kwargs: dict[str, Any]) -> Scheduler:
-    """Resolver for ``inline-certified``: scheduler source shipped as data.
-
-    ``kwargs["source"]`` is a self-contained scheduler module as text and
-    ``name`` the class to instantiate; the remaining kwargs become
-    constructor arguments.  The source is only executed after the effect
-    analyzer (:mod:`repro.analysis.certify`) proves the class
-    service-safe — an unsafe or unparsable submission raises
-    :class:`~repro.analysis.certify.CertificationError` (a ``ValueError``)
-    carrying the witness chain.  Verdicts are memoized by content digest,
-    so repeat builds of the same source skip re-analysis.
-    """
-    from ..analysis.certify import certified_inline_class
-
-    kwargs = dict(kwargs)
-    source = kwargs.pop("source", None)
-    if not isinstance(source, str) or not source.strip():
-        raise ValueError(
-            "inline-certified scheduler spec requires kwargs['source'] "
-            "(the scheduler module source text)"
-        )
-    cls = certified_inline_class(source, name)
-    return cls(**kwargs)
 
 
 def _resolve_policy(name: str, kwargs: dict[str, Any]) -> Scheduler:
@@ -152,31 +119,16 @@ def _resolve_policy(name: str, kwargs: dict[str, Any]) -> Scheduler:
     return compile_policy(tree, label=f"policy:{name}")
 
 
-#: Spec kind -> resolver(name, kwargs) -> fresh Scheduler.  Extend with
-#: :func:`register_spec_kind` to make custom policy families
-#: addressable (and therefore cacheable and pool-dispatchable) by name.
+#: Spec kind -> resolver(name, kwargs) -> fresh Scheduler.
 _SPEC_KINDS: dict[str, Callable[[str, dict[str, Any]], Scheduler]] = {
     "registry": _resolve_registry,
     "zoo": _resolve_zoo,
-    "inline-certified": _resolve_inline_certified,
     "policy": _resolve_policy,
 }
 
 
-def register_spec_kind(
-    kind: str, resolver: Callable[[str, dict[str, Any]], Scheduler]
-) -> None:
-    """Register a named scheduler family for symbolic dispatch.
-
-    ``resolver(name, kwargs)`` must build a *fresh* scheduler per call
-    (schedulers are stateful per run) and be importable in a worker
-    process — i.e. defined at module level, not a closure.
-    """
-    _SPEC_KINDS[kind] = resolver
-
-
 def spec_kinds() -> tuple[str, ...]:
-    """The registered symbolic scheduler families, sorted.
+    """The symbolic scheduler families, sorted.
 
     ``"inline"`` is not listed: inline specs wrap a factory object and
     cannot be named from data (a request document, a config file).
@@ -327,8 +279,7 @@ def _execute(
 # --------------------------------------------------------------------------- #
 
 #: One published trace: how a worker can reach its bytes.
-#: ``("shm", segment_name, nbytes)`` / ``("file", path, nbytes)`` /
-#: ``("pickle", [TraceJob, ...])``.
+#: ``("shm", segment_name, nbytes)`` / ``("file", path, nbytes)``.
 _TraceSource = tuple
 
 #: Per-worker source table (installed by the pool initializer) and the
@@ -391,10 +342,8 @@ def _worker_trace(trace_id: str) -> Sequence[TraceJob]:
         source = _WORKER_SOURCES[trace_id]
         if source[0] == "shm":
             trace = _attach_shared_memory(source[1], source[2])
-        elif source[0] == "file":
+        else:
             trace = _attach_file(source[1])
-        else:  # "pickle": the job objects crossed with the initializer
-            trace = source[1]
         _WORKER_TRACES[trace_id] = trace
     return trace
 
@@ -417,11 +366,9 @@ class FanoutStats:
     """How the last pool fan-out shipped its traces (perf accounting).
 
     ``payload_bytes`` counts the trace bytes that exist *once* in
-    shared storage (binary-packed traces in shared memory or tempfiles;
-    0 for the pickle transport, whose payload is per-worker instead).
+    shared storage (binary-packed traces in shared memory or tempfiles).
     ``bytes_per_worker`` is what actually crosses each worker's process
-    boundary via the pool initializer — segment names and sizes for the
-    shared transports, the full pickled job lists for ``"pickle"``.
+    boundary via the pool initializer: segment names and sizes.
     """
 
     transport: str
@@ -461,16 +408,15 @@ def last_fanout_stats() -> Optional[FanoutStats]:
 class _PublishedTraces:
     """Parent-side shared storage for one pool's traces.
 
-    Packs each trace once (binary format), publishes it under the
-    requested transport, and tears the storage down in :meth:`close`
-    after the pool has exited.  Fallback order for ``"auto"``: shared
-    memory, then a temporary file (``mmap``-ed by workers).
+    Packs each trace once (binary format), publishes it in shared
+    memory, or in a temporary file (``mmap``-ed by workers) where shared
+    memory is unavailable, and tears the storage down in :meth:`close`
+    after the pool has exited.
     """
 
     def __init__(
         self,
         traces: Mapping[str, Sequence[TraceJob]],
-        transport: str,
         workers: int,
     ) -> None:
         from ..trace.binfmt import pack_trace
@@ -482,23 +428,14 @@ class _PublishedTraces:
         used: set[str] = set()
         try:
             for trace_id, trace in traces.items():
-                if transport == "pickle":
-                    jobs = list(trace)
-                    self.sources[trace_id] = ("pickle", jobs)
-                    used.add("pickle")
-                    continue
                 payload = pack_trace(trace)
                 payload_bytes += len(payload)
-                if transport in ("auto", "shared_memory"):
-                    try:
-                        self.sources[trace_id] = self._publish_shm(payload)
-                        used.add("shared_memory")
-                        continue
-                    except (ImportError, OSError):
-                        if transport == "shared_memory":
-                            raise
-                self.sources[trace_id] = self._publish_file(payload)
-                used.add("tempfile")
+                try:
+                    self.sources[trace_id] = self._publish_shm(payload)
+                    used.add("shared_memory")
+                except (ImportError, OSError):
+                    self.sources[trace_id] = self._publish_file(payload)
+                    used.add("tempfile")
         except BaseException:
             # A failure publishing trace N must not strand segments and
             # spill files already published for traces 1..N-1: the
@@ -568,7 +505,6 @@ def simulate_many(
     fresh: bool = False,
     digest: bool = True,
     progress: Optional[ProgressFn] = None,
-    transport: str = "auto",
 ) -> list[SimOutcome]:
     """Execute a batch of simulation tasks, reusing cached results.
 
@@ -579,13 +515,9 @@ def simulate_many(
     workers:
         ``<= 1`` runs in-process (no pool); ``N > 1`` fans uncached
         tasks out over ``N`` worker processes.  Both paths produce
-        event-digest-identical results.
-    transport:
-        How traces reach the workers — one of :data:`TRANSPORTS`.
-        ``"auto"`` (default) publishes each trace once in shared memory
-        and falls back to a tempfile; ``"pickle"`` ships job objects
-        with the pool initializer (legacy behaviour, kept for
-        measurement).  All transports are event-digest-identical.
+        event-digest-identical results.  Each trace reaches the
+        workers once, through shared memory (or a tempfile where shared
+        memory is unavailable).
     cache:
         ``None``/``False`` disables caching; ``True`` opens the default
         cache file (:func:`~repro.parallel.cache.default_cache_path`);
@@ -605,10 +537,6 @@ def simulate_many(
 
     Returns outcomes in task order.
     """
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
     for task in tasks:
         if task.trace_id not in traces:
             raise ValueError(f"task references unknown trace_id {task.trace_id!r}")
@@ -624,7 +552,7 @@ def simulate_many(
     try:
         return _simulate_many(
             traces, tasks, workers=workers, cache=cache, fresh=fresh,
-            digest=digest, progress=progress, transport=transport,
+            digest=digest, progress=progress,
         )
     finally:
         if own_cache is not None:
@@ -640,7 +568,6 @@ def _simulate_many(
     fresh: bool,
     digest: bool,
     progress: Optional[ProgressFn],
-    transport: str = "auto",
     trace_digests: Optional[Mapping[str, str]] = None,
 ) -> list[SimOutcome]:
     """:func:`simulate_many` on an opened cache.  ``trace_digests``, when
@@ -707,7 +634,7 @@ def _simulate_many(
         }
         ctx = multiprocessing.get_context()
         nproc = min(workers, len(parallel))
-        with _PublishedTraces(used_traces, transport, nproc) as published:
+        with _PublishedTraces(used_traces, nproc) as published:
             _LAST_FANOUT = published.stats
             with ctx.Pool(
                 nproc, initializer=_init_worker, initargs=(published.sources,)

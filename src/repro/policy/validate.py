@@ -61,8 +61,7 @@ __all__ = [
 
 #: Size cap on a policy's JSON text — the service validates untrusted
 #: submissions at request-parse time, so arbitrarily large documents
-#: must be refused before they are even decoded (same reasoning as
-#: :data:`repro.analysis.certify.MAX_INLINE_SOURCE`).
+#: must be refused before they are even decoded.
 MAX_POLICY_TEXT = 64 * 1024
 
 _DOC_KEYS = frozenset({"version", "name", "tree", "static"})

@@ -57,9 +57,9 @@ class ProtocolError(Exception):
     ``findings`` (optional) carries structured rejection detail — one
     dict per finding in the :class:`~repro.analysis.findings.Finding`
     wire shape (``rule_id``, ``severity``, ``message``, ``path``/
-    ``line`` into the submission) — so a rejected ``policy`` or
-    ``inline-certified`` scheduler gets machine-readable diagnostics in
-    the 4xx body, not just a flattened reason string.
+    ``line`` into the submission) — so a rejected ``policy`` scheduler
+    gets machine-readable diagnostics in the 4xx body, not just a
+    flattened reason string.
     """
 
     def __init__(
@@ -109,24 +109,6 @@ def _require(condition: bool, message: str, status: int = 400) -> None:
         raise ProtocolError(message, status=status)
 
 
-def _certification_finding(
-    name: str, message: str, line: int = 0, hint: str = ""
-) -> dict[str, Any]:
-    """One CERT001 finding dict for a rejected inline submission.
-
-    Shaped like :meth:`repro.analysis.findings.Finding.to_dict` so
-    policy (POL00x) and certification (CERT001) rejections present one
-    uniform findings schema to clients.
-    """
-    from ..analysis.findings import Finding, Severity
-
-    return Finding(
-        path=f"<inline:{name}>", line=line, col=0,
-        rule_id="CERT001", severity=Severity.ERROR,
-        message=message, hint=hint,
-    ).to_dict()
-
-
 def _parse_scheduler(raw: Any) -> SchedulerSpec:
     if raw is None:
         raw = "fifo"
@@ -145,49 +127,6 @@ def _parse_scheduler(raw: Any) -> SchedulerSpec:
     _require(isinstance(kwargs, dict) and all(isinstance(k, str) for k in kwargs),
              "'scheduler.kwargs' must be an object with string keys")
     _require(isinstance(seeded, bool), "'scheduler.seeded' must be a boolean")
-    if kind == "inline-certified":
-        # Inline scheduler source is accepted over the wire ONLY with a
-        # passing effect-safety certificate; a rejected submission gets
-        # 422 (well-formed request, unacceptable content) carrying the
-        # witness chain so the submitter can see *which* call reaches
-        # *which* effectful sink.
-        source = kwargs.get("source")
-        _require(isinstance(source, str) and bool(source.strip()),
-                 "'scheduler.kwargs.source' must be the scheduler module "
-                 "source text for kind 'inline-certified'")
-        from ..analysis.certify import (
-            MAX_INLINE_SOURCE,
-            CertificationError,
-            certify_inline,
-            failure_message,
-        )
-
-        # Certification runs whole-program analysis at request-parse
-        # time on unauthenticated input; cap the source size so unique
-        # oversized submissions cannot be used as a CPU DoS vector.
-        _require(len(source) <= MAX_INLINE_SOURCE,
-                 f"inline scheduler source exceeds {MAX_INLINE_SOURCE} "
-                 f"bytes", status=413)
-
-        try:
-            certificate = certify_inline(source, name)
-        except CertificationError as exc:
-            raise ProtocolError(
-                f"scheduler certification failed: {exc}", status=422,
-                findings=[_certification_finding(name, str(exc))],
-            ) from None
-        if not certificate["service_safe"]:
-            witness = certificate.get("witness") or {}
-            raise ProtocolError(
-                f"scheduler rejected: {failure_message(certificate)}",
-                status=422,
-                findings=[_certification_finding(
-                    name,
-                    failure_message(certificate),
-                    line=int(witness.get("line") or 0),
-                    hint=" -> ".join(witness.get("chain") or ()),
-                )],
-            )
     if kind == "policy":
         # A policy tree is accepted only when the POL00x validation pass
         # certifies it (no ERROR findings); rejections carry the full
@@ -308,12 +247,11 @@ def parse_request(
 
     Raises :class:`ProtocolError` carrying the HTTP status: 400 for
     malformed documents, 403 for trace paths outside the configured
-    root, 404 for a missing server-side trace file, 422 for an
-    ``inline-certified`` scheduler whose source fails effect-safety
-    certification or a ``policy`` tree failing POL00x validation — both
+    root, 404 for a missing server-side trace file, 413 for an oversized
+    policy text, 422 for a ``policy`` tree failing POL00x validation —
     with the structured finding list on ``exc.findings`` (rule id,
-    message, line/path into the submission), which the server forwards
-    in the response body.  ``trace_cache`` (optional) serves repeated
+    message, JSON path into the tree), which the server forwards in the
+    response body.  ``trace_cache`` (optional) serves repeated
     ``trace_path`` requests from memory.
     """
     _require(isinstance(doc, dict), "request body must be a JSON object")

@@ -282,9 +282,9 @@ class _Handler(BaseHTTPRequestHandler):
         except ProtocolError as exc:
             body: dict[str, Any] = {"error": str(exc), "request_id": request_id}
             if exc.findings:
-                # Structured rejection detail for policy / inline-certified
-                # submissions: rule id, message, path into the tree or
-                # line into the source — not just the flattened string.
+                # Structured rejection detail for policy submissions:
+                # rule id, message and path into the tree — not just
+                # the flattened string.
                 body["findings"] = list(exc.findings)
             return ("invalid", exc.status, body, None)
         except Exception as exc:  # noqa: BLE001 - last-resort 500

@@ -917,8 +917,9 @@ def _assert_pass_mode_matches(trace, policy, cluster, slowstart):
             min_map_percent_completed=slowstart, record_events=True,
         )
         results.append(engine.run(trace))
-    # Zero-time tasks take replay mode (the sorted stream would pop them
-    # too late); everything else here is pass mode.
+    # Zero-time tasks (including absorbed ones) take replay mode (the
+    # sorted stream would pop them too late); everything else here is
+    # pass mode.
     assert engine.last_kernel_mode == (
         "replay" if ColumnarEngine._has_instant_tasks(trace) else "passes"
     )
@@ -977,6 +978,25 @@ class TestEmissionOrderDifferential:
             _tie_job(0.0, 2, 1, map_durations=(1.0, 2.0)),
         ],
         policy="FIFO", cluster=(4, 2), slowstart=0.5,
+    )
+    # Positive durations that float addition absorbs at a late submit
+    # (1e17 + 1.0 == 1e17) are zero-time tasks too: pass mode put the
+    # first dispatch ahead of the job's own arrival.
+    @example(
+        trace=[_tie_job(1e17, 1, 1)],
+        policy="FIFO", cluster=(1, 1), slowstart=0.0,
+    )
+    @example(
+        trace=[_tie_job(1e17, 1, 0)],
+        policy="FIFO", cluster=(1, 1), slowstart=0.0,
+    )
+    @example(
+        trace=[_tie_job(1e17, 0, 1)],
+        policy="FIFO", cluster=(1, 1), slowstart=0.0,
+    )
+    @example(
+        trace=[_tie_job(1e17, 1, 1), _tie_job(1e17, 1, 1)],
+        policy="FIFO", cluster=(1, 1), slowstart=0.0,
     )
     def test_event_log_and_records_match_object_engine(
         self, trace, policy, cluster, slowstart

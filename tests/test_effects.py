@@ -5,10 +5,9 @@ Three layers of the tentpole under test:
 * ``repro.analysis.effects`` — the per-function effect lattice: local
   source detection, transitive (SCC-fixpoint) propagation, and the
   witness chains that make a verdict actionable;
-* ``repro.analysis.certify`` — the signed safety verdicts: every
-  registry scheduler certifies service-safe, the deliberately
-  divergent fixture is rejected *with* its witness chain, and the
-  signature detects tampering;
+* ``repro.analysis.certify`` — the safety verdicts: every registry
+  scheduler certifies service-safe, and the deliberately divergent
+  fixture is rejected *with* its witness chain;
 * ``repro.analysis.cache`` — the content-addressed incremental store:
   warm runs replay identical findings, any input drift (source,
   config, engine) misses, and a corrupt store degrades to empty.
@@ -35,13 +34,9 @@ from repro.analysis.callgraph import CallGraph, module_name_for_path
 from repro.analysis.certify import (
     CertificationError,
     certificate_for_class,
-    certify_inline,
     certify_target,
-    certified_inline_class,
     failure_message,
     resolve_target,
-    sign_certificate,
-    verify_certificate,
 )
 from repro.analysis.config import LintConfig
 from repro.analysis.effects import (
@@ -354,7 +349,6 @@ class TestCertification:
             )
             assert doc["cache_safe"] and doc["parallel_safe"] and doc["service_safe"]
             assert doc["witness"] is None
-            assert verify_certificate(doc)
             # choose_next_* exists in the closure and stays read-only.
             assert "choose_next_map_task" in doc["effects"]
 
@@ -378,13 +372,11 @@ class TestCertification:
         assert "_instances" in witness["detail"]
         assert any("__init__" in hop for hop in witness["chain"])
         assert "_instances" in failure_message(doc)
-        assert verify_certificate(doc)
 
     def test_certify_target_end_to_end(self, tmp_path):
         cache = AnalysisCache.load(tmp_path / "cache.json")
         doc = certify_target("fifo", cache=cache, root=REPO_ROOT)
         assert doc["certified"] and doc["class"] == "FIFOScheduler"
-        assert verify_certificate(doc)
         # Warm path: same program key -> the stored document verbatim.
         warm_cache = AnalysisCache.load(tmp_path / "cache.json")
         warm = certify_target("fifo", cache=warm_cache, root=REPO_ROOT)
@@ -397,278 +389,6 @@ class TestCertification:
             resolve_target("mod.py:not an identifier")
         with pytest.raises(CertificationError, match="no such module file"):
             resolve_target("missing/dir/mod.py:Cls")
-
-
-class TestSignature:
-    def test_roundtrip_and_tamper_detection(self, package_graph):
-        display = DIVERGING.relative_to(REPO_ROOT).as_posix()
-        doc = certificate_for_class(
-            package_graph,
-            module_name_for_path(display),
-            "DivergingScheduler",
-            target="diverging",
-            src_digest="0" * 32,
-        )
-        assert verify_certificate(doc)
-        tampered = dict(doc)
-        tampered["certified"] = True
-        tampered["service_safe"] = True
-        assert not verify_certificate(tampered)
-        unsigned = {k: v for k, v in doc.items() if k != "signature"}
-        assert not verify_certificate(unsigned)
-        resigned = dict(tampered)
-        resigned["signature"] = sign_certificate(resigned)
-        assert verify_certificate(resigned)
-
-    def test_signature_is_deterministic(self):
-        doc = {"a": 1, "b": [2, 3]}
-        assert sign_certificate(doc) == sign_certificate(dict(doc))
-
-
-_INLINE_OK = """\
-from repro.schedulers.base import Scheduler
-
-
-class TinyFifo(Scheduler):
-    name = "TinyFifo"
-
-    def _key(self, job):
-        return (job.submit_time, job.job_id)
-
-    def choose_next_map_task(self, job_queue):
-        return min(job_queue, key=self._key, default=None)
-
-    def choose_next_reduce_task(self, job_queue):
-        return min(job_queue, key=self._key, default=None)
-"""
-
-_INLINE_BAD = """\
-import time
-
-
-class WallclockScheduler:
-    name = "Wallclock"
-
-    def choose_next_map_task(self, job_queue):
-        time.time()
-        return job_queue[0] if job_queue else None
-
-    def choose_next_reduce_task(self, job_queue):
-        return job_queue[0] if job_queue else None
-"""
-
-
-class TestInlineCertification:
-    def test_clean_inline_source_certifies_and_materializes(self):
-        doc = certify_inline(_INLINE_OK, "TinyFifo")
-        assert doc["certified"]
-        assert doc["target"] == "inline:TinyFifo"
-        assert verify_certificate(doc)
-        cls = certified_inline_class(_INLINE_OK, "TinyFifo")
-        assert cls.__name__ == "TinyFifo"
-        # Fresh namespace per materialization: distinct class objects.
-        assert certified_inline_class(_INLINE_OK, "TinyFifo") is not cls
-
-    def test_effectful_inline_source_is_refused(self):
-        doc = certify_inline(_INLINE_BAD, "WallclockScheduler")
-        assert not doc["service_safe"]
-        assert doc["witness"]["atom"] == NONDET
-        with pytest.raises(CertificationError, match="not service-safe"):
-            certified_inline_class(_INLINE_BAD, "WallclockScheduler")
-
-    def test_inline_verdict_is_memoized(self):
-        assert certify_inline(_INLINE_OK, "TinyFifo") is certify_inline(
-            _INLINE_OK, "TinyFifo"
-        )
-
-    def test_syntax_error_is_a_certification_error(self):
-        with pytest.raises(CertificationError, match="cannot parse"):
-            certify_inline("def broken(:\n", "X")
-
-    def test_missing_class_is_a_certification_error(self):
-        with pytest.raises(CertificationError, match="not found"):
-            certify_inline("def lonely():\n    return 1\n", "Ghost")
-
-
-class TestStrictInlineCertification:
-    """The fail-closed rules that make the inline verdict exec-safe.
-
-    Inline certification gates ``exec`` of untrusted network input, so
-    (unlike lint) anything the analyzer cannot resolve to a known-pure
-    target must fail, and the module's import-time code — which runs
-    before any predicate applies — must be effect-free.
-    """
-
-    def _rejected(self, source: str, cls: str = "C") -> str:
-        doc = certify_inline(textwrap.dedent(source), cls)
-        assert not doc["service_safe"]
-        assert doc["witness"] is not None
-        return doc["witness"]["atom"]
-
-    def test_top_level_effectful_statement_is_refused(self):
-        with pytest.raises(CertificationError, match="effectful code at import"):
-            certify_inline(
-                'import math\nprint("boo")\n\n'
-                "class C:\n    def choose_next_map_task(self, q):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_non_whitelisted_import_is_refused(self):
-        for stmt in ("import os", "from subprocess import run",
-                     "import socket"):
-            with pytest.raises(CertificationError, match="whitelist"):
-                certify_inline(
-                    f"{stmt}\n\nclass C:\n"
-                    "    def choose_next_map_task(self, q):\n"
-                    "        return None\n",
-                    "C",
-                )
-
-    def test_function_local_import_is_refused(self):
-        # Imports hidden inside method bodies execute too.
-        with pytest.raises(CertificationError, match="whitelist"):
-            certify_inline(
-                "class C:\n    def choose_next_map_task(self, q):\n"
-                "        import os\n        return None\n",
-                "C",
-            )
-
-    def test_relative_import_is_refused(self):
-        with pytest.raises(CertificationError, match="relative"):
-            certify_inline(
-                "from . import helpers\n\nclass C:\n"
-                "    def choose_next_map_task(self, q):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_dunder_import_laundering_is_unresolved(self):
-        atom = self._rejected(
-            """
-            class C:
-                def choose_next_map_task(self, q):
-                    __import__('os').system('id')
-                    return None
-            """
-        )
-        assert atom == "unresolved-call"
-
-    def test_dynamic_builtins_are_unresolved(self):
-        for snippet in ("eval('1')", "f = getattr", "exec('pass')"):
-            atom = self._rejected(
-                f"""
-                class C:
-                    def choose_next_map_task(self, q):
-                        {snippet}
-                        return None
-                """
-            )
-            assert atom == "unresolved-call"
-
-    def test_dunder_introspection_is_unresolved(self):
-        atom = self._rejected(
-            """
-            class C:
-                def choose_next_map_task(self, q):
-                    leak = ().__class__.__bases__[0].__subclasses__()
-                    return None
-            """
-        )
-        assert atom == "unresolved-call"
-
-    def test_call_outside_pure_module_whitelist_is_unresolved(self):
-        atom = self._rejected(
-            """
-            import time
-
-            class C:
-                def choose_next_map_task(self, q):
-                    time.sleep(1)
-                    return None
-            """
-        )
-        assert atom == "unresolved-call"
-
-    def test_effectful_decorator_application_is_refused(self):
-        with pytest.raises(CertificationError, match="effectful code at import"):
-            certify_inline(
-                "@print\ndef noisy():\n    return 1\n\n"
-                "class C:\n    def choose_next_map_task(self, q):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_import_time_call_into_effectful_blob_function_is_refused(self):
-        with pytest.raises(CertificationError, match="reaches io"):
-            certify_inline(
-                "def boot():\n    print('x')\nboot()\n\n"
-                "class C:\n    def choose_next_map_task(self, q):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_effectful_signature_annotation_is_refused(self):
-        # Annotations evaluate at def time (no __future__ import in
-        # the exec'd namespace unless the source supplies one).
-        with pytest.raises(CertificationError, match="effectful code at import"):
-            certify_inline(
-                "class C:\n"
-                "    def choose_next_map_task(self, q: print('x')):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_future_annotations_import_is_allowed(self):
-        doc = certify_inline(
-            "from __future__ import annotations\n\nclass C:\n"
-            "    def choose_next_map_task(self, q) -> 'Job':\n"
-            "        return None\n",
-            "C",
-        )
-        assert doc["service_safe"]
-
-    def test_oversized_source_is_refused(self):
-        from repro.analysis.certify import MAX_INLINE_SOURCE
-
-        bloated = "x = 1\n" * (MAX_INLINE_SOURCE // 6 + 1)
-        with pytest.raises(CertificationError, match="certification limit"):
-            certify_inline(bloated, "C")
-
-    def test_rich_but_clean_scheduler_still_certifies(self):
-        source = textwrap.dedent(
-            """
-            import heapq
-            from dataclasses import dataclass, field
-            from repro.schedulers.base import Scheduler
-
-
-            @dataclass
-            class _Entry:
-                key: tuple = field(default=())
-
-
-            class HeapFifo(Scheduler):
-                name = "HeapFifo"
-
-                def __init__(self):
-                    super().__init__()
-                    self._heap = []
-
-                def _key(self, job):
-                    return (job.submit_time, job.job_id)
-
-                def choose_next_map_task(self, job_queue):
-                    ordered = sorted(job_queue, key=lambda j: self._key(j))
-                    return ordered[0] if ordered else None
-
-                def choose_next_reduce_task(self, job_queue):
-                    return min(job_queue, key=self._key, default=None)
-            """
-        )
-        doc = certify_inline(source, "HeapFifo")
-        assert doc["service_safe"], failure_message(doc)
-        assert "unresolved-call" not in doc["summary"]
 
 
 # --------------------------------------------------------------------- #
@@ -756,7 +476,7 @@ class TestAnalysisCache:
 
     def test_certificate_store_roundtrip(self, tmp_path):
         cache = AnalysisCache.load(tmp_path / "cache.json")
-        doc = {"certified": True, "signature": "s"}
+        doc = {"certified": True, "witness": None}
         cache.store_certificate("mod:Cls", "key1", doc)
         cache.save()
         reloaded = AnalysisCache.load(tmp_path / "cache.json")

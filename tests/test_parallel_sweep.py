@@ -23,10 +23,10 @@ from repro.parallel import (
     SimTask,
     cache_key,
     default_cache_path,
-    register_spec_kind,
     simulate_many,
 )
-from repro.parallel.executor import _derive_seed
+from repro.parallel import executor
+from repro.parallel.executor import _derive_seed, spec_kinds
 from repro.sanitize import Sanitizer
 from repro.sanitize.digest import DigestRecorder, EventDigest, trace_digest
 from repro.schedulers import FIFOScheduler, make_scheduler
@@ -216,8 +216,11 @@ class TestSchedulerSpec:
         with pytest.raises(ValueError, match="unknown scheduler spec kind"):
             SchedulerSpec(kind="martian", name="x").build(0)
 
-    def test_registered_kind_receives_seed(self, trace):
-        register_spec_kind("test-seeded", _record_seed_resolver)
+    def test_kind_table_is_closed(self):
+        assert spec_kinds() == ("policy", "registry", "zoo")
+
+    def test_registered_kind_receives_seed(self, trace, monkeypatch):
+        monkeypatch.setitem(executor._SPEC_KINDS, "test-seeded", _record_seed_resolver)
         spec = SchedulerSpec(kind="test-seeded", name="any", seeded=True)
         scheduler = spec.build(1234)
         assert scheduler.received_seed == 1234
@@ -352,6 +355,11 @@ class TestResourceSafetyRegressions:
             return fd, path
 
         monkeypatch.setattr(_tempfile, "mkstemp", recording_mkstemp)
+
+        def no_shared_memory(self, payload):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(ex._PublishedTraces, "_publish_shm", no_shared_memory)
         real_pack = binfmt.pack_trace
         calls = {"n": 0}
 
@@ -363,7 +371,7 @@ class TestResourceSafetyRegressions:
 
         monkeypatch.setattr(binfmt, "pack_trace", failing_pack)
         with pytest.raises(OSError, match="disk full"):
-            ex._PublishedTraces({"a": trace, "b": trace}, "tempfile", 2)
+            ex._PublishedTraces({"a": trace, "b": trace}, 2)
         assert created, "first trace should have spilled to a tempfile"
         assert all(not os.path.exists(p) for p in created)
 
@@ -398,7 +406,7 @@ class TestResourceSafetyRegressions:
         monkeypatch.setattr(binfmt, "pack_trace", failing_pack)
         try:
             with pytest.raises(OSError, match="boom"):
-                ex._PublishedTraces({"a": trace, "b": trace}, "shared_memory", 2)
+                ex._PublishedTraces({"a": trace, "b": trace}, 2)
         except (ImportError, OSError) as exc:  # platform without shm
             pytest.skip(f"shared memory unavailable: {exc}")
         assert names, "first trace should have been published"

@@ -4,9 +4,12 @@ The satellite contracts under test:
 
 * the service accepts a ``policy`` scheduler spec, canonicalizes the
   submitted tree, and replays it event-digest-identical to a local run;
-* 4xx rejections of BOTH ``policy`` and ``inline-certified`` schedulers
-  carry *structured* findings (rule id + path into the submission) in
-  the response body, not just a flattened reason string;
+* 4xx rejections of ``policy`` schedulers carry *structured* findings
+  (rule id + path into the submission) in the response body, not just
+  a flattened reason string;
+* ``policy`` is the only kind that carries user logic: a request for
+  the removed ``inline-certified`` kind (scheduler source code) gets
+  the unknown-kind 400 that points at ``policy``;
 * ``simmr check --format json`` merges POL00x policy findings into the
   single tagged findings list alongside lint and sanitizer entries;
 * ``simmr evolve`` is wired end to end through the CLI.
@@ -70,22 +73,6 @@ def policy_scheduler_doc(tree, name="demo") -> dict:
 
 BAD_TREE = {"version": 1, "name": "demo", "tree": {"pick": "lifo"}}
 
-_INLINE_WALLCLOCK = """\
-import time
-
-
-class WallclockScheduler:
-    name = "Wallclock"
-
-    def choose_next_map_task(self, job_queue):
-        time.time()
-        return job_queue[0] if job_queue else None
-
-    def choose_next_reduce_task(self, job_queue):
-        return job_queue[0] if job_queue else None
-"""
-
-
 class TestPolicyProtocol:
     def test_accepts_and_canonicalizes_tree(self, trace):
         doc = request_document(trace=trace)
@@ -135,24 +122,6 @@ class TestPolicyProtocol:
             parse_request(doc)
         assert excinfo.value.status == 413
 
-    def test_inline_rejection_carries_cert001_finding(self, trace):
-        doc = request_document(trace=trace)
-        doc["scheduler"] = {
-            "kind": "inline-certified",
-            "name": "WallclockScheduler",
-            "kwargs": {"source": _INLINE_WALLCLOCK},
-        }
-        with pytest.raises(ProtocolError) as excinfo:
-            parse_request(doc)
-        assert excinfo.value.status == 422
-        (finding,) = excinfo.value.findings
-        assert finding["rule_id"] == "CERT001"
-        assert finding["path"] == "<inline:WallclockScheduler>"
-        assert finding["line"] > 0  # the witness line into the submission
-        assert "choose_next_map_task" in finding["hint"]  # the witness chain
-        assert "time.time" in finding["message"]  # the effectful sink
-
-
 class TestPolicyServiceEndToEnd:
     def test_replay_digest_identical_to_local(self, client, trace):
         spec = SchedulerSpec(
@@ -182,17 +151,19 @@ class TestPolicyServiceEndToEnd:
         assert body["findings"][0]["rule_id"] == "POL002"
         assert body["findings"][0]["path"] == "policy:demo#/tree/pick"
 
-    def test_inline_rejection_body_has_findings(self, client, trace):
+    def test_scheduler_source_kind_is_unknown_400(self, client, trace):
         doc = request_document(trace=trace)
         doc["scheduler"] = {
             "kind": "inline-certified",
-            "name": "WallclockScheduler",
-            "kwargs": {"source": _INLINE_WALLCLOCK},
+            "name": "TinyFifo",
+            "kwargs": {"source": "class TinyFifo: pass\n"},
         }
         status, _, payload = client._request("/simulate", doc)
-        assert status == 422
+        assert status == 400
         body = json.loads(payload.decode())
-        assert body["findings"][0]["rule_id"] == "CERT001"
+        assert "unknown scheduler kind 'inline-certified'" in body["error"]
+        assert "'policy'" in body["error"]
+        assert "findings" not in body
 
     def test_client_surfaces_rejection(self, client, trace):
         doc_spec = SchedulerSpec(

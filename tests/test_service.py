@@ -506,124 +506,3 @@ def test_cache_path_is_created(tmp_path):
     with SimulationServer(config).start():
         assert nested.parent.is_dir()
     assert Path(nested).exists()
-
-
-# --------------------------------------------------------------------------- #
-# inline-certified schedulers (scheduler source over the wire)
-# --------------------------------------------------------------------------- #
-
-_INLINE_FIFO = """\
-from repro.schedulers.base import Scheduler
-
-
-class TinyFifo(Scheduler):
-    name = "TinyFifo"
-
-    def _key(self, job):
-        return (job.submit_time, job.job_id)
-
-    def choose_next_map_task(self, job_queue):
-        return min(job_queue, key=self._key, default=None)
-
-    def choose_next_reduce_task(self, job_queue):
-        return min(job_queue, key=self._key, default=None)
-"""
-
-_INLINE_WALLCLOCK = """\
-import time
-
-
-class WallclockScheduler:
-    name = "Wallclock"
-
-    def choose_next_map_task(self, job_queue):
-        time.time()
-        return job_queue[0] if job_queue else None
-
-    def choose_next_reduce_task(self, job_queue):
-        return job_queue[0] if job_queue else None
-"""
-
-
-def _inline_spec(source: str, name: str) -> SchedulerSpec:
-    return SchedulerSpec(
-        kind="inline-certified", name=name, kwargs=(("source", source),)
-    )
-
-
-class TestInlineCertifiedScheduler:
-    def test_protocol_accepts_certified_source(self, trace):
-        doc = request_document(
-            trace=trace, scheduler=_inline_spec(_INLINE_FIFO, "TinyFifo")
-        )
-        request = parse_request(doc)
-        assert request.scheduler.kind == "inline-certified"
-        assert request.scheduler.name == "TinyFifo"
-
-    def test_protocol_rejects_effectful_source_with_422(self, trace):
-        doc = request_document(
-            trace=trace,
-            scheduler=_inline_spec(_INLINE_WALLCLOCK, "WallclockScheduler"),
-        )
-        with pytest.raises(ProtocolError) as excinfo:
-            parse_request(doc)
-        assert excinfo.value.status == 422
-        message = str(excinfo.value)
-        assert "not service-safe" in message
-        assert "nondeterministic-source" in message
-        assert "time.time()" in message  # the witness chain's sink
-
-    def test_protocol_requires_source_kwarg(self, trace):
-        doc = request_document(trace=trace)
-        doc["scheduler"] = {"kind": "inline-certified", "name": "TinyFifo"}
-        with pytest.raises(ProtocolError, match="kwargs.source"):
-            parse_request(doc)
-
-    def test_protocol_caps_inline_source_size_with_413(self, trace):
-        # Certification is CPU-bound work on unauthenticated input;
-        # oversized submissions must be refused before analysis runs.
-        from repro.analysis.certify import MAX_INLINE_SOURCE
-
-        bloated = _INLINE_FIFO + "\n# pad\n" * (MAX_INLINE_SOURCE // 7)
-        doc = request_document(
-            trace=trace, scheduler=_inline_spec(bloated, "TinyFifo")
-        )
-        with pytest.raises(ProtocolError) as excinfo:
-            parse_request(doc)
-        assert excinfo.value.status == 413
-        assert "exceeds" in str(excinfo.value)
-
-    def test_protocol_rejects_module_level_effects_with_422(self, trace):
-        # Top-level statements run at exec time, before any predicate
-        # can gate them — certification must refuse the module.
-        source = "import os\nos.system('id')\n\n" + _INLINE_FIFO
-        doc = request_document(
-            trace=trace, scheduler=_inline_spec(source, "TinyFifo")
-        )
-        with pytest.raises(ProtocolError) as excinfo:
-            parse_request(doc)
-        assert excinfo.value.status == 422
-        assert "certification failed" in str(excinfo.value)
-
-    def test_e2e_certified_source_replays_digest_identically(self, client, trace):
-        spec = _inline_spec(_INLINE_FIFO, "TinyFifo")
-        reply = client.replay(trace, scheduler=spec)
-        assert reply.result.makespan > 0
-
-        task = SimTask(
-            trace_id="t", scheduler=spec, cluster=ClusterConfig(64, 64),
-            slowstart=0.05,
-        )
-        [outcome] = simulate_many({"t": trace}, [task], cache=None)
-        assert reply.event_digest == outcome.result.event_digest
-        # The policy is FIFO-by-arrival, so it also matches the registry
-        # scheduler's schedule, not just its own local replay.
-        assert reply.event_digest == local_digest(trace, "fifo")
-
-    def test_e2e_effectful_source_is_422(self, client, trace):
-        spec = _inline_spec(_INLINE_WALLCLOCK, "WallclockScheduler")
-        with pytest.raises(ServiceError) as excinfo:
-            client.replay(trace, scheduler=spec)
-        assert excinfo.value.status == 422
-        assert "not service-safe" in excinfo.value.message
-        assert "choose_next_map_task" in excinfo.value.message

@@ -5,7 +5,7 @@ single sentence: *every representation of a trace is the same trace* —
 same ``trace_digest``, bit-for-bit identical durations, and identical
 ``event_digest`` when replayed.  These tests pin that sentence across
 JSON ↔ binary ↔ columnar ↔ sqlite round-trips, the executor's
-shared-memory/tempfile/pickle transports, the service's trace cache,
+shared-memory transport and its tempfile fallback, the service's trace cache,
 and the error paths of the binary parser.
 """
 
@@ -19,7 +19,6 @@ import pytest
 from repro.core import TraceColumns, TraceJob
 from repro.core.columns import columns_from_trace, trace_from_columns
 from repro.parallel.executor import (
-    TRANSPORTS,
     SchedulerSpec,
     SimTask,
     last_fanout_stats,
@@ -264,49 +263,56 @@ class TestTransports:
         ]
         return {"t": trace}, tasks
 
-    def test_all_transports_digest_identical(self, sweep):
+    def test_all_transports_digest_identical(self, sweep, monkeypatch):
         traces, tasks = sweep
         reference = [
             o.result.event_digest
             for o in simulate_many(traces, tasks, workers=0, cache=None)
         ]
         assert all(reference)
-        for transport in TRANSPORTS:
-            outcomes = simulate_many(
-                traces, tasks, workers=2, cache=None, transport=transport
-            )
-            assert [o.result.event_digest for o in outcomes] == reference
+        shared = simulate_many(traces, tasks, workers=2, cache=None)
+        assert last_fanout_stats().transport == "shared_memory"
+        assert [o.result.event_digest for o in shared] == reference
+        _refuse_shared_memory(monkeypatch)
+        fallback = simulate_many(traces, tasks, workers=2, cache=None)
+        assert last_fanout_stats().transport == "tempfile"
+        assert [o.result.event_digest for o in fallback] == reference
 
     def test_shared_transports_ship_o1_bytes(self, sweep):
+        import pickle
+
         traces, tasks = sweep
-        simulate_many(traces, tasks, workers=2, cache=None, transport="shared_memory")
+        simulate_many(traces, tasks, workers=2, cache=None)
         shm = last_fanout_stats()
-        simulate_many(traces, tasks, workers=2, cache=None, transport="pickle")
-        pickled = last_fanout_stats()
         # Shared memory ships the trace once; per-worker bytes are just
         # the (name, size) descriptors — orders of magnitude below the
-        # pickled job lists the legacy transport sends to every worker.
+        # pickled job list each worker would otherwise receive.
         assert shm.transport == "shared_memory"
-        assert shm.bytes_per_worker < pickled.bytes_per_worker / 10
-        assert pickled.payload_bytes == 0
+        assert shm.bytes_per_worker < len(pickle.dumps(list(traces["t"]))) / 10
 
-    def test_unknown_transport_rejected(self, sweep):
-        traces, tasks = sweep
-        with pytest.raises(ValueError, match="transport"):
-            simulate_many(traces, tasks, workers=2, cache=None, transport="carrier-pigeon")
-
-    def test_no_shared_storage_leaks(self, sweep, tmp_path):
+    def test_no_shared_storage_leaks(self, sweep, monkeypatch):
         import glob
+        import tempfile
 
         traces, tasks = sweep
         before_shm = set(glob.glob("/dev/shm/psm_*"))
-        import tempfile
-
         before_tmp = set(glob.glob(f"{tempfile.gettempdir()}/simmr-trace-*"))
-        simulate_many(traces, tasks, workers=2, cache=None, transport="auto")
-        simulate_many(traces, tasks, workers=2, cache=None, transport="tempfile")
+        simulate_many(traces, tasks, workers=2, cache=None)
+        _refuse_shared_memory(monkeypatch)
+        simulate_many(traces, tasks, workers=2, cache=None)
+        assert last_fanout_stats().transport == "tempfile"
         assert set(glob.glob("/dev/shm/psm_*")) <= before_shm
         assert set(glob.glob(f"{tempfile.gettempdir()}/simmr-trace-*")) <= before_tmp
+
+
+def _refuse_shared_memory(monkeypatch):
+    """Make shared memory unavailable, so traces take the tempfile fallback."""
+    from repro.parallel.executor import _PublishedTraces
+
+    def refuse(self, payload):
+        raise OSError("shared memory unavailable")
+
+    monkeypatch.setattr(_PublishedTraces, "_publish_shm", refuse)
 
 
 # --------------------------------------------------------------------------- #
