@@ -152,6 +152,42 @@ print(f"DP replay mode bit-identical after user {user!r} ran out of budget "
 PY
 
 echo
+echo "== policy-tree digest smoke (compiled dynamic tree: columnar-key replay vs object) =="
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
+import sys
+
+sys.path.insert(0, "src")
+from repro.core import ClusterConfig, ColumnarEngine, simulate
+from repro.experiments.performance import make_performance_trace
+from repro.policy import compile_policy, example_policy
+from repro.sanitize.digest import DigestRecorder
+
+# The compiled deadline-aware tree is dynamic: the kernel decides it
+# through its vectorized columnar-key route, not the tree's own
+# choose_next_* calls the object engine makes.
+trace = make_performance_trace(30, mean_interarrival=10.0, seed=7)
+cluster = ClusterConfig(8, 4)
+
+def scheduler():
+    return compile_policy(example_policy("deadline-aware"))
+
+digests = {}
+for engine in ("object", "columnar"):
+    recorder = DigestRecorder()
+    simulate(trace, scheduler(), cluster, engine=engine, sanitizer=recorder)
+    digests[engine] = (recorder.hexdigest(), recorder.digest.count)
+assert digests["object"] == digests["columnar"], (
+    f"policy tree diverged: {digests}")
+assert digests["object"] == ("858d7d4f00ba1428ff2dfc3b50dbc192", 22874), digests
+engine = ColumnarEngine(cluster, scheduler())
+engine.run(trace)
+assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay"), (
+    engine.last_path, engine.last_kernel_mode, engine.fallback_reason)
+print(f"deadline-aware tree replay mode bit-identical "
+      f"({digests['object'][1]} events, digest {digests['object'][0]})")
+PY
+
+echo
 echo "== policy smoke (POL00x certification + pinned simmr evolve) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys

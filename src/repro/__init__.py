@@ -26,8 +26,6 @@ paper-vs-measured record of every table and figure.
 
 from .core import (
     ClusterConfig,
-    Event,
-    EventQueue,
     EventType,
     Job,
     JobProfile,
@@ -74,8 +72,6 @@ __all__ = [
     "ServiceReply",
     "SimulationServer",
     "ClusterConfig",
-    "Event",
-    "EventQueue",
     "EventType",
     "Job",
     "JobProfile",

@@ -4,7 +4,7 @@ from .cluster import ClusterConfig
 from .columns import TraceColumns, columns_from_trace, trace_from_columns
 from .engine import SimulatorEngine, simulate
 from .kernel import ColumnarEngine
-from .events import Event, EventQueue, EventType
+from .events import EventType
 from .job import Job, JobProfile, JobState, PhaseStats, TaskRecord, TraceJob
 from .metrics import (
     UtilizationReport,
@@ -26,8 +26,6 @@ __all__ = [
     "columns_from_trace",
     "simulate",
     "trace_from_columns",
-    "Event",
-    "EventQueue",
     "EventType",
     "Job",
     "JobProfile",

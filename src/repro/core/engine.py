@@ -32,9 +32,9 @@ mechanism is exactly what makes Mumak underestimate completion times
 Performance notes
 -----------------
 The hot loop works on raw ``(time, type, seq, job_id, task_index)``
-tuples in a binary heap — the same deterministic ordering as the public
-:class:`~repro.core.events.EventQueue`, without per-event object
-allocation.  Slot allocation has two paths:
+tuples in a binary heap, ordered ``(time, type priority, insertion
+seq)``, with no per-event object allocation.  Slot allocation has two
+paths:
 
 * **static-priority fast path** — policies that declare
   ``static_priority`` (FIFO, MaxEDF, MinEDF) are served from lazy
@@ -65,11 +65,12 @@ from .walltime import elapsed_since, perf_seconds
 from ..schedulers.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..sanitize.digest import DigestRecorder
     from ..sanitize.sanitizer import Sanitizer
 
 __all__ = ["SimulatorEngine", "simulate"]
 
-# Event-type priorities, inlined as ints for the hot loop.
+# Event-type priorities as ints for the hot loops (shared with the kernel).
 _MAP_DEP = int(EventType.MAP_TASK_DEPARTURE)
 _ALL_MAPS = int(EventType.ALL_MAPS_FINISHED)
 _RED_DEP = int(EventType.REDUCE_TASK_DEPARTURE)
@@ -79,8 +80,8 @@ _MAP_ARR = int(EventType.MAP_TASK_ARRIVAL)
 _RED_ARR = int(EventType.REDUCE_TASK_ARRIVAL)
 
 
-class SimulatorEngine:
-    """Replays a MapReduce workload trace under a scheduling policy.
+class _EngineBase:
+    """Run settings and result scaffolding shared by both engines.
 
     Parameters
     ----------
@@ -97,6 +98,12 @@ class SimulatorEngine:
         When True (default) every simulated task attempt is recorded in
         the result, enabling the progress-plot and duration-CDF
         experiments.  Disable for maximum event throughput on huge traces.
+    preemption:
+        Let the policy's ``preemption_requests`` kill running tasks when
+        a job arrives.
+    shuffle_model:
+        Optional pluggable shuffle model (paper future work: network-
+        simulator integration).  None replays the profile durations.
     sanitize:
         Three-state switch for the runtime sanitizer (``simsan``):
         ``True`` forces it on, ``False`` forces it off, ``None`` (the
@@ -106,7 +113,9 @@ class SimulatorEngine:
     sanitizer:
         An explicit :class:`~repro.sanitize.sanitizer.Sanitizer` instance
         (e.g. one collecting violations instead of raising, or carrying
-        an event digest for divergence detection).  Implies ``sanitize``.
+        an event digest for divergence detection), or a
+        :class:`~repro.sanitize.digest.DigestRecorder` — the one way to
+        observe the popped event stream.  Implies ``sanitize``.
     """
 
     def __init__(
@@ -116,11 +125,10 @@ class SimulatorEngine:
         *,
         min_map_percent_completed: float = 0.05,
         record_tasks: bool = True,
-        record_events: bool = False,
         preemption: bool = False,
         shuffle_model: "ShuffleModel | None" = None,
         sanitize: Optional[bool] = None,
-        sanitizer: "Sanitizer | None" = None,
+        sanitizer: "Sanitizer | DigestRecorder | None" = None,
     ) -> None:
         if not 0.0 <= min_map_percent_completed <= 1.0:
             raise ValueError(
@@ -131,13 +139,7 @@ class SimulatorEngine:
         self.scheduler = scheduler
         self.min_map_percent_completed = min_map_percent_completed
         self.record_tasks = record_tasks
-        #: Keep the processed event stream on the result (debugging /
-        #: protocol tests; costs one Event object per event).
-        self.record_events = record_events
         self.preemption = preemption
-        #: Optional pluggable shuffle model (paper future work: network-
-        #: simulator integration).  None = replay the profile durations
-        #: on the zero-overhead default path.
         self.shuffle_model = shuffle_model
         if sanitizer is None:
             if sanitize is None:
@@ -152,6 +154,80 @@ class SimulatorEngine:
             sanitizer = None
         #: The active runtime sanitizer, or None for the unchecked path.
         self.sanitizer = sanitizer
+
+    @staticmethod
+    def _validate_dependencies(trace: Sequence[TraceJob]) -> None:
+        """Reject out-of-range or cyclic ``depends_on`` edges up front."""
+        n = len(trace)
+        for i, tj in enumerate(trace):
+            dep = tj.depends_on
+            if dep is None:
+                continue
+            if dep >= n:
+                raise ValueError(
+                    f"job {i} depends on index {dep}, but the trace has {n} jobs"
+                )
+            if dep == i:
+                raise ValueError(f"job {i} depends on itself")
+        # Cycle check: follow each chain; a cycle revisits a node.
+        for start in range(n):
+            seen = set()
+            node = start
+            while trace[node].depends_on is not None:
+                node = trace[node].depends_on
+                if node in seen or node == start:
+                    raise ValueError(
+                        f"dependency cycle involving job {start} in the trace"
+                    )
+                seen.add(node)
+
+    @staticmethod
+    def _raise_if_stalled(jobs: Sequence[Job]) -> None:
+        """Fail a run whose event stream drained with jobs unfinished."""
+        stuck = [j for j in jobs if j.state is not JobState.COMPLETED]
+        if stuck:
+            names = ", ".join(f"{j.job_id}:{j.name}" for j in stuck[:5])
+            more = "..." if len(stuck) > 5 else ""
+            raise RuntimeError(
+                f"simulation stalled with {len(stuck)} unfinished job(s) "
+                f"({names}{more}): the cluster cannot run their tasks (e.g. "
+                "reduce tasks with zero reduce slots) or the policy never "
+                "schedules them"
+            )
+
+    def _result(
+        self,
+        jobs: Sequence[Job],
+        records: list[TaskRecord],
+        processed: int,
+        wall_start: float,
+        engine_path: str,
+    ) -> SimulationResult:
+        """Assemble a finished run's :class:`SimulationResult`."""
+        wall = elapsed_since(wall_start)
+        makespan = max(
+            (j.completion_time for j in jobs if j.completion_time is not None),
+            default=0.0,
+        )
+        return SimulationResult(
+            scheduler_name=self.scheduler.name,
+            jobs=[JobResult.from_job(j) for j in jobs],
+            task_records=records,
+            makespan=makespan,
+            events_processed=processed,
+            wall_clock_seconds=wall,
+            engine_path=engine_path,
+        )
+
+
+class SimulatorEngine(_EngineBase):
+    """Replays a MapReduce workload trace under a scheduling policy.
+
+    The constructor arguments are documented on :class:`_EngineBase`.
+    """
+
+    def __init__(self, cluster: ClusterConfig, scheduler: Scheduler, **kwargs: Any) -> None:
+        super().__init__(cluster, scheduler, **kwargs)
         self._reset()
 
     # ------------------------------------------------------------------ #
@@ -186,45 +262,16 @@ class SimulatorEngine:
         }
         jobs = self._jobs
         processed = 0
-        event_log: list = []
         sanitizer = self.sanitizer
         if sanitizer is not None:
-            from .events import Event
-
             sanitizer.begin_run(self, trace)
-            record_events = self.record_events
             while heap:
                 now, etype, seq, job_id, task_index = heappop(heap)
                 processed += 1
                 sanitizer.observe_pop(now, etype, seq, job_id, task_index)
                 self._now = now
-                if record_events:
-                    event_log.append(
-                        Event(
-                            now,
-                            EventType(etype),
-                            job_id,
-                            task_index if task_index >= 0 else None,
-                        )
-                    )
                 handlers[etype](jobs[job_id], task_index, seq)
                 sanitizer.observe_handled(self, jobs[job_id], etype)
-        elif self.record_events:
-            from .events import Event
-
-            while heap:
-                now, etype, seq, job_id, task_index = heappop(heap)
-                processed += 1
-                self._now = now
-                event_log.append(
-                    Event(
-                        now,
-                        EventType(etype),
-                        job_id,
-                        task_index if task_index >= 0 else None,
-                    )
-                )
-                handlers[etype](jobs[job_id], task_index, seq)
         else:
             while heap:
                 now, etype, seq, job_id, task_index = heappop(heap)
@@ -232,36 +279,10 @@ class SimulatorEngine:
                 self._now = now
                 handlers[etype](jobs[job_id], task_index, seq)
         self._events_processed = processed
-
-        stuck = [j for j in jobs if j.state is not JobState.COMPLETED]
-        if stuck:
-            names = ", ".join(f"{j.job_id}:{j.name}" for j in stuck[:5])
-            more = "..." if len(stuck) > 5 else ""
-            raise RuntimeError(
-                f"simulation stalled with {len(stuck)} unfinished job(s) "
-                f"({names}{more}): the cluster cannot run their tasks (e.g. "
-                "reduce tasks with zero reduce slots) or the policy never "
-                "schedules them"
-            )
-
+        self._raise_if_stalled(jobs)
         if sanitizer is not None:
             sanitizer.end_run(self)
-
-        wall = elapsed_since(wall_start)
-        makespan = max(
-            (j.completion_time for j in jobs if j.completion_time is not None),
-            default=0.0,
-        )
-        return SimulationResult(
-            scheduler_name=self.scheduler.name,
-            jobs=[JobResult.from_job(j) for j in jobs],
-            task_records=self._records,
-            makespan=makespan,
-            events_processed=processed,
-            wall_clock_seconds=wall,
-            engine_path="object",
-            event_log=event_log,
-        )
+        return self._result(jobs, self._records, processed, wall_start, "object")
 
     # ------------------------------------------------------------------ #
     # internal state
@@ -291,32 +312,6 @@ class SimulatorEngine:
         self._fast = self.scheduler.static_priority
         self._map_heap: list[tuple] = []
         self._reduce_heap: list[tuple] = []
-
-    @staticmethod
-    def _validate_dependencies(trace: Sequence[TraceJob]) -> None:
-        """Reject out-of-range or cyclic ``depends_on`` edges up front."""
-        n = len(trace)
-        for i, tj in enumerate(trace):
-            dep = tj.depends_on
-            if dep is None:
-                continue
-            if dep >= n:
-                raise ValueError(
-                    f"job {i} depends on index {dep}, but the trace has {n} jobs"
-                )
-            if dep == i:
-                raise ValueError(f"job {i} depends on itself")
-        # Cycle check: follow each chain; a cycle revisits a node.
-        for start in range(n):
-            seen = set()
-            node = start
-            while trace[node].depends_on is not None:
-                node = trace[node].depends_on
-                if node in seen or node == start:
-                    raise ValueError(
-                        f"dependency cycle involving job {start} in the trace"
-                    )
-                seen.add(node)
 
     def _push_event(self, time: float, etype: int, job_id: int, task_index: int) -> int:
         seq = self._seq

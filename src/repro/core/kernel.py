@@ -20,13 +20,13 @@ static-priority schedule to avoid materialising most of those events:
   slow-start gate is an ``np.lexsort`` order statistic, and first-wave
   reduce completion times are one fused ``(mse + first_shuffle) +
   reduce`` vector expression.
-* **bit-identical event digests.**  When an event-digest consumer is
-  attached (or ``record_events=True``), the kernel rebuilds the full
-  event stream from the passes' run-wide dispatch columns: one block
-  per event type, each already in the order of its heap tie-break,
-  concatenated in type priority and ordered by one stable sort on time
-  — the heap's ``(time, type, seq)`` order — then streamed through the
-  digest in a single packed-buffer update.  The digest is byte-for-byte
+* **bit-identical event digests.**  When a
+  :class:`~repro.sanitize.digest.DigestRecorder` is attached, the kernel
+  rebuilds the full event stream from the passes' run-wide dispatch
+  columns: one block per event type, each already in the order of its
+  heap tie-break, concatenated in type priority and ordered by one
+  stable sort on time — the heap's ``(time, type, seq)`` order — then
+  streamed through the digest in a single packed-buffer update.  The digest is byte-for-byte
   the one the object engine produces, which is what lets the simsan
   divergence toolchain gate this refactor (see
   ``docs/engine-internals.md``).
@@ -45,13 +45,19 @@ preemption kills sliced out of the running-attempt tables with the
 object engine's exact decorate-sort victim order, and each dispatch
 decided from kernel-resident state (per-group running sums, or
 :class:`~repro.core.columns.SchedulerColumns` arrays) instead of a
-candidate scan over the job queue.  The event digest is fed in one
-packed-buffer update at the end of the run.
+candidate scan over the job queue.
+
+Both modes hand the popped stream to the recorder from one place,
+:meth:`ColumnarEngine._observe`: one packed-buffer
+:meth:`~repro.sanitize.digest.EventDigest.update_many` call per run.  A
+stalled run feeds the prefix popped before the stall and then raises,
+as the object engine does.
 
 What still falls back to the object engine is a short list: a pluggable
-shuffle model, workflow dependencies (``depends_on``), a
-state-inspecting sanitizer, and dynamic schedulers without a kernel
-contract (Flex).  ``ColumnarEngine`` is
+shuffle model, workflow dependencies (``depends_on``), any sanitizer
+other than a plain :class:`~repro.sanitize.digest.DigestRecorder` (the
+full invariant checker inspects per-event engine state), and dynamic
+schedulers without a kernel contract (Flex).  ``ColumnarEngine`` is
 always safe to use; :attr:`ColumnarEngine.last_path` reports which path
 a run took and :attr:`ColumnarEngine.last_kernel_mode` which kernel
 mode.
@@ -60,37 +66,34 @@ mode.
 from __future__ import annotations
 
 import math
-import os
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .cluster import ClusterConfig
 from .columns import SchedulerColumns, TraceColumns
-from .engine import SimulatorEngine
+from .engine import (
+    _ALL_MAPS,
+    _JOB_ARR,
+    _JOB_DEP,
+    _MAP_ARR,
+    _MAP_DEP,
+    _RED_ARR,
+    _RED_DEP,
+    SimulatorEngine,
+    _EngineBase,
+)
 from .job import Job, JobState, TaskRecord, TraceJob
-from .results import JobResult, SimulationResult
-from .walltime import elapsed_since, perf_seconds
+from .results import SimulationResult
+from .walltime import perf_seconds
 from ..schedulers.base import Scheduler
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .shuffle import ShuffleModel
 
 __all__ = ["ColumnarEngine"]
 
 _INF = math.inf
 _EMPTY = np.empty(0)
-
-# Event-type priorities (values of repro.core.events.EventType).
-_MAP_DEP = 0
-_ALL_MAPS = 1
-_RED_DEP = 2
-_JOB_DEP = 3
-_JOB_ARR = 4
-_MAP_ARR = 5
-_RED_ARR = 6
 
 
 def _cycled(arr: np.ndarray, n: int) -> np.ndarray:
@@ -386,10 +389,10 @@ class _ShareBook:
         return job
 
 
-class ColumnarEngine:
+class ColumnarEngine(_EngineBase):
     """Drop-in engine running the columnar kernel where it applies.
 
-    Constructor signature matches :class:`~repro.core.engine.
+    Takes the constructor arguments of :class:`~repro.core.engine.
     SimulatorEngine`; :meth:`run` additionally accepts a
     :class:`~repro.core.columns.TraceColumns` directly (the kernel
     consumes the zero-copy duration views it hands out).
@@ -399,44 +402,8 @@ class ColumnarEngine:
     (``None`` on the kernel path).
     """
 
-    def __init__(
-        self,
-        cluster: ClusterConfig,
-        scheduler: Scheduler,
-        *,
-        min_map_percent_completed: float = 0.05,
-        record_tasks: bool = True,
-        record_events: bool = False,
-        preemption: bool = False,
-        shuffle_model: "ShuffleModel | None" = None,
-        sanitize: Optional[bool] = None,
-        sanitizer: Any = None,
-    ) -> None:
-        if not 0.0 <= min_map_percent_completed <= 1.0:
-            raise ValueError(
-                "min_map_percent_completed must be in [0, 1], got "
-                f"{min_map_percent_completed}"
-            )
-        self.cluster = cluster
-        self.scheduler = scheduler
-        self.min_map_percent_completed = min_map_percent_completed
-        self.record_tasks = record_tasks
-        self.record_events = record_events
-        self.preemption = preemption
-        self.shuffle_model = shuffle_model
-        # Same sanitize-resolution rules as the object engine.
-        if sanitizer is None:
-            if sanitize is None:
-                sanitize = os.environ.get("SIMMR_SANITIZE", "") not in (
-                    "", "0", "false", "False",
-                )
-            if sanitize:
-                from ..sanitize.sanitizer import Sanitizer as _Sanitizer
-
-                sanitizer = _Sanitizer()
-        elif sanitize is False:
-            sanitizer = None
-        self.sanitizer = sanitizer
+    def __init__(self, cluster: ClusterConfig, scheduler: Scheduler, **kwargs: Any) -> None:
+        super().__init__(cluster, scheduler, **kwargs)
         self.last_path: Optional[str] = None
         #: Which kernel mode the last kernel-path run used: ``"passes"``
         #: (vectorized multi-pass, static non-preemptive) or ``"replay"``
@@ -531,11 +498,11 @@ class ColumnarEngine:
         segmented-replay mode adds preemptive runs and dynamic policies
         carrying a kernel contract (:class:`~repro.schedulers.base.
         ShareSchedulerMixin` or :class:`~repro.schedulers.base.
-        ColumnarSchedulerMixin`).  What remains is a short list.  A
-        state-inspecting sanitizer needs the object engine's per-event
-        state to check invariants against, so it forces the fallback
-        (the observe-only :class:`~repro.sanitize.digest.DigestRecorder`
-        declares ``inspects_state = False`` and stays on the kernel).
+        ColumnarSchedulerMixin`).  What remains is a short list.  The
+        kernel serves only the observe-only
+        :class:`~repro.sanitize.digest.DigestRecorder`; any other
+        sanitizer (the full invariant checker reads per-event engine
+        state) forces the fallback.
         """
         if self.shuffle_model is not None:
             return "pluggable shuffle model"
@@ -546,8 +513,11 @@ class ColumnarEngine:
                 "columnar contract"
             )
         san = self.sanitizer
-        if san is not None and getattr(san, "inspects_state", True):
-            return "state-inspecting sanitizer"
+        if san is not None:
+            from ..sanitize.digest import DigestRecorder
+
+            if type(san) is not DigestRecorder:
+                return "state-inspecting sanitizer"
         if any(tj.depends_on is not None for tj in trace):
             return "workflow dependencies (depends_on)"
         return None
@@ -566,14 +536,12 @@ class ColumnarEngine:
                 self.scheduler,
                 min_map_percent_completed=self.min_map_percent_completed,
                 record_tasks=self.record_tasks,
-                record_events=self.record_events,
                 preemption=self.preemption,
                 shuffle_model=self.shuffle_model,
                 sanitize=False if self.sanitizer is None else None,
                 sanitizer=self.sanitizer,
             )
             result = engine.run(trace)
-            result.engine_path = "object"
             result.fallback_reason = reason
             return result
         self.last_path = "kernel"
@@ -585,13 +553,9 @@ class ColumnarEngine:
             or self._has_instant_tasks(trace)
         ):
             self.last_kernel_mode = "replay"
-            result = self._run_replay(trace)
-        else:
-            self.last_kernel_mode = "passes"
-            result = self._run_kernel(trace)
-        result.engine_path = "kernel"
-        result.fallback_reason = None
-        return result
+            return self._run_replay(trace)
+        self.last_kernel_mode = "passes"
+        return self._run_kernel(trace)
 
     # ------------------------------------------------------------------ #
     # segmented replay (preemption / contracted dynamic schedulers)
@@ -624,7 +588,7 @@ class ColumnarEngine:
           and one ``np.lexsort``;
         * the event digest is fed in one packed-buffer update after the
           run (pop order is collected as four flat columns), not one
-          ``observe_pop`` call per event.
+          digest call per event.
 
         Preemption kills reuse the object engine's decorate-sort victim
         order verbatim, including the stale-departure protocol: a killed
@@ -632,7 +596,7 @@ class ColumnarEngine:
         digested) and is recognized by its stale sequence number.
         """
         wall_start = perf_seconds()
-        SimulatorEngine._validate_dependencies(trace)
+        self._validate_dependencies(trace)
         scheduler = self.scheduler
         cluster = self.cluster
         mmpc = self.min_map_percent_completed
@@ -712,7 +676,7 @@ class ColumnarEngine:
             v_capm = view.capm
             v_capr = view.capr
 
-        collect = self.sanitizer is not None or self.record_events
+        collect = self.sanitizer is not None
         ev_t: list[float] = []
         ev_e: list[int] = []
         ev_j: list[int] = []
@@ -1122,61 +1086,12 @@ class ColumnarEngine:
                 allocate(now)
             # else: _JOB_DEP — bookkeeping already done in maybe_depart.
 
-        stuck = [j for j in jobs if j.state is not JobState.COMPLETED]
-        if stuck:
-            names = ", ".join(f"{j.job_id}:{j.name}" for j in stuck[:5])
-            more = "..." if len(stuck) > 5 else ""
-            raise RuntimeError(
-                f"simulation stalled with {len(stuck)} unfinished job(s) "
-                f"({names}{more}): the cluster cannot run their tasks (e.g. "
-                "reduce tasks with zero reduce slots) or the policy never "
-                "schedules them"
-            )
-
-        san = self.sanitizer
-        if san is not None:
-            from ..sanitize.digest import EventDigest
-
-            san.begin_run(self, trace)
-            digest = getattr(san, "digest", None)
-            t_arr = np.asarray(ev_t, dtype=np.float64)
-            e_arr = np.asarray(ev_e, dtype=np.int64)
-            j_arr = np.asarray(ev_j, dtype=np.int64)
-            k_arr = np.asarray(ev_k, dtype=np.int64)
-            if isinstance(digest, EventDigest):
-                digest.update_many(t_arr, e_arr, j_arr, k_arr)
-            else:  # pragma: no cover - custom observe-only sanitizers
-                for i in range(len(t_arr)):
-                    san.observe_pop(
-                        float(t_arr[i]), int(e_arr[i]), i,
-                        int(j_arr[i]), int(k_arr[i]),
-                    )
-            san.end_run(self)
-
-        event_log: list = []
-        if self.record_events:
-            from .events import Event, EventType
-
-            # Collected in true pop order already — no sort needed.
-            event_log = [
-                Event(t_i, EventType(e_i), j_i, k_i if k_i >= 0 else None)
-                for t_i, e_i, j_i, k_i in zip(ev_t, ev_e, ev_j, ev_k)
-            ]
-
-        wall = elapsed_since(wall_start)
-        makespan = max(
-            (j.completion_time for j in jobs if j.completion_time is not None),
-            default=0.0,
-        )
-        return SimulationResult(
-            scheduler_name=scheduler.name,
-            jobs=[JobResult.from_job(j) for j in jobs],
-            task_records=records,
-            makespan=makespan,
-            events_processed=processed,
-            wall_clock_seconds=wall,
-            event_log=event_log,
-        )
+        # A stall drains the heap too: the recorder gets the popped
+        # prefix before the run fails, as on the object engine.
+        if collect:
+            self._observe(ev_t, ev_e, ev_j, ev_k)
+        self._raise_if_stalled(jobs)
+        return self._result(jobs, records, processed, wall_start, "kernel")
 
     # ------------------------------------------------------------------ #
     # kernel
@@ -1184,7 +1099,7 @@ class ColumnarEngine:
 
     def _run_kernel(self, trace: Sequence[TraceJob]) -> SimulationResult:
         wall_start = perf_seconds()
-        SimulatorEngine._validate_dependencies(trace)
+        self._validate_dependencies(trace)
         scheduler = self.scheduler
         cluster = self.cluster
         mmpc = self.min_map_percent_completed
@@ -1245,16 +1160,11 @@ class ColumnarEngine:
                 job.map_stage_end = st.mse
                 completion_order.append((st.completion_time, st.idx, st.idx))
 
-        stuck = [j for j in jobs if j.state is not JobState.COMPLETED]
-        if stuck:
-            names = ", ".join(f"{j.job_id}:{j.name}" for j in stuck[:5])
-            more = "..." if len(stuck) > 5 else ""
-            raise RuntimeError(
-                f"simulation stalled with {len(stuck)} unfinished job(s) "
-                f"({names}{more}): the cluster cannot run their tasks (e.g. "
-                "reduce tasks with zero reduce slots) or the policy never "
-                "schedules them"
-            )
+        if len(completion_order) < len(jobs):
+            # The passes lay out only a complete stream.  Replay mode
+            # pops the stalled run's prefix, feeds it and raises.
+            self.last_kernel_mode = "replay"
+            return self._run_replay(trace)
 
         # Every task ran: the reduce columns are complete.
         self._reduce_columns(states, reduces)
@@ -1281,25 +1191,9 @@ class ColumnarEngine:
         if self.record_tasks:
             records = self._build_records(states, maps, reduces)
 
-        event_log: list = []
-        san = self.sanitizer
-        if san is not None or self.record_events:
-            event_log = self._emit_events(trace, states, maps, reduces, processed)
-
-        wall = elapsed_since(wall_start)
-        makespan = max(
-            (j.completion_time for j in jobs if j.completion_time is not None),
-            default=0.0,
-        )
-        return SimulationResult(
-            scheduler_name=scheduler.name,
-            jobs=[JobResult.from_job(j) for j in jobs],
-            task_records=records,
-            makespan=makespan,
-            events_processed=processed,
-            wall_clock_seconds=wall,
-            event_log=event_log,
-        )
+        if self.sanitizer is not None:
+            self._observe(*self._event_columns(states, maps, reduces, processed))
+        return self._result(jobs, records, processed, wall_start, "kernel")
 
     # ------------------------------------------------------------------ #
     # map pass
@@ -1684,15 +1578,16 @@ class ColumnarEngine:
         order = np.argsort(np.concatenate((maps.start, reduces.start)), kind="stable")
         return [records[i] for i in order.tolist()]
 
-    def _emit_events(
+    def _event_columns(
         self,
-        trace: Sequence[TraceJob],
         states: list[_KJob],
         maps: _DispatchLog,
         reduces: _DispatchLog,
         processed: int,
-    ) -> list:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Reconstruct the full event stream in heap pop order.
+
+        Returns the ``(time, type, job, task)`` columns.
 
         The heap pops by ``(time, type, seq)``.  Each event type is laid
         out as one block already sorted by its own tie key, the blocks
@@ -1766,30 +1661,15 @@ class ColumnarEngine:
         )[order]
         jcol = np.concatenate([b[2] for b in blocks])[order]
         kcol = np.concatenate([b[3] for b in blocks])[order]
+        return t, e, jcol, kcol
 
-        san = self.sanitizer
-        if san is not None:
-            from ..sanitize.digest import EventDigest
+    def _observe(self, times: Any, etypes: Any, job_ids: Any, task_indices: Any) -> None:
+        """Hand a run's popped event stream, in pop order, to the recorder.
 
-            san.begin_run(self, trace)
-            digest = getattr(san, "digest", None)
-            if isinstance(digest, EventDigest):
-                digest.update_many(t, e, jcol, kcol)
-            else:  # pragma: no cover - custom observe-only sanitizers
-                for i in range(len(t)):
-                    san.observe_pop(
-                        float(t[i]), int(e[i]), i, int(jcol[i]), int(kcol[i])
-                    )
-            san.end_run(self)
-
-        event_log: list = []
-        if self.record_events:
-            from .events import Event, EventType
-
-            event_log = [
-                Event(time, EventType(et), jid, ti if ti >= 0 else None)
-                for time, et, jid, ti in zip(
-                    t.tolist(), e.tolist(), jcol.tolist(), kcol.tolist()
-                )
-            ]
-        return event_log
+        The one place the kernel feeds an observer: the installed
+        :class:`~repro.sanitize.digest.DigestRecorder`'s digest is reset
+        and takes the whole stream in one packed-buffer update.
+        """
+        digest = self.sanitizer.digest
+        digest.reset()
+        digest.update_many(times, etypes, job_ids, task_indices)

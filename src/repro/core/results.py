@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .events import Event
 from .job import Job, TaskRecord
 
 __all__ = ["JobResult", "SimulationResult"]
@@ -95,10 +94,6 @@ class SimulationResult:
     #: directly).  See ``ColumnarEngine._fallback_reason`` for the
     #: envelope's short list of reasons.
     fallback_reason: Optional[str] = None
-    #: The processed event stream (populated only when the engine ran
-    #: with ``record_events=True``) — the paper's seven event types in
-    #: processing order.
-    event_log: list[Event] = field(default_factory=list)
 
     # Cached lookups -------------------------------------------------------
     _by_id: dict[int, JobResult] = field(default_factory=dict, repr=False)

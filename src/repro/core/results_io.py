@@ -40,9 +40,8 @@ _READABLE_VERSIONS = (1, 2)
 def result_to_dict(result: SimulationResult) -> dict[str, Any]:
     """JSON-serializable document for a full simulation result.
 
-    The document is lossless for everything the engine reports except
-    the optional debug ``event_log``: scheduler name, makespan, the
-    engine statistics (``events_processed``, ``wall_clock_seconds``),
+    The document is lossless for everything the engine reports:
+    scheduler name, makespan, the engine statistics (``events_processed``, ``wall_clock_seconds``),
     the event-stream digest, per-job results and task records all
     round-trip exactly through :func:`result_from_dict` (pinned by
     ``tests/test_results_io.py``) — which is what lets the parallel

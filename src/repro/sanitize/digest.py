@@ -149,12 +149,22 @@ class DigestRecorder:
     """Minimal sanitizer stand-in that *only* streams the event digest.
 
     Implements the four engine hooks (``begin_run`` / ``observe_pop`` /
-    ``observe_handled`` / ``end_run``) that the sanitized run-loop
-    branch calls, but performs no invariant checking — one digest update
-    per popped event and nothing else.  This is what the sweep layers
-    (:mod:`repro.sweep`, :mod:`repro.parallel`) install to fingerprint
-    every run cheaply: the full :class:`~repro.sanitize.sanitizer.Sanitizer`
-    costs roughly a 5x slowdown, the recorder a few percent.
+    ``observe_handled`` / ``end_run``) that the object engine's sanitized
+    run loop calls, but performs no invariant checking — one digest
+    update per popped event and nothing else.  This is what the sweep
+    layers (:mod:`repro.sweep`, :mod:`repro.parallel`) install to
+    fingerprint every run cheaply: the full
+    :class:`~repro.sanitize.sanitizer.Sanitizer` costs roughly a 5x
+    slowdown, the recorder a few percent.
+
+    It is also the one way to see the event stream: with
+    ``DigestRecorder(EventDigest(keep_events=True))`` the recorder's
+    ``digest.events`` holds the popped ``(time, type, job_id,
+    task_index)`` tuples after a run (or, when the run stalls, the
+    prefix popped before it failed).  Being observe-only, an exact
+    ``DigestRecorder`` keeps a :class:`~repro.core.kernel.ColumnarEngine`
+    run on the kernel, which rebuilds the stream and feeds the digest in
+    one bulk update.
 
     The digest is identical to the one a full sanitizer carrying the
     same :class:`EventDigest` would produce (both hash the popped
@@ -163,12 +173,6 @@ class DigestRecorder:
     """
 
     __slots__ = ("digest", "violations")
-
-    #: Observe-only: never reads engine state, so the columnar kernel
-    #: can serve it from the reconstructed event stream instead of
-    #: falling back to the object engine (the full Sanitizer inspects
-    #: per-event engine state and declares ``inspects_state = True``).
-    inspects_state = False
 
     def __init__(self, digest: Optional[EventDigest] = None) -> None:
         self.digest = digest if digest is not None else EventDigest(keep_events=False)

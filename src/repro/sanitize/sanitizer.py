@@ -125,12 +125,6 @@ class Sanitizer:
         "_snaps",
     )
 
-    #: Invariant checks read per-event engine state (slot counters, job
-    #: lifecycle), so the columnar kernel cannot serve this sanitizer
-    #: from a reconstructed event stream — it falls back to the object
-    #: engine.  Observe-only consumers (DigestRecorder) set this False.
-    inspects_state = True
-
     def __init__(
         self,
         *,

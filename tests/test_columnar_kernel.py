@@ -27,6 +27,7 @@ from repro.sanitize.sanitizer import Sanitizer
 from repro.schedulers import (
     CappedFIFOScheduler,
     FIFOScheduler,
+    FairScheduler,
     MaxEDFScheduler,
     MinEDFScheduler,
 )
@@ -207,21 +208,6 @@ class TestDigestIdentityMatrix:
 
     def test_empty_trace(self):
         assert_identical([], FIFOScheduler, ClusterConfig(4, 4))
-
-    def test_record_events_parity(self):
-        trace = make_zoo_trace(seed=19, n=10)
-        logs = []
-        for engine in ("object", "columnar"):
-            result = simulate(
-                trace, FIFOScheduler(), ClusterConfig(8, 4), engine=engine,
-                record_events=True, sanitize=False,
-            )
-            logs.append(result.event_log)
-        assert len(logs[0]) == len(logs[1])
-        for a, b in zip(*logs):
-            assert (a.time, a.event_type, a.job_id, a.task_index) == (
-                b.time, b.event_type, b.job_id, b.task_index
-            )
 
 
 def make_deadline_trace(seed: int = 7, n: int = 24) -> list[TraceJob]:
@@ -621,6 +607,7 @@ class TestFallbackEnvelope:
         # And nothing else falls back: preemption + a preemptive scheduler
         # + the group-share policies all stay on the kernel now.
         from repro.schedulers import (
+    FairScheduler,
             CapacityScheduler,
             DynamicPriorityScheduler,
             FairScheduler,
@@ -709,6 +696,38 @@ class TestStallParity:
                     trace, CappedFIFOScheduler(2, 0), ClusterConfig(4, 4),
                     engine=engine, sanitize=False,
                 )
+
+
+class TestStallPrefix:
+    """A stalled run leaves the same observed prefix on every path."""
+
+    @pytest.mark.parametrize(
+        "factory, mode", [(FIFOScheduler, "passes"), (FairScheduler, "replay")]
+    )
+    def test_stalled_run_feeds_popped_prefix(self, factory, mode):
+        # Two jobs of 2 maps + 1 reduce: 18 events when they run, and 12
+        # popped (arrivals, maps, ALL_MAPS) before a 2x0 cluster stalls.
+        profile = make_constant_profile(num_maps=2, num_reduces=1)
+        trace = [TraceJob(profile, 0.0), TraceJob(profile, 1.0)]
+        observed = {}
+        for engine in ("object", "columnar"):
+            # One recorder for both runs: the stalled run must replace
+            # the finished run's stream, not leave it standing.
+            recorder = DigestRecorder(EventDigest(keep_events=True))
+            simulate(trace, factory(), ClusterConfig(2, 2), engine=engine,
+                     sanitizer=recorder)
+            assert recorder.digest.count == 18
+            with pytest.raises(RuntimeError, match="simulation stalled") as exc:
+                simulate(trace, factory(), ClusterConfig(2, 0), engine=engine,
+                         sanitizer=recorder)
+            observed[engine] = (
+                recorder.digest.events, recorder.hexdigest(), str(exc.value)
+            )
+        assert len(observed["object"][0]) == 12
+        assert observed["object"] == observed["columnar"]
+        engine = ColumnarEngine(ClusterConfig(2, 2), factory())
+        engine.run(trace)
+        assert engine.last_kernel_mode == mode
 
 
 class TestDualRunDivergence:
@@ -849,6 +868,7 @@ class TestServiceProtocol:
 #: Few distinct values, so arrivals, dispatches and departures tie often.
 _TIE_TIMES = (0.0, 1.0, 2.5)
 _TIE_DURATIONS = (0.0, 1.0, 2.0)
+_TIE_NAMES = ("a", "b", "c")
 _PASS_SCHEDULERS = {
     "FIFO": FIFOScheduler,
     "MaxEDF": MaxEDFScheduler,
@@ -873,7 +893,9 @@ def _tie_job(submit, num_maps, num_reduces, map_durations=(1.0,), duration=1.0):
 @st.composite
 def _tie_traces(draw):
     """Adversarial traces: equal submit times, equal durations (zero in
-    half the traces), map-only and reduce-only jobs, optional deadlines."""
+    half the traces), map-only and reduce-only jobs, optional deadlines,
+    and job names from a pool of three, so the pools, users and queues
+    the name selects contend."""
     shape = draw(st.sampled_from(("mixed", "map_only", "reduce_only")))
     zero_time = draw(st.booleans())
     durations = st.sampled_from(_TIE_DURATIONS if zero_time else _TIE_DURATIONS[1:])
@@ -884,7 +906,7 @@ def _tie_traces(draw):
         if num_maps == num_reduces == 0:
             num_maps, num_reduces = (0, 1) if shape == "reduce_only" else (1, 0)
         profile = JobProfile(
-            name="tie",
+            name=draw(st.sampled_from(_TIE_NAMES)),
             num_maps=num_maps,
             num_reduces=num_reduces,
             map_durations=draw(st.lists(durations, min_size=1, max_size=3)),
@@ -911,12 +933,15 @@ def _assert_pass_mode_matches(trace, policy, cluster, slowstart):
     from repro.core.engine import SimulatorEngine
 
     results = []
+    events = []
     for engine_cls in (SimulatorEngine, ColumnarEngine):
+        recorder = DigestRecorder(EventDigest(keep_events=True))
         engine = engine_cls(
             ClusterConfig(*cluster), _PASS_SCHEDULERS[policy](),
-            min_map_percent_completed=slowstart, record_events=True,
+            min_map_percent_completed=slowstart, sanitizer=recorder,
         )
         results.append(engine.run(trace))
+        events.append(recorder.digest.events)
     # Zero-time tasks (including absorbed ones) take replay mode (the
     # sorted stream would pop them too late); everything else here is
     # pass mode.
@@ -924,10 +949,6 @@ def _assert_pass_mode_matches(trace, policy, cluster, slowstart):
         "replay" if ColumnarEngine._has_instant_tasks(trace) else "passes"
     )
     obj, ker = results
-    events = [
-        [(e.time, int(e.event_type), e.job_id, e.task_index) for e in r.event_log]
-        for r in results
-    ]
     assert events[0] == events[1], _first_difference(*events)
     records = [
         [(t.kind, t.job_id, t.index, t.start, t.end, t.shuffle_end, t.first_wave)
@@ -998,7 +1019,108 @@ class TestEmissionOrderDifferential:
         trace=[_tie_job(1e17, 1, 1), _tie_job(1e17, 1, 1)],
         policy="FIFO", cluster=(1, 1), slowstart=0.0,
     )
-    def test_event_log_and_records_match_object_engine(
+    def test_events_and_records_match_object_loop(
         self, trace, policy, cluster, slowstart
     ):
         _assert_pass_mode_matches(trace, policy, cluster, slowstart)
+
+
+# --------------------------------------------------------------------------- #
+# generated differential tests: replay mode
+# --------------------------------------------------------------------------- #
+
+
+def _dp_tie_budgets():
+    from repro.schedulers import DynamicPriorityScheduler
+
+    # A few slot-seconds each: users run dry within one tie trace.
+    return DynamicPriorityScheduler(
+        {"a": (2.0, 3.0), "b": (4.0, 1.0)}, default_account=(1.0, 2.0)
+    )
+
+
+def _capacity_two_queues():
+    from repro.schedulers import CapacityScheduler
+
+    return CapacityScheduler(
+        {"front": 0.7, "back": 0.3},
+        queue_of=lambda job: "front" if job.profile.name == "a" else "back",
+    )
+
+
+def _tree(name):
+    def factory():
+        from repro.policy.compiler import compile_policy
+
+        return compile_policy(TestColumnarDynamicIdentity.TREES[name])
+
+    return factory
+
+
+#: Policies replay mode runs: name -> (scheduler factory, engine kwargs).
+_REPLAY_SCHEDULERS = {
+    "Fair": (FairScheduler, {}),
+    "Fair(weighted)": (
+        lambda: FairScheduler(weights={"a": 2.0, "b": 1.0, "c": 0.5}), {}
+    ),
+    "Fair+P": (lambda: FairScheduler(preemptive=True), {"preemption": True}),
+    "DP(budgets)": (_dp_tie_budgets, {}),
+    "Capacity(2 queues)": (_capacity_two_queues, {}),
+    "MaxEDF+P": (lambda: MaxEDFScheduler(preemptive=True), {"preemption": True}),
+    "MinEDF+P": (lambda: MinEDFScheduler(preemptive=True), {"preemption": True}),
+    "tree(mix)": (_tree("mix"), {}),
+    "tree(slots)": (_tree("slots"), {}),
+}
+
+
+def _observed_run(engine_cls, trace, policy, cluster, slowstart):
+    """(engine, recorder, result or None, stall message or None)."""
+    factory, kw = _REPLAY_SCHEDULERS[policy]
+    recorder = DigestRecorder(EventDigest(keep_events=True))
+    engine = engine_cls(
+        ClusterConfig(*cluster), factory(),
+        min_map_percent_completed=slowstart, sanitizer=recorder, **kw,
+    )
+    try:
+        return engine, recorder, engine.run(trace), None
+    except RuntimeError as exc:
+        return engine, recorder, None, str(exc)
+
+
+class TestReplayModeDifferential:
+    """Replay mode against the object engine over generated tie-heavy
+    traces: dynamic policies, policy trees, preemption and pools."""
+
+    @given(
+        trace=_tie_traces(),
+        policy=st.sampled_from(sorted(_REPLAY_SCHEDULERS)),
+        cluster=st.sampled_from(((1, 1), (2, 1), (3, 2), (16, 16))),
+        slowstart=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_events_records_and_timings_match_object_engine(
+        self, trace, policy, cluster, slowstart
+    ):
+        from repro.core.engine import SimulatorEngine
+
+        (_, rec_o, obj, err_o), (engine, rec_c, ker, err_c) = (
+            _observed_run(cls, trace, policy, cluster, slowstart)
+            for cls in (SimulatorEngine, ColumnarEngine)
+        )
+        assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay")
+        assert err_o == err_c
+        events = [rec_o.digest.events, rec_c.digest.events]
+        assert events[0] == events[1], _first_difference(*events)
+        assert rec_o.hexdigest() == rec_c.hexdigest()
+        if err_o is not None:
+            return
+        assert obj.events_processed == ker.events_processed == len(events[1])
+        records = [
+            [(t.kind, t.job_id, t.index, t.start, t.end, t.shuffle_end,
+              t.first_wave, t.killed) for t in r.task_records]
+            for r in (obj, ker)
+        ]
+        assert records[0] == records[1], _first_difference(*records)
+        assert [
+            (j.start_time, j.map_stage_end, j.completion_time) for j in obj.jobs
+        ] == [(j.start_time, j.map_stage_end, j.completion_time) for j in ker.jobs]

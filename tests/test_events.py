@@ -1,32 +1,8 @@
-"""Unit and property tests for the event primitives."""
+"""Unit tests for the event types and their tie-break priorities."""
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.core.events import Event, EventQueue, EventType
-
-
-class TestEvent:
-    def test_fields(self):
-        e = Event(1.5, EventType.JOB_ARRIVAL, 3, task_index=7)
-        assert e.time == 1.5
-        assert e.event_type is EventType.JOB_ARRIVAL
-        assert e.job_id == 3
-        assert e.task_index == 7
-
-    def test_task_index_defaults_to_none(self):
-        assert Event(0.0, EventType.JOB_ARRIVAL, 0).task_index is None
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Event(-0.1, EventType.JOB_ARRIVAL, 0)
-
-    def test_frozen(self):
-        e = Event(0.0, EventType.JOB_ARRIVAL, 0)
-        with pytest.raises(AttributeError):
-            e.time = 1.0  # type: ignore[misc]
+from repro.core.events import EventType
 
 
 class TestEventTypePriorities:
@@ -41,99 +17,3 @@ class TestEventTypePriorities:
     def test_all_maps_finished_between_map_and_reduce_departures(self):
         assert EventType.MAP_TASK_DEPARTURE < EventType.ALL_MAPS_FINISHED
         assert EventType.ALL_MAPS_FINISHED < EventType.REDUCE_TASK_DEPARTURE
-
-
-class TestEventQueue:
-    def test_empty(self):
-        q = EventQueue()
-        assert len(q) == 0
-        assert not q
-        with pytest.raises(IndexError):
-            q.pop()
-        with pytest.raises(IndexError):
-            q.peek()
-
-    def test_pops_in_time_order(self):
-        q = EventQueue()
-        for t in (5.0, 1.0, 3.0, 2.0, 4.0):
-            q.push(Event(t, EventType.JOB_ARRIVAL, 0))
-        times = [q.pop().time for _ in range(5)]
-        assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_same_time_orders_by_type_priority(self):
-        q = EventQueue()
-        q.push(Event(1.0, EventType.MAP_TASK_ARRIVAL, 0))
-        q.push(Event(1.0, EventType.MAP_TASK_DEPARTURE, 1))
-        q.push(Event(1.0, EventType.JOB_ARRIVAL, 2))
-        order = [q.pop().event_type for _ in range(3)]
-        assert order == [
-            EventType.MAP_TASK_DEPARTURE,
-            EventType.JOB_ARRIVAL,
-            EventType.MAP_TASK_ARRIVAL,
-        ]
-
-    def test_same_time_same_type_is_fifo(self):
-        q = EventQueue()
-        for job_id in range(10):
-            q.push(Event(2.0, EventType.MAP_TASK_ARRIVAL, job_id))
-        assert [q.pop().job_id for _ in range(10)] == list(range(10))
-
-    def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.push(Event(1.0, EventType.JOB_ARRIVAL, 0))
-        assert q.peek().job_id == 0
-        assert q.peek_time() == 1.0
-        assert len(q) == 1
-
-    def test_total_pushed_counts_lifetime(self):
-        q = EventQueue()
-        for i in range(5):
-            q.push(Event(float(i), EventType.JOB_ARRIVAL, i))
-        q.pop()
-        q.pop()
-        assert q.total_pushed == 5
-
-    def test_iteration_preserves_queue(self):
-        q = EventQueue()
-        for t in (3.0, 1.0, 2.0):
-            q.push(Event(t, EventType.JOB_ARRIVAL, 0))
-        assert [e.time for e in q] == [1.0, 2.0, 3.0]
-        assert len(q) == 3
-
-    def test_clear(self):
-        q = EventQueue()
-        q.push(Event(0.0, EventType.JOB_ARRIVAL, 0))
-        q.clear()
-        assert not q
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=1e6, allow_nan=False),
-                st.sampled_from(list(EventType)),
-                st.integers(min_value=0, max_value=100),
-            ),
-            max_size=200,
-        )
-    )
-    def test_property_pop_order_is_total(self, triples):
-        """Pops are sorted by (time, type) regardless of push order."""
-        q = EventQueue()
-        for t, et, jid in triples:
-            q.push(Event(t, et, jid))
-        popped = [q.pop() for _ in range(len(triples))]
-        keys = [(e.time, int(e.event_type)) for e in popped]
-        assert keys == sorted(keys)
-
-    @given(st.permutations(list(range(12))))
-    def test_property_insertion_order_independence(self, perm):
-        """Two queues with the same events pop identically (stable tie-break
-        applies only to genuinely identical keys)."""
-        events = [Event(float(i % 3), EventType.MAP_TASK_DEPARTURE, i) for i in range(12)]
-        q1 = EventQueue()
-        for e in events:
-            q1.push(e)
-        # Same multiset of (time, type) keys, different job ids order —
-        # sequence numbers keep FIFO within equal keys.
-        times1 = [(e.time, e.event_type) for e in (q1.pop() for _ in range(12))]
-        assert times1 == sorted(times1, key=lambda k: (k[0], int(k[1])))

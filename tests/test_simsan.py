@@ -131,12 +131,6 @@ class TestCleanRuns:
         assert a.events_processed == b.events_processed
         assert [j.completion_time for j in a.jobs] == [j.completion_time for j in b.jobs]
 
-    def test_sanitize_composes_with_record_events(self):
-        profile = make_constant_profile(num_maps=2, num_reduces=1)
-        engine = fresh_engine(sanitize=True, record_events=True)
-        result = engine.run([TraceJob(profile, 0.0)])
-        assert len(result.event_log) == result.events_processed
-
     def test_rerun_resets_sanitizer_state(self):
         trace = [TraceJob(make_constant_profile(num_maps=2, num_reduces=1), 0.0)]
         san = Sanitizer(fail_fast=False, digest=EventDigest())
