@@ -54,6 +54,21 @@ simmr("trace", "pack", str(out / "smoke.json"), str(out / "smoke.simmr"))
 simmr("trace", "unpack", str(out / "smoke.simmr"), str(out / "roundtrip.json"))
 assert trace_digest(load_trace(out / "roundtrip.json")) == digest, "digest drift"
 print(f"pack/unpack round trip OK (digest {digest})")
+
+# Flip the low mantissa bit of the last duration (the data section ends
+# the file): still a valid duration, so only the digest check can catch it.
+packed = bytearray((out / "smoke.simmr").read_bytes())
+packed[-8] ^= 0x01
+(out / "corrupt.simmr").write_bytes(bytes(packed))
+bad = subprocess.run(
+    [sys.executable, "-m", "repro", "trace", "unpack",
+     str(out / "corrupt.simmr"), str(out / "corrupt.json")],
+    capture_output=True, text=True,
+    env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+)
+assert bad.returncode != 0, "corrupted .simmr unpacked without error"
+assert "header digest does not match content" in bad.stderr, bad.stderr
+print("corrupted .simmr rejected (header digest does not match content)")
 PY
 
 echo

@@ -1086,7 +1086,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"simmr trace pack: {args.input} is already packed",
                   file=sys.stderr)
             return 2
-        trace = load_trace(args.input)
+        try:
+            trace = load_trace(args.input)
+        except ValueError as exc:
+            print(f"simmr trace pack: {args.input}: {exc}", file=sys.stderr)
+            return 2
         nbytes = save_trace_bin(trace, args.output)
         json_bytes = args.input.stat().st_size
         ratio = json_bytes / nbytes if nbytes else 0.0
@@ -1098,7 +1102,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"simmr trace unpack: {args.input} is not a binary trace",
               file=sys.stderr)
         return 2
-    trace = load_trace_bin(args.input)
+    try:
+        trace = load_trace_bin(args.input)
+    except ValueError as exc:
+        print(f"simmr trace unpack: {args.input}: {exc}", file=sys.stderr)
+        return 2
     save_trace(trace, args.output)
     print(f"unpacked {len(trace)} jobs to {args.output}; "
           f"digest {trace_digest(trace)}")

@@ -237,33 +237,6 @@ class TraceColumns:
         raw = memoryview(self.data).cast("B")
         return [self._job(i, raw) for i in range(len(self.names))]
 
-    # -- equality (tests / round-trip checks) ------------------------------
-
-    def digest_material_equal(self, other: "TraceColumns") -> bool:
-        """Bit-for-bit equality of everything :func:`trace_digest` sees."""
-        if (
-            self.names != other.names
-            or self.submit_times != other.submit_times
-            or self.depends_on != other.depends_on
-            or self.num_maps != other.num_maps
-            or self.num_reduces != other.num_reduces
-        ):
-            return False
-        # NaN-encoded deadlines: array('d') equality treats NaN != NaN,
-        # so compare the raw bytes instead.
-        if self.deadlines.tobytes() != other.deadlines.tobytes():
-            return False
-        mine = memoryview(self.data).cast("B")
-        theirs = memoryview(other.data).cast("B")
-        for slot in range(0, len(self.spans), 2):
-            a_off, a_len = self.spans[slot] * 8, self.spans[slot + 1] * 8
-            b_off, b_len = other.spans[slot] * 8, other.spans[slot + 1] * 8
-            if a_len != b_len or bytes(mine[a_off:a_off + a_len]) != bytes(
-                theirs[b_off:b_off + b_len]
-            ):
-                return False
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceColumns(jobs={len(self)}, durations={self.total_durations}, "

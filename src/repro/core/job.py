@@ -196,7 +196,9 @@ class TraceJob:
     """One entry of a replayable trace: profile + submit time + deadline.
 
     ``deadline`` is absolute simulated time (not relative to submission);
-    ``None`` means the job has no deadline (FIFO-style workloads).
+    ``None`` is the one way to say the job has no deadline (FIFO-style
+    workloads) — NaN and infinities are rejected.  Both times are
+    stored as ``float``, so ``submit_time=0`` and ``0.0`` are one trace.
 
     ``depends_on`` turns traces into workflows: the index (within the
     trace) of a job that must complete before this one is submitted.
@@ -211,12 +213,19 @@ class TraceJob:
     depends_on: Optional[int] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "submit_time", float(self.submit_time))
         if self.submit_time < 0 or not math.isfinite(self.submit_time):
             raise ValueError(f"submit_time must be finite and >= 0, got {self.submit_time}")
-        if self.deadline is not None and self.deadline < self.submit_time:
-            raise ValueError(
-                f"deadline {self.deadline} precedes submit_time {self.submit_time}"
-            )
+        if self.deadline is not None:
+            object.__setattr__(self, "deadline", float(self.deadline))
+            if not math.isfinite(self.deadline):
+                raise ValueError(
+                    f"deadline must be finite (None means no deadline), got {self.deadline}"
+                )
+            if self.deadline < self.submit_time:
+                raise ValueError(
+                    f"deadline {self.deadline} precedes submit_time {self.submit_time}"
+                )
         if self.depends_on is not None and self.depends_on < 0:
             raise ValueError(f"depends_on must be a trace index >= 0, got {self.depends_on}")
 

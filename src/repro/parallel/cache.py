@@ -6,7 +6,7 @@ re-runs incremental: each completed simulation is stored under a
 BLAKE2b key derived from everything that determines its outcome —
 
 * the **trace digest** (:func:`repro.sanitize.digest.trace_digest` —
-  canonical-JSON content hash of the replayed trace),
+  content hash of the replayed trace's canonical byte layout),
 * the **scheduler identity** (registry kind, name, constructor kwargs),
 * the **engine configuration** (slot counts, slow-start, task
   recording, preemption) plus a cache schema / package version salt.
@@ -41,8 +41,9 @@ from ..core.results_io import result_from_dict, result_to_dict
 __all__ = ["ResultCache", "CacheStats", "cache_key", "default_cache_path"]
 
 #: Bump to invalidate every stored entry (schema or semantic change in
-#: what a cached simulation means).
-CACHE_SCHEMA_VERSION = 1
+#: what a cached simulation means).  Version 2: trace digests are taken
+#: over a byte layout, not JSON text, so rows keyed on old digests miss.
+CACHE_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (

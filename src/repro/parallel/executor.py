@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..core.cluster import ClusterConfig
+from ..core.columns import TraceColumns
 from ..core.engine import SimulatorEngine
 from ..core.kernel import ColumnarEngine
 from ..core.job import TraceJob
@@ -408,18 +409,21 @@ def last_fanout_stats() -> Optional[FanoutStats]:
 class _PublishedTraces:
     """Parent-side shared storage for one pool's traces.
 
-    Packs each trace once (binary format), publishes it in shared
-    memory, or in a temporary file (``mmap``-ed by workers) where shared
-    memory is unavailable, and tears the storage down in :meth:`close`
-    after the pool has exited.
+    Packs each trace once (binary format) under the digest the caller
+    already computed, publishes it in shared memory, or in a temporary
+    file (``mmap``-ed by workers) where shared memory is unavailable,
+    and tears the storage down in :meth:`close` after the pool has
+    exited.  Each worker's decode re-checks that digest against the
+    bytes it maps.
     """
 
     def __init__(
         self,
         traces: Mapping[str, Sequence[TraceJob]],
+        digests: Mapping[str, str],
         workers: int,
     ) -> None:
-        from ..trace.binfmt import pack_trace
+        from ..trace.binfmt import pack_columns
 
         self.sources: dict[str, _TraceSource] = {}
         self._segments: list[Any] = []
@@ -428,7 +432,9 @@ class _PublishedTraces:
         used: set[str] = set()
         try:
             for trace_id, trace in traces.items():
-                payload = pack_trace(trace)
+                payload = pack_columns(
+                    TraceColumns.from_trace(trace), digests[trace_id]
+                )
                 payload_bytes += len(payload)
                 try:
                     self.sources[trace_id] = self._publish_shm(payload)
@@ -634,7 +640,7 @@ def _simulate_many(
         }
         ctx = multiprocessing.get_context()
         nproc = min(workers, len(parallel))
-        with _PublishedTraces(used_traces, nproc) as published:
+        with _PublishedTraces(used_traces, digests, nproc) as published:
             _LAST_FANOUT = published.stats
             with ctx.Pool(
                 nproc, initializer=_init_worker, initargs=(published.sources,)

@@ -23,7 +23,10 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+import numpy as np
+
 from ..core.events import EventType
+from ..trace.schema import SCHEMA_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.engine import SimulatorEngine
@@ -54,24 +57,70 @@ _PACK_DTYPE = [
     ("task_index", "<i4"),
 ]
 
+# Canonical trace layout of :func:`trace_digest`: tag, schema version,
+# job count; then per job submit, deadline, deadline-present byte,
+# depends_on, num_maps, num_reduces and name length.
+_TRACE_HEAD = struct.Struct("<8sIQ")
+_JOB_HEAD = struct.Struct("<ddBqqqQ")
+_LENGTH = struct.Struct("<Q").pack
+
 
 def trace_digest(trace: Sequence["TraceJob"]) -> str:
     """Content digest of a replayable trace (the cache-key input).
 
-    BLAKE2b over the canonical JSON of the trace's
-    :func:`~repro.trace.schema.trace_to_dict` document (sorted keys, no
-    whitespace), so two traces digest equally iff they would serialize
-    identically — the same identity the trace files and the trace
-    database use.  :mod:`repro.parallel` keys its content-addressed
-    result cache on this together with the scheduler and engine
-    configuration.
+    BLAKE2b-16 over a canonical little-endian byte layout of the
+    trace's logical content (no JSON is built):
+
+    * ``_TRACE_HEAD``: the tag ``SMRTRACE``, the trace
+      :data:`~repro.trace.schema.SCHEMA_VERSION` and the job count;
+    * per job, one ``_JOB_HEAD`` record: submit time f64, deadline f64
+      (0.0 when absent) plus a deadline-present byte, ``depends_on`` i64
+      (-1 for none), ``num_maps`` i64, ``num_reduces`` i64 and the
+      UTF-8 name length; then the name bytes;
+    * then the job's four phase vectors (map, first shuffle, typical
+      shuffle, reduce), each as a u64 length followed by its raw
+      ``<f8`` bytes.
+
+    Every variable-length field is length-prefixed, so two traces
+    digest equally iff their canonical JSON documents
+    (:func:`~repro.trace.schema.trace_to_dict`) are the same text:
+    ``-0.0`` and ``0.0`` differ in both.  The digest reads each job's
+    own vectors, so it does not depend on how
+    :class:`~repro.core.columns.TraceColumns` deduplicates them or
+    where their buffer lives (heap, ``mmap``, shared memory).
+    :mod:`repro.parallel` keys its content-addressed result cache on
+    this together with the scheduler and engine configuration, and the
+    ``.simmr`` header records it.
     """
-    import json
-
-    from ..trace.schema import trace_to_dict
-
-    payload = json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
-    return blake2b(payload.encode(), digest_size=16).hexdigest()
+    h = blake2b(_TRACE_HEAD.pack(b"SMRTRACE", SCHEMA_VERSION, len(trace)), digest_size=16)
+    update = h.update
+    for job in trace:
+        profile = job.profile
+        # surrogatepass keeps the encoding injective for every str, so a
+        # name JSON can carry (a lone surrogate) still digests.
+        name = profile.name.encode("utf-8", "surrogatepass")
+        deadline = job.deadline
+        update(
+            _JOB_HEAD.pack(
+                job.submit_time,
+                0.0 if deadline is None else deadline,
+                deadline is not None,
+                -1 if job.depends_on is None else job.depends_on,
+                profile.num_maps,
+                profile.num_reduces,
+                len(name),
+            )
+        )
+        update(name)
+        for durations in (
+            profile.map_durations,
+            profile.first_shuffle_durations,
+            profile.typical_shuffle_durations,
+            profile.reduce_durations,
+        ):
+            update(_LENGTH(durations.size))
+            update(np.ascontiguousarray(durations, dtype="<f8"))
+    return h.hexdigest()
 
 
 def _describe_event(event: tuple[float, int, int, int]) -> str:
@@ -122,8 +171,6 @@ class EventDigest:
         This is what lets the columnar kernel fingerprint a
         400k-event run without paying 400k python-level hash calls.
         """
-        import numpy as np
-
         rec = np.empty(len(times), dtype=_PACK_DTYPE)
         rec["time"] = times
         rec["etype"] = etypes

@@ -13,12 +13,10 @@ cache hit skips digest recomputation too and the executor/result-cache
 keys stay byte-identical to a cold load.
 
 Binary traces (:mod:`repro.trace.binfmt`) get a second win on the cold
-path: their header already records the canonical digest, so loading one
-costs an ``mmap`` plus an O(jobs) header walk — no JSON parse and no
-canonical re-serialization.  Trace files live under the operator's
-configured trace root, so the header digest is trusted here; clients
-that must not trust a file can always recompute via
-:func:`~repro.sanitize.digest.trace_digest`.
+path: loading one costs an ``mmap``, an O(jobs) header walk and one
+digest pass — no JSON parse.  The loader checks the header's digest
+against the decoded content, so a corrupted ``.simmr`` is rejected
+(HTTP 400) instead of keying the result cache on a stale identity.
 
 The cache is shared across the service's request threads; a plain lock
 guards the LRU order book-keeping.  Loads happen outside the lock, so a

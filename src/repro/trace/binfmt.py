@@ -20,21 +20,32 @@ Layout (all integers little-endian, fixed-width, ``struct``-packed)::
                     num_reduces i64, name (offset u64, length u64) into
                     the names blob, then 4 phase spans (offset u64,
                     length u64) in float64 units into the data section
-    names    names_bytes B of UTF-8, deduplicated, 8-byte padded
+    names    names_bytes B of UTF-8 (lone surrogates passed through, as
+             JSON allows them), deduplicated, 8-byte padded
     data     ndoubles * 8 B of raw little-endian float64 durations,
              content-deduplicated, 8-byte aligned in the file
 
 **Digest stability.**  The header records the trace's canonical
-identity — :func:`repro.sanitize.digest.trace_digest`, the BLAKE2b of
-the canonical *JSON* document — so the same trace has the same digest
-in every format, and a binary load can key caches without
-re-serializing.  Packing is deterministic: the same trace always
+identity — :func:`repro.sanitize.digest.trace_digest`, BLAKE2b-16 over
+a canonical byte layout of the jobs' logical content — so the same
+trace has the same digest in every format and a loaded trace keys
+caches exactly as its JSON twin would.  Version 2 is the first version
+whose header carries that digest; version-1 files (whose header held
+the older JSON-text digest) are rejected and must be re-packed from
+their JSON trace.  Packing is deterministic: the same trace always
 produces byte-identical files (dedup decisions depend only on content,
-in job order).  Consumers that must not trust a file's header (it could
-be hand-edited) pass ``verify=True`` to recompute the digest from the
-decoded jobs.  Downstream cache keys further salt this digest with the
-cache schema and package version (:func:`repro.parallel.cache.cache_key`),
-so a format change can never resurrect stale results.
+in job order).
+
+**The header is never trusted.**  Every decode
+(:func:`unpack_columns`, and through it the file, ``mmap`` and
+shared-memory paths) recomputes the digest from the decoded jobs and
+raises ``ValueError`` when it disagrees with the header, so a flipped
+duration byte cannot load under a stale identity.  The check decodes
+the jobs once more and digests them: a cold load of a 120-job,
+~73k-duration trace takes ~16 ms instead of ~7 ms.  Downstream cache
+keys further salt this digest with the cache schema and package version
+(:func:`repro.parallel.cache.cache_key`), so a format change can never
+resurrect stale results.
 
 Only ``struct``/``array``/``mmap`` from the stdlib are used here; the
 numpy views appear one layer up, in :mod:`repro.core.columns`.
@@ -67,7 +78,7 @@ __all__ = [
 ]
 
 BINARY_MAGIC = b"SIMMRBIN"
-BINARY_VERSION = 1
+BINARY_VERSION = 2
 
 _HEADER = struct.Struct("<8sHHIQQQ32s")
 _JOB = struct.Struct("<ddqqq" + "Q" * 10)
@@ -88,9 +99,10 @@ def _pad8(n: int) -> int:
 def pack_columns(columns: TraceColumns, digest: str) -> bytes:
     """Serialize columnar storage into the binary container.
 
-    ``digest`` is the trace's canonical content digest (32 hex chars);
-    callers that start from job objects should use :func:`pack_trace`,
-    which computes it.
+    ``digest`` is the trace's :func:`~repro.sanitize.digest.trace_digest`
+    (32 hex chars); callers that start from job objects should use
+    :func:`pack_trace`.  A wrong digest is not caught here but on every
+    later decode.
     """
     if len(digest) != 32:
         raise ValueError(f"trace digest must be 32 hex chars, got {len(digest)}")
@@ -100,7 +112,7 @@ def pack_columns(columns: TraceColumns, digest: str) -> bytes:
     name_spans: dict[str, tuple[int, int]] = {}
     for name in columns.names:
         if name not in name_spans:
-            encoded = name.encode("utf-8")
+            encoded = name.encode("utf-8", "surrogatepass")
             name_spans[name] = (len(names_blob), len(encoded))
             names_blob += encoded
     names_blob += b"\x00" * _pad8(len(names_blob))
@@ -177,6 +189,11 @@ def _parse_header(view: memoryview) -> tuple[int, int, int, str]:
     )
     if magic != BINARY_MAGIC:
         raise ValueError("not a binary trace (bad magic)")
+    if version == 1:
+        raise ValueError(
+            "binary trace version 1 carries a retired trace digest; "
+            "re-pack it from its JSON trace (simmr trace pack)"
+        )
     if version != BINARY_VERSION:
         raise ValueError(
             f"unsupported binary trace version {version} (expected {BINARY_VERSION})"
@@ -195,7 +212,8 @@ def _parse_header(view: memoryview) -> tuple[int, int, int, str]:
 
 
 def packed_digest(data: Buffer) -> str:
-    """The canonical trace digest recorded in a packed trace's header."""
+    """The trace digest recorded in a packed trace's header (unverified;
+    :func:`unpack_columns` checks it against the content)."""
     _, _, _, digest = _parse_header(memoryview(data).cast("B"))
     return digest
 
@@ -209,7 +227,8 @@ def unpack_columns(
     *memoryview into* ``data`` — no duration bytes are copied.  Pass
     ``owner`` to pin the object that must stay alive for the buffer to
     remain valid (an ``mmap``, a shared-memory segment); it is stored
-    on the returned columns.
+    on the returned columns.  Raises ``ValueError`` when the header
+    digest does not match the decoded content.
     """
     view = memoryview(data).cast("B")
     njobs, ndoubles, names_bytes, digest = _parse_header(view)
@@ -229,7 +248,8 @@ def unpack_columns(
     for record in _JOB.iter_unpack(view[_HEADER_SIZE:names_off]):
         submit, deadline, dep, n_maps, n_reduces, name_off, name_len = record[:7]
         job_spans = record[7:]
-        names.append(bytes(names_view[name_off:name_off + name_len]).decode("utf-8"))
+        raw_name = bytes(names_view[name_off:name_off + name_len])
+        names.append(raw_name.decode("utf-8", "surrogatepass"))
         submit_times.append(submit)
         deadlines.append(deadline)
         depends_on.append(dep)
@@ -251,6 +271,10 @@ def unpack_columns(
         data=duration_view,
         owner=owner,
     )
+    from ..sanitize.digest import trace_digest
+
+    if trace_digest(columns.jobs()) != digest:
+        raise ValueError("binary trace corrupt: header digest does not match content")
     return columns, digest
 
 

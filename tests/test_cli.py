@@ -356,6 +356,17 @@ class TestTracePackUnpack:
         assert main(["trace", "unpack", str(json_trace), str(tmp_path / "x")]) == 2
         assert "not a binary trace" in capsys.readouterr().err
 
+    def test_unpack_rejects_content_not_matching_header(self, json_trace, tmp_path, capsys):
+        packed = tmp_path / "t.simmr"
+        main(["trace", "pack", str(json_trace), str(packed)])
+        payload = bytearray(packed.read_bytes())
+        payload[-8] ^= 0x01  # low mantissa bit of the last duration
+        packed.write_bytes(bytes(payload))
+        capsys.readouterr()
+        assert main(["trace", "unpack", str(packed), str(tmp_path / "x.json")]) == 2
+        assert "header digest does not match content" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_replay_accepts_packed_trace(self, json_trace, tmp_path, capsys):
         packed = tmp_path / "t.simmr"
         main(["trace", "pack", str(json_trace), str(packed)])

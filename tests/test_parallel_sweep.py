@@ -360,18 +360,21 @@ class TestResourceSafetyRegressions:
             raise OSError("shared memory unavailable")
 
         monkeypatch.setattr(ex._PublishedTraces, "_publish_shm", no_shared_memory)
-        real_pack = binfmt.pack_trace
+        real_pack = binfmt.pack_columns
         calls = {"n": 0}
 
-        def failing_pack(t):
+        def failing_pack(columns, digest):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise OSError("disk full")
-            return real_pack(t)
+            return real_pack(columns, digest)
 
-        monkeypatch.setattr(binfmt, "pack_trace", failing_pack)
+        monkeypatch.setattr(binfmt, "pack_columns", failing_pack)
+        digest = trace_digest(trace)
         with pytest.raises(OSError, match="disk full"):
-            ex._PublishedTraces({"a": trace, "b": trace}, 2)
+            ex._PublishedTraces(
+                {"a": trace, "b": trace}, {"a": digest, "b": digest}, 2
+            )
         assert created, "first trace should have spilled to a tempfile"
         assert all(not os.path.exists(p) for p in created)
 
@@ -394,19 +397,22 @@ class TestResourceSafetyRegressions:
             return source
 
         monkeypatch.setattr(ex._PublishedTraces, "_publish_shm", recording_publish)
-        real_pack = binfmt.pack_trace
+        real_pack = binfmt.pack_columns
         calls = {"n": 0}
 
-        def failing_pack(t):
+        def failing_pack(columns, digest):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise OSError("boom")
-            return real_pack(t)
+            return real_pack(columns, digest)
 
-        monkeypatch.setattr(binfmt, "pack_trace", failing_pack)
+        monkeypatch.setattr(binfmt, "pack_columns", failing_pack)
+        digest = trace_digest(trace)
         try:
             with pytest.raises(OSError, match="boom"):
-                ex._PublishedTraces({"a": trace, "b": trace}, 2)
+                ex._PublishedTraces(
+                    {"a": trace, "b": trace}, {"a": digest, "b": digest}, 2
+                )
         except (ImportError, OSError) as exc:  # platform without shm
             pytest.skip(f"shared memory unavailable: {exc}")
         assert names, "first trace should have been published"
