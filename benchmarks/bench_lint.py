@@ -2,7 +2,7 @@
 
 The analysis cache (``repro.analysis.cache``) claims a warm ``simmr
 lint`` over an unchanged tree is a digest sweep plus a JSON replay —
-no parsing, no call graph, no effect inference, no CFG dataflow.  This
+no parsing, no call graph or taint closures, no CFG dataflow.  This
 benchmark measures the claim: one cold run populating a fresh cache,
 one warm run against it, both over the real ``src/repro`` tree.
 

@@ -14,13 +14,12 @@ Layout
 ``registry``   the rule registry, rule docs, id validation
 ``visitor``    the single-pass AST walker and per-file context
 ``rules``      the DET/SIM/API rule implementations and CONC/RES shims
-``callgraph``  the whole-program module index and call edges
+``callgraph``  the whole-program module index, call edges and the
+               wallclock/rng/mutation/raise taint closures
 ``cfg``        per-function control-flow graphs with exceptional edges
 ``dataflow``   the forward "held resource" walk over CFGs
 ``concurrency`` thread-entry reachability and the CONC rule family
 ``resources``  acquire/release path tracking and the RES rule family
-``effects``    per-function effect/determinism inference (the lattice)
-``certify``    scheduler safety certificates over the lattice
 ``cache``      the content-addressed incremental analysis store
 ``baseline``   the committed accepted-findings ledger
 ``reporter``   text, JSON, GitHub-annotation and SARIF renderers
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 from .baseline import Baseline, load_baseline, partition_findings, write_baseline
 from .cache import AnalysisCache, default_cache_path
-from .certify import certify_target
 from .config import LintConfig
 from .findings import Finding, Severity
 from .registry import RuleInfo, RuleRegistry, default_registry
@@ -50,7 +48,6 @@ __all__ = [
     "LintConfig",
     "RuleInfo",
     "RuleRegistry",
-    "certify_target",
     "default_cache_path",
     "default_registry",
     "lint_paths",

@@ -1,9 +1,9 @@
 """Content-addressed incremental cache for whole-program analysis.
 
-Lint and certification both start with the same expensive prefix:
-read + parse every module, build the call graph, run effect inference
-and the CFG/dataflow passes.  On a warm tree none of that can produce
-a different answer, so the cache short-circuits it:
+Lint starts with an expensive prefix: read + parse every module, build
+the call graph and its taint closures, run the CFG/dataflow passes.
+On a warm tree none of that can produce a different answer, so the
+cache short-circuits it:
 
 * every module is addressed by a BLAKE2b digest of its source;
 * a **program key** digests the sorted ``(path, digest)`` pairs plus
@@ -19,14 +19,12 @@ a different answer, so the cache short-circuits it:
   full.  Cross-module findings always recompute: the call graph makes
   their validity a property of the whole tree.
 
-Certificates (:mod:`repro.analysis.certify`) store under the same
-program key, so a warm ``simmr certify`` is a digest check plus a JSON
-load.
-
 The store is one JSON file living alongside the lint baseline
 (``scripts/lint_baseline.json`` -> ``scripts/.analysis_cache.json`` by
 default), written atomically via rename.  A missing, corrupt, or
-stale-engine file degrades to an empty cache — never an error.
+stale-engine file degrades to an empty cache — never an error; so does
+a store of another layout version (version 1 also held
+scheduler certificates).
 """
 
 from __future__ import annotations
@@ -52,8 +50,11 @@ __all__ = [
 ]
 
 #: Bump whenever rule or engine behaviour changes in a way that can
-#: alter findings or certificates for unchanged sources.
+#: alter findings for unchanged sources.
 ANALYSIS_SALT = "2"
+
+#: Layout of the JSON store; a file with any other version loads empty.
+_STORE_VERSION = 2
 
 #: Keep at most this many program-level entries (insertion-ordered
 #: eviction); one per (tree state, config) actually in use.
@@ -74,8 +75,8 @@ def engine_version() -> str:
 
     The interpreter version participates too: a checkout shared across
     Python versions (worktrees, containers, version bumps) must not
-    replay findings or certificates produced by an interpreter whose
-    ``ast`` grammar or analysis behaviour differs.
+    replay findings produced by an interpreter whose ``ast`` grammar or
+    analysis behaviour differs.
     """
     from .registry import default_registry
 
@@ -142,11 +143,10 @@ class AnalysisCache:
     @staticmethod
     def _empty() -> dict[str, Any]:
         return {
-            "version": 1,
+            "version": _STORE_VERSION,
             "engine": engine_version(),
             "program": {},
             "modules": {},
-            "certificates": {},
         }
 
     @classmethod
@@ -159,11 +159,11 @@ class AnalysisCache:
             return cls(path)
         if (
             not isinstance(data, dict)
-            or data.get("version") != 1
+            or data.get("version") != _STORE_VERSION
             or data.get("engine") != engine_version()
         ):
             return cls(path)
-        for key in ("program", "modules", "certificates"):
+        for key in ("program", "modules"):
             if not isinstance(data.get(key), dict):
                 return cls(path)
         return cls(path, data)
@@ -231,27 +231,5 @@ class AnalysisCache:
         self._data["modules"][path] = {
             "digest": digest,
             "local": [f.to_dict() for f in findings],
-        }
-        self._dirty = True
-
-    # ------------------------------------------------------------------ #
-    # certificates
-    # ------------------------------------------------------------------ #
-
-    def lookup_certificate(
-        self, target: str, key: str
-    ) -> Optional[dict[str, Any]]:
-        entry = self._data["certificates"].get(target)
-        if entry is None or entry.get("program") != key:
-            return None
-        certificate = entry.get("certificate")
-        return certificate if isinstance(certificate, dict) else None
-
-    def store_certificate(
-        self, target: str, key: str, certificate: dict[str, Any]
-    ) -> None:
-        self._data["certificates"][target] = {
-            "program": key,
-            "certificate": certificate,
         }
         self._dirty = True

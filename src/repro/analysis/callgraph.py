@@ -38,13 +38,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from .config import LintConfig
 from .visitor import WALLCLOCK_CALLS, parse_suppressions
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .effects import EffectSummary
 
 __all__ = [
     "CallGraph",
@@ -165,11 +162,9 @@ class FuncNode:
     refs: list[tuple[tuple, ast.AST]] = field(default_factory=list)
     callees: list["FuncNode"] = field(default_factory=list)
     #: Per-kind forward step toward the sink: either ("sink", Sink) or
-    #: ("call", FuncNode).  Absent key = not tainted.  Populated by the
-    #: effect engine (:mod:`repro.analysis.effects`) during finalize().
+    #: ("call", FuncNode).  Absent key = not tainted.  Populated by
+    #: :meth:`CallGraph._propagate` during finalize().
     taint: dict[TaintKind, tuple] = field(default_factory=dict)
-    #: Full effect-lattice summary, also filled in by the effect engine.
-    effects: "Optional[EffectSummary]" = None
 
     @property
     def display(self) -> str:
@@ -192,11 +187,6 @@ class _ModuleIdx:
     aliases: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FuncNode] = field(default_factory=dict)
     classes: dict[str, _ClassIdx] = field(default_factory=dict)
-    #: Module-level mutable bindings (name -> lineno of first assignment).
-    #: The effect engine treats consuming/mutating one of these from a
-    #: function body as a ``mutates-global`` (and, for iterators, a
-    #: nondeterminism) source.
-    state: dict[str, int] = field(default_factory=dict)
 
 
 def _relative_target(module: str, is_package: bool, level: int, name: Optional[str]) -> Optional[str]:
@@ -425,18 +415,6 @@ class CallGraph:
             for alias in stmt.names:
                 local = alias.asname or alias.name
                 mod.aliases[local] = f"{target}.{alias.name}"
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Tuple):
-                    names: Iterable[ast.expr] = target.elts
-                else:
-                    names = [target]
-                for name_node in names:
-                    if isinstance(name_node, ast.Name):
-                        mod.state.setdefault(name_node.id, stmt.lineno)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self._index_function(mod, stmt, cls=None)
         elif isinstance(stmt, ast.ClassDef):
@@ -576,13 +554,36 @@ class CallGraph:
                         continue
                     fn.callees.append(callee)
                     self._callsites.setdefault(id(site), []).append(callee)
-        # Effect inference subsumes the old per-kind reverse-BFS taint
-        # closures: the engine computes the full summary lattice per
-        # function (fixpoint over SCCs) and back-fills ``fn.taint`` with
-        # the same four legacy kinds the cross-module rules consume.
-        from .effects import infer_effects
+        self._propagate()
 
-        infer_effects(self)
+    def _propagate(self) -> None:
+        """Reverse-BFS each taint kind from its sinks to all callers.
+
+        The frontier starts from the sinking functions in
+        :meth:`iter_functions` order and each caller keeps the first
+        step that reaches it, so witness chains are shortest and
+        deterministic.
+        """
+        functions = list(self.iter_functions())
+        callers: dict[int, list[FuncNode]] = {}
+        for fn in functions:
+            for callee in fn.callees:
+                callers.setdefault(id(callee), []).append(fn)
+        for kind in _KINDS:
+            frontier: list[FuncNode] = []
+            for fn in functions:
+                sink = next((s for s in fn.sinks if s.kind == kind), None)
+                if sink is not None:
+                    fn.taint[kind] = ("sink", sink)
+                    frontier.append(fn)
+            while frontier:
+                nxt: list[FuncNode] = []
+                for fn in frontier:
+                    for caller in callers.get(id(fn), ()):
+                        if kind not in caller.taint:
+                            caller.taint[kind] = ("call", fn)
+                            nxt.append(caller)
+                frontier = nxt
 
     # ------------------------------------------------------------------ #
     # queries (used by rules)
@@ -652,36 +653,6 @@ class CallGraph:
         if mod is None:
             return None
         return self._resolve_ref(mod, ref)
-
-    def class_closure(self, module: str, cls_name: str) -> dict[str, FuncNode]:
-        """Every method of ``cls_name`` including resolvable inherited ones.
-
-        Closest override wins (subclass methods shadow base methods), so
-        the result is the method table certification must reason about.
-        Unresolvable bases (third-party, builtins) contribute nothing —
-        consistent with the rest of the graph's never-guess stance.
-        """
-        out: dict[str, FuncNode] = {}
-        mod = self._modules.get(module)
-        if mod is None:
-            return out
-        queue: list[tuple[_ModuleIdx, str]] = [(mod, cls_name)]
-        seen: set[tuple[str, str]] = set()
-        while queue:
-            owner, name = queue.pop(0)
-            found = self._resolve_class(owner, name)
-            if found is None:
-                continue
-            owner_mod, cls = found
-            key = (owner_mod.name, name)
-            if key in seen:
-                continue
-            seen.add(key)
-            for method, fn in cls.methods.items():
-                out.setdefault(method, fn)
-            for base in cls.base_refs:
-                queue.append((owner_mod, base.rpartition(".")[2]))
-        return out
 
 
 def _attr_dotted(node: ast.Attribute, aliases: dict[str, str]) -> Optional[str]:

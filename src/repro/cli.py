@@ -25,8 +25,6 @@ Subcommands mirror the SimMR workflow (paper Figure 4):
 * ``simmr validate`` — the end-to-end accuracy loop, pass/fail;
 * ``simmr lint`` — simlint: determinism & simulation-invariant static
   analysis over the source tree (see ``docs/linting.md``);
-* ``simmr certify`` — effect-safety certificate for a scheduler
-  class (cache-safe / parallel-safe / service-safe; same docs);
 * ``simmr check`` — combined gate: simlint + sanitized dual-run replay
   + POL00x policy-tree certification (see ``docs/sanitizer.md``);
 * ``simmr evolve`` — seeded evolutionary search over policy trees
@@ -50,6 +48,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .core.cluster import ClusterConfig
 from .core.engine import simulate
+from .core.job import TraceJob
 from .schedulers import make_scheduler
 from .trace.arrivals import ExponentialArrivals
 from .trace.schema import load_trace, save_trace
@@ -302,25 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         "next to --baseline; no caching without a baseline)",
     )
 
-    cert = sub.add_parser(
-        "certify",
-        help="certify a scheduler class: effect-safety verdict "
-        "(cache-safe / parallel-safe / service-safe)",
-    )
-    cert.add_argument(
-        "target",
-        help="scheduler to certify: a registry name (fifo, fair, ...), "
-        "'path/to/module.py:ClassName', or 'pkg.module:ClassName'",
-    )
-    cert.add_argument(
-        "--format", choices=["json", "text"], default="json", dest="format_",
-        help="verdict format (default json — the certificate itself)",
-    )
-    cert.add_argument(
-        "--analysis-cache", type=Path, default=None,
-        help="incremental analysis cache JSON (shared with 'simmr lint')",
-    )
-
     chk = sub.add_parser(
         "check",
         help="combined correctness gate: simlint + sanitized dual-replay (simsan)",
@@ -532,8 +512,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_cli_trace(command: str, path: Path) -> Optional[list[TraceJob]]:
+    """Load a JSON or binary trace, or print one line and return None."""
+    from .trace.binfmt import load_trace_auto
+
+    try:
+        return load_trace_auto(path)
+    except ValueError as exc:
+        print(f"simmr {command}: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _replay(
-    trace_path: Path,
+    trace: Sequence[TraceJob],
     scheduler_name: str,
     map_slots: int,
     reduce_slots: int,
@@ -542,9 +533,6 @@ def _replay(
     sanitize: Optional[bool] = None,
     engine: str = "columnar",
 ):
-    from .trace.binfmt import load_trace_auto
-
-    trace = load_trace_auto(trace_path)
     scheduler = make_scheduler(scheduler_name)
     return simulate(
         trace,
@@ -558,8 +546,11 @@ def _replay(
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    trace = _load_cli_trace("replay", args.trace)
+    if trace is None:
+        return 2
     result = _replay(
-        args.trace, args.scheduler, args.map_slots, args.reduce_slots,
+        trace, args.scheduler, args.map_slots, args.reduce_slots,
         args.slowstart, record_tasks=args.output is not None,
         sanitize=True if args.sanitize else None, engine=args.engine,
     )
@@ -628,9 +619,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     names = [s.strip() for s in args.schedulers.split(",") if s.strip()]
+    trace = _load_cli_trace("compare", args.trace)
+    if trace is None:
+        return 2
     print(f"{'scheduler':10} {'makespan':>10} {'mean T_J':>10} {'util':>8}")
     for name in names:
-        result = _replay(args.trace, name, args.map_slots, args.reduce_slots)
+        result = _replay(trace, name, args.map_slots, args.reduce_slots)
         durations = list(result.durations().values())
         mean_t = sum(durations) / len(durations) if durations else 0.0
         print(
@@ -671,8 +665,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     from .trace.scaling import scale_profile
 
     trace = load_trace(args.trace)
-    from .core.job import TraceJob
-
     scaled = [
         TraceJob(
             scale_profile(
@@ -945,34 +937,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     }.get(args.format_, render_text)
     print(render(findings))
     return 1 if fail else 0
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .analysis import AnalysisCache
-    from .analysis.certify import CertificationError, certify_target, failure_message
-
-    cache = None
-    if args.analysis_cache is not None:
-        cache = AnalysisCache.load(args.analysis_cache)
-    try:
-        doc = certify_target(args.target, cache=cache)
-    except CertificationError as exc:
-        print(f"simmr certify: {exc}", file=sys.stderr)
-        return 2
-    if args.format_ == "json":
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        verdict = "CERTIFIED" if doc["certified"] else "REJECTED"
-        print(f"{doc['target']}: {verdict}")
-        print(f"  effects:       {', '.join(doc['summary']) or '(pure)'}")
-        print(f"  cache-safe:    {doc['cache_safe']}")
-        print(f"  parallel-safe: {doc['parallel_safe']}")
-        print(f"  service-safe:  {doc['service_safe']}")
-        if not doc["certified"]:
-            print(f"  witness:       {failure_message(doc)}")
-    return 0 if doc["certified"] else 1
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -1398,7 +1362,6 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         "fit": _cmd_fit,
         "validate": _cmd_validate,
         "lint": _cmd_lint,
-        "certify": _cmd_certify,
         "check": _cmd_check,
         "evolve": _cmd_evolve,
         "trace": _cmd_trace,

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .cluster import ClusterConfig
 from .events import EventType
-from .job import Job, JobState, TaskRecord, TraceJob
+from .job import Job, JobState, TaskRecord, TraceJob, validate_dependencies
 from .results import JobResult, SimulationResult
 from .shuffle import ShuffleContext, ShuffleModel
 from .walltime import elapsed_since, perf_seconds
@@ -156,32 +156,6 @@ class _EngineBase:
         self.sanitizer = sanitizer
 
     @staticmethod
-    def _validate_dependencies(trace: Sequence[TraceJob]) -> None:
-        """Reject out-of-range or cyclic ``depends_on`` edges up front."""
-        n = len(trace)
-        for i, tj in enumerate(trace):
-            dep = tj.depends_on
-            if dep is None:
-                continue
-            if dep >= n:
-                raise ValueError(
-                    f"job {i} depends on index {dep}, but the trace has {n} jobs"
-                )
-            if dep == i:
-                raise ValueError(f"job {i} depends on itself")
-        # Cycle check: follow each chain; a cycle revisits a node.
-        for start in range(n):
-            seen = set()
-            node = start
-            while trace[node].depends_on is not None:
-                node = trace[node].depends_on
-                if node in seen or node == start:
-                    raise ValueError(
-                        f"dependency cycle involving job {start} in the trace"
-                    )
-                seen.add(node)
-
-    @staticmethod
     def _raise_if_stalled(jobs: Sequence[Job]) -> None:
         """Fail a run whose event stream drained with jobs unfinished."""
         stuck = [j for j in jobs if j.state is not JobState.COMPLETED]
@@ -242,7 +216,7 @@ class SimulatorEngine(_EngineBase):
         wall_start = perf_seconds()
         self._reset()
         push = self._push_event
-        self._validate_dependencies(trace)
+        validate_dependencies(trace)
         for i, trace_job in enumerate(trace):
             self._jobs.append(Job(i, trace_job))
             if trace_job.depends_on is None:

@@ -29,6 +29,7 @@ __all__ = [
     "JobProfile",
     "PhaseStats",
     "TraceJob",
+    "validate_dependencies",
     "Job",
     "JobState",
     "TaskRecord",
@@ -228,6 +229,38 @@ class TraceJob:
                 )
         if self.depends_on is not None and self.depends_on < 0:
             raise ValueError(f"depends_on must be a trace index >= 0, got {self.depends_on}")
+
+
+def validate_dependencies(trace: Sequence[TraceJob]) -> None:
+    """Reject ``depends_on`` edges out of range, onto the job itself, or
+    into a cycle.
+
+    Every trace decode and every engine run calls this, so a bad edge
+    fails the same way wherever the trace enters.  A job has at most
+    one parent, so each chain is walked once: O(jobs).
+    """
+    n = len(trace)
+    deps = [tj.depends_on for tj in trace]
+    for i, dep in enumerate(deps):
+        if dep is None:
+            continue
+        if dep >= n:
+            raise ValueError(f"job {i} depends on index {dep}, but the trace has {n} jobs")
+        if dep == i:
+            raise ValueError(f"job {i} depends on itself")
+    # 0 = unvisited, 1 = on the walk from ``start``, 2 = reaches a root.
+    mark = bytearray(n)
+    for start in range(n):
+        walk = []
+        node = start
+        while node is not None and not mark[node]:
+            mark[node] = 1
+            walk.append(node)
+            node = deps[node]
+        if node is not None and mark[node] == 1:
+            raise ValueError(f"dependency cycle involving job {start} in the trace")
+        for node in walk:
+            mark[node] = 2
 
 
 class JobState(Enum):

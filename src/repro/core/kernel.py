@@ -85,7 +85,7 @@ from .engine import (
     SimulatorEngine,
     _EngineBase,
 )
-from .job import Job, JobState, TaskRecord, TraceJob
+from .job import Job, JobState, TaskRecord, TraceJob, validate_dependencies
 from .results import SimulationResult
 from .walltime import perf_seconds
 from ..schedulers.base import Scheduler
@@ -596,7 +596,7 @@ class ColumnarEngine(_EngineBase):
         digested) and is recognized by its stale sequence number.
         """
         wall_start = perf_seconds()
-        self._validate_dependencies(trace)
+        validate_dependencies(trace)
         scheduler = self.scheduler
         cluster = self.cluster
         mmpc = self.min_map_percent_completed
@@ -1099,7 +1099,7 @@ class ColumnarEngine(_EngineBase):
 
     def _run_kernel(self, trace: Sequence[TraceJob]) -> SimulationResult:
         wall_start = perf_seconds()
-        self._validate_dependencies(trace)
+        validate_dependencies(trace)
         scheduler = self.scheduler
         cluster = self.cluster
         mmpc = self.min_map_percent_completed

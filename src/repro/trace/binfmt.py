@@ -60,7 +60,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from ..core.columns import TraceColumns
-from ..core.job import TraceJob
+from ..core.job import TraceJob, validate_dependencies
 
 __all__ = [
     "BINARY_MAGIC",
@@ -228,7 +228,8 @@ def unpack_columns(
     ``owner`` to pin the object that must stay alive for the buffer to
     remain valid (an ``mmap``, a shared-memory segment); it is stored
     on the returned columns.  Raises ``ValueError`` when the header
-    digest does not match the decoded content.
+    digest does not match the decoded content, or when a ``depends_on``
+    edge is out of range, points at its own job or closes a cycle.
     """
     view = memoryview(data).cast("B")
     njobs, ndoubles, names_bytes, digest = _parse_header(view)
@@ -273,8 +274,10 @@ def unpack_columns(
     )
     from ..sanitize.digest import trace_digest
 
-    if trace_digest(columns.jobs()) != digest:
+    jobs = columns.jobs()
+    if trace_digest(jobs) != digest:
         raise ValueError("binary trace corrupt: header digest does not match content")
+    validate_dependencies(jobs)
     return columns, digest
 
 

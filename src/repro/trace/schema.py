@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.job import JobProfile, TraceJob
+from ..core.job import JobProfile, TraceJob, validate_dependencies
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -78,7 +78,11 @@ def trace_to_dict(trace: Sequence[TraceJob]) -> dict[str, Any]:
 
 
 def trace_from_dict(data: dict[str, Any]) -> list[TraceJob]:
-    """Rebuild a trace from :func:`trace_to_dict` output."""
+    """Rebuild a trace from :func:`trace_to_dict` output.
+
+    Raises ``ValueError`` on a bad field, including a ``depends_on``
+    edge that is out of range, points at its own job or closes a cycle.
+    """
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
@@ -96,6 +100,7 @@ def trace_from_dict(data: dict[str, Any]) -> list[TraceJob]:
                 ),
             )
         )
+    validate_dependencies(jobs)
     return jobs
 
 

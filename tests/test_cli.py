@@ -424,34 +424,6 @@ class TestCacheMaintenance:
         assert "no cache file" in capsys.readouterr().err
 
 
-class TestCertifyCommand:
-    DIVERGING = "tests/fixtures/diverging_scheduler.py:DivergingScheduler"
-
-    def test_registry_scheduler_certifies(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        assert main(["certify", "fifo", "--analysis-cache", str(cache)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["certified"] is True
-        assert doc["class"] == "FIFOScheduler"
-        assert doc["cache_safe"] and doc["parallel_safe"] and doc["service_safe"]
-        assert "signature" not in doc
-        # Second invocation is served from the analysis cache, verbatim.
-        assert main(["certify", "fifo", "--analysis-cache", str(cache)]) == 0
-        assert json.loads(capsys.readouterr().out) == doc
-
-    def test_diverging_fixture_rejected_with_witness(self, capsys):
-        assert main(["certify", self.DIVERGING, "--format", "text"]) == 1
-        out = capsys.readouterr().out
-        assert "REJECTED" in out
-        assert "witness:" in out
-        assert "_instances" in out
-        assert "nondeterministic-source" in out
-
-    def test_unknown_target_is_usage_error(self, capsys):
-        assert main(["certify", "no-such-policy"]) == 2
-        assert "unknown certify target" in capsys.readouterr().err
-
-
 class TestLintSarif:
     FIXTURE = "tests/fixtures/bad_scheduler.py"
 

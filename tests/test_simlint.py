@@ -9,10 +9,12 @@ config validation, and reporter round-trips.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from repro.analysis import (
     render_json,
     render_text,
 )
+from repro.analysis.callgraph import CallGraph, FuncNode, module_name_for_path
 from repro.analysis.reporter import parse_json
 from repro.cli import main
 
@@ -358,6 +361,16 @@ class TestCrossModule:
         assert "_pick_first" in api[0].message
         assert "KeyError" in api[0].message
 
+    def test_fixture_tree_json_matches_golden(self, capsys, monkeypatch):
+        # Every rule id over every fixture, witness-chain messages
+        # included, byte for byte: any change to the call graph or its
+        # taint closures that moves a finding shows up here.
+        monkeypatch.chdir(REPO_ROOT)
+        code = main(["lint", "tests/fixtures", "--format", "json", "--no-cache"])
+        assert code == 1
+        golden = (REPO_ROOT / "tests" / "golden" / "lint_fixtures.json").read_text()
+        assert capsys.readouterr().out == golden
+
     def test_declared_raises_docstring_waives_api002(self):
         findings = lint_paths([XMOD_DIR], root=REPO_ROOT)
         # choose_next_reduce_task calls the same raising helper but
@@ -407,6 +420,99 @@ class TestCrossModule:
             "        return None\n"
         )
         assert lint_source(source, path="plugin.py") == []
+
+
+#: A display path that classifies as simulation code (sim_paths match).
+_TAINT_PATH = "src/repro/schedulers/taintmod.py"
+
+
+def _graph(source: str) -> CallGraph:
+    """One-module graph, finalized (taint closures run)."""
+    source = textwrap.dedent(source)
+    graph = CallGraph(LintConfig())
+    graph.add_module(_TAINT_PATH, ast.parse(source, filename=_TAINT_PATH), source)
+    graph.finalize()
+    return graph
+
+
+def _fn(graph: CallGraph, qname: str) -> FuncNode:
+    fn = graph.function(module_name_for_path(_TAINT_PATH), qname)
+    assert fn is not None, f"{qname} not indexed"
+    return fn
+
+
+_CHAIN = """
+import time
+def leaf():
+    return time.time()
+def mid():
+    return leaf()
+def top():
+    return mid()
+"""
+
+
+class TestTaintClosure:
+    """The reverse-BFS closures behind DET004/SIM004/API002."""
+
+    def test_wallclock_read_taints_wallclock(self):
+        graph = _graph("import time\ndef now():\n    return time.time()\n")
+        assert _fn(graph, "now").taint["wallclock"][0] == "sink"
+
+    def test_escaping_raise_taints_raise(self):
+        graph = _graph("def f():\n    raise ValueError('no')\n")
+        assert graph.witness(_fn(graph, "f"), "raise")[1].detail == "ValueError"
+
+    def test_caller_inherits_callee_taint(self):
+        graph = _graph(_CHAIN)
+        for qname in ("leaf", "mid", "top"):
+            assert "wallclock" in _fn(graph, qname).taint
+
+    def test_mutual_recursion_shares_taint(self):
+        graph = _graph(
+            """
+            def ping(n):
+                if n < 0:
+                    raise ValueError(n)
+                return pong(n - 1)
+            def pong(n):
+                return ping(n) if n else 0
+            """
+        )
+        chain, sink = graph.witness(_fn(graph, "pong"), "raise")
+        assert [c.rpartition(".")[2] for c in chain] == ["pong", "ping"]
+        assert sink.detail == "ValueError"
+
+    def test_self_recursion_terminates(self):
+        graph = _graph("def f(n):\n    return f(n - 1) if n else 0\n")
+        assert _fn(graph, "f").taint == {}
+
+    def test_witness_chain_reaches_the_sink(self):
+        graph = _graph(_CHAIN)
+        chain, sink = graph.witness(_fn(graph, "top"), "wallclock")
+        assert [c.rpartition(".")[2] for c in chain] == ["top", "mid", "leaf"]
+        assert "time.time" in sink.detail
+
+    def test_witness_absent_for_missing_kind(self):
+        graph = _graph("def f():\n    return 1\n")
+        assert graph.witness(_fn(graph, "f"), "rng") is None
+
+    def test_witness_survives_chains_deeper_than_64(self):
+        deep = "import time\ndef f0():\n    return time.time()\n" + "".join(
+            f"def f{i}():\n    return f{i - 1}()\n" for i in range(1, 101)
+        )
+        graph = _graph(deep)
+        chain, sink = graph.witness(_fn(graph, "f100"), "wallclock")
+        assert len(chain) == 101
+        assert "time.time" in sink.detail
+
+    def test_witness_degrades_to_none_on_cyclic_steps(self):
+        # A corrupted taint table (a call step pointing back at itself)
+        # must exhaust the guard and return None, never raise.
+        graph = _graph("def f():\n    return 1\n")
+        fn = _fn(graph, "f")
+        fn.taint["raise"] = ("call", fn)
+        assert graph.witness(fn, "raise") is None
 
 
 # --------------------------------------------------------------------- #

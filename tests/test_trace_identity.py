@@ -129,7 +129,8 @@ def traces(draw):
                 ),
                 submit,
                 deadline=None if deadline is None else submit + deadline,
-                depends_on=draw(st.one_of(st.none(), st.integers(0, max(i - 1, 0)))),
+                # Edges point backward only, so every trace is acyclic.
+                depends_on=draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None,
             )
         )
     return jobs
@@ -153,7 +154,8 @@ def _mutate(doc, kind, index):
     elif kind == "toggle-deadline":
         job["deadline"] = job["submit_time"] if job["deadline"] is None else None
     elif kind == "toggle-dependency":
-        job["depends_on"] = 0 if job["depends_on"] is None else None
+        # Job 0 has no earlier job to depend on.
+        job["depends_on"] = 0 if job["depends_on"] is None and job is not jobs[0] else None
     elif kind == "move-name-char":
         # Same concatenated names, different split between two jobs.
         for this, nxt in zip(jobs, jobs[1:]):
@@ -163,7 +165,10 @@ def _mutate(doc, kind, index):
                 this["name"] = this["name"][:-1]
                 return doc
     elif kind == "swap-jobs" and len(jobs) > 1:
+        # Edges are indices: the swapped pair drops theirs so no edge
+        # points at its own job or closes a cycle.
         jobs[0], jobs[-1] = jobs[-1], jobs[0]
+        jobs[0]["depends_on"] = jobs[-1]["depends_on"] = None
     elif kind == "bump-num-maps":
         prof["num_maps"] += 1
     return doc

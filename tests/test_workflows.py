@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import ClusterConfig, TraceJob, simulate
+from repro.core.job import validate_dependencies
 from repro.schedulers import FIFOScheduler
+from repro.service import (
+    ProtocolError,
+    ServiceClient,
+    ServiceConfig,
+    SimulationServer,
+    parse_request,
+    request_document,
+)
+from repro.trace.binfmt import load_trace_bin, save_trace_bin
 from repro.trace.distributions import Constant, Uniform
 from repro.trace.schema import trace_from_dict, trace_to_dict
 from repro.trace.synthetic import SyntheticJobSpec
@@ -172,3 +186,103 @@ class TestWorkflowSpec:
         # Stages never overlap.
         assert result.jobs[1].start_time >= result.jobs[0].completion_time
         assert result.jobs[2].start_time >= result.jobs[1].completion_time
+
+
+#: (depends_on per job, message) for the three malformed edge shapes.
+BAD_DEPS = {
+    "out-of-range": ([None, 7, None], "job 1 depends on index 7, but the trace has 3 jobs"),
+    "self": ([None, 1, None], "job 1 depends on itself"),
+    "cycle": ([1, 2, 0], "dependency cycle involving job 0 in the trace"),
+}
+
+
+def bad_trace(shape: str) -> list[TraceJob]:
+    profile = make_constant_profile(num_maps=2, num_reduces=0, map_s=5.0)
+    deps, _ = BAD_DEPS[shape]
+    return [TraceJob(profile, 0.0, depends_on=dep) for dep in deps]
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_DEPS))
+class TestBadDependencies:
+    """Every entry point rejects a bad ``depends_on`` with one message."""
+
+    def test_engine(self, shape):
+        for engine in ("columnar", "object"):
+            with pytest.raises(ValueError, match=BAD_DEPS[shape][1]):
+                simulate(bad_trace(shape), FIFOScheduler(), ClusterConfig(8, 8),
+                         engine=engine)
+
+    def test_trace_from_dict(self, shape):
+        with pytest.raises(ValueError, match=BAD_DEPS[shape][1]):
+            trace_from_dict(trace_to_dict(bad_trace(shape)))
+
+    def test_binary_decode(self, shape, tmp_path):
+        path = tmp_path / "bad.simmr"
+        save_trace_bin(bad_trace(shape), path)
+        for use_mmap in (True, False):
+            with pytest.raises(ValueError, match=BAD_DEPS[shape][1]):
+                load_trace_bin(path, use_mmap=use_mmap)
+
+    def test_parse_request_is_400(self, shape):
+        doc = request_document(trace=bad_trace(shape), scheduler="fifo")
+        with pytest.raises(ProtocolError, match=BAD_DEPS[shape][1]) as excinfo:
+            parse_request(doc)
+        assert excinfo.value.status == 400
+
+    def test_http_simulate_is_400_and_nothing_queued_or_cached(self, shape, tmp_path):
+        config = ServiceConfig(port=0, workers=1, queue_size=2,
+                               cache=tmp_path / "service.sqlite")
+        with SimulationServer(config).start() as server:
+            client = ServiceClient(server.url)
+            doc = request_document(trace=bad_trace(shape), scheduler="fifo")
+            status, _, payload = client._request("/simulate", doc)
+            assert status == 400
+            assert BAD_DEPS[shape][1] in json.loads(payload)["error"]
+            manager = server.manager
+            assert manager.executed == 0 and manager.depth == 0
+            assert len(manager.cache) == 0
+
+    @pytest.mark.parametrize("command", ["replay", "trace pack"])
+    def test_cli_prints_one_line_and_exits_2(self, shape, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(trace_to_dict(bad_trace(shape))))
+        argv = command.split() + [str(path)]
+        if command == "trace pack":
+            argv.append(str(tmp_path / "bad.simmr"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"simmr {command}: {path}: {BAD_DEPS[shape][1]}\n"
+        assert not (tmp_path / "bad.simmr").exists()
+
+
+def _reference_error(deps: list) -> str | None:
+    """Follow every chain from every start: the quadratic definition."""
+    n = len(deps)
+    for i, dep in enumerate(deps):
+        if dep is not None and dep >= n:
+            return f"job {i} depends on index {dep}, but the trace has {n} jobs"
+        if dep == i:
+            return f"job {i} depends on itself"
+    for start in range(n):
+        seen, node = set(), start
+        while deps[node] is not None:
+            node = deps[node]
+            if node in seen or node == start:
+                return f"dependency cycle involving job {start} in the trace"
+            seen.add(node)
+    return None
+
+
+def test_validate_dependencies_matches_chain_following():
+    # Every depends_on vector over up to four jobs (targets may be out of range).
+    profile = make_constant_profile(num_maps=1, num_reduces=0)
+    for n in range(1, 5):
+        for deps in itertools.product([None, *range(n + 1)], repeat=n):
+            trace = [TraceJob(profile, 0.0, depends_on=dep) for dep in deps]
+            try:
+                validate_dependencies(trace)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == _reference_error(list(deps)), deps
