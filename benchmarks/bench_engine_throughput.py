@@ -18,21 +18,22 @@ Beyond the static headline, the report carries one row per kernel
   cell does, so the gate sees event emission and the digest too (the
   headline runs without them).  Both engines digest; the digests must
   match.
-* ``fair`` — Fair via the group-share contract in segmented-replay
-  mode.
+* ``fair`` — Fair via the group-share contract in replay mode.
 * ``preemptive_fair`` — Fair with HFS-style preemption: live kills on
   the replay path.
 * ``dynamic_priority`` — DynamicPriority via the same group-share
   contract; its 3x floor keeps it on the kernel (the gate fails a row
   that falls back to the object loop).
-* ``preemptive_edf`` — MaxEDF+P on a deadline-decorated trace.  This
-  row's floor is deliberately below 3x: replay must pop a heap per
-  event, and bare ``heappush``+``heappop`` of the event tuples alone
-  runs at ~1.1M events/s on the reference box — less than 3x the
-  object loop's throughput on this workload — so a 3x ratio is
-  unreachable *by construction* for any per-event replay.  The Fair
-  and DP rows clear 3x because the object loop's dynamic dispatch is far more
-  expensive there.  See docs/performance.md.
+* ``preemptive_edf`` — MaxEDF+P on a deadline-decorated trace, on
+  replay mode.  For a static policy both engines run the same heap loop
+  with the same priority heaps, so a kernel-vs-object ratio would
+  compare the loop with itself: this row times only the kernel (the
+  object engine runs once, untimed, to check the event and kill
+  counts), has no speedup floor, and the gate holds its events/s to
+  the committed baseline at the headline's tolerance instead.  The
+  Fair and DP rows clear 3x because the object engine's
+  ``choose_next_*`` dispatch is far more expensive there.  See
+  docs/performance.md.
 
 The measured numbers are printed for EXPERIMENTS.md and written to
 ``BENCH_engine_throughput.json`` at the repo root, which doubles as the
@@ -73,15 +74,14 @@ MIN_EVENTS_PER_SECOND = 1_000_000
 MIN_SPEEDUP = 3.0
 
 #: Per-path kernel-vs-object floors enforced here and by the gate.
-#: ``preemptive_edf`` is heap-bound (module docstring): its floor says
-#: "the replay must beat the object loop", not a softened 3x.
+#: ``preemptive_edf`` has none: both engines run the same loop there
+#: (module docstring).
 PATH_FLOORS = {
     "static_fifo": 3.0,
     "static_fifo_digest": 4.0,
     "fair": 3.0,
     "preemptive_fair": 3.0,
     "dynamic_priority": 3.0,
-    "preemptive_edf": 1.1,
 }
 
 CLUSTER = ClusterConfig(64, 64)
@@ -142,8 +142,9 @@ def _bench_path(
     object_rounds: int = 1,
     digest: bool = False,
 ) -> dict:
-    """Time one kernel path against the object loop on the same workload;
-    with ``digest`` both stream the event digest, which must agree."""
+    """Time one kernel path and check it against the object engine on
+    the same workload; with ``digest`` both stream the event digest,
+    which must agree.  Only rows with a floor time the object engine."""
     record = preemption  # task records are how kills are counted
 
     def factory(engine_cls):
@@ -153,27 +154,33 @@ def _bench_path(
         )
 
     resk, engine, kernel_eps = _time_engine(factory(ColumnarEngine), trace, kernel_rounds)
-    assert engine.last_path == "kernel", engine.fallback_reason
+    assert engine.last_path == "kernel"
     assert engine.last_kernel_mode == expect_mode
-    reso, object_engine, object_eps = _time_engine(
-        factory(SimulatorEngine), trace, object_rounds
-    )
-    assert reso.events_processed == resk.events_processed
-    if digest:
-        assert engine.sanitizer.hexdigest() == object_engine.sanitizer.hexdigest()
     row = {
         "scheduler": make_scheduler().name,
         "trace_jobs": len(trace),
         "events_processed": resk.events_processed,
         "events_per_second": kernel_eps,
-        "object_events_per_second": object_eps,
-        "speedup": kernel_eps / object_eps,
-        "engine_path": "kernel",
-        "kernel_mode": expect_mode,
-        "floor_speedup": PATH_FLOORS[name],
     }
+    if name in PATH_FLOORS:
+        reso, object_engine, object_eps = _time_engine(
+            factory(SimulatorEngine), trace, object_rounds
+        )
+        row["object_events_per_second"] = object_eps
+        row["speedup"] = kernel_eps / object_eps
+        row["floor_speedup"] = PATH_FLOORS[name]
+    else:
+        # No ratio to hold: one untimed reference run for the checks.
+        object_engine = factory(SimulatorEngine)()
+        reso = object_engine.run(trace)
+    assert reso.events_processed == resk.events_processed
+    if digest:
+        assert engine.sanitizer.hexdigest() == object_engine.sanitizer.hexdigest()
+    row["engine_path"] = "kernel"
+    row["kernel_mode"] = expect_mode
     if preemption:
         row["tasks_killed"] = sum(1 for r in resk.task_records if r.killed)
+        assert row["tasks_killed"] == sum(1 for r in reso.task_records if r.killed)
     return row
 
 
@@ -182,7 +189,7 @@ def test_engine_event_throughput(benchmark):
     engine = ColumnarEngine(CLUSTER, FIFOScheduler(), record_tasks=False)
 
     result = benchmark.pedantic(engine.run, args=(trace,), rounds=3, iterations=1)
-    assert engine.last_path == "kernel", engine.fallback_reason
+    assert engine.last_path == "kernel"
     assert engine.last_kernel_mode == "passes"
     eps = result.events_per_second
     _, _, object_eps = _time_engine(
@@ -269,7 +276,6 @@ def test_widened_envelope_paths():
             preemption=True,
             expect_mode="replay",
             kernel_rounds=3,
-            object_rounds=3,
         ),
     }
     _merge_report({"paths": rows})
@@ -277,14 +283,19 @@ def test_widened_envelope_paths():
     print()
     for name, row in rows.items():
         kills = f", {row['tasks_killed']} kills" if "tasks_killed" in row else ""
+        versus = (
+            f"object {row['object_events_per_second']:,.0f} events/s, "
+            f"{row['speedup']:.1f}x"
+            if "speedup" in row
+            else "no ratio floor"
+        )
         print(
             f"{name:16s}: {row['events_per_second']:>10,.0f} events/s over "
-            f"{row['events_processed']} events (object "
-            f"{row['object_events_per_second']:,.0f} events/s, "
-            f"{row['speedup']:.1f}x{kills})"
+            f"{row['events_processed']} events ({versus}{kills})"
         )
     # The preemptive rows must actually preempt, or they measure nothing.
     assert rows["preemptive_fair"]["tasks_killed"] > 0
     assert rows["preemptive_edf"]["tasks_killed"] > 0
     for name, row in rows.items():
-        assert row["speedup"] > PATH_FLOORS[name], (name, row["speedup"])
+        if name in PATH_FLOORS:
+            assert row["speedup"] > PATH_FLOORS[name], (name, row["speedup"])

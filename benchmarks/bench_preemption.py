@@ -6,29 +6,25 @@ This bench re-runs the sweep with kill-based preemption (``MinEDF+P``)
 and checks that the bump region improves while sparse-arrival points
 stay unchanged.
 
-A second test micro-benchmarks the victim-selection sort inside
-``SimulatorEngine._kill_tasks`` — the hot per-preemption operation —
-comparing the old per-item-lambda sort against the shipped
-``operator.itemgetter`` decorate-sort, and records both in
-``BENCH_preemption.json``.
-
-A third test times the columnar kernel's segmented-replay mode on a
-live preemptive run (MinEDF+P) against the object loop, pins the two
-engines' event-stream digests bit-for-bit identical, and adds a
-``preemptive_kernel_replay`` section to the same JSON.
+A second test times a live preemptive run (MinEDF+P) on the columnar
+kernel's replay mode, holds its events/s to a committed baseline, pins
+the object engine's event-stream digest, event count and kill count to
+the kernel's, and writes a ``preemptive_kernel_replay`` section to
+``BENCH_preemption.json``.  For a static policy both engines run the
+one heap loop with the same priority heaps, so the object engine runs
+once, untimed: a kernel-vs-object ratio would time the loop against
+itself.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine, TraceJob
-from repro.core.walltime import elapsed_since, perf_seconds
 from repro.experiments.performance import make_performance_trace
 from repro.experiments.preemption import run_preemption_ablation
 from repro.sanitize.digest import DigestRecorder
@@ -38,6 +34,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_preemption.json"
 
 RUNS = 20
+
+#: MinEDF+P replay throughput (events/s; 10 runs on a 2-core x86-64
+#: container gave a 514k median) and the share of it a fresh run must
+#: reach: the rule ``scripts/perf_gate.py`` applies to its floorless
+#: rows, at the gate's default tolerance.
+BASELINE_EVENTS_PER_SECOND = 500_000
+TOLERANCE = 0.5
 
 
 def _merge_report(update: dict) -> None:
@@ -64,69 +67,9 @@ def test_preemption_removes_the_bump(benchmark, once):
     assert abs(sparse["MinEDF+P"] - sparse["MinEDF"]) < 1.0
 
 
-def _lambda_sort(running):
-    """The pre-optimization victim order (kept here for comparison)."""
-    return sorted(running.items(), key=lambda kv: -kv[1][1])
-
-
-def _itemgetter_sort(running):
-    """The shipped decorate-sort from ``SimulatorEngine._kill_tasks``."""
-    decorated = [
-        (start, index, dep_seq, record)
-        for index, (dep_seq, start, record) in running.items()
-    ]
-    decorated.sort(key=itemgetter(0), reverse=True)
-    return decorated
-
-
-def test_victim_sort_microbench():
-    # A plausible running-task table: 64 slots' worth of attempts with
-    # repeating start times (ties must preserve insertion order).
-    running = {
-        index: (index % 7, float(index % 16) * 3.0, None) for index in range(64)
-    }
-    repeats = 2000
-
-    # Semantics first: both orders kill the same victims in the same order.
-    by_lambda = [(kv[1][1], kv[0]) for kv in _lambda_sort(running)]
-    by_getter = [(item[0], item[1]) for item in _itemgetter_sort(running)]
-    assert by_getter == by_lambda
-
-    def time_sort(fn):
-        best = float("inf")
-        for _ in range(5):
-            start = perf_seconds()
-            for _ in range(repeats):
-                fn(running)
-            best = min(best, elapsed_since(start))
-        return best
-
-    lambda_s = time_sort(_lambda_sort)
-    getter_s = time_sort(_itemgetter_sort)
-    speedup = lambda_s / getter_s
-
-    _merge_report(
-        {
-            "running_tasks": len(running),
-            "sort_repeats": repeats,
-            "lambda_sort_seconds": lambda_s,
-            "itemgetter_sort_seconds": getter_s,
-            "victim_sort_speedup": speedup,
-            "tie_order_identical": True,
-        }
-    )
-    print(
-        f"\nvictim sort ({len(running)} running tasks, best of 5 x {repeats}):"
-        f"\nlambda key        : {lambda_s * 1e3:.2f}ms"
-        f"\nitemgetter        : {getter_s * 1e3:.2f}ms ({speedup:.2f}x)"
-    )
-    # The decorate-sort must not be slower; its win is modest but real.
-    assert getter_s <= lambda_s * 1.1
-
-
 def test_preemptive_kernel_replay():
-    """Segmented replay runs live MinEDF+P kills faster than the object
-    loop and produces the bit-identical event stream (digest-pinned)."""
+    """Replay mode runs live MinEDF+P kills at its baseline throughput
+    and produces the object engine's bit-identical event stream."""
     rng = np.random.default_rng(0)
     trace = []
     for tj in make_performance_trace(100, mean_interarrival=20.0, seed=0):
@@ -136,61 +79,56 @@ def test_preemptive_kernel_replay():
         )
     cluster = ClusterConfig(64, 64)
 
-    def best_of(engine_cls, rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            engine = engine_cls(
-                cluster,
-                MinEDFScheduler(preemptive=True),
-                preemption=True,
-                record_tasks=True,
-            )
-            start = time.perf_counter()
-            result = engine.run(trace)
-            best = min(best, time.perf_counter() - start)
-        return engine, result, result.events_processed / best
-
-    kengine, kres, kernel_eps = best_of(ColumnarEngine)
-    assert kengine.last_path == "kernel", kengine.fallback_reason
-    assert kengine.last_kernel_mode == "replay"
-    _, ores, object_eps = best_of(SimulatorEngine)
-
-    digests = []
-    for engine_cls in (ColumnarEngine, SimulatorEngine):
-        recorder = DigestRecorder()
-        engine_cls(
+    def make(engine_cls, sanitizer=None):
+        return engine_cls(
             cluster,
             MinEDFScheduler(preemptive=True),
             preemption=True,
-            sanitizer=recorder,
-        ).run(trace)
-        digests.append(recorder.digest.hexdigest())
-    assert digests[0] == digests[1]
+            record_tasks=True,
+            sanitizer=sanitizer,
+        )
 
-    kills = sum(1 for r in kres.task_records if r.killed)
+    best = float("inf")
+    for _ in range(3):
+        engine = make(ColumnarEngine)
+        start = time.perf_counter()
+        kres = engine.run(trace)
+        best = min(best, time.perf_counter() - start)
+    kernel_eps = kres.events_processed / best
+    assert engine.last_path == "kernel"
+    assert engine.last_kernel_mode == "replay"
+
+    # One untimed run per engine with the digest on: same stream, same
+    # event count, same kills.
+    runs = {}
+    for engine_cls in (ColumnarEngine, SimulatorEngine):
+        recorder = DigestRecorder()
+        result = make(engine_cls, recorder).run(trace)
+        kills = sum(1 for r in result.task_records if r.killed)
+        runs[engine_cls.__name__] = (recorder.hexdigest(), result.events_processed, kills)
+    assert runs["ColumnarEngine"] == runs["SimulatorEngine"], runs
+    digest, events, kills = runs["ColumnarEngine"]
+    assert events == kres.events_processed
     assert kills > 0
-    assert ores.events_processed == kres.events_processed
-    speedup = kernel_eps / object_eps
+
     _merge_report(
         {
             "preemptive_kernel_replay": {
                 "scheduler": "MinEDF+P",
                 "trace_jobs": len(trace),
-                "events_processed": kres.events_processed,
+                "events_processed": events,
                 "tasks_killed": kills,
                 "kernel_events_per_second": kernel_eps,
-                "object_events_per_second": object_eps,
-                "speedup": speedup,
-                "event_digest": digests[0],
+                "baseline_events_per_second": BASELINE_EVENTS_PER_SECOND,
+                "tolerance": TOLERANCE,
+                "event_digest": digest,
                 "digest_identical": True,
             }
         }
     )
     print(
-        f"\npreemptive replay: {kernel_eps:,.0f} events/s over "
-        f"{kres.events_processed} events, {kills} kills (object "
-        f"{object_eps:,.0f} events/s, {speedup:.2f}x), digest {digests[0][:16]}"
+        f"\npreemptive replay: {kernel_eps:,.0f} events/s over {events} events,"
+        f" {kills} kills (baseline {BASELINE_EVENTS_PER_SECOND:,}), digest"
+        f" {digest[:16]}"
     )
-    # Heap-bound path (see bench_engine_throughput): must beat the
-    # object loop, a 3x ratio is unreachable for a per-event replay.
-    assert speedup > 1.0
+    assert kernel_eps >= TOLERANCE * BASELINE_EVENTS_PER_SECOND, kernel_eps

@@ -1,9 +1,8 @@
 """Sanitizer overhead: the disabled path must cost (essentially) nothing.
 
-The engine's run loop has a dedicated unsanitized branch — with
-``sanitize=False`` no per-event hook is even reachable, so disabling
-simsan is free by construction.  This benchmark checks that claim
-empirically with an A/A comparison (two measurements of the *same*
+With ``sanitize=False`` the heap loop reaches no per-event hook; it
+pays one untaken branch per event.  This benchmark checks that the off
+path is stable with an A/A comparison (two measurements of the *same*
 disabled configuration must agree within the asserted 2% — i.e. the
 "overhead" of the disabled sanitizer is indistinguishable from
 measurement noise) and reports what enabling the checks actually costs.
@@ -84,8 +83,8 @@ def test_sanitizer_overhead(benchmark, once):
         f"\n  + digest    : {on_digest:,.0f} ev/s"
     )
 
-    # Disabled sanitizer: within noise of itself — the off branch is the
-    # pre-sanitizer hot loop verbatim, so any systematic gap is a bug.
+    # Disabled sanitizer: within noise of itself — no hook is reachable
+    # on the off path, so any systematic gap is a bug.
     assert disabled_overhead < MAX_DISABLED_OVERHEAD
     # The off path must preserve the paper's headline throughput floor.
     assert off_a > 200_000

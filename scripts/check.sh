@@ -125,7 +125,7 @@ assert kills["object"] == kills["columnar"], kills
 engine = ColumnarEngine(cluster, FairScheduler(preemptive=True), preemption=True)
 engine.run(trace)
 assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay"), (
-    engine.last_path, engine.last_kernel_mode, engine.fallback_reason)
+    engine.last_path, engine.last_kernel_mode)
 print(f"Fair+P replay mode bit-identical with {kills['columnar']} live kills "
       f"({digests['object'][1]} events, digest {digests['object'][0]})")
 PY
@@ -197,7 +197,7 @@ assert digests["object"] == ("858d7d4f00ba1428ff2dfc3b50dbc192", 22874), digests
 engine = ColumnarEngine(cluster, scheduler())
 engine.run(trace)
 assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay"), (
-    engine.last_path, engine.last_kernel_mode, engine.fallback_reason)
+    engine.last_path, engine.last_kernel_mode)
 print(f"deadline-aware tree replay mode bit-identical "
       f"({digests['object'][1]} events, digest {digests['object'][0]})")
 PY

@@ -31,10 +31,13 @@ the bench JSON: static multi-pass, static multi-pass streaming the
 event digest, Fair replay, preemptive Fair
 replay, preemptive EDF replay) are each held to their own
 machine-independent kernel-vs-object speedup floor (the row's
-``floor_speedup``, set by the bench), and any path whose baseline ran
-on the kernel must still run on the kernel — a cell silently
-regressing to the object-loop fallback fails the gate even when its
-absolute numbers look plausible.
+``floor_speedup``, set by the bench).  A row without a floor —
+preemptive EDF, where both engines run the same heap loop — is held to
+the headline's rule instead: its events/s against the baseline row's
+at ``--tolerance``.  Any path whose baseline ran on the kernel must
+still run on the kernel, in the same kernel mode — a cell silently
+leaving its mode fails the gate even when its absolute numbers look
+plausible.
 
 Usage:
     python scripts/perf_gate.py            # run bench, compare, report
@@ -206,8 +209,15 @@ def main(argv: list[str] | None = None) -> int:
         if base_row.get("engine_path") == "kernel" and row.get("engine_path") != "kernel":
             print(
                 f"perf gate: FAIL — path {name!r} regressed from the kernel"
-                f" to {row.get('engine_path')!r}: the columnar envelope"
-                " shrank (see ColumnarEngine.fallback_reason)",
+                f" to {row.get('engine_path')!r}",
+                file=sys.stderr,
+            )
+            failed = True
+        if row.get("kernel_mode") != base_row.get("kernel_mode"):
+            print(
+                f"perf gate: FAIL — path {name!r} ran in kernel mode"
+                f" {row.get('kernel_mode')!r}, baseline"
+                f" {base_row.get('kernel_mode')!r}",
                 file=sys.stderr,
             )
             failed = True
@@ -221,7 +231,25 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 failed = True
-        floor = float(base_row.get("floor_speedup", 1.0))
+        if "floor_speedup" not in base_row:
+            # No kernel-vs-object ratio to hold: the headline's rule.
+            row_eps = float(row.get("events_per_second", 0.0))
+            base_row_eps = float(base_row.get("events_per_second", 0.0))
+            row_ratio = row_eps / base_row_eps if base_row_eps else float("inf")
+            print(
+                f"perf gate: path {name}: {row_eps:,.0f} events/s vs baseline"
+                f" {base_row_eps:,.0f} (ratio {row_ratio:.2f}, floor"
+                f" {args.tolerance:.2f})"
+            )
+            if row_ratio < args.tolerance:
+                print(
+                    f"perf gate: FAIL — path {name!r} throughput regressed"
+                    " past the tolerance",
+                    file=sys.stderr,
+                )
+                failed = True
+            continue
+        floor = float(base_row["floor_speedup"])
         speedup = float(row.get("speedup", 0.0))
         print(
             f"perf gate: path {name}: {speedup:.2f}x kernel-vs-object"

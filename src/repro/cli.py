@@ -122,13 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run under the simsan runtime sanitizer "
                      "(fails fast on any simulation-invariant violation)")
     rep.add_argument("--engine", choices=("columnar", "object"), default="columnar",
-                     help="execution path: vectorized columnar kernel "
-                     "(default; falls back to the object engine where it "
-                     "does not apply) or the object-per-event loop")
+                     help="execution path: the columnar kernel (default; "
+                     "pass mode where it applies, else the heap loop with "
+                     "the policy's kernel contract) or the reference heap "
+                     "engine")
     rep.add_argument(
         "--format", choices=["text", "json"], default="text", dest="format_",
-        help="report format (default text); json includes the engine-path "
-        "accounting (engine_path, fallback_reason)",
+        help="report format (default text); json includes the engine "
+        "that ran (engine_path)",
     )
 
     cmp_ = sub.add_parser("compare", help="replay a trace under several schedulers")
@@ -563,7 +564,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "events_processed": result.events_processed,
             "events_per_second": result.events_per_second,
             "engine_path": result.engine_path,
-            "fallback_reason": result.fallback_reason,
             "deadline_utility": result.relative_deadline_exceeded(),
             "jobs": [
                 {
@@ -587,12 +587,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
             args.csv.write_text(jobs_to_csv(result))
         return 0
-    path = result.engine_path or "?"
-    why = f" ({result.fallback_reason})" if result.fallback_reason else ""
     print(f"scheduler={result.scheduler_name} makespan={result.makespan:.1f}s "
           f"events={result.events_processed} "
           f"({result.events_per_second:,.0f} events/s) "
-          f"engine={path}{why}")
+          f"engine={result.engine_path or '?'}")
     print(f"{'job':>4} {'name':20} {'submit':>10} {'duration':>10} {'deadline':>10} late")
     for job in result.jobs:
         deadline = f"{job.deadline:.1f}" if job.deadline is not None else "-"
@@ -777,7 +775,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     **c.row(),
                     "cached": c.cached,
                     "event_digest": c.event_digest,
-                    "fallback_reason": c.fallback_reason,
                 }
                 for c in result.cells
             ],

@@ -29,34 +29,51 @@ completed use the *typical* shuffle durations instead.  Omitting this
 mechanism is exactly what makes Mumak underestimate completion times
 (paper Sections I and IV-A).
 
-Performance notes
------------------
-The hot loop works on raw ``(time, type, seq, job_id, task_index)``
-tuples in a binary heap, ordered ``(time, type priority, insertion
-seq)``, with no per-event object allocation.  Slot allocation has two
-paths:
+The heap loop
+-------------
+:meth:`_EngineBase._run_heap` is the one event loop of this package.  It
+pops raw ``(time, type, seq, job_id, task_index)`` tuples from a binary
+heap, ordered ``(time, type priority, insertion seq)``, and handles the
+seven event types in one inlined branch chain.  What varies between runs
+is only how a free slot is given to a job (``decide``):
 
-* **static-priority fast path** — policies that declare
-  ``static_priority`` (FIFO, MaxEDF, MinEDF) are served from lazy
-  per-kind job heaps keyed by ``Scheduler.priority_key``: O(log n) per
-  dispatch.
-* **dynamic path** — policies whose choice depends on mutable state
-  (Fair, Capacity) are consulted through the paper's narrow
-  ``choose_next_map_task`` / ``choose_next_reduce_task`` interface, with
-  the eligible-job list rebuilt per dispatch.
+* ``"static"`` — policies that declare ``static_priority`` (FIFO,
+  MaxEDF, MinEDF) are served from lazy per-kind job heaps keyed by
+  ``Scheduler.priority_key``: O(log n) per dispatch.
+* ``"choose"`` — the paper's narrow interface: the eligible-job list is
+  rebuilt per dispatch and handed to ``choose_next_map_task`` /
+  ``choose_next_reduce_task``.
+* ``"share"`` — group-share policies
+  (:class:`~repro.schedulers.base.ShareSchedulerMixin`) decide from the
+  per-group running sums of a :class:`_ShareBook`.
+* ``"columns"`` — columnar-key policies
+  (:class:`~repro.schedulers.base.ColumnarSchedulerMixin`) decide from
+  :class:`~repro.core.columns.SchedulerColumns` arrays and one
+  ``np.lexsort``.
 
-Tests assert the two paths produce identical schedules for the static
-policies.
+Tests assert ``"static"`` and ``"choose"`` produce identical schedules
+for the static policies.
+
+:class:`SimulatorEngine` runs the loop with ``"static"`` or ``"choose"``
+and is the reference every kernel contract is tested against;
+:class:`~repro.core.kernel.ColumnarEngine` runs it with the contracts
+(or its vectorized pass mode).  Workflow dependencies, live preemption,
+a pluggable shuffle model and the per-event sanitizer hooks are branches
+of the same loop.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
+import numpy as np
+
 from .cluster import ClusterConfig
+from .columns import SchedulerColumns
 from .events import EventType
 from .job import Job, JobState, TaskRecord, TraceJob, validate_dependencies
 from .results import JobResult, SimulationResult
@@ -79,9 +96,205 @@ _JOB_ARR = int(EventType.JOB_ARRIVAL)
 _MAP_ARR = int(EventType.MAP_TASK_ARRIVAL)
 _RED_ARR = int(EventType.REDUCE_TASK_ARRIVAL)
 
+_INF = math.inf
+
+
+def _cycled(arr: np.ndarray, n: int) -> np.ndarray:
+    """``arr`` extended cyclically to length ``n`` (bit-exact copies).
+
+    Mirrors :meth:`~repro.core.job.JobProfile.map_duration`'s
+    deterministic ``index % size`` indexing as one vectorized operation.
+    """
+    if arr.size == n:
+        return arr
+    return np.resize(arr, n)
+
+
+class _ShareSide:
+    """One task kind's per-group decision state in a :class:`_ShareBook`.
+
+    Per group: the set of its candidate jobs' ranks and the sum of their
+    running tasks of this kind.  ``run[r]`` is what rank ``r`` adds to
+    its group's sum, -1 when it is not a candidate.
+    """
+
+    __slots__ = ("group", "weight", "paying", "budgeted", "n", "by_running",
+                 "sets", "sums", "run", "key", "keyf")
+
+    def __init__(self, book: "_ShareBook", by_running: bool) -> None:
+        self.group = book.group
+        self.weight = book.weight
+        self.paying = book.paying  # shared: charges update it in place
+        self.budgeted = book.budgeted
+        self.n = n = len(book.group)
+        self.by_running = by_running
+        self.sets: list[set[int]] = [set() for _ in book.weight]
+        self.sums = [0] * len(book.weight)
+        self.run = [-1] * n
+        self.key = list(range(n))
+        self.keyf = self.key.__getitem__ if self.by_running else None
+
+    def update(self, r: int, run: int) -> None:
+        """Rank ``r`` now runs ``run`` tasks as a candidate (-1: none)."""
+        old = self.run[r]
+        if run == old:
+            return
+        g = self.group[r]
+        if old < 0:
+            self.sets[g].add(r)
+            self.sums[g] += run
+        elif run < 0:
+            self.sets[g].discard(r)
+            self.sums[g] -= old
+        else:
+            self.sums[g] += run - old
+        self.run[r] = run
+        if self.by_running and run >= 0:
+            self.key[r] = run * self.n + r
+
+    def pick(self) -> int:
+        """Rank of the job the policy picks; -1 for none.
+
+        ``min`` over groups of ``(sum / weight, best job key)``: the
+        group with the least share wins outright, and groups tied on
+        share compare their best jobs' keys.
+        """
+        keyf = self.keyf
+        best: Optional[set[int]] = None
+        best_d = 0.0
+        ties: Optional[list[set[int]]] = None
+        for cs, total, w, paying in zip(self.sets, self.sums, self.weight, self.paying):
+            if cs and paying:
+                d = total / w
+                if best is None or d < best_d:
+                    best = cs
+                    best_d = d
+                    ties = None
+                elif d == best_d:
+                    if ties is None:
+                        ties = [best, cs]
+                    else:
+                        ties.append(cs)
+        if best is None:
+            if not self.budgeted:
+                return -1
+            # No candidate's group is paying: best-effort FIFO over all.
+            heads = [min(cs) for cs in self.sets if cs]
+            return min(heads) if heads else -1
+        if ties is None:
+            return min(best, key=keyf)
+        return min([min(cs, key=keyf) for cs in ties], key=keyf)
+
+
+class _ShareBook:
+    """Decision state for a group-share policy in replay mode.
+
+    Serves policies carrying :class:`~repro.schedulers.base.
+    ShareSchedulerMixin`.  Jobs are numbered by *rank*, their
+    ``(submit_time, job_id)`` order, so the policy's within-group job key
+    is one int: the rank itself, or ``running * n + rank`` when the
+    policy ranks by running tasks first.  One :class:`_ShareSide` per
+    task kind sums running tasks over each group's candidates only, as
+    the policy's ``choose_next_*`` sums over its candidates.
+    :meth:`sync_map` / :meth:`sync_reduce` re-derive one job's share of
+    that state; the heap loop calls them as its ``offer_*`` (wherever a
+    static policy's job is re-offered to its heap), plus after each
+    dispatch.  Departures need no call:
+    a departing job has dispatched every task, so it is a candidate of
+    neither kind already.  A decision then scans the groups, not the
+    job queue.
+    """
+
+    __slots__ = ("rank", "by_rank", "group", "names", "weight", "paying",
+                 "budgeted", "charge", "mdl", "tsl", "rdl", "maps", "reduces")
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        jobs: list[Job],
+        mdl: list[list[float]],
+        tsl: list[list[float]],
+        rdl: list[list[float]],
+    ) -> None:
+        n = len(jobs)
+        order = sorted(range(n), key=lambda i: (jobs[i].submit_time, i))
+        self.rank = [0] * n
+        self.by_rank = [jobs[i] for i in order]
+        group_of = getattr(scheduler, "share_group")
+        names: dict[str, int] = {}
+        self.group = []
+        for r, i in enumerate(order):
+            self.rank[i] = r
+            self.group.append(names.setdefault(group_of(jobs[i]), len(names)))
+        self.names = list(names)
+        weight_of = getattr(scheduler, "share_weight")
+        self.weight = [weight_of(name) for name in self.names]
+        paying_of = getattr(scheduler, "share_paying")
+        self.paying = [bool(paying_of(name)) for name in self.names]
+        self.budgeted = bool(getattr(scheduler, "share_budgeted", False))
+        self.charge = getattr(scheduler, "share_charge")
+        self.mdl = mdl
+        self.tsl = tsl
+        self.rdl = rdl
+        by_running = bool(getattr(scheduler, "share_rank_by_running", False))
+        self.maps = _ShareSide(self, by_running)
+        self.reduces = _ShareSide(self, by_running)
+
+    def sync_map(self, job: Job) -> None:
+        """Re-derive ``job``'s map candidacy and running count."""
+        run = -1
+        if job.state is JobState.RUNNING and job.maps_dispatched < job.num_maps:
+            run = job.maps_dispatched - job.maps_completed
+            cap = job.wanted_map_slots
+            if cap is not None and run >= cap:
+                run = -1
+        self.maps.update(self.rank[job.job_id], run)
+
+    def sync_reduce(self, job: Job) -> None:
+        """Re-derive ``job``'s reduce candidacy and running count."""
+        run = -1
+        if (
+            job.state is JobState.RUNNING
+            and job.reduces_dispatched < job.num_reduces
+            and job.maps_completed >= job.reduce_gate
+        ):
+            run = job.reduces_dispatched - job.reduces_completed
+            cap = job.wanted_reduce_slots
+            if cap is not None and run >= cap:
+                run = -1
+        self.reduces.update(self.rank[job.job_id], run)
+
+    def _charge(self, r: int, slot_seconds: float) -> None:
+        """Charge rank ``r``'s group for its granted task, if paying."""
+        g = self.group[r]
+        if self.paying[g]:
+            self.paying[g] = bool(self.charge(self.names[g], slot_seconds))
+
+    def pick_map(self) -> Optional[Job]:
+        """The job whose next map the policy dispatches."""
+        r = self.maps.pick()
+        if r < 0:
+            return None
+        job = self.by_rank[r]
+        if self.budgeted:
+            self._charge(r, self.mdl[job.job_id][job.maps_dispatched])
+        return job
+
+    def pick_reduce(self) -> Optional[Job]:
+        """The job whose next reduce the policy dispatches."""
+        r = self.reduces.pick()
+        if r < 0:
+            return None
+        job = self.by_rank[r]
+        if self.budgeted:
+            jid = job.job_id
+            index = job.reduces_dispatched
+            self._charge(r, self.tsl[jid][index] + self.rdl[jid][index])
+        return job
+
 
 class _EngineBase:
-    """Run settings and result scaffolding shared by both engines.
+    """Run settings, the heap loop and result scaffolding of both engines.
 
     Parameters
     ----------
@@ -108,8 +321,8 @@ class _EngineBase:
         Three-state switch for the runtime sanitizer (``simsan``):
         ``True`` forces it on, ``False`` forces it off, ``None`` (the
         default) defers to the ``SIMMR_SANITIZE`` environment variable.
-        The off path is the exact pre-sanitizer hot loop — zero per-event
-        overhead (checked by ``benchmarks/bench_sanitizer_overhead.py``).
+        The off path pays one untaken branch per event (checked by
+        ``benchmarks/bench_sanitizer_overhead.py``).
     sanitizer:
         An explicit :class:`~repro.sanitize.sanitizer.Sanitizer` instance
         (e.g. one collecting violations instead of raising, or carrying
@@ -193,449 +406,643 @@ class _EngineBase:
             engine_path=engine_path,
         )
 
+    def _observe(self, times: Any, etypes: Any, job_ids: Any, task_indices: Any) -> None:
+        """Hand a run's popped event stream, in pop order, to the recorder.
+
+        The one place a :class:`~repro.sanitize.digest.DigestRecorder` is
+        fed: its digest is reset and takes the whole stream in one
+        packed-buffer update.
+        """
+        digest = self.sanitizer.digest
+        digest.reset()
+        digest.update_many(times, etypes, job_ids, task_indices)
+
+    def _run_heap(
+        self, trace: Sequence[TraceJob], decide: str, engine_path: str
+    ) -> SimulationResult:
+        """Replay ``trace`` through the event heap; ``decide`` picks jobs.
+
+        ``decide`` is one of ``"static"``, ``"choose"``, ``"share"`` or
+        ``"columns"`` (see the module docstring).  The loop's per-event
+        costs are kept low:
+
+        * handlers are inlined into one branch chain ordered by event
+          frequency (no dict dispatch, no bound-method calls);
+        * per-task durations come from cyclic duration *lists*
+          precomputed per job, not the profile accessors;
+        * a plain :class:`~repro.sanitize.digest.DigestRecorder` gets the
+          popped stream as four flat columns, hashed in one update after
+          the run; any other sanitizer gets its per-event hooks.
+
+        Preemption kills the youngest attempts first.  A killed attempt's
+        orphaned departure event still pops (counted and digested) and is
+        recognized by its stale sequence number.
+        """
+        wall_start = perf_seconds()
+        validate_dependencies(trace)
+        scheduler = self.scheduler
+        cluster = self.cluster
+        mmpc = self.min_map_percent_completed
+        record_tasks = self.record_tasks
+        model = self.shuffle_model
+        n = len(trace)
+        jobs = [Job(i, tj) for i, tj in enumerate(trace)]
+
+        # Cyclic per-task duration lists: the profile accessors'
+        # ``index % size`` lookup, amortized to one list index per event.
+        # Shuffle fallbacks mirror JobProfile.first_shuffle_duration /
+        # typical_shuffle_duration (each substitutes the other's array
+        # when its own is empty).
+        mdl: list[list[float]] = [[]] * n
+        fsl: list[list[float]] = [[]] * n
+        tsl: list[list[float]] = [[]] * n
+        rdl: list[list[float]] = [[]] * n
+        for i, job in enumerate(jobs):
+            profile = job.profile
+            if job.num_maps:
+                mdl[i] = _cycled(profile.map_durations, job.num_maps).tolist()
+            if job.num_reduces:
+                fs_arr = (
+                    profile.first_shuffle_durations
+                    if profile.first_shuffle_durations.size
+                    else profile.typical_shuffle_durations
+                )
+                ts_arr = (
+                    profile.typical_shuffle_durations
+                    if profile.typical_shuffle_durations.size
+                    else profile.first_shuffle_durations
+                )
+                fsl[i] = _cycled(fs_arr, job.num_reduces).tolist()
+                tsl[i] = _cycled(ts_arr, job.num_reduces).tolist()
+                rdl[i] = _cycled(profile.reduce_durations, job.num_reduces).tolist()
+
+        # One JOB_ARRIVAL per job without a parent, numbered in trace
+        # order; a dependent job arrives when its parent departs.
+        heap: list[tuple[float, int, int, int, int]] = []
+        dependents: dict[int, list[int]] = {}
+        for i, tj in enumerate(trace):
+            if tj.depends_on is None:
+                heap.append((tj.submit_time, _JOB_ARR, len(heap), i, -1))
+            else:
+                dependents.setdefault(tj.depends_on, []).append(i)
+        heapify(heap)
+        seq_c = len(heap)
+
+        free_m = cluster.map_slots
+        free_r = cluster.reduce_slots
+        job_q: list[Job] = []  # the paper's jobQ: submitted, not departed
+        fillers: dict[int, list[int]] = {}
+        preempt = self.preemption
+        # (job_id -> {index: (dep_seq | None for fillers, start, record)}),
+        # one dict per task kind; kept only with preemption enabled.
+        _RT = dict[int, tuple[Optional[int], float, Optional[TaskRecord]]]
+        rt_map: dict[int, _RT] = {}
+        rt_red: dict[int, _RT] = {}
+        records: list[TaskRecord] = []
+        fast = decide == "static"
+        mheap: list[tuple[tuple, int]] = []
+        rheap: list[tuple[tuple, int]] = []
+        # The contracted dynamic decisions read kernel-resident state:
+        # per-group sums for the share contract (Fair, DP, Capacity), or
+        # SchedulerColumns arrays for columnar-key policies (compiled
+        # policy trees).  Only the latter pays for per-event array writes.
+        share: Optional[_ShareBook] = None
+        if decide == "share":
+            share = _ShareBook(scheduler, jobs, mdl, tsl, rdl)
+        track = decide == "columns"
+        if track:
+            view = SchedulerColumns(jobs, cluster)
+            key_columns = getattr(scheduler, "columnar_key_columns")
+            v_gate = view.gate
+            v_active = view.active
+            v_mdisp = view.mdisp
+            v_mcomp = view.mcomp
+            v_rdisp = view.rdisp
+            v_rcomp = view.rcomp
+            v_nmaps = view.nmaps
+            v_nreds = view.nreds
+            v_capm = view.capm
+            v_capr = view.capr
+
+        san = self.sanitizer
+        observing = san is not None
+        hooks = False
+        if observing:
+            from ..sanitize.digest import DigestRecorder
+
+            hooks = type(san) is not DigestRecorder
+        if hooks:
+            observe_pop = san.observe_pop
+            observe_handled = san.observe_handled
+            san.begin_run(self, trace)
+        handled: Optional[tuple[Job, int]] = None  # last event, for the hooks
+        ev_t: list[float] = []
+        ev_e: list[int] = []
+        ev_j: list[int] = []
+        ev_k: list[int] = []
+        app_t = ev_t.append
+        app_e = ev_e.append
+        app_j = ev_j.append
+        app_k = ev_k.append
+
+        push = heappush
+        _RUNNING = JobState.RUNNING
+
+        # offer_*: called wherever a job's candidacy or running count may
+        # have changed; the static heaps re-admit the job lazily.
+        def offer_map(job: Job) -> None:
+            if fast and not job.in_map_heap:
+                if job.state is not _RUNNING or job.maps_dispatched >= job.num_maps:
+                    return
+                cap = job.wanted_map_slots
+                if cap is not None and job.maps_dispatched - job.maps_completed >= cap:
+                    return
+                job.in_map_heap = True
+                push(mheap, (job.sched_key, job.job_id))
+
+        def offer_reduce(job: Job) -> None:
+            if fast and not job.in_reduce_heap:
+                if (
+                    job.state is not _RUNNING
+                    or job.reduces_dispatched >= job.num_reduces
+                    or job.maps_completed < job.reduce_gate
+                ):
+                    return
+                cap = job.wanted_reduce_slots
+                if (
+                    cap is not None
+                    and job.reduces_dispatched - job.reduces_completed >= cap
+                ):
+                    return
+                job.in_reduce_heap = True
+                push(rheap, (job.sched_key, job.job_id))
+
+        if share is not None:
+            offer_map = share.sync_map  # type: ignore[assignment]
+            offer_reduce = share.sync_reduce  # type: ignore[assignment]
+
+        def price_shuffle(job: Job, index: int, first_wave: bool) -> float:
+            """One shuffle through the pluggable model."""
+            return model.shuffle_duration(  # type: ignore[union-attr]
+                ShuffleContext(
+                    job=job,
+                    index=index,
+                    first_wave=first_wave,
+                    concurrent_shuffles=max(cluster.reduce_slots - free_r, 1),
+                )
+            )
+
+        def maybe_depart(job: Job, now: float) -> None:
+            nonlocal seq_c
+            if job.is_complete and job.state is not JobState.COMPLETED:
+                job.state = JobState.COMPLETED
+                job.completion_time = now
+                job_q.remove(job)
+                scheduler.on_job_departure(job, now)
+                push(heap, (now, _JOB_DEP, seq_c, job.job_id, -1))
+                seq_c += 1
+                if track:
+                    v_active[job.job_id] = False
+                    if now > view.now:
+                        view.now = now
+                for child in dependents.pop(job.job_id, ()):
+                    push(heap, (max(jobs[child].submit_time, now), _JOB_ARR, seq_c, child, -1))
+                    seq_c += 1
+
+        def kill_tasks(victim: Job, kind_map: bool, count: int, now: float) -> None:
+            nonlocal free_m, free_r
+            vid = victim.job_id
+            running = rt_map.get(vid) if kind_map else rt_red.get(vid)
+            if not running:
+                return
+            # Stable reverse sort on start time: youngest attempts are
+            # killed first, equal starts in dict (insertion) order.
+            youngest_first = [
+                (start, index, dep_seq, record)
+                for index, (dep_seq, start, record) in running.items()
+            ]
+            youngest_first.sort(key=itemgetter(0), reverse=True)
+            killed = 0
+            for _start, index, dep_seq, record in youngest_first[:count]:
+                del running[index]
+                if record is not None:
+                    record.end = now
+                    record.killed = True
+                if kind_map:
+                    victim.maps_dispatched -= 1
+                    victim.requeued_maps.append(index)
+                    free_m += 1
+                    if track:
+                        v_mdisp[vid] -= 1.0
+                else:
+                    victim.reduces_dispatched -= 1
+                    victim.requeued_reduces.append(index)
+                    free_r += 1
+                    if track:
+                        v_rdisp[vid] -= 1.0
+                    if dep_seq is None:
+                        # A filler awaiting the map stage: cancel its rewrite.
+                        filler_list = fillers.get(vid)
+                        if filler_list and index in filler_list:
+                            filler_list.remove(index)
+                killed += 1
+            if killed:
+                offer_map(victim)
+                offer_reduce(victim)
+
+        def dispatch(job: Job, now: float, kind_map: bool) -> None:
+            nonlocal free_m, free_r, seq_c
+            jid = job.job_id
+            if kind_map:
+                free_m -= 1
+                if job.requeued_maps:
+                    index = job.requeued_maps.pop()
+                else:
+                    index = job.next_map_index
+                    job.next_map_index = index + 1
+                job.maps_dispatched += 1
+                if job.start_time is None:
+                    job.start_time = now
+                push(heap, (now, _MAP_ARR, seq_c, jid, index))
+            else:
+                free_r -= 1
+                if job.requeued_reduces:
+                    index = job.requeued_reduces.pop()
+                else:
+                    index = job.next_reduce_index
+                    job.next_reduce_index = index + 1
+                job.reduces_dispatched += 1
+                if job.start_time is None:
+                    job.start_time = now
+                push(heap, (now, _RED_ARR, seq_c, jid, index))
+            seq_c += 1
+
+        def allocate_static(now: float) -> None:
+            while free_m > 0 and mheap:
+                job = jobs[mheap[0][1]]
+                cap = job.wanted_map_slots
+                if (
+                    job.state is not _RUNNING
+                    or job.maps_dispatched >= job.num_maps
+                    or (
+                        cap is not None
+                        and job.maps_dispatched - job.maps_completed >= cap
+                    )
+                ):
+                    heappop(mheap)
+                    job.in_map_heap = False
+                    continue
+                dispatch(job, now, True)
+            while free_r > 0 and rheap:
+                job = jobs[rheap[0][1]]
+                cap = job.wanted_reduce_slots
+                if (
+                    job.state is not _RUNNING
+                    or job.reduces_dispatched >= job.num_reduces
+                    or job.maps_completed < job.reduce_gate
+                    or (
+                        cap is not None
+                        and job.reduces_dispatched - job.reduces_completed >= cap
+                    )
+                ):
+                    heappop(rheap)
+                    job.in_reduce_heap = False
+                    continue
+                dispatch(job, now, False)
+
+        def allocate_choose(now: float) -> None:
+            # The paper's narrow interface: ask the policy per free slot.
+            while free_m > 0:
+                candidates = []
+                for job in job_q:
+                    cap = job.wanted_map_slots
+                    if job.maps_dispatched < job.num_maps and (
+                        cap is None or job.maps_dispatched - job.maps_completed < cap
+                    ):
+                        candidates.append(job)
+                if not candidates:
+                    break
+                job = scheduler.choose_next_map_task(candidates)
+                if job is None:
+                    break
+                dispatch(job, now, True)
+            while free_r > 0:
+                candidates = []
+                for job in job_q:
+                    cap = job.wanted_reduce_slots
+                    if (
+                        job.reduces_dispatched < job.num_reduces
+                        and job.maps_completed >= job.reduce_gate
+                        and (
+                            cap is None
+                            or job.reduces_dispatched - job.reduces_completed < cap
+                        )
+                    ):
+                        candidates.append(job)
+                if not candidates:
+                    break
+                job = scheduler.choose_next_reduce_task(candidates)
+                if job is None:
+                    break
+                dispatch(job, now, False)
+
+        def allocate_share(now: float) -> None:
+            # One group scan per dispatch (see _ShareBook); the dispatch
+            # changed the job's running count, so re-offer it.
+            while free_m > 0:
+                job = pick_map()
+                if job is None:
+                    break
+                dispatch(job, now, True)
+                offer_map(job)
+            while free_r > 0:
+                job = pick_reduce()
+                if job is None:
+                    break
+                dispatch(job, now, False)
+                offer_reduce(job)
+
+        def allocate_columns(now: float) -> None:
+            # Vectorized decision per dispatch: one eligibility mask per
+            # side per allocation, updated in place for the dispatched
+            # job only (nothing else changes between dispatches of the
+            # same allocation), then the policy's key columns + one
+            # lexsort with the kernel-appended job_id tie-break.
+            # ``min(candidates, key=...)`` with a total key picks the
+            # same job regardless of candidate order, so increasing-id
+            # candidates are sound.
+            if free_m > 0:
+                el = v_active & (v_mdisp < v_nmaps) & (v_mdisp - v_mcomp < v_capm)
+                while free_m > 0:
+                    cand = el.nonzero()[0]
+                    k = cand.size
+                    if k == 0:
+                        break
+                    if k == 1:
+                        pick = int(cand[0])
+                    else:
+                        view.queue_depth = float(k)
+                        view.free_map = float(free_m)
+                        view.free_reduce = float(free_r)
+                        cols = key_columns(view, cand, "map")
+                        order = np.lexsort((cand,) + tuple(reversed(cols)))
+                        pick = int(cand[order[0]])
+                    dispatch(jobs[pick], now, True)
+                    d = v_mdisp[pick] + 1.0
+                    v_mdisp[pick] = d
+                    el[pick] = d < v_nmaps[pick] and d - v_mcomp[pick] < v_capm[pick]
+            if free_r > 0:
+                el = (
+                    v_active
+                    & (v_rdisp < v_nreds)
+                    & (v_mcomp >= v_gate)
+                    & (v_rdisp - v_rcomp < v_capr)
+                )
+                while free_r > 0:
+                    cand = el.nonzero()[0]
+                    k = cand.size
+                    if k == 0:
+                        break
+                    if k == 1:
+                        pick = int(cand[0])
+                    else:
+                        view.queue_depth = float(k)
+                        view.free_map = float(free_m)
+                        view.free_reduce = float(free_r)
+                        cols = key_columns(view, cand, "reduce")
+                        order = np.lexsort((cand,) + tuple(reversed(cols)))
+                        pick = int(cand[order[0]])
+                    dispatch(jobs[pick], now, False)
+                    d = v_rdisp[pick] + 1.0
+                    v_rdisp[pick] = d
+                    el[pick] = d < v_nreds[pick] and d - v_rcomp[pick] < v_capr[pick]
+
+        if fast:
+            allocate = allocate_static
+        elif share is not None:
+            pick_map = share.pick_map
+            pick_reduce = share.pick_reduce
+            allocate = allocate_share
+        elif track:
+            allocate = allocate_columns
+        else:
+            allocate = allocate_choose
+
+        processed = 0
+        record: Optional[TaskRecord]
+        while heap:
+            now, etype, seq, jid, ti = heappop(heap)
+            processed += 1
+            job = jobs[jid]
+            if observing:
+                if hooks:
+                    # The previous event's handler is done: check it, then
+                    # this pop.
+                    if handled is not None:
+                        observe_handled(handled[0], handled[1], job_q, free_m, free_r)
+                    observe_pop(now, etype, seq, jid, ti)
+                    handled = (job, etype)
+                else:
+                    app_t(now)
+                    app_e(etype)
+                    app_j(jid)
+                    app_k(ti)
+            if etype == _MAP_DEP:
+                if preempt:
+                    running = rt_map.get(jid)
+                    entry = running.get(ti) if running else None
+                    if entry is None or entry[0] != seq:
+                        continue  # stale departure of a killed attempt
+                    del running[ti]  # type: ignore[union-attr]
+                job.maps_completed += 1
+                free_m += 1
+                if track:
+                    v_mcomp[jid] += 1.0
+                if job.maps_completed >= job.num_maps and job.map_stage_end is None:
+                    job.map_stage_end = now
+                    push(heap, (now, _ALL_MAPS, seq_c, jid, -1))
+                    seq_c += 1
+                    if job.num_reduces == 0:
+                        maybe_depart(job, now)
+                else:
+                    offer_map(job)
+                offer_reduce(job)
+                allocate(now)
+            elif etype == _MAP_ARR:
+                end = now + mdl[jid][ti]
+                record = None
+                if record_tasks:
+                    record = TaskRecord(
+                        kind="map", job_id=jid, index=ti, start=now, end=end
+                    )
+                    job.map_records.append(record)
+                    records.append(record)
+                push(heap, (end, _MAP_DEP, seq_c, jid, ti))
+                if preempt:
+                    d_map = rt_map.get(jid)
+                    if d_map is None:
+                        d_map = {}
+                        rt_map[jid] = d_map
+                    d_map[ti] = (seq_c, now, record)
+                seq_c += 1
+            elif etype == _RED_DEP:
+                if preempt:
+                    running = rt_red.get(jid)
+                    entry = running.get(ti) if running else None
+                    if entry is None or entry[0] != seq:
+                        continue  # stale departure of a killed attempt
+                    del running[ti]  # type: ignore[union-attr]
+                job.reduces_completed += 1
+                free_r += 1
+                if track:
+                    v_rcomp[jid] += 1.0
+                maybe_depart(job, now)
+                offer_reduce(job)
+                allocate(now)
+            elif etype == _RED_ARR:
+                if job.maps_completed < job.num_maps:
+                    # First wave overlapping the map stage: an infinite
+                    # filler, rewritten by ALL_MAPS_FINISHED.
+                    record = None
+                    if record_tasks:
+                        record = TaskRecord(
+                            kind="reduce", job_id=jid, index=ti, start=now,
+                            first_wave=True,
+                        )
+                        job.reduce_records.append(record)
+                        records.append(record)
+                    fl = fillers.get(jid)
+                    if fl is None:
+                        fillers[jid] = [ti]
+                    else:
+                        fl.append(ti)
+                    if preempt:
+                        d_red = rt_red.get(jid)
+                        if d_red is None:
+                            d_red = {}
+                            rt_red[jid] = d_red
+                        d_red[ti] = (None, now, record)
+                else:
+                    mse = job.map_stage_end
+                    first_wave = mse is not None and now <= mse
+                    if model is not None:
+                        shuffle = price_shuffle(job, ti, first_wave)
+                    else:
+                        shuffle = fsl[jid][ti] if first_wave else tsl[jid][ti]
+                    shuffle_end = now + shuffle
+                    end = shuffle_end + rdl[jid][ti]
+                    record = None
+                    if record_tasks:
+                        record = TaskRecord(
+                            kind="reduce", job_id=jid, index=ti, start=now,
+                            end=end, shuffle_end=shuffle_end,
+                            first_wave=first_wave,
+                        )
+                        job.reduce_records.append(record)
+                        records.append(record)
+                    push(heap, (end, _RED_DEP, seq_c, jid, ti))
+                    if preempt:
+                        d_red = rt_red.get(jid)
+                        if d_red is None:
+                            d_red = {}
+                            rt_red[jid] = d_red
+                        d_red[ti] = (seq_c, now, record)
+                    seq_c += 1
+            elif etype == _ALL_MAPS:
+                # Rewrite the job's infinite fillers to real durations:
+                # each first-wave reduce finishes at
+                # map_stage_end + first_shuffle[i] + reduce[i].
+                fl2 = fillers.pop(jid, None)
+                if fl2:
+                    fs_j = fsl[jid]
+                    rd_j = rdl[jid]
+                    running = rt_red.get(jid) if preempt else None
+                    for index in fl2:
+                        if model is not None:
+                            shuffle_end = now + price_shuffle(job, index, True)
+                        else:
+                            shuffle_end = now + fs_j[index]
+                        end = shuffle_end + rd_j[index]
+                        if preempt:
+                            entry = running.get(index) if running else None
+                            record = entry[2] if entry else None
+                        else:
+                            # Without preemption, indices are assigned
+                            # in order: the index is the record position.
+                            entry = None
+                            record = (
+                                job.reduce_records[index] if record_tasks else None
+                            )
+                        if record is not None:
+                            record.shuffle_end = shuffle_end
+                            record.end = end
+                        push(heap, (end, _RED_DEP, seq_c, jid, index))
+                        if preempt and entry is not None:
+                            running[index] = (  # type: ignore[index]
+                                seq_c, entry[1], entry[2],
+                            )
+                        seq_c += 1
+            elif etype == _JOB_ARR:
+                job.state = _RUNNING
+                # The reduce slow-start gate as a completed-maps count.
+                job.reduce_gate = mmpc * job.num_maps
+                if job.num_maps == 0:
+                    # Map-less job: the map stage is trivially complete,
+                    # so reduces behave like a first wave.
+                    job.map_stage_end = now
+                job_q.append(job)
+                scheduler.on_job_arrival(job, now, cluster)
+                if fast:
+                    job.sched_key = scheduler.priority_key(job)
+                elif track:
+                    v_gate[jid] = job.reduce_gate
+                    cap_m = job.wanted_map_slots
+                    if cap_m is not None:
+                        v_capm[jid] = float(cap_m)
+                    cap_r = job.wanted_reduce_slots
+                    if cap_r is not None:
+                        v_capr[jid] = float(cap_r)
+                    v_active[jid] = True
+                    if now > view.now:
+                        view.now = now
+                offer_map(job)
+                offer_reduce(job)
+                if preempt:
+                    others = [j for j in job_q if j is not job]
+                    for victim, vkind, count in scheduler.preemption_requests(
+                        job, others, cluster, free_m, free_r
+                    ):
+                        if victim.state is _RUNNING and count > 0:
+                            kill_tasks(victim, vkind == "map", count, now)
+                allocate(now)
+            # else: _JOB_DEP — bookkeeping already done in maybe_depart;
+            # the event exists so departures appear in the event stream.
+
+        # A stall drains the heap too: the observer gets the popped
+        # prefix before the run fails.
+        if handled is not None:
+            observe_handled(handled[0], handled[1], job_q, free_m, free_r)
+        elif observing and not hooks:
+            self._observe(ev_t, ev_e, ev_j, ev_k)
+        self._raise_if_stalled(jobs)
+        if hooks:
+            san.end_run(jobs, records, free_m, free_r)
+        return self._result(jobs, records, processed, wall_start, engine_path)
+
 
 class SimulatorEngine(_EngineBase):
     """Replays a MapReduce workload trace under a scheduling policy.
 
-    The constructor arguments are documented on :class:`_EngineBase`.
+    The reference engine: every run goes through the heap loop, static
+    policies through their priority heaps and every other policy through
+    ``choose_next_map_task`` / ``choose_next_reduce_task``.  The
+    constructor arguments are documented on :class:`_EngineBase`.
     """
-
-    def __init__(self, cluster: ClusterConfig, scheduler: Scheduler, **kwargs: Any) -> None:
-        super().__init__(cluster, scheduler, **kwargs)
-        self._reset()
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
 
     def run(self, trace: Sequence[TraceJob]) -> SimulationResult:
         """Simulate the full trace and return the run's results."""
-        # These readings feed only the result's wall_clock_seconds /
-        # events-per-second metric (paper Section IV-B); walltime is the
-        # sanctioned site, no simulated timestamp derives from it.
-        wall_start = perf_seconds()
-        self._reset()
-        push = self._push_event
-        validate_dependencies(trace)
-        for i, trace_job in enumerate(trace):
-            self._jobs.append(Job(i, trace_job))
-            if trace_job.depends_on is None:
-                push(trace_job.submit_time, _JOB_ARR, i, -1)
-            else:
-                self._dependents.setdefault(trace_job.depends_on, []).append(i)
-
-        heap = self._heap
-        handlers = {
-            _MAP_DEP: self._on_map_departure,
-            _ALL_MAPS: self._on_all_maps_finished,
-            _RED_DEP: self._on_reduce_departure,
-            _JOB_DEP: self._on_job_departure,
-            _JOB_ARR: self._on_job_arrival,
-            _MAP_ARR: self._on_map_arrival,
-            _RED_ARR: self._on_reduce_arrival,
-        }
-        jobs = self._jobs
-        processed = 0
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_run(self, trace)
-            while heap:
-                now, etype, seq, job_id, task_index = heappop(heap)
-                processed += 1
-                sanitizer.observe_pop(now, etype, seq, job_id, task_index)
-                self._now = now
-                handlers[etype](jobs[job_id], task_index, seq)
-                sanitizer.observe_handled(self, jobs[job_id], etype)
-        else:
-            while heap:
-                now, etype, seq, job_id, task_index = heappop(heap)
-                processed += 1
-                self._now = now
-                handlers[etype](jobs[job_id], task_index, seq)
-        self._events_processed = processed
-        self._raise_if_stalled(jobs)
-        if sanitizer is not None:
-            sanitizer.end_run(self)
-        return self._result(jobs, self._records, processed, wall_start, "object")
-
-    # ------------------------------------------------------------------ #
-    # internal state
-    # ------------------------------------------------------------------ #
-
-    def _reset(self) -> None:
-        self._heap: list[tuple] = []
-        self._seq = 0
-        self._jobs: list[Job] = []
-        self._job_q: list[Job] = []  # the paper's jobQ: submitted, not departed
-        self._free_map_slots = self.cluster.map_slots
-        self._free_reduce_slots = self.cluster.reduce_slots
-        self._now = 0.0
-        self._events_processed = 0
-        self._records: list[TaskRecord] = []
-        # Per-job list of reduce task indices running as infinite fillers.
-        self._fillers: dict[int, list[int]] = {}
-        # Workflow edges: parent job id -> ids submitted on its completion.
-        self._dependents: dict[int, list[int]] = {}
-        # Preemption bookkeeping: (job_id, kind) -> {index: (departure
-        # event seq or None for fillers, start time, record or None)}.
-        # Only maintained when preemption is enabled, keeping the default
-        # hot path allocation-free.
-        self._preempt = self.preemption
-        self._running_tasks: dict[tuple[int, str], dict[int, tuple]] = {}
-        # Fast-path heaps of (priority_key, job_id) for eligible jobs.
-        self._fast = self.scheduler.static_priority
-        self._map_heap: list[tuple] = []
-        self._reduce_heap: list[tuple] = []
-
-    def _push_event(self, time: float, etype: int, job_id: int, task_index: int) -> int:
-        seq = self._seq
-        heappush(self._heap, (time, etype, seq, job_id, task_index))
-        self._seq += 1
-        return seq
-
-    # ------------------------------------------------------------------ #
-    # eligibility
-    # ------------------------------------------------------------------ #
-
-    def _map_eligible(self, job: Job) -> bool:
-        if job.state is not JobState.RUNNING or job.maps_dispatched >= job.num_maps:
-            return False
-        cap = job.wanted_map_slots
-        return cap is None or job.maps_dispatched - job.maps_completed < cap
-
-    def _reduce_eligible(self, job: Job) -> bool:
-        if job.state is not JobState.RUNNING or job.reduces_dispatched >= job.num_reduces:
-            return False
-        if job.maps_completed < job.reduce_gate:
-            return False
-        cap = job.wanted_reduce_slots
-        return cap is None or job.running_reduces < cap
-
-    def _offer_map(self, job: Job) -> None:
-        """(Re-)insert a job into the map fast-path heap if eligible."""
-        if self._fast and not job.in_map_heap and self._map_eligible(job):
-            job.in_map_heap = True
-            heappush(self._map_heap, (job.sched_key, job.job_id))
-
-    def _offer_reduce(self, job: Job) -> None:
-        """(Re-)insert a job into the reduce fast-path heap if eligible."""
-        if self._fast and not job.in_reduce_heap and self._reduce_eligible(job):
-            job.in_reduce_heap = True
-            heappush(self._reduce_heap, (job.sched_key, job.job_id))
-
-    # ------------------------------------------------------------------ #
-    # job lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _on_job_arrival(self, job: Job, _ti: int, _seq: int) -> None:
-        job.state = JobState.RUNNING
-        # Precompute the reduce slow-start gate as a completed-maps count.
-        job.reduce_gate = self.min_map_percent_completed * job.num_maps
-        if job.num_maps == 0:
-            # Degenerate map-less job: the map stage is trivially complete
-            # at submission, so reduces behave like a first wave whose
-            # shuffle starts immediately.
-            job.map_stage_end = self._now
-        self._job_q.append(job)
-        self.scheduler.on_job_arrival(job, self._now, self.cluster)
-        if self._fast:
-            job.sched_key = self.scheduler.priority_key(job)
-            self._offer_map(job)
-            self._offer_reduce(job)
-        if self._preempt:
-            others = [j for j in self._job_q if j is not job]
-            for victim, kind, count in self.scheduler.preemption_requests(
-                job, others, self.cluster, self._free_map_slots, self._free_reduce_slots
-            ):
-                if victim.state is JobState.RUNNING and count > 0:
-                    self._kill_tasks(victim, kind, count)
-        self._allocate()
-
-    def _on_job_departure(self, job: Job, _ti: int, _seq: int) -> None:
-        # All bookkeeping happened synchronously in _maybe_depart; the
-        # event exists so departures appear in the event stream (one of
-        # the paper's seven event types).
-        pass
-
-    def _maybe_depart(self, job: Job) -> None:
-        if job.is_complete and job.state is not JobState.COMPLETED:
-            job.state = JobState.COMPLETED
-            job.completion_time = self._now
-            self._job_q.remove(job)
-            self.scheduler.on_job_departure(job, self._now)
-            self._push_event(self._now, _JOB_DEP, job.job_id, -1)
-            for child_id in self._dependents.pop(job.job_id, []):
-                child = self._jobs[child_id]
-                self._push_event(
-                    max(child.submit_time, self._now), _JOB_ARR, child_id, -1
-                )
-
-    # ------------------------------------------------------------------ #
-    # map tasks
-    # ------------------------------------------------------------------ #
-
-    def _on_map_arrival(self, job: Job, index: int, _seq: int) -> None:
-        duration = job.profile.map_duration(index)
-        record = None
-        if self.record_tasks:
-            record = TaskRecord(
-                kind="map", job_id=job.job_id, index=index, start=self._now,
-                end=self._now + duration,
-            )
-            job.map_records.append(record)
-            self._records.append(record)
-        dep_seq = self._push_event(self._now + duration, _MAP_DEP, job.job_id, index)
-        if self._preempt:
-            self._running_tasks.setdefault((job.job_id, "map"), {})[index] = (
-                dep_seq, self._now, record,
-            )
-
-    def _on_map_departure(self, job: Job, index: int, seq: int) -> None:
-        if self._preempt:
-            running = self._running_tasks.get((job.job_id, "map"))
-            entry = running.get(index) if running else None
-            if entry is None or entry[0] != seq:
-                return  # stale departure of a preemption-killed attempt
-            del running[index]
-        job.maps_completed += 1
-        self._free_map_slots += 1
-        if job.map_stage_complete and job.map_stage_end is None:
-            job.map_stage_end = self._now
-            self._push_event(self._now, _ALL_MAPS, job.job_id, -1)
-            if job.num_reduces == 0:
-                self._maybe_depart(job)
-        else:
-            # Completing a map may lift the job back under its slot cap or
-            # across the reduce slow-start threshold.
-            self._offer_map(job)
-        self._offer_reduce(job)
-        self._allocate()
-
-    def _on_all_maps_finished(self, job: Job, _ti: int, _seq: int) -> None:
-        """Rewrite the job's infinite filler reduces to real durations.
-
-        Each first-wave reduce task ``i`` now finishes at
-        ``map_stage_end + first_shuffle[i] + reduce[i]``; its shuffle/
-        reduce phase boundary is recorded for the progress experiments.
-        """
-        fillers = self._fillers.pop(job.job_id, None)
-        if not fillers:
-            return
-        profile = job.profile
-        running = self._running_tasks.get((job.job_id, "reduce")) if self._preempt else None
-        for index in fillers:
-            if self.shuffle_model is not None:
-                shuffle_end = self._now + self._model_shuffle(job, index, True)
-            else:
-                shuffle_end = self._now + profile.first_shuffle_duration(index)
-            end = shuffle_end + profile.reduce_duration(index)
-            if self._preempt:
-                entry = running.get(index) if running else None
-                record = entry[2] if entry else None
-            else:
-                # Without preemption, indices are assigned sequentially,
-                # so the index doubles as the record position.
-                record = job.reduce_records[index] if self.record_tasks else None
-            if record is not None:
-                record.shuffle_end = shuffle_end
-                record.end = end
-            dep_seq = self._push_event(end, _RED_DEP, job.job_id, index)
-            if self._preempt and entry is not None:
-                running[index] = (dep_seq, entry[1], entry[2])
-
-    def _model_shuffle(self, job: Job, index: int, first_wave: bool) -> float:
-        """Price one shuffle through the pluggable model."""
-        concurrent = self.cluster.reduce_slots - self._free_reduce_slots
-        return self.shuffle_model.shuffle_duration(
-            ShuffleContext(
-                job=job,
-                index=index,
-                first_wave=first_wave,
-                concurrent_shuffles=max(concurrent, 1),
-            )
-        )
-
-    # ------------------------------------------------------------------ #
-    # reduce tasks
-    # ------------------------------------------------------------------ #
-
-    def _on_reduce_arrival(self, job: Job, index: int, _seq: int) -> None:
-        profile = job.profile
-        if not job.map_stage_complete:
-            # First wave, overlapping the map stage: an infinite filler
-            # occupying the slot until ALL_MAPS_FINISHED rewrites it.
-            record = None
-            if self.record_tasks:
-                record = TaskRecord(
-                    kind="reduce", job_id=job.job_id, index=index,
-                    start=self._now, first_wave=True,
-                )
-                job.reduce_records.append(record)
-                self._records.append(record)
-            self._fillers.setdefault(job.job_id, []).append(index)
-            if self._preempt:
-                self._running_tasks.setdefault((job.job_id, "reduce"), {})[index] = (
-                    None, self._now, record,
-                )
-            return
-
-        first_wave = job.map_stage_end is not None and self._now <= job.map_stage_end
-        if self.shuffle_model is not None:
-            shuffle = self._model_shuffle(job, index, first_wave)
-        elif first_wave:
-            shuffle = profile.first_shuffle_duration(index)
-        else:
-            shuffle = profile.typical_shuffle_duration(index)
-        shuffle_end = self._now + shuffle
-        end = shuffle_end + profile.reduce_duration(index)
-        record = None
-        if self.record_tasks:
-            record = TaskRecord(
-                kind="reduce", job_id=job.job_id, index=index, start=self._now,
-                end=end, shuffle_end=shuffle_end, first_wave=first_wave,
-            )
-            job.reduce_records.append(record)
-            self._records.append(record)
-        dep_seq = self._push_event(end, _RED_DEP, job.job_id, index)
-        if self._preempt:
-            self._running_tasks.setdefault((job.job_id, "reduce"), {})[index] = (
-                dep_seq, self._now, record,
-            )
-
-    def _on_reduce_departure(self, job: Job, index: int, seq: int) -> None:
-        if self._preempt:
-            running = self._running_tasks.get((job.job_id, "reduce"))
-            entry = running.get(index) if running else None
-            if entry is None or entry[0] != seq:
-                return  # stale departure of a preemption-killed attempt
-            del running[index]
-        job.reduces_completed += 1
-        self._free_reduce_slots += 1
-        self._maybe_depart(job)
-        self._offer_reduce(job)
-        self._allocate()
-
-    # ------------------------------------------------------------------ #
-    # slot allocation (the job-master decision loop)
-    # ------------------------------------------------------------------ #
-
-    def _dispatch_map(self, job: Job) -> None:
-        self._free_map_slots -= 1
-        if job.requeued_maps:
-            index = job.requeued_maps.pop()
-        else:
-            index = job.next_map_index
-            job.next_map_index += 1
-        job.maps_dispatched += 1
-        if job.start_time is None:
-            job.start_time = self._now
-        self._push_event(self._now, _MAP_ARR, job.job_id, index)
-
-    def _dispatch_reduce(self, job: Job) -> None:
-        self._free_reduce_slots -= 1
-        if job.requeued_reduces:
-            index = job.requeued_reduces.pop()
-        else:
-            index = job.next_reduce_index
-            job.next_reduce_index += 1
-        job.reduces_dispatched += 1
-        if job.start_time is None:
-            job.start_time = self._now
-        self._push_event(self._now, _RED_ARR, job.job_id, index)
-
-    def _kill_tasks(self, victim: Job, kind: str, count: int) -> int:
-        """Preemption: kill up to ``count`` running tasks of ``victim``.
-
-        Hadoop preempts by killing — the attempt's progress is lost and
-        the task index returns to the pending pool to rerun from scratch.
-        The youngest attempts are killed first (least work discarded).
-        Returns the number of tasks actually killed.
-        """
-        running = self._running_tasks.get((victim.job_id, kind))
-        if not running:
-            return 0
-        # Decorate-sort on the start time with a C-level key: stable
-        # sort + reverse=True keeps equal-start attempts in dict
-        # (insertion) order — exactly the order the old
-        # ``key=lambda kv: -start`` ascending sort produced, so kill
-        # order (and thus the event digest) is unchanged, minus the
-        # per-item lambda call and tuple indexing.
-        youngest_first = [
-            (start, index, dep_seq, record)
-            for index, (dep_seq, start, record) in running.items()
-        ]
-        youngest_first.sort(key=itemgetter(0), reverse=True)
-        killed = 0
-        for _start, index, dep_seq, record in youngest_first[:count]:
-            del running[index]
-            if record is not None:
-                record.end = self._now
-                record.killed = True
-            if kind == "map":
-                victim.maps_dispatched -= 1
-                victim.requeued_maps.append(index)
-                self._free_map_slots += 1
-            else:
-                victim.reduces_dispatched -= 1
-                victim.requeued_reduces.append(index)
-                self._free_reduce_slots += 1
-                if dep_seq is None:
-                    # A filler awaiting the map stage: cancel its rewrite.
-                    filler_list = self._fillers.get(victim.job_id)
-                    if filler_list and index in filler_list:
-                        filler_list.remove(index)
-            killed += 1
-        if killed:
-            # The victim regained headroom under its caps.
-            self._offer_map(victim)
-            self._offer_reduce(victim)
-        return killed
-
-    def _allocate(self) -> None:
-        """Assign free slots to tasks as dictated by the scheduling policy."""
-        if self._fast:
-            self._allocate_static()
-        else:
-            self._allocate_dynamic()
-
-    def _allocate_static(self) -> None:
-        jobs = self._jobs
-        heap = self._map_heap
-        while self._free_map_slots > 0 and heap:
-            job = jobs[heap[0][1]]
-            if not self._map_eligible(job):
-                heappop(heap)
-                job.in_map_heap = False
-                continue
-            self._dispatch_map(job)
-        heap = self._reduce_heap
-        while self._free_reduce_slots > 0 and heap:
-            job = jobs[heap[0][1]]
-            if not self._reduce_eligible(job):
-                heappop(heap)
-                job.in_reduce_heap = False
-                continue
-            self._dispatch_reduce(job)
-
-    def _allocate_dynamic(self) -> None:
-        """The paper's narrow interface: ask the policy per free slot."""
-        scheduler = self.scheduler
-        while self._free_map_slots > 0:
-            candidates = [j for j in self._job_q if self._map_eligible(j)]
-            if not candidates:
-                break
-            job = scheduler.choose_next_map_task(candidates)
-            if job is None:
-                break
-            self._dispatch_map(job)
-        while self._free_reduce_slots > 0:
-            candidates = [j for j in self._job_q if self._reduce_eligible(j)]
-            if not candidates:
-                break
-            job = scheduler.choose_next_reduce_task(candidates)
-            if job is None:
-                break
-            self._dispatch_reduce(job)
+        decide = "static" if self.scheduler.static_priority else "choose"
+        return self._run_heap(trace, decide, "object")
 
 
 def simulate(
@@ -649,10 +1056,12 @@ def simulate(
     """One-shot convenience wrapper: build an engine and run ``trace``.
 
     ``engine`` selects the execution path: ``"columnar"`` (default)
-    runs the vectorized kernel where it applies and transparently falls
-    back to the object engine elsewhere; ``"object"`` forces the
-    classic object-per-event loop (see ``docs/engine-internals.md``).
-    Both paths produce bit-identical event digests.
+    runs :class:`~repro.core.kernel.ColumnarEngine`, the vectorized pass
+    mode where it applies and the heap loop with the kernel contracts
+    elsewhere; ``"object"`` forces :class:`SimulatorEngine`, the heap
+    loop with the policy's own ``choose_next_*`` decisions (see
+    ``docs/engine-internals.md``).  Both paths produce bit-identical
+    event digests.
     """
     if engine == "columnar":
         from .kernel import ColumnarEngine

@@ -1,10 +1,11 @@
 """Columnar simulation kernel: wave-batched replay over contiguous buffers.
 
 :class:`ColumnarEngine` is the high-throughput counterpart of
-:class:`~repro.core.engine.SimulatorEngine`.  The object engine walks a
-binary heap one event at a time — seven event types, one handler call,
-one allocation scan per pop.  The kernel exploits the structure of the
-static-priority schedule to avoid materialising most of those events:
+:class:`~repro.core.engine.SimulatorEngine`.  Both run the one heap loop
+(:meth:`~repro.core.engine._EngineBase._run_heap`), which pops one event
+at a time — seven event types, one branch per pop.  The kernel's **pass
+mode** exploits the structure of the static-priority schedule to avoid
+materialising most of those events:
 
 * **decision points only.**  With a static-priority policy and no
   preemption, the schedule is fully determined by job arrivals, reduce
@@ -26,54 +27,34 @@ static-priority schedule to avoid materialising most of those events:
   columns: one block per event type, each already in the order of its
   heap tie-break, concatenated in type priority and ordered by one
   stable sort on time — the heap's ``(time, type, seq)`` order — then
-  streamed through the digest in a single packed-buffer update.  The digest is byte-for-byte
-  the one the object engine produces, which is what lets the simsan
-  divergence toolchain gate this refactor (see
+  streamed through the digest in a single packed-buffer update.  The
+  digest is byte-for-byte the one the heap loop produces (see
   ``docs/engine-internals.md``).
 
-The kernel has two modes.  **Pass mode** (the original design above)
-covers static-priority, non-preemptive runs without zero-time tasks.
-**Segmented-replay mode** widens the envelope to those runs, to
-preemptive runs and to dynamic schedulers that opt into a kernel
-contract — the group-share
+Pass mode covers static-priority runs without live preemption,
+zero-time tasks, a pluggable shuffle model, workflow dependencies or a
+state-inspecting sanitizer (:meth:`ColumnarEngine._passes_apply`).
+Every other run takes **replay mode**: the heap loop, deciding each
+dispatch through the policy's kernel contract — the static priority
+heaps, the group-share
 :class:`~repro.schedulers.base.ShareSchedulerMixin` (Fair,
 DynamicPriority, Capacity) or the columnar-key
 :class:`~repro.schedulers.base.ColumnarSchedulerMixin` (dynamic policy
-trees): a single inlined event loop that reproduces the object engine's
-heap mechanics bit-for-bit, with precomputed duration lists,
-preemption kills sliced out of the running-attempt tables with the
-object engine's exact decorate-sort victim order, and each dispatch
-decided from kernel-resident state (per-group running sums, or
-:class:`~repro.core.columns.SchedulerColumns` arrays) instead of a
-candidate scan over the job queue.
-
-Both modes hand the popped stream to the recorder from one place,
-:meth:`ColumnarEngine._observe`: one packed-buffer
-:meth:`~repro.sanitize.digest.EventDigest.update_many` call per run.  A
-stalled run feeds the prefix popped before the stall and then raises,
-as the object engine does.
-
-What still falls back to the object engine is a short list: a pluggable
-shuffle model, workflow dependencies (``depends_on``), any sanitizer
-other than a plain :class:`~repro.sanitize.digest.DigestRecorder` (the
-full invariant checker inspects per-event engine state), and dynamic
-schedulers without a kernel contract (Flex).  ``ColumnarEngine`` is
-always safe to use; :attr:`ColumnarEngine.last_path` reports which path
-a run took and :attr:`ColumnarEngine.last_kernel_mode` which kernel
-mode.
+trees) — and through ``choose_next_*`` for a policy no contract covers
+(Flex).  ``ColumnarEngine`` is always safe to use;
+:attr:`ColumnarEngine.last_kernel_mode` reports which mode a run took.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush, heapreplace
-from operator import itemgetter
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .cluster import ClusterConfig
-from .columns import SchedulerColumns, TraceColumns
+from .columns import TraceColumns
 from .engine import (
     _ALL_MAPS,
     _JOB_ARR,
@@ -82,8 +63,8 @@ from .engine import (
     _MAP_DEP,
     _RED_ARR,
     _RED_DEP,
-    SimulatorEngine,
     _EngineBase,
+    _cycled,
 )
 from .job import Job, JobState, TaskRecord, TraceJob, validate_dependencies
 from .results import SimulationResult
@@ -94,17 +75,6 @@ __all__ = ["ColumnarEngine"]
 
 _INF = math.inf
 _EMPTY = np.empty(0)
-
-
-def _cycled(arr: np.ndarray, n: int) -> np.ndarray:
-    """``arr`` extended cyclically to length ``n`` (bit-exact copies).
-
-    Mirrors :meth:`~repro.core.job.JobProfile.map_duration`'s
-    deterministic ``index % size`` indexing as one vectorized operation.
-    """
-    if arr.size == n:
-        return arr
-    return np.resize(arr, n)
 
 
 class _KJob:
@@ -207,188 +177,6 @@ class _DispatchLog:
         return self.starts[int(self.seq_of[self.offsets[idx]])]
 
 
-class _ShareSide:
-    """One task kind's per-group decision state in a :class:`_ShareBook`.
-
-    Per group: the set of its candidate jobs' ranks and the sum of their
-    running tasks of this kind.  ``run[r]`` is what rank ``r`` adds to
-    its group's sum, -1 when it is not a candidate.
-    """
-
-    __slots__ = ("group", "weight", "paying", "budgeted", "n", "by_running",
-                 "sets", "sums", "run", "key", "keyf")
-
-    def __init__(self, book: "_ShareBook", by_running: bool) -> None:
-        self.group = book.group
-        self.weight = book.weight
-        self.paying = book.paying  # shared: charges update it in place
-        self.budgeted = book.budgeted
-        self.n = n = len(book.group)
-        self.by_running = by_running
-        self.sets: list[set[int]] = [set() for _ in book.weight]
-        self.sums = [0] * len(book.weight)
-        self.run = [-1] * n
-        self.key = list(range(n))
-        self.keyf = self.key.__getitem__ if self.by_running else None
-
-    def update(self, r: int, run: int) -> None:
-        """Rank ``r`` now runs ``run`` tasks as a candidate (-1: none)."""
-        old = self.run[r]
-        if run == old:
-            return
-        g = self.group[r]
-        if old < 0:
-            self.sets[g].add(r)
-            self.sums[g] += run
-        elif run < 0:
-            self.sets[g].discard(r)
-            self.sums[g] -= old
-        else:
-            self.sums[g] += run - old
-        self.run[r] = run
-        if self.by_running and run >= 0:
-            self.key[r] = run * self.n + r
-
-    def pick(self) -> int:
-        """Rank of the job the policy picks; -1 for none.
-
-        ``min`` over groups of ``(sum / weight, best job key)``: the
-        group with the least share wins outright, and groups tied on
-        share compare their best jobs' keys.
-        """
-        keyf = self.keyf
-        best: Optional[set[int]] = None
-        best_d = 0.0
-        ties: Optional[list[set[int]]] = None
-        for cs, total, w, paying in zip(self.sets, self.sums, self.weight, self.paying):
-            if cs and paying:
-                d = total / w
-                if best is None or d < best_d:
-                    best = cs
-                    best_d = d
-                    ties = None
-                elif d == best_d:
-                    if ties is None:
-                        ties = [best, cs]
-                    else:
-                        ties.append(cs)
-        if best is None:
-            if not self.budgeted:
-                return -1
-            # No candidate's group is paying: best-effort FIFO over all.
-            heads = [min(cs) for cs in self.sets if cs]
-            return min(heads) if heads else -1
-        if ties is None:
-            return min(best, key=keyf)
-        return min([min(cs, key=keyf) for cs in ties], key=keyf)
-
-
-class _ShareBook:
-    """Decision state for a group-share policy in replay mode.
-
-    Serves policies carrying :class:`~repro.schedulers.base.
-    ShareSchedulerMixin`.  Jobs are numbered by *rank*, their
-    ``(submit_time, job_id)`` order, so the policy's within-group job key
-    is one int: the rank itself, or ``running * n + rank`` when the
-    policy ranks by running tasks first.  One :class:`_ShareSide` per
-    task kind sums running tasks over each group's candidates only, as
-    the policy's ``choose_next_*`` sums over its candidates.
-    :meth:`sync_map` / :meth:`sync_reduce` re-derive one job's share of
-    that state; the kernel calls them wherever the object engine would
-    re-offer the job, plus after each dispatch.  Departures need no call:
-    a departing job has dispatched every task, so it is a candidate of
-    neither kind already.  A decision then scans the groups, not the
-    job queue.
-    """
-
-    __slots__ = ("rank", "by_rank", "group", "names", "weight", "paying",
-                 "budgeted", "charge", "mdl", "tsl", "rdl", "maps", "reduces")
-
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        jobs: list[Job],
-        mdl: list[list[float]],
-        tsl: list[list[float]],
-        rdl: list[list[float]],
-    ) -> None:
-        n = len(jobs)
-        order = sorted(range(n), key=lambda i: (jobs[i].submit_time, i))
-        self.rank = [0] * n
-        self.by_rank = [jobs[i] for i in order]
-        group_of = getattr(scheduler, "share_group")
-        names: dict[str, int] = {}
-        self.group = []
-        for r, i in enumerate(order):
-            self.rank[i] = r
-            self.group.append(names.setdefault(group_of(jobs[i]), len(names)))
-        self.names = list(names)
-        weight_of = getattr(scheduler, "share_weight")
-        self.weight = [weight_of(name) for name in self.names]
-        paying_of = getattr(scheduler, "share_paying")
-        self.paying = [bool(paying_of(name)) for name in self.names]
-        self.budgeted = bool(getattr(scheduler, "share_budgeted", False))
-        self.charge = getattr(scheduler, "share_charge")
-        self.mdl = mdl
-        self.tsl = tsl
-        self.rdl = rdl
-        by_running = bool(getattr(scheduler, "share_rank_by_running", False))
-        self.maps = _ShareSide(self, by_running)
-        self.reduces = _ShareSide(self, by_running)
-
-    def sync_map(self, job: Job) -> None:
-        """Re-derive ``job``'s map candidacy and running count."""
-        run = -1
-        if job.state is JobState.RUNNING and job.maps_dispatched < job.num_maps:
-            run = job.maps_dispatched - job.maps_completed
-            cap = job.wanted_map_slots
-            if cap is not None and run >= cap:
-                run = -1
-        self.maps.update(self.rank[job.job_id], run)
-
-    def sync_reduce(self, job: Job) -> None:
-        """Re-derive ``job``'s reduce candidacy and running count."""
-        run = -1
-        if (
-            job.state is JobState.RUNNING
-            and job.reduces_dispatched < job.num_reduces
-            and job.maps_completed >= job.reduce_gate
-        ):
-            run = job.reduces_dispatched - job.reduces_completed
-            cap = job.wanted_reduce_slots
-            if cap is not None and run >= cap:
-                run = -1
-        self.reduces.update(self.rank[job.job_id], run)
-
-    def _charge(self, r: int, slot_seconds: float) -> None:
-        """Charge rank ``r``'s group for its granted task, if paying."""
-        g = self.group[r]
-        if self.paying[g]:
-            self.paying[g] = bool(self.charge(self.names[g], slot_seconds))
-
-    def pick_map(self) -> Optional[Job]:
-        """The job whose next map the policy dispatches."""
-        r = self.maps.pick()
-        if r < 0:
-            return None
-        job = self.by_rank[r]
-        if self.budgeted:
-            self._charge(r, self.mdl[job.job_id][job.maps_dispatched])
-        return job
-
-    def pick_reduce(self) -> Optional[Job]:
-        """The job whose next reduce the policy dispatches."""
-        r = self.reduces.pick()
-        if r < 0:
-            return None
-        job = self.by_rank[r]
-        if self.budgeted:
-            jid = job.job_id
-            index = job.reduces_dispatched
-            self._charge(r, self.tsl[jid][index] + self.rdl[jid][index])
-        return job
-
-
 class ColumnarEngine(_EngineBase):
     """Drop-in engine running the columnar kernel where it applies.
 
@@ -397,19 +185,17 @@ class ColumnarEngine(_EngineBase):
     :class:`~repro.core.columns.TraceColumns` directly (the kernel
     consumes the zero-copy duration views it hands out).
 
-    After :meth:`run`, :attr:`last_path` is ``"kernel"`` or ``"object"``
-    and :attr:`fallback_reason` names why the object engine was used
-    (``None`` on the kernel path).
+    After :meth:`run`, :attr:`last_path` is ``"kernel"`` and
+    :attr:`last_kernel_mode` names the mode the run took.
     """
 
     def __init__(self, cluster: ClusterConfig, scheduler: Scheduler, **kwargs: Any) -> None:
         super().__init__(cluster, scheduler, **kwargs)
         self.last_path: Optional[str] = None
-        #: Which kernel mode the last kernel-path run used: ``"passes"``
-        #: (vectorized multi-pass, static non-preemptive) or ``"replay"``
-        #: (segmented replay: preemption and/or columnar dynamic policy).
+        #: Which mode the last run used: ``"passes"`` (vectorized
+        #: multi-pass, see :meth:`_passes_apply`) or ``"replay"`` (the
+        #: heap loop, deciding through the policy's kernel contract).
         self.last_kernel_mode: Optional[str] = None
-        self.fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # envelope
@@ -491,607 +277,49 @@ class ColumnarEngine(_EngineBase):
             horizon += sum(p.num_reduces for p in with_r) * (shuffles.max() + reduces.max())
         return bool(shortest <= np.spacing(horizon))
 
-    def _fallback_reason(self, trace: Sequence[TraceJob]) -> Optional[str]:
-        """Why this run needs the object engine, or None for the kernel.
+    def _passes_apply(self, trace: Sequence[TraceJob]) -> bool:
+        """Whether pass mode reproduces this static-priority run.
 
-        Pass mode covers static-priority schedules without preemption;
-        segmented-replay mode adds preemptive runs and dynamic policies
-        carrying a kernel contract (:class:`~repro.schedulers.base.
-        ShareSchedulerMixin` or :class:`~repro.schedulers.base.
-        ColumnarSchedulerMixin`).  What remains is a short list.  The
-        kernel serves only the observe-only
-        :class:`~repro.sanitize.digest.DigestRecorder`; any other
-        sanitizer (the full invariant checker reads per-event engine
-        state) forces the fallback.
+        Pass mode lays the schedule out from arrivals, gate crossings and
+        slot releases, so it needs a schedule nothing else feeds: no live
+        preemption, no zero-time tasks, no pluggable shuffle model (it
+        prices each shuffle from the running state), no workflow
+        dependencies, and no sanitizer beyond the observe-only
+        :class:`~repro.sanitize.digest.DigestRecorder` (the invariant
+        checker inspects per-event state).
         """
-        if self.shuffle_model is not None:
-            return "pluggable shuffle model"
-        scheduler = self.scheduler
-        if not (scheduler.static_priority or self._contract_covers(scheduler)):
-            return (
-                f"dynamic scheduler {scheduler.name!r} without the "
-                "columnar contract"
-            )
         san = self.sanitizer
         if san is not None:
             from ..sanitize.digest import DigestRecorder
 
             if type(san) is not DigestRecorder:
-                return "state-inspecting sanitizer"
-        if any(tj.depends_on is not None for tj in trace):
-            return "workflow dependencies (depends_on)"
-        return None
+                return False
+        return not (
+            (self.preemption and not self._preemption_inert(self.scheduler))
+            or self.shuffle_model is not None
+            or any(tj.depends_on is not None for tj in trace)
+            or self._has_instant_tasks(trace)
+        )
 
     def run(self, trace: Sequence[TraceJob] | TraceColumns) -> SimulationResult:
-        """Simulate the trace; kernel when possible, object engine otherwise."""
+        """Simulate the trace: pass mode where it applies, else the heap loop."""
         if isinstance(trace, TraceColumns):
             trace = trace.jobs()
-        reason = self._fallback_reason(trace)
-        if reason is not None:
-            self.last_path = "object"
-            self.last_kernel_mode = None
-            self.fallback_reason = reason
-            engine = SimulatorEngine(
-                self.cluster,
-                self.scheduler,
-                min_map_percent_completed=self.min_map_percent_completed,
-                record_tasks=self.record_tasks,
-                preemption=self.preemption,
-                shuffle_model=self.shuffle_model,
-                sanitize=False if self.sanitizer is None else None,
-                sanitizer=self.sanitizer,
-            )
-            result = engine.run(trace)
-            result.fallback_reason = reason
-            return result
         self.last_path = "kernel"
-        self.fallback_reason = None
         scheduler = self.scheduler
-        if (
-            not scheduler.static_priority
-            or (self.preemption and not self._preemption_inert(scheduler))
-            or self._has_instant_tasks(trace)
-        ):
-            self.last_kernel_mode = "replay"
-            return self._run_replay(trace)
-        self.last_kernel_mode = "passes"
-        return self._run_kernel(trace)
-
-    # ------------------------------------------------------------------ #
-    # segmented replay (preemption / contracted dynamic schedulers)
-    # ------------------------------------------------------------------ #
-
-    def _run_replay(self, trace: Sequence[TraceJob]) -> SimulationResult:
-        """Event replay with kernel-resident state: the wide-envelope mode.
-
-        Covers what pass mode cannot: live preemption and dynamic
-        schedulers carrying a kernel contract.  The schedule here is
-        *not* precomputable, so the loop replays the object engine's
-        heap mechanics exactly — same ``(time, type, seq)`` tuples, same
-        handler effects, hence bit-identical event streams — but with
-        its per-event costs stripped:
-
-        * handlers are inlined into one branch chain ordered by event
-          frequency (no dict dispatch, no bound-method calls);
-        * per-task durations come from cyclic duration *lists*
-          precomputed per job (``_cycled(...).tolist()``), replacing the
-          profile accessors' numpy-scalar extraction on every
-          arrival/rewrite;
-        * dynamic-policy decisions never rebuild candidate lists or
-          evaluate Python keys per job.  Group-share policies decide
-          per dispatch by scanning the groups of a :class:`_ShareBook`,
-          whose per-group running sums and candidate sets are updated
-          where the object engine re-offers a job.  Columnar-key
-          policies get :class:`~repro.core.columns.SchedulerColumns`
-          state arrays, and each dispatch is resolved with an
-          eligibility mask plus the policy's ``columnar_key_columns``
-          and one ``np.lexsort``;
-        * the event digest is fed in one packed-buffer update after the
-          run (pop order is collected as four flat columns), not one
-          digest call per event.
-
-        Preemption kills reuse the object engine's decorate-sort victim
-        order verbatim, including the stale-departure protocol: a killed
-        attempt's orphaned departure event still pops (counted and
-        digested) and is recognized by its stale sequence number.
-        """
-        wall_start = perf_seconds()
-        validate_dependencies(trace)
-        scheduler = self.scheduler
-        cluster = self.cluster
-        mmpc = self.min_map_percent_completed
-        record_tasks = self.record_tasks
-        n = len(trace)
-        jobs = [Job(i, tj) for i, tj in enumerate(trace)]
-
-        # Cyclic per-task duration lists: the profile accessors'
-        # ``index % size`` lookup, amortized to one list index per event.
-        # Shuffle fallbacks mirror JobProfile.first_shuffle_duration /
-        # typical_shuffle_duration (each substitutes the other's array
-        # when its own is empty).
-        mdl: list[list[float]] = [[]] * n
-        fsl: list[list[float]] = [[]] * n
-        tsl: list[list[float]] = [[]] * n
-        rdl: list[list[float]] = [[]] * n
-        for i, job in enumerate(jobs):
-            profile = job.profile
-            if job.num_maps:
-                mdl[i] = _cycled(profile.map_durations, job.num_maps).tolist()
-            if job.num_reduces:
-                fs_arr = (
-                    profile.first_shuffle_durations
-                    if profile.first_shuffle_durations.size
-                    else profile.typical_shuffle_durations
-                )
-                ts_arr = (
-                    profile.typical_shuffle_durations
-                    if profile.typical_shuffle_durations.size
-                    else profile.first_shuffle_durations
-                )
-                fsl[i] = _cycled(fs_arr, job.num_reduces).tolist()
-                tsl[i] = _cycled(ts_arr, job.num_reduces).tolist()
-                rdl[i] = _cycled(profile.reduce_durations, job.num_reduces).tolist()
-
-        # The event heap, seeded exactly like the object engine: one
-        # JOB_ARRIVAL per trace entry with seq = trace index.
-        heap: list[tuple[float, int, int, int, int]] = [
-            (tj.submit_time, _JOB_ARR, i, i, -1) for i, tj in enumerate(trace)
-        ]
-        heapify(heap)
-        seq_c = n
-
-        free_m = cluster.map_slots
-        free_r = cluster.reduce_slots
-        job_q: list[Job] = []
-        fillers: dict[int, list[int]] = {}
-        preempt = self.preemption
-        # (job_id -> {index: (dep_seq | None for fillers, start, record)});
-        # one dict per kind, mirroring the object engine's (jid, kind) keys.
-        _RT = dict[int, tuple[Optional[int], float, Optional[TaskRecord]]]
-        rt_map: dict[int, _RT] = {}
-        rt_red: dict[int, _RT] = {}
-        records: list[TaskRecord] = []
-        fast = scheduler.static_priority
-        mheap: list[tuple[tuple, int]] = []
-        rheap: list[tuple[tuple, int]] = []
-        # Dynamic policies decide from one of two kernel-resident states:
-        # per-group sums for the share contract (Fair, DP, Capacity), or
-        # SchedulerColumns arrays for columnar-key policies (compiled
-        # policy trees).  Only the latter pays for per-event array writes.
-        share: Optional[_ShareBook] = None
-        if not fast and getattr(scheduler, "share_capable", False):
-            share = _ShareBook(scheduler, jobs, mdl, tsl, rdl)
-        track = not fast and share is None
-        if track:
-            view = SchedulerColumns(jobs, cluster)
-            key_columns = getattr(scheduler, "columnar_key_columns")
-            v_gate = view.gate
-            v_active = view.active
-            v_mdisp = view.mdisp
-            v_mcomp = view.mcomp
-            v_rdisp = view.rdisp
-            v_rcomp = view.rcomp
-            v_nmaps = view.nmaps
-            v_nreds = view.nreds
-            v_capm = view.capm
-            v_capr = view.capr
-
-        collect = self.sanitizer is not None
-        ev_t: list[float] = []
-        ev_e: list[int] = []
-        ev_j: list[int] = []
-        ev_k: list[int] = []
-        app_t = ev_t.append
-        app_e = ev_e.append
-        app_j = ev_j.append
-        app_k = ev_k.append
-
-        push = heappush
-        _RUNNING = JobState.RUNNING
-
-        # offer_*: called wherever the object engine re-offers a job to
-        # its fast-path heaps — the points where the job's candidacy or
-        # running count may have changed.
-        def offer_map(job: Job) -> None:
-            if fast and not job.in_map_heap:
-                if job.state is not _RUNNING or job.maps_dispatched >= job.num_maps:
-                    return
-                cap = job.wanted_map_slots
-                if cap is not None and job.maps_dispatched - job.maps_completed >= cap:
-                    return
-                job.in_map_heap = True
-                push(mheap, (job.sched_key, job.job_id))
-
-        def offer_reduce(job: Job) -> None:
-            if fast and not job.in_reduce_heap:
-                if (
-                    job.state is not _RUNNING
-                    or job.reduces_dispatched >= job.num_reduces
-                    or job.maps_completed < job.reduce_gate
-                ):
-                    return
-                cap = job.wanted_reduce_slots
-                if (
-                    cap is not None
-                    and job.reduces_dispatched - job.reduces_completed >= cap
-                ):
-                    return
-                job.in_reduce_heap = True
-                push(rheap, (job.sched_key, job.job_id))
-
-        if share is not None:
-            offer_map = share.sync_map  # type: ignore[assignment]
-            offer_reduce = share.sync_reduce  # type: ignore[assignment]
-
-        def maybe_depart(job: Job, now: float) -> None:
-            nonlocal seq_c
-            if job.is_complete and job.state is not JobState.COMPLETED:
-                job.state = JobState.COMPLETED
-                job.completion_time = now
-                job_q.remove(job)
-                scheduler.on_job_departure(job, now)
-                push(heap, (now, _JOB_DEP, seq_c, job.job_id, -1))
-                seq_c += 1
-                if track:
-                    v_active[job.job_id] = False
-                    if now > view.now:
-                        view.now = now
-
-        def kill_tasks(victim: Job, kind_map: bool, count: int, now: float) -> None:
-            nonlocal free_m, free_r
-            vid = victim.job_id
-            running = rt_map.get(vid) if kind_map else rt_red.get(vid)
-            if not running:
-                return
-            # Decorate-sort identical to SimulatorEngine._kill_tasks:
-            # stable reverse sort on start time keeps equal-start attempts
-            # in dict insertion order — youngest attempts killed first.
-            youngest_first = [
-                (start, index, dep_seq, record)
-                for index, (dep_seq, start, record) in running.items()
-            ]
-            youngest_first.sort(key=itemgetter(0), reverse=True)
-            killed = 0
-            for _start, index, dep_seq, record in youngest_first[:count]:
-                del running[index]
-                if record is not None:
-                    record.end = now
-                    record.killed = True
-                if kind_map:
-                    victim.maps_dispatched -= 1
-                    victim.requeued_maps.append(index)
-                    free_m += 1
-                    if track:
-                        v_mdisp[vid] -= 1.0
-                else:
-                    victim.reduces_dispatched -= 1
-                    victim.requeued_reduces.append(index)
-                    free_r += 1
-                    if track:
-                        v_rdisp[vid] -= 1.0
-                    if dep_seq is None:
-                        # A filler awaiting the map stage: cancel its rewrite.
-                        filler_list = fillers.get(vid)
-                        if filler_list and index in filler_list:
-                            filler_list.remove(index)
-                killed += 1
-            if killed:
-                offer_map(victim)
-                offer_reduce(victim)
-
-        def dispatch(job: Job, now: float, kind_map: bool) -> None:
-            nonlocal free_m, free_r, seq_c
-            jid = job.job_id
-            if kind_map:
-                free_m -= 1
-                if job.requeued_maps:
-                    index = job.requeued_maps.pop()
-                else:
-                    index = job.next_map_index
-                    job.next_map_index = index + 1
-                job.maps_dispatched += 1
-                if job.start_time is None:
-                    job.start_time = now
-                push(heap, (now, _MAP_ARR, seq_c, jid, index))
-            else:
-                free_r -= 1
-                if job.requeued_reduces:
-                    index = job.requeued_reduces.pop()
-                else:
-                    index = job.next_reduce_index
-                    job.next_reduce_index = index + 1
-                job.reduces_dispatched += 1
-                if job.start_time is None:
-                    job.start_time = now
-                push(heap, (now, _RED_ARR, seq_c, jid, index))
-            seq_c += 1
-
-        def allocate_static(now: float) -> None:
-            while free_m > 0 and mheap:
-                job = jobs[mheap[0][1]]
-                cap = job.wanted_map_slots
-                if (
-                    job.state is not _RUNNING
-                    or job.maps_dispatched >= job.num_maps
-                    or (
-                        cap is not None
-                        and job.maps_dispatched - job.maps_completed >= cap
-                    )
-                ):
-                    heappop(mheap)
-                    job.in_map_heap = False
-                    continue
-                dispatch(job, now, True)
-            while free_r > 0 and rheap:
-                job = jobs[rheap[0][1]]
-                cap = job.wanted_reduce_slots
-                if (
-                    job.state is not _RUNNING
-                    or job.reduces_dispatched >= job.num_reduces
-                    or job.maps_completed < job.reduce_gate
-                    or (
-                        cap is not None
-                        and job.reduces_dispatched - job.reduces_completed >= cap
-                    )
-                ):
-                    heappop(rheap)
-                    job.in_reduce_heap = False
-                    continue
-                dispatch(job, now, False)
-
-        def allocate_share(now: float) -> None:
-            # One group scan per dispatch (see _ShareBook); the dispatch
-            # changed the job's running count, so re-offer it.
-            while free_m > 0:
-                job = pick_map()
-                if job is None:
-                    break
-                dispatch(job, now, True)
-                offer_map(job)
-            while free_r > 0:
-                job = pick_reduce()
-                if job is None:
-                    break
-                dispatch(job, now, False)
-                offer_reduce(job)
-
-        def allocate_dynamic(now: float) -> None:
-            # Vectorized decision per dispatch: one eligibility mask per
-            # side per allocation, updated in place for the dispatched
-            # job only (nothing else changes between dispatches of the
-            # same allocation), then the policy's key columns + one
-            # lexsort with the kernel-appended job_id tie-break.
-            # ``min(candidates, key=...)`` with a total key picks the
-            # same job regardless of candidate order, so increasing-id
-            # candidates are sound.
-            if free_m > 0:
-                el = v_active & (v_mdisp < v_nmaps) & (v_mdisp - v_mcomp < v_capm)
-                while free_m > 0:
-                    cand = el.nonzero()[0]
-                    k = cand.size
-                    if k == 0:
-                        break
-                    if k == 1:
-                        pick = int(cand[0])
-                    else:
-                        view.queue_depth = float(k)
-                        view.free_map = float(free_m)
-                        view.free_reduce = float(free_r)
-                        cols = key_columns(view, cand, "map")
-                        order = np.lexsort((cand,) + tuple(reversed(cols)))
-                        pick = int(cand[order[0]])
-                    dispatch(jobs[pick], now, True)
-                    d = v_mdisp[pick] + 1.0
-                    v_mdisp[pick] = d
-                    el[pick] = d < v_nmaps[pick] and d - v_mcomp[pick] < v_capm[pick]
-            if free_r > 0:
-                el = (
-                    v_active
-                    & (v_rdisp < v_nreds)
-                    & (v_mcomp >= v_gate)
-                    & (v_rdisp - v_rcomp < v_capr)
-                )
-                while free_r > 0:
-                    cand = el.nonzero()[0]
-                    k = cand.size
-                    if k == 0:
-                        break
-                    if k == 1:
-                        pick = int(cand[0])
-                    else:
-                        view.queue_depth = float(k)
-                        view.free_map = float(free_m)
-                        view.free_reduce = float(free_r)
-                        cols = key_columns(view, cand, "reduce")
-                        order = np.lexsort((cand,) + tuple(reversed(cols)))
-                        pick = int(cand[order[0]])
-                    dispatch(jobs[pick], now, False)
-                    d = v_rdisp[pick] + 1.0
-                    v_rdisp[pick] = d
-                    el[pick] = d < v_nreds[pick] and d - v_rcomp[pick] < v_capr[pick]
-
-        if fast:
-            allocate = allocate_static
-        elif share is not None:
-            pick_map = share.pick_map
-            pick_reduce = share.pick_reduce
-            allocate = allocate_share
+        if scheduler.static_priority:
+            if self._passes_apply(trace):
+                self.last_kernel_mode = "passes"
+                return self._run_kernel(trace)
+            decide = "static"
+        elif not self._contract_covers(scheduler):
+            decide = "choose"
+        elif getattr(scheduler, "share_capable", False):
+            decide = "share"
         else:
-            allocate = allocate_dynamic
-
-        processed = 0
-        record: Optional[TaskRecord]
-        while heap:
-            now, etype, seq, jid, ti = heappop(heap)
-            processed += 1
-            if collect:
-                app_t(now)
-                app_e(etype)
-                app_j(jid)
-                app_k(ti)
-            job = jobs[jid]
-            if etype == _MAP_DEP:
-                if preempt:
-                    running = rt_map.get(jid)
-                    entry = running.get(ti) if running else None
-                    if entry is None or entry[0] != seq:
-                        continue  # stale departure of a killed attempt
-                    del running[ti]  # type: ignore[union-attr]
-                job.maps_completed += 1
-                free_m += 1
-                if track:
-                    v_mcomp[jid] += 1.0
-                if job.maps_completed >= job.num_maps and job.map_stage_end is None:
-                    job.map_stage_end = now
-                    push(heap, (now, _ALL_MAPS, seq_c, jid, -1))
-                    seq_c += 1
-                    if job.num_reduces == 0:
-                        maybe_depart(job, now)
-                else:
-                    offer_map(job)
-                offer_reduce(job)
-                allocate(now)
-            elif etype == _MAP_ARR:
-                end = now + mdl[jid][ti]
-                record = None
-                if record_tasks:
-                    record = TaskRecord(
-                        kind="map", job_id=jid, index=ti, start=now, end=end
-                    )
-                    job.map_records.append(record)
-                    records.append(record)
-                push(heap, (end, _MAP_DEP, seq_c, jid, ti))
-                if preempt:
-                    d_map = rt_map.get(jid)
-                    if d_map is None:
-                        d_map = {}
-                        rt_map[jid] = d_map
-                    d_map[ti] = (seq_c, now, record)
-                seq_c += 1
-            elif etype == _RED_DEP:
-                if preempt:
-                    running = rt_red.get(jid)
-                    entry = running.get(ti) if running else None
-                    if entry is None or entry[0] != seq:
-                        continue  # stale departure of a killed attempt
-                    del running[ti]  # type: ignore[union-attr]
-                job.reduces_completed += 1
-                free_r += 1
-                if track:
-                    v_rcomp[jid] += 1.0
-                maybe_depart(job, now)
-                offer_reduce(job)
-                allocate(now)
-            elif etype == _RED_ARR:
-                if job.maps_completed < job.num_maps:
-                    # First wave overlapping the map stage: an infinite
-                    # filler, rewritten by ALL_MAPS_FINISHED.
-                    record = None
-                    if record_tasks:
-                        record = TaskRecord(
-                            kind="reduce", job_id=jid, index=ti, start=now,
-                            first_wave=True,
-                        )
-                        job.reduce_records.append(record)
-                        records.append(record)
-                    fl = fillers.get(jid)
-                    if fl is None:
-                        fillers[jid] = [ti]
-                    else:
-                        fl.append(ti)
-                    if preempt:
-                        d_red = rt_red.get(jid)
-                        if d_red is None:
-                            d_red = {}
-                            rt_red[jid] = d_red
-                        d_red[ti] = (None, now, record)
-                else:
-                    mse = job.map_stage_end
-                    first_wave = mse is not None and now <= mse
-                    shuffle = fsl[jid][ti] if first_wave else tsl[jid][ti]
-                    shuffle_end = now + shuffle
-                    end = shuffle_end + rdl[jid][ti]
-                    record = None
-                    if record_tasks:
-                        record = TaskRecord(
-                            kind="reduce", job_id=jid, index=ti, start=now,
-                            end=end, shuffle_end=shuffle_end,
-                            first_wave=first_wave,
-                        )
-                        job.reduce_records.append(record)
-                        records.append(record)
-                    push(heap, (end, _RED_DEP, seq_c, jid, ti))
-                    if preempt:
-                        d_red = rt_red.get(jid)
-                        if d_red is None:
-                            d_red = {}
-                            rt_red[jid] = d_red
-                        d_red[ti] = (seq_c, now, record)
-                    seq_c += 1
-            elif etype == _ALL_MAPS:
-                fl2 = fillers.pop(jid, None)
-                if fl2:
-                    fs_j = fsl[jid]
-                    rd_j = rdl[jid]
-                    running = rt_red.get(jid) if preempt else None
-                    for index in fl2:
-                        shuffle_end = now + fs_j[index]
-                        end = shuffle_end + rd_j[index]
-                        if preempt:
-                            entry = running.get(index) if running else None
-                            record = entry[2] if entry else None
-                        else:
-                            entry = None
-                            record = (
-                                job.reduce_records[index] if record_tasks else None
-                            )
-                        if record is not None:
-                            record.shuffle_end = shuffle_end
-                            record.end = end
-                        push(heap, (end, _RED_DEP, seq_c, jid, index))
-                        if preempt and entry is not None:
-                            running[index] = (  # type: ignore[index]
-                                seq_c, entry[1], entry[2],
-                            )
-                        seq_c += 1
-            elif etype == _JOB_ARR:
-                job.state = _RUNNING
-                job.reduce_gate = mmpc * job.num_maps
-                if job.num_maps == 0:
-                    job.map_stage_end = now
-                job_q.append(job)
-                scheduler.on_job_arrival(job, now, cluster)
-                if fast:
-                    job.sched_key = scheduler.priority_key(job)
-                elif track:
-                    v_gate[jid] = job.reduce_gate
-                    cap_m = job.wanted_map_slots
-                    if cap_m is not None:
-                        v_capm[jid] = float(cap_m)
-                    cap_r = job.wanted_reduce_slots
-                    if cap_r is not None:
-                        v_capr[jid] = float(cap_r)
-                    v_active[jid] = True
-                    if now > view.now:
-                        view.now = now
-                offer_map(job)
-                offer_reduce(job)
-                if preempt:
-                    others = [j for j in job_q if j is not job]
-                    for victim, vkind, count in scheduler.preemption_requests(
-                        job, others, cluster, free_m, free_r
-                    ):
-                        if victim.state is _RUNNING and count > 0:
-                            kill_tasks(victim, vkind == "map", count, now)
-                allocate(now)
-            # else: _JOB_DEP — bookkeeping already done in maybe_depart.
-
-        # A stall drains the heap too: the recorder gets the popped
-        # prefix before the run fails, as on the object engine.
-        if collect:
-            self._observe(ev_t, ev_e, ev_j, ev_k)
-        self._raise_if_stalled(jobs)
-        return self._result(jobs, records, processed, wall_start, "kernel")
+            decide = "columns"
+        self.last_kernel_mode = "replay"
+        return self._run_heap(trace, decide, "kernel")
 
     # ------------------------------------------------------------------ #
     # kernel
@@ -1164,7 +392,7 @@ class ColumnarEngine(_EngineBase):
             # The passes lay out only a complete stream.  Replay mode
             # pops the stalled run's prefix, feeds it and raises.
             self.last_kernel_mode = "replay"
-            return self._run_replay(trace)
+            return self._run_heap(trace, "static", "kernel")
 
         # Every task ran: the reduce columns are complete.
         self._reduce_columns(states, reduces)
@@ -1662,14 +890,3 @@ class ColumnarEngine(_EngineBase):
         jcol = np.concatenate([b[2] for b in blocks])[order]
         kcol = np.concatenate([b[3] for b in blocks])[order]
         return t, e, jcol, kcol
-
-    def _observe(self, times: Any, etypes: Any, job_ids: Any, task_indices: Any) -> None:
-        """Hand a run's popped event stream, in pop order, to the recorder.
-
-        The one place the kernel feeds an observer: the installed
-        :class:`~repro.sanitize.digest.DigestRecorder`'s digest is reset
-        and takes the whole stream in one packed-buffer update.
-        """
-        digest = self.sanitizer.digest
-        digest.reset()
-        digest.update_many(times, etypes, job_ids, task_indices)

@@ -84,16 +84,11 @@ class SimulationResult:
     #: the same order — the determinism contract's equality, and how the
     #: parallel sweep cache proves a restored result faithful.
     event_digest: Optional[str] = None
-    #: Which execution path produced the run: ``"kernel"`` (columnar
-    #: engine's fast path, either mode) or ``"object"`` (the classic
-    #: object-per-event loop — forced, or a columnar-engine fallback).
+    #: Which engine produced the run: ``"kernel"``
+    #: (:class:`~repro.core.kernel.ColumnarEngine`, either mode) or
+    #: ``"object"`` (:class:`~repro.core.engine.SimulatorEngine`).
     #: ``None`` on results from before this field existed.
     engine_path: Optional[str] = None
-    #: Why the columnar engine fell back to the object loop (``None``
-    #: when it did not, or when the object engine was asked for
-    #: directly).  See ``ColumnarEngine._fallback_reason`` for the
-    #: envelope's short list of reasons.
-    fallback_reason: Optional[str] = None
 
     # Cached lookups -------------------------------------------------------
     _by_id: dict[int, JobResult] = field(default_factory=dict, repr=False)

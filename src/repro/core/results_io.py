@@ -30,9 +30,9 @@ __all__ = [
 # Version 2 added the optional ``event_digest`` fingerprint (needed for
 # faithful cache restores in :mod:`repro.parallel`); version-1 documents
 # are still readable — they simply carry no digest.  The optional
-# ``engine_path`` / ``fallback_reason`` accounting keys ride on version 2
-# (readers default them to None), so older readers and pinned documents
-# stay valid.
+# ``engine_path`` accounting key rides on version 2 (readers default it
+# to None), so older readers and pinned documents stay valid; a
+# ``fallback_reason`` key in older documents is ignored.
 _FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
@@ -55,7 +55,6 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
         "wall_clock_seconds": result.wall_clock_seconds,
         "event_digest": result.event_digest,
         "engine_path": result.engine_path,
-        "fallback_reason": result.fallback_reason,
         "jobs": [
             {
                 "job_id": j.job_id,
@@ -130,7 +129,6 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
         wall_clock_seconds=data["wall_clock_seconds"],
         event_digest=data.get("event_digest"),
         engine_path=data.get("engine_path"),
-        fallback_reason=data.get("fallback_reason"),
     )
 
 

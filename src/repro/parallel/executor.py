@@ -212,8 +212,8 @@ class SimTask:
     slowstart: float = 0.05
     record_tasks: bool = False
     preemption: bool = False
-    #: Execution path: ``"columnar"`` (vectorized kernel with automatic
-    #: object-engine fallback) or ``"object"``.  Part of the cache key —
+    #: Execution path: ``"columnar"`` (the kernel: pass mode or the heap
+    #: loop with kernel contracts) or ``"object"``.  Part of the cache key —
     #: the paths are digest-identical, but keeping them separately
     #: addressed means a cache entry always names the code path that
     #: produced it.

@@ -3,8 +3,8 @@
 Static analysis (:mod:`repro.analysis`) proves properties of the *code*;
 this package checks properties of a *run*.  An opt-in instrumentation
 layer (``SIMMR_SANITIZE=1``, ``simmr replay --sanitize``, or an explicit
-``SimulatorEngine(..., sanitize=True)``) hooks the engine's event loop
-and verifies, at event granularity:
+``SimulatorEngine(..., sanitize=True)``) hooks the engines' shared heap
+loop and verifies, at event granularity:
 
 * event-time monotonicity and heap pop order (``EVT*``),
 * map/reduce slot conservation against the cluster capacity (``SLT*``),
@@ -14,9 +14,8 @@ and verifies, at event granularity:
 * and, via a streamed event digest, bit-exact replay equivalence of two
   runs of the same trace (``DIV*``; :func:`~repro.sanitize.digest.dual_run`).
 
-When disabled the engine runs its original unchecked loop — the branch
-is taken once per ``run()``, so the off path has zero per-event cost
-(``benchmarks/bench_sanitizer_overhead.py`` asserts it).
+When disabled the heap loop pays one untaken branch per event
+(``benchmarks/bench_sanitizer_overhead.py`` measures the off path).
 
 ``simmr check`` (:mod:`repro.sanitize.check`) bundles the static and
 dynamic halves into one gate.  See ``docs/sanitizer.md``.

@@ -196,9 +196,11 @@ class DigestRecorder:
     """Minimal sanitizer stand-in that *only* streams the event digest.
 
     Implements the four engine hooks (``begin_run`` / ``observe_pop`` /
-    ``observe_handled`` / ``end_run``) that the object engine's sanitized
-    run loop calls, but performs no invariant checking — one digest
-    update per popped event and nothing else.  This is what the sweep
+    ``observe_handled`` / ``end_run``) that the heap loop calls on a
+    sanitized run, but performs no invariant checking — one digest
+    update per popped event and nothing else (only a subclass is fed
+    through them: both engines hand an exact ``DigestRecorder`` the
+    whole stream in one bulk update).  This is what the sweep
     layers (:mod:`repro.sweep`, :mod:`repro.parallel`) install to
     fingerprint every run cheaply: the full
     :class:`~repro.sanitize.sanitizer.Sanitizer` costs roughly a 5x
@@ -210,8 +212,7 @@ class DigestRecorder:
     task_index)`` tuples after a run (or, when the run stalls, the
     prefix popped before it failed).  Being observe-only, an exact
     ``DigestRecorder`` keeps a :class:`~repro.core.kernel.ColumnarEngine`
-    run on the kernel, which rebuilds the stream and feeds the digest in
-    one bulk update.
+    run in pass mode where it applies.
 
     The digest is identical to the one a full sanitizer carrying the
     same :class:`EventDigest` would produce (both hash the popped
@@ -227,7 +228,7 @@ class DigestRecorder:
         #: sanitizer uniformly (``engine.sanitizer.violations``).
         self.violations: list = []
 
-    def begin_run(self, engine: "SimulatorEngine", trace: Sequence["TraceJob"]) -> None:
+    def begin_run(self, engine: object, trace: Sequence["TraceJob"]) -> None:
         self.digest.reset()
 
     def observe_pop(
@@ -235,10 +236,10 @@ class DigestRecorder:
     ) -> None:
         self.digest.update(time, etype, job_id, task_index)
 
-    def observe_handled(self, engine: "SimulatorEngine", job: object, etype: int) -> None:
+    def observe_handled(self, job: object, etype: int, *state: object) -> None:
         pass
 
-    def end_run(self, engine: "SimulatorEngine") -> None:
+    def end_run(self, *state: object) -> None:
         pass
 
     def hexdigest(self) -> str:

@@ -2,14 +2,18 @@
 
 A :class:`Sanitizer` instance hooks the four engine callbacks
 (``begin_run`` / ``observe_pop`` / ``observe_handled`` / ``end_run``)
-that :class:`~repro.core.engine.SimulatorEngine` invokes on its sanitized
-run-loop branch.  Each check has a stable identifier (catalogued in
-``docs/sanitizer.md``) so violations can be asserted on in tests and
-grepped in CI logs:
+that the heap loop both engines share invokes on a sanitized run.  The
+loop hands each hook the state it checks (the job queue, free slots,
+jobs and task records), so no check reads engine internals.  Each check
+has a stable identifier (catalogued in ``docs/sanitizer.md``) so
+violations can be asserted on in tests and grepped in CI logs:
 
 ========  =============================================================
 ``EVT001``  events popped out of ``(time, type, seq)`` order — a handler
-            scheduled an event in the simulated past ("time travel")
+            scheduled an event in the simulated past ("time travel").
+            One exception: a zero-duration attempt departs at the
+            instant it started, so its departure may pop right after
+            (and sort before) the arrival that started it
 ``EVT002``  event with a negative simulated timestamp
 ``SLT001``  map/reduce slot conservation broken (``free + running !=
             capacity`` or free slots out of ``[0, capacity]``)
@@ -52,8 +56,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from ..core.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.engine import SimulatorEngine
-    from ..core.job import TraceJob
+    from ..core.engine import _EngineBase
+    from ..core.job import TaskRecord, TraceJob
     from .digest import EventDigest
 
 __all__ = ["Violation", "SimsanViolation", "Sanitizer"]
@@ -66,6 +70,10 @@ _EPS = 1e-9
 # Event-type ints, mirrored from the engine's hot-loop constants.
 _MAP_DEP = 0
 _RED_DEP = 2
+_MAP_ARR = 5
+_RED_ARR = 6
+#: Arrival type -> the departure type of the attempt it starts.
+_DEPARTURE_OF = {_MAP_ARR: _MAP_DEP, _RED_ARR: _RED_DEP}
 
 _LEGAL_TRANSITIONS = {
     JobState.PENDING: (JobState.PENDING, JobState.RUNNING),
@@ -119,7 +127,9 @@ class Sanitizer:
         "violations",
         "_cluster",
         "_preempt",
+        "_modelled",
         "_last_key",
+        "_started",
         "_events",
         "_now",
         "_snaps",
@@ -136,7 +146,10 @@ class Sanitizer:
         self.violations: list[Violation] = []
         self._cluster = None
         self._preempt = False
+        self._modelled = False
         self._last_key: Optional[tuple[float, int, int]] = None
+        # (departure type, job, task) of the attempt the last pop started.
+        self._started: Optional[tuple[Optional[int], int, int]] = None
         self._events = 0
         self._now = 0.0
         # job_id -> (state, maps_dispatched, maps_completed,
@@ -147,12 +160,14 @@ class Sanitizer:
     # engine callbacks
     # ------------------------------------------------------------------ #
 
-    def begin_run(self, engine: "SimulatorEngine", trace: Sequence["TraceJob"]) -> None:
+    def begin_run(self, engine: "_EngineBase", trace: Sequence["TraceJob"]) -> None:
         """Reset per-run state; called by the engine before the first pop."""
         self.violations = []
         self._cluster = engine.cluster
         self._preempt = engine.preemption
+        self._modelled = engine.shuffle_model is not None
         self._last_key = None
+        self._started = None
         self._events = 0
         self._now = 0.0
         self._snaps = {}
@@ -169,53 +184,78 @@ class Sanitizer:
             self._violate("EVT002", f"event has negative simulated time {now!r}")
         key = (now, etype, seq)
         last = self._last_key
-        if last is not None and key < last:
+        if (
+            last is not None
+            and key < last
+            # A zero-duration attempt's departure, pushed by the arrival
+            # just popped, sorts ahead of it at the same instant (key <
+            # last already bounds now from above).
+            and not (
+                now >= last[0]
+                and seq > last[2]
+                and self._started == (etype, job_id, task_index)
+            )
+        ):
             self._violate(
                 "EVT001",
                 f"event {key} popped after {last}: a handler scheduled an "
                 "event in the simulated past",
             )
         self._last_key = key
+        self._started = (_DEPARTURE_OF.get(etype), job_id, task_index)
         if self.digest is not None:
             self.digest.update(now, etype, job_id, task_index)
 
-    def observe_handled(self, engine: "SimulatorEngine", job: Job, etype: int) -> None:
-        """Check slot conservation and the handled job's lifecycle."""
+    def observe_handled(
+        self,
+        job: Job,
+        etype: int,
+        job_queue: Sequence[Job],
+        free_maps: int,
+        free_reduces: int,
+    ) -> None:
+        """Check slot conservation and the handled job's lifecycle.
+
+        Called after each event's handler with the job it handled, the
+        jobs submitted and not yet departed, and the free slot counts.
+        """
         running_maps = 0
         running_reduces = 0
-        for j in engine._job_q:
+        for j in job_queue:
             running_maps += j.maps_dispatched - j.maps_completed
             running_reduces += j.reduces_dispatched - j.reduces_completed
-        err = engine.cluster.slot_accounting_error(
-            engine._free_map_slots,
-            engine._free_reduce_slots,
-            running_maps,
-            running_reduces,
+        err = self._cluster.slot_accounting_error(
+            free_maps, free_reduces, running_maps, running_reduces
         )
         if err is not None:
             self._violate("SLT001", err)
         self._check_lifecycle(job, etype)
 
-    def end_run(self, engine: "SimulatorEngine") -> None:
+    def end_run(
+        self,
+        jobs: Sequence[Job],
+        records: Sequence["TaskRecord"],
+        free_maps: int,
+        free_reduces: int,
+    ) -> None:
         """Whole-run checks once the event heap has drained."""
-        cluster = engine.cluster
-        if engine._free_map_slots != cluster.map_slots:
+        cluster = self._cluster
+        if free_maps != cluster.map_slots:
             self._violate(
                 "FIN001",
-                f"run ended with {engine._free_map_slots}/{cluster.map_slots} "
+                f"run ended with {free_maps}/{cluster.map_slots} "
                 "map slots free: a map slot leaked",
                 final=True,
             )
-        if engine._free_reduce_slots != cluster.reduce_slots:
+        if free_reduces != cluster.reduce_slots:
             self._violate(
                 "FIN001",
-                f"run ended with {engine._free_reduce_slots}/"
+                f"run ended with {free_reduces}/"
                 f"{cluster.reduce_slots} reduce slots free: a reduce slot "
                 "leaked",
                 final=True,
             )
-        jobs = engine._jobs
-        for rec in engine._records:
+        for rec in records:
             if rec.killed:
                 continue  # preempted attempt: end is the kill time
             job = jobs[rec.job_id]
@@ -247,7 +287,7 @@ class Sanitizer:
                     f"shuffle_end={rec.shuffle_end!r}, end={rec.end!r}",
                     final=True,
                 )
-            if engine.shuffle_model is None:
+            if not self._modelled:
                 expected = job.profile.reduce_duration(rec.index)
                 if not math.isclose(
                     rec.end - rec.shuffle_end, expected, rel_tol=1e-9, abs_tol=_EPS

@@ -141,8 +141,6 @@ class SweepCell:
     #: Which execution path produced this cell: ``"kernel"`` or
     #: ``"object"`` (None on results predating the accounting).
     engine_path: Optional[str] = None
-    #: Why the columnar engine fell back to the object loop, if it did.
-    fallback_reason: Optional[str] = None
 
     def row(self) -> dict:
         return {
@@ -264,7 +262,6 @@ def run_sweep(
                 cached=outcome.cached,
                 event_digest=result.event_digest,
                 engine_path=result.engine_path,
-                fallback_reason=result.fallback_reason,
             )
         )
     return SweepResult(cells=cells, cache_hits=hits)

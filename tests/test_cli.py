@@ -90,23 +90,26 @@ class TestProfileAndReplay:
         assert main(["replay", str(out), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["engine_path"] == "kernel"
-        assert doc["fallback_reason"] is None
+        assert "fallback_reason" not in doc
         assert doc["jobs"] and doc["makespan_s"] > 0
 
-    def test_replay_json_format_names_fallback(
+    def test_replay_json_format_names_the_engine_that_ran(
         self, history_file, tmp_path, capsys
     ):
+        """Flex has no kernel contract and still runs on the kernel's heap
+        loop; ``--engine object`` names the reference engine."""
         import json
 
         out = tmp_path / "trace.json"
         main(["profile", str(history_file), str(out)])
         capsys.readouterr()
-        assert main(
-            ["replay", str(out), "--scheduler", "flex", "--format", "json"]
-        ) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["engine_path"] == "object"
-        assert "without the columnar contract" in doc["fallback_reason"]
+        for engine in ("columnar", "object"):
+            assert main(
+                ["replay", str(out), "--scheduler", "flex", "--engine", engine,
+                 "--format", "json"]
+            ) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["engine_path"] == ("kernel" if engine == "columnar" else "object")
 
     def test_compare_subcommand(self, history_file, tmp_path, capsys):
         out = tmp_path / "trace.json"

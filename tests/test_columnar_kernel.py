@@ -5,12 +5,12 @@ for every workload it claims, it must produce the **bit-identical**
 event stream the object engine produces — same BLAKE2b digest, same
 event count, same task records, same results.  These tests assert that
 contract across the full scheduler zoo, the slow-start range, slot
-caps, degenerate job shapes, live preemption (segmented replay mode),
-dynamic schedulers on the replay mode (the group-share policies Fair,
-DynamicPriority and Capacity, and compiled policy trees), and the simsan
-dual-run divergence check, and pin the fallback envelope for
-everything the kernel does not claim.  See ``docs/engine-internals.md``
-for the design.
+caps, degenerate job shapes, live preemption (replay mode), dynamic
+schedulers on the replay mode (the group-share policies Fair,
+DynamicPriority and Capacity, compiled policy trees, and Flex through
+``choose_next_*``), and the simsan dual-run divergence check, and pin
+the pass-mode envelope.  See ``docs/engine-internals.md`` for the
+design.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.schedulers import (
     CappedFIFOScheduler,
     FIFOScheduler,
     FairScheduler,
+    FlexScheduler,
     MaxEDFScheduler,
     MinEDFScheduler,
 )
@@ -39,9 +40,10 @@ from conftest import make_constant_profile, make_random_profile
 #: static).
 STATIC_POLICIES = ("FIFO", "MaxEDF", "MinEDF")
 #: Dynamic zoo policies that carry a kernel contract (the group-share
-#: ShareSchedulerMixin) — the kernel runs them in segmented-replay mode.
+#: ShareSchedulerMixin) — the kernel decides them in replay mode.
 COLUMNAR_DYNAMIC_POLICIES = ("Fair", "Capacity", "DynamicPriority")
-#: Dynamic zoo policies without the contract: still fall back.
+#: Dynamic zoo policies without a contract: replay mode asks their
+#: ``choose_next_*``.
 FALLBACK_POLICIES = tuple(
     p for p in ZOO_POLICIES
     if p not in STATIC_POLICIES and p not in COLUMNAR_DYNAMIC_POLICIES
@@ -149,7 +151,6 @@ class TestDigestIdentityMatrix:
         engine.run(make_zoo_trace())
         assert engine.last_path == "kernel"
         assert engine.last_kernel_mode == "passes"
-        assert engine.fallback_reason is None
 
     @pytest.mark.parametrize("policy", COLUMNAR_DYNAMIC_POLICIES)
     def test_columnar_dynamic_policies_take_replay_mode(self, policy):
@@ -157,15 +158,15 @@ class TestDigestIdentityMatrix:
         engine.run(make_zoo_trace())
         assert engine.last_path == "kernel"
         assert engine.last_kernel_mode == "replay"
-        assert engine.fallback_reason is None
 
     @pytest.mark.parametrize("policy", sorted(UNCONTRACTED_POLICIES))
     def test_uncontracted_dynamic_policies_fall_back(self, policy):
+        """No contract covers the decision: the heap loop falls back to
+        asking the policy's ``choose_next_*``, as the object engine does."""
         factory = UNCONTRACTED_POLICIES[policy]
         engine = ColumnarEngine(ClusterConfig(16, 8), factory())
         engine.run(make_zoo_trace())
-        assert engine.last_path == "object"
-        assert "without the columnar contract" in engine.fallback_reason
+        assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay")
         assert_identical(make_zoo_trace(), factory, ClusterConfig(16, 8))
 
     @pytest.mark.parametrize("slowstart", [0.0, 0.05, 0.5, 1.0])
@@ -236,7 +237,7 @@ def make_deadline_trace(seed: int = 7, n: int = 24) -> list[TraceJob]:
 
 
 class TestPreemptiveReplayIdentity:
-    """Live preemption on the kernel's segmented-replay mode: every kill,
+    """Live preemption on the kernel's replay mode: every kill,
     requeue, and stale departure must hash identically to the object
     engine's preemptive run."""
 
@@ -287,13 +288,12 @@ class TestPreemptiveReplayIdentity:
         engine.run(make_deadline_trace(n=8))
         assert engine.last_path == "kernel"
         assert engine.last_kernel_mode == "replay"
-        assert engine.fallback_reason is None
 
     def test_inert_preemption_stays_in_pass_mode(self):
         """FIFO never requests kills, so preemption=True is provably a
         no-op and the fast pass-mode kernel remains valid."""
         engine = ColumnarEngine(
-            ClusterConfig(8, 4), FIFOScheduler(), preemption=True
+            ClusterConfig(8, 4), FIFOScheduler(), preemption=True, sanitize=False
         )
         engine.run(make_zoo_trace(n=6))
         assert engine.last_path == "kernel"
@@ -429,7 +429,7 @@ class TestColumnarDynamicIdentity:
             "name": "static-tree",
             "tree": {"score": [{"feature": "submit_time", "weight": 1.0}]},
         }
-        engine = ColumnarEngine(ClusterConfig(16, 8), compile_policy(doc))
+        engine = ColumnarEngine(ClusterConfig(16, 8), compile_policy(doc), sanitize=False)
         engine.run(make_zoo_trace(n=8))
         assert engine.last_path == "kernel"
         assert engine.last_kernel_mode == "passes"
@@ -574,73 +574,60 @@ class TestFallbackEnvelope:
         )
 
     def test_fallback_envelope_is_pinned(self):
-        """The complete post-widening envelope: exactly these conditions
-        leave the kernel, nothing else.  A new fallback reason appearing
-        here is an envelope regression."""
+        """The complete pass-mode envelope: exactly these conditions move a
+        static-priority run from pass mode to the heap loop, nothing else.
+        Every run stays on the kernel and matches the object engine."""
         from repro.core.shuffle import NetworkShuffleModel
-        from repro.schedulers import FlexScheduler
 
         trace = make_zoo_trace(n=6)
-        cases = {
-            "pluggable shuffle model": ColumnarEngine(
-                ClusterConfig(8, 4), FIFOScheduler(),
-                shuffle_model=NetworkShuffleModel(1e6, 1e9),
-            ),
-            "state-inspecting sanitizer": ColumnarEngine(
-                ClusterConfig(8, 4), FIFOScheduler(),
-                sanitizer=Sanitizer(fail_fast=True),
-            ),
-            "without the columnar contract": ColumnarEngine(
-                ClusterConfig(8, 4), FlexScheduler()
-            ),
-        }
-        for expected, engine in cases.items():
-            engine.run(trace)
-            assert engine.last_path == "object"
-            assert expected in engine.fallback_reason
-        # depends_on is per-trace, not per-engine configuration.
         profile = make_constant_profile()
         dep_trace = [TraceJob(profile, 0.0), TraceJob(profile, 0.0, depends_on=0)]
-        engine = ColumnarEngine(ClusterConfig(8, 4), FIFOScheduler())
-        engine.run(dep_trace)
-        assert engine.fallback_reason == "workflow dependencies (depends_on)"
-        # And nothing else falls back: preemption + a preemptive scheduler
-        # + the group-share policies all stay on the kernel now.
-        from repro.schedulers import (
-    FairScheduler,
-            CapacityScheduler,
-            DynamicPriorityScheduler,
-            FairScheduler,
+        zero_trace = [_tie_job(0.0, 1, 1, map_durations=(0.0,))]
+        heap_cases = {
+            "shuffle model": (trace, {"shuffle_model": NetworkShuffleModel(1e6, 1e9)}),
+            "sanitizer": (trace, {"sanitizer": Sanitizer(fail_fast=True)}),
+            "depends_on": (dep_trace, {}),
+            "zero-time task": (zero_trace, {}),
+        }
+        for name, (case_trace, kw) in heap_cases.items():
+            engine = ColumnarEngine(ClusterConfig(8, 4), FIFOScheduler(), **kw)
+            engine.run(case_trace)
+            assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay"), name
+        engine = ColumnarEngine(
+            ClusterConfig(8, 4), MaxEDFScheduler(preemptive=True), preemption=True
         )
-
-        for scheduler, kw in [
-            (MaxEDFScheduler(preemptive=True), {"preemption": True}),
-            (FairScheduler(), {}),
-            (FairScheduler(preemptive=True), {"preemption": True}),
-            (DynamicPriorityScheduler(), {}),
-            (CapacityScheduler({"default": 1.0}), {}),
-            (FIFOScheduler(), {"preemption": True}),
-        ]:
-            engine = ColumnarEngine(ClusterConfig(8, 4), scheduler, **kw)
-            engine.run(make_zoo_trace(n=6))
-            assert engine.last_path == "kernel", scheduler.name
-            assert engine.fallback_reason is None
+        engine.run(trace)
+        assert engine.last_kernel_mode == "replay"
+        # And nothing else leaves pass mode: inert preemption and the
+        # observe-only recorder keep it.
+        for kw in (
+            {"preemption": True, "sanitize": False},
+            {"sanitizer": DigestRecorder()},
+            {"sanitize": False},
+        ):
+            engine = ColumnarEngine(ClusterConfig(8, 4), MaxEDFScheduler(), **kw)
+            engine.run(trace)
+            assert engine.last_kernel_mode == "passes", kw
+        for case_trace, kw in heap_cases.values():
+            kw = {k: v for k, v in kw.items() if k != "sanitizer"}
+            assert_identical(case_trace, FIFOScheduler, ClusterConfig(8, 4), **kw)
 
     def test_state_inspecting_sanitizer_falls_back(self):
+        """The full Sanitizer reads per-event state: the run leaves pass
+        mode for the heap loop, which calls its hooks."""
         engine = ColumnarEngine(
             ClusterConfig(8, 4), FIFOScheduler(),
             sanitizer=Sanitizer(fail_fast=True),
         )
         engine.run(make_zoo_trace(n=6))
-        assert engine.last_path == "object"
-        assert engine.fallback_reason == "state-inspecting sanitizer"
+        assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay")
 
     def test_digest_recorder_stays_on_kernel(self):
         engine = ColumnarEngine(
             ClusterConfig(8, 4), FIFOScheduler(), sanitizer=DigestRecorder()
         )
         engine.run(make_zoo_trace(n=6))
-        assert engine.last_path == "kernel"
+        assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "passes")
 
     def test_dependencies_fall_back(self):
         profile = make_constant_profile()
@@ -650,18 +637,19 @@ class TestFallbackEnvelope:
         ]
         engine = ColumnarEngine(ClusterConfig(8, 4), FIFOScheduler())
         result = engine.run(trace)
-        assert engine.last_path == "object"
+        assert engine.last_kernel_mode == "replay"
         assert all(j.completion_time is not None for j in result.jobs)
+        assert result.jobs[1].start_time >= result.jobs[0].completion_time
 
     def test_sanitized_run_under_full_sanitizer_is_clean(self):
-        """sanitize=True builds the full Sanitizer: the run falls back and
-        must report zero invariant violations."""
-        engine = ColumnarEngine(
-            ClusterConfig(8, 4), FIFOScheduler(), sanitize=True
-        )
-        engine.run(make_zoo_trace(n=8))
-        assert engine.last_path == "object"
-        assert engine.sanitizer.violations == []
+        """sanitize=True builds the full Sanitizer: the run takes the heap
+        loop and must report zero invariant violations, on a static and a
+        contracted dynamic policy."""
+        for scheduler in (FIFOScheduler(), FairScheduler()):
+            engine = ColumnarEngine(ClusterConfig(8, 4), scheduler, sanitize=True)
+            engine.run(make_zoo_trace(n=8))
+            assert engine.last_kernel_mode == "replay"
+            assert engine.sanitizer.violations == []
 
     def test_simulate_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="engine must be"):
@@ -725,7 +713,7 @@ class TestStallPrefix:
             )
         assert len(observed["object"][0]) == 12
         assert observed["object"] == observed["columnar"]
-        engine = ColumnarEngine(ClusterConfig(2, 2), factory())
+        engine = ColumnarEngine(ClusterConfig(2, 2), factory(), sanitize=False)
         engine.run(trace)
         assert engine.last_kernel_mode == mode
 
@@ -1124,3 +1112,46 @@ class TestReplayModeDifferential:
         assert [
             (j.start_time, j.map_stage_end, j.completion_time) for j in obj.jobs
         ] == [(j.start_time, j.map_stage_end, j.completion_time) for j in ker.jobs]
+
+
+# --------------------------------------------------------------------------- #
+# generated sanitizer runs: simsan is clean on both engines
+# --------------------------------------------------------------------------- #
+
+#: Every replay-mode policy plus the static ones and an uncontracted one.
+_SANITIZED_SCHEDULERS = {
+    **_REPLAY_SCHEDULERS,
+    "FIFO": (FIFOScheduler, {}),
+    "MaxEDF": (MaxEDFScheduler, {}),
+    "MinEDF": (MinEDFScheduler, {}),
+    "Flex": (FlexScheduler, {}),
+}
+
+
+class TestSanitizerOnTieTraces:
+    """The full invariant checker over tie-heavy generated traces: no
+    violation on either engine.  A stall is a legal outcome here (e.g.
+    reduces on a cluster whose reduce capacity a cap keeps unused)."""
+
+    @given(
+        trace=_tie_traces(),
+        policy=st.sampled_from(sorted(_SANITIZED_SCHEDULERS)),
+        cluster=st.sampled_from(((1, 1), (2, 1), (3, 2), (16, 16))),
+        slowstart=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_no_violations_on_either_engine(self, trace, policy, cluster, slowstart):
+        from repro.core.engine import SimulatorEngine
+
+        factory, kw = _SANITIZED_SCHEDULERS[policy]
+        for engine_cls in (SimulatorEngine, ColumnarEngine):
+            san = Sanitizer(fail_fast=False)
+            engine = engine_cls(
+                ClusterConfig(*cluster), factory(),
+                min_map_percent_completed=slowstart, sanitizer=san, **kw,
+            )
+            try:
+                engine.run(trace)
+            except RuntimeError as exc:
+                assert "simulation stalled" in str(exc)
+            assert san.violations == [], (engine_cls.__name__, san.violations[:3])

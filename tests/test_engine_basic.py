@@ -185,9 +185,15 @@ class TestEngineMechanics:
         assert len(result.jobs) == 0
 
     def test_job_states_completed(self, single_job_trace):
-        engine = SimulatorEngine(ClusterConfig(4, 4), FIFOScheduler())
-        engine.run(single_job_trace)
-        assert all(j.state is JobState.COMPLETED for j in engine._jobs)
+        departed = []
+
+        class Recording(FIFOScheduler):
+            def on_job_departure(self, job, time):
+                departed.append(job)
+
+        SimulatorEngine(ClusterConfig(4, 4), Recording()).run(single_job_trace)
+        assert len(departed) == len(single_job_trace)
+        assert all(j.state is JobState.COMPLETED for j in departed)
 
     def test_queued_jobs_wait_for_slots(self):
         """Two identical jobs on a cluster that fits one: serialized."""

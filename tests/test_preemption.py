@@ -21,7 +21,7 @@ from conftest import make_constant_profile, make_random_profile
 @pytest.fixture
 def run(engine_kind):
     """Preemptive run on the parametrized engine path: since the kernel's
-    segmented-replay mode covers live preemption, every behavioural pin
+    replay mode covers live preemption, every behavioural pin
     here holds on both the object loop and the columnar kernel."""
 
     def _run(trace, scheduler, cluster=ClusterConfig(4, 4), **kw):

@@ -81,6 +81,14 @@ class TestResultJSON:
         assert rebuilt.event_digest is None
         assert rebuilt.makespan == result.makespan
 
+    def test_ignores_fallback_reason_of_older_documents(self, result):
+        """Cache entries written while the kernel still delegated to the
+        object engine carry a ``fallback_reason`` key; it is ignored."""
+        doc = result_to_dict(result)
+        assert "fallback_reason" not in doc
+        rebuilt = result_from_dict({**doc, "fallback_reason": "pluggable shuffle model"})
+        assert rebuilt == result_from_dict(doc)
+
 
 class TestCSV:
     def test_header_and_rows(self, result):

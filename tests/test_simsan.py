@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core import ClusterConfig, SimulatorEngine, TraceJob
+from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine, TraceJob
 from repro.core.job import Job, JobState
+from repro.core.shuffle import ShuffleModel
 from repro.sanitize import (
     DualRunOutcome,
     EventDigest,
@@ -36,7 +37,7 @@ from conftest import make_constant_profile
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Engine event-type ints (mirrors the engine's hot-loop constants).
-MAP_DEP, ALL_MAPS, RED_DEP, JOB_DEP, JOB_ARR = 0, 1, 2, 3, 4
+MAP_DEP, ALL_MAPS, RED_DEP, JOB_DEP, JOB_ARR, MAP_ARR, RED_ARR = range(7)
 
 
 def fresh_engine(**kw):
@@ -163,6 +164,38 @@ class TestEventChecks:
         san.observe_pop(5.0, MAP_DEP, 1, 0, 0)
         assert check_ids(san) == ["EVT001"]
 
+    def test_evt001_only_waives_the_started_attempts_departure(self):
+        # A zero-duration map departs at the instant it started; any
+        # other same-instant departure that sorts back is still flagged.
+        for departure, ok in [
+            ((5.0, MAP_DEP, 9, 0, 0), True),
+            ((5.0, MAP_DEP, 9, 0, 1), False),  # another task
+            ((5.0, MAP_DEP, 9, 1, 0), False),  # another job
+            ((5.0, RED_DEP, 9, 0, 0), False),  # the other kind
+            ((5.0, MAP_DEP, 3, 0, 0), False),  # pushed before the arrival
+        ]:
+            san = Sanitizer(fail_fast=False)
+            san.begin_run(fresh_engine(), [])
+            san.observe_pop(5.0, MAP_ARR, 4, 0, 0)
+            san.observe_pop(*departure)
+            assert check_ids(san) == ([] if ok else ["EVT001"]), departure
+
+    @pytest.mark.parametrize("engine_cls", [SimulatorEngine, ColumnarEngine])
+    @pytest.mark.parametrize("shape", [(1, 0), (0, 1)])
+    def test_zero_duration_task_run_is_clean(self, engine_cls, shape):
+        # One job with one 0.0 s task: its departure pops right after
+        # its own arrival, ahead of it in (time, type) order.
+        num_maps, num_reduces = shape
+        profile = make_constant_profile(
+            num_maps=num_maps, num_reduces=num_reduces,
+            map_s=0.0, first_shuffle_s=0.0, typical_shuffle_s=0.0, reduce_s=0.0,
+        )
+        san = Sanitizer(fail_fast=False)
+        engine_cls(ClusterConfig(1, 1), FIFOScheduler(), sanitizer=san).run(
+            [TraceJob(profile, 0.0)]
+        )
+        assert san.violations == []
+
     def test_evt002_negative_time_raises_fail_fast(self):
         san = Sanitizer()
         san.begin_run(fresh_engine(), [])
@@ -179,22 +212,29 @@ class TestSlotChecks:
         engine = fresh_engine()
         san = Sanitizer(fail_fast=False)
         san.begin_run(engine, [])
-        engine._free_map_slots -= 1  # a slot vanished with nothing running
-        san.observe_handled(engine, make_job(), JOB_ARR)
+        cluster = engine.cluster
+        # A slot vanished with nothing running.
+        san.observe_handled(
+            make_job(), JOB_ARR, [], cluster.map_slots - 1, cluster.reduce_slots
+        )
         assert check_ids(san) == ["SLT001"]
 
     def test_slt001_free_slots_over_capacity(self):
         engine = fresh_engine()
         san = Sanitizer(fail_fast=False)
         san.begin_run(engine, [])
-        engine._free_reduce_slots = engine.cluster.reduce_slots + 2
-        san.observe_handled(engine, make_job(), JOB_ARR)
+        cluster = engine.cluster
+        san.observe_handled(
+            make_job(), JOB_ARR, [], cluster.map_slots, cluster.reduce_slots + 2
+        )
         assert check_ids(san) == ["SLT001"]
 
 
 class TestLifecycleChecks:
     def observe(self, san, engine, job, etype=JOB_ARR):
-        san.observe_handled(engine, job, etype)
+        # An empty job queue with every slot free: slot checks pass.
+        cluster = engine.cluster
+        san.observe_handled(job, etype, [], cluster.map_slots, cluster.reduce_slots)
 
     def test_lif001_completed_exceeds_dispatched(self):
         engine, san, job = fresh_engine(), Sanitizer(fail_fast=False), make_job()
@@ -268,100 +308,121 @@ class TestLifecycleChecks:
 
 
 class TestEndRunChecks:
-    """Run a real trace clean, then corrupt the engine's records."""
+    """Run a real trace clean, then corrupt its records."""
 
-    def finished_engine(self):
-        engine = fresh_engine()
+    def finished_run(self):
+        """The jobs and task records a clean run hands to ``end_run``."""
+        final = {}
+
+        class Capture(Sanitizer):
+            def end_run(self, jobs, records, free_maps, free_reduces):
+                final.update(jobs=jobs, records=records)
+
+        engine = SimulatorEngine(
+            ClusterConfig(4, 4), FIFOScheduler(), sanitizer=Capture(fail_fast=False)
+        )
         profile = make_constant_profile(num_maps=4, num_reduces=2)
         engine.run([TraceJob(profile, 0.0)])
-        return engine
+        return final["jobs"], final["records"]
 
-    def end_run(self, engine):
+    def end_run(self, jobs, records, free_maps=4, free_reduces=4):
         san = Sanitizer(fail_fast=False)
-        san.end_run(engine)
+        san.begin_run(fresh_engine(), [])
+        san.end_run(jobs, records, free_maps, free_reduces)
         return san
 
-    def reduce_record(self, engine):
-        return next(r for r in engine._records if r.kind == "reduce")
+    def reduce_record(self, records):
+        return next(r for r in records if r.kind == "reduce")
 
     def test_clean_run_passes_end_checks(self):
-        assert self.end_run(self.finished_engine()).violations == []
+        assert self.end_run(*self.finished_run()).violations == []
 
     def test_fin001_slot_not_returned(self):
-        engine = self.finished_engine()
-        engine._free_map_slots -= 1
-        san = self.end_run(engine)
+        san = self.end_run(*self.finished_run(), free_maps=3)
         assert check_ids(san) == ["FIN001"]
         assert "map slot leaked" in san.violations[0].message
 
     def test_ovl001_unrewritten_filler(self):
-        engine = self.finished_engine()
-        rec = self.reduce_record(engine)
+        jobs, records = self.finished_run()
+        rec = self.reduce_record(records)
         rec.end = math.inf
-        san = self.end_run(engine)
+        san = self.end_run(jobs, records)
         assert check_ids(san) == ["OVL001"]
         assert "infinite filler" in san.violations[0].message
 
     def test_ovl001_phase_boundary_out_of_order(self):
-        engine = self.finished_engine()
-        rec = self.reduce_record(engine)
+        jobs, records = self.finished_run()
+        rec = self.reduce_record(records)
         rec.shuffle_end = rec.start - 1.0
-        san = self.end_run(engine)
+        san = self.end_run(jobs, records)
         assert "OVL001" in check_ids(san)
 
     def test_ovl001_first_wave_started_after_map_stage(self):
-        engine = self.finished_engine()
-        rec = self.reduce_record(engine)
+        jobs, records = self.finished_run()
+        rec = self.reduce_record(records)
         assert rec.first_wave  # 4 slots, slow-start 5%: reduces overlap maps
         rec.start = rec.shuffle_end + 0.5  # "started" after the map stage end
-        san = self.end_run(engine)
+        san = self.end_run(jobs, records)
         assert "OVL001" in check_ids(san)
         assert any("first-wave" in v.message for v in san.violations)
 
     def test_ovl002_map_duration_disagrees_with_profile(self):
-        engine = self.finished_engine()
-        rec = next(r for r in engine._records if r.kind == "map")
+        jobs, records = self.finished_run()
+        rec = next(r for r in records if r.kind == "map")
         rec.end += 1.0
-        san = self.end_run(engine)
+        san = self.end_run(jobs, records)
         assert check_ids(san) == ["OVL002"]
 
     def test_ovl002_reduce_phase_duration_disagrees(self):
-        engine = self.finished_engine()
-        rec = self.reduce_record(engine)
+        jobs, records = self.finished_run()
+        rec = self.reduce_record(records)
         rec.shuffle_end += 0.5  # shrinks the reduce phase below the profile
-        san = self.end_run(engine)
+        san = self.end_run(jobs, records)
         assert "OVL002" in check_ids(san)
 
     def test_killed_records_are_exempt(self):
-        engine = self.finished_engine()
-        rec = self.reduce_record(engine)
+        jobs, records = self.finished_run()
+        rec = self.reduce_record(records)
         rec.shuffle_end = rec.start - 1.0
         rec.killed = True  # a preempted attempt's bounds are not checked
-        assert self.end_run(engine).violations == []
+        assert self.end_run(jobs, records).violations == []
+
+
+class _NegativeShuffle(ShuffleModel):
+    """Prices every shuffle at -10 s: reduces end before they start."""
+
+    def shuffle_duration(self, ctx):
+        return -10.0
+
+
+class _SneakyFIFO(FIFOScheduler):
+    """'Helpfully' bumps engine bookkeeping for each arriving job."""
+
+    def on_job_arrival(self, job, time, cluster):
+        job.maps_dispatched += 1
 
 
 class TestEndToEnd:
-    def test_leaky_engine_trips_slt001_during_run(self):
-        class LeakyEngine(SimulatorEngine):
-            def _dispatch_map(self, job):
-                super()._dispatch_map(job)
-                self._free_map_slots += 1  # dispatch without consuming a slot
+    """Broken behaviour reached through public seams trips the checks
+    during a real run, on either engine."""
 
-        engine = LeakyEngine(ClusterConfig(4, 4), FIFOScheduler(), sanitize=True)
+    @pytest.mark.parametrize("engine_cls", [SimulatorEngine, ColumnarEngine])
+    def test_sneaky_scheduler_trips_slt001_during_run(self, engine_cls):
+        engine = engine_cls(ClusterConfig(4, 4), _SneakyFIFO(), sanitize=True)
         profile = make_constant_profile(num_maps=4, num_reduces=2)
         with pytest.raises(SimsanViolation, match="SLT001"):
             engine.run([TraceJob(profile, 0.0)])
 
-    def test_clock_rewinding_engine_trips_evt001(self):
-        class RewindingEngine(SimulatorEngine):
-            def _on_map_departure(self, job, index, seq):
-                super()._on_map_departure(job, index, seq)
-                self._push_event(self._now - 1.0, JOB_DEP, job.job_id, -1)
-
-        engine = RewindingEngine(ClusterConfig(4, 4), FIFOScheduler(), sanitize=True)
-        profile = make_constant_profile(num_maps=4, num_reduces=2)
-        with pytest.raises(SimsanViolation, match="EVT001"):
-            engine.run([TraceJob(profile, 0.0)])
+    @pytest.mark.parametrize("engine_cls", [SimulatorEngine, ColumnarEngine])
+    def test_negative_shuffle_trips_evt_and_ovl_checks(self, engine_cls):
+        san = Sanitizer(fail_fast=False)
+        engine = engine_cls(
+            ClusterConfig(4, 4), FIFOScheduler(),
+            shuffle_model=_NegativeShuffle(), sanitizer=san,
+        )
+        profile = make_constant_profile(num_maps=4, num_reduces=2, map_s=1.0)
+        engine.run([TraceJob(profile, 0.0)])
+        assert {"EVT001", "EVT002", "OVL001"} <= set(check_ids(san))
 
 
 # --------------------------------------------------------------------- #

@@ -127,9 +127,8 @@ class TestRunSweep:
             run_sweep(trace, schedulers={})
 
     def test_cells_carry_engine_path(self, trace):
-        """Every cell reports which execution path produced it; static
-        and Fair policies stay on the kernel, uncontracted dynamic ones
-        name their fallback reason."""
+        """Every cell reports which execution path produced it: static
+        and Fair policies run on the kernel."""
         result = run_sweep(
             trace,
             schedulers=("fifo", "fair"),
@@ -137,18 +136,19 @@ class TestRunSweep:
         )
         for cell in result.cells:
             assert cell.engine_path == "kernel"
-            assert cell.fallback_reason is None
             assert cell.row()["engine_path"] == "kernel"
 
-    def test_fallback_cells_name_their_reason(self, trace):
+    def test_uncontracted_cells_run_on_the_kernel(self, trace):
+        """Flex has no kernel contract; its cell runs the kernel's heap
+        loop through ``choose_next_*``."""
         result = run_sweep(
             trace,
             schedulers=[SchedulerSpec(kind="zoo", name="Flex(avg_response)")],
             clusters=(ClusterConfig(8, 8),),
         )
         cell = result.cells[0]
-        assert cell.engine_path == "object"
-        assert "without the columnar contract" in cell.fallback_reason
+        assert cell.engine_path == "kernel"
+        assert "fallback_reason" not in cell.row()
 
     def test_engine_path_survives_cache_restore(self, trace, tmp_path):
         cache = tmp_path / "results.sqlite"
