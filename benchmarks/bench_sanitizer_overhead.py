@@ -7,6 +7,11 @@ disabled configuration must agree within the asserted 2% — i.e. the
 "overhead" of the disabled sanitizer is indistinguishable from
 measurement noise) and reports what enabling the checks actually costs.
 
+Every round is timed in process CPU time, so time the process spends
+descheduled on a shared host does not count, and the two A/A engines
+run in alternating rounds (A, B, A, B, ...), so a slow phase of the
+host lands on both of them rather than on one block.
+
 Artifacts: prints the off/on throughput table and writes
 ``BENCH_sanitizer.json`` at the repo root for EXPERIMENTS.md.
 """
@@ -14,10 +19,10 @@ Artifacts: prints the off/on throughput table and writes
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 from repro.core import ClusterConfig, SimulatorEngine
-from repro.core.walltime import elapsed_since, perf_seconds
 from repro.experiments.performance import make_performance_trace
 from repro.sanitize import EventDigest, Sanitizer
 from repro.schedulers import FIFOScheduler
@@ -28,38 +33,40 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 MAX_DISABLED_OVERHEAD = 0.02
 
 
-def best_events_per_second(trace, rounds: int = 9, **engine_kwargs) -> float:
-    """Best-of-N throughput for one engine configuration.
+def interleaved_best(trace, configs: list[dict], rounds: int = 9) -> list[float]:
+    """Best-of-N throughput for each engine configuration in ``configs``.
 
-    Best-of (minimum time) rather than mean: scheduling jitter only ever
-    adds time, so the minimum is the stablest estimator for an A/A test.
+    The configurations take turns, one run each per round, and every run
+    is timed in process CPU time.  Best-of (minimum time) rather than
+    mean: scheduling jitter only ever adds time, so the minimum is the
+    stablest estimator for an A/A test.
     """
-    engine = SimulatorEngine(
-        ClusterConfig(64, 64), FIFOScheduler(), record_tasks=False, **engine_kwargs
-    )
-    best = float("inf")
+    engines = [
+        SimulatorEngine(ClusterConfig(64, 64), FIFOScheduler(), record_tasks=False, **kw)
+        for kw in configs
+    ]
+    best = [float("inf")] * len(engines)
     events = 0
     for _ in range(rounds):
-        start = perf_seconds()
-        result = engine.run(trace)
-        best = min(best, elapsed_since(start))
-        events = result.events_processed
-    return events / best
+        for i, engine in enumerate(engines):
+            start = time.process_time()
+            result = engine.run(trace)
+            best[i] = min(best[i], time.process_time() - start)
+            events = result.events_processed
+    return [events / b for b in best]
 
 
 def test_sanitizer_overhead(benchmark, once):
     trace = make_performance_trace(300, mean_interarrival=100.0, seed=0)
 
     # Headline number, via the shared harness: the disabled path.
-    once(benchmark, best_events_per_second, trace, sanitize=False)
+    once(benchmark, interleaved_best, trace, [{"sanitize": False}])
 
-    off_a = best_events_per_second(trace, sanitize=False)
-    off_b = best_events_per_second(trace, sanitize=False)
-    on = best_events_per_second(trace, sanitize=True)
-    on_digest = best_events_per_second(
-        trace,
-        sanitizer=Sanitizer(fail_fast=False, digest=EventDigest(keep_events=False)),
-    )
+    off_a, off_b = interleaved_best(trace, [{"sanitize": False}, {"sanitize": False}])
+    on, on_digest = interleaved_best(trace, [
+        {"sanitize": True},
+        {"sanitizer": Sanitizer(fail_fast=False, digest=EventDigest(keep_events=False))},
+    ])
 
     disabled_overhead = abs(off_a / off_b - 1.0)
     enabled_cost = off_a / on

@@ -7,12 +7,13 @@ at a time — seven event types, one branch per pop.  The kernel's **pass
 mode** exploits the structure of the static-priority schedule to avoid
 materialising most of those events:
 
-* **decision points only.**  With a static-priority policy and no
-  preemption, the schedule is fully determined by job arrivals, reduce
-  slow-start gate crossings, and slot releases.  The kernel keeps a heap
-  for exactly those, and resolves each map/reduce *dispatch* with a
-  constant-time chain step (``start = max(slot_release, availability)``)
-  instead of a ``MAP_TASK_ARRIVAL``/``MAP_TASK_DEPARTURE`` event pair.
+* **decision points only.**  With a static-priority policy, no
+  preemption and no slot caps, the schedule is fully determined by job
+  arrivals, reduce slow-start gate crossings, and slot releases.  The
+  kernel keeps a heap of slot releases per task kind, and resolves each
+  map/reduce *dispatch* with a constant-time chain step
+  (``start = max(slot_release, availability)``) instead of a
+  ``MAP_TASK_ARRIVAL``/``MAP_TASK_DEPARTURE`` event pair.
 * **columnar wave math.**  Per-job completion data is derived with
   vectorized numpy reductions over the contiguous duration buffers that
   :class:`~repro.core.columns.TraceColumns` hands out as zero-copy
@@ -31,10 +32,12 @@ materialising most of those events:
   digest is byte-for-byte the one the heap loop produces (see
   ``docs/engine-internals.md``).
 
-Pass mode covers static-priority runs without live preemption,
-zero-time tasks, a pluggable shuffle model, workflow dependencies or a
-state-inspecting sanitizer (:meth:`ColumnarEngine._passes_apply`).
-Every other run takes **replay mode**: the heap loop, deciding each
+Pass mode covers static-priority runs without live preemption, slot
+caps, zero-time tasks, a pluggable shuffle model, workflow dependencies,
+a state-inspecting sanitizer or reduces on a cluster without reduce
+slots (:meth:`ColumnarEngine._passes_apply`; a cap is seen only when an
+arrival hook sets it, in :meth:`ColumnarEngine._run_kernel`).  Every
+other run takes **replay mode**: the heap loop, deciding each
 dispatch through the policy's kernel contract — the static priority
 heaps, the group-share
 :class:`~repro.schedulers.base.ShareSchedulerMixin` (Fair,
@@ -48,7 +51,7 @@ trees) — and through ``choose_next_*`` for a policy no contract covers
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -66,7 +69,7 @@ from .engine import (
     _EngineBase,
     _cycled,
 )
-from .job import Job, JobState, TaskRecord, TraceJob, validate_dependencies
+from .job import Job, JobState, TaskRecord, TraceJob
 from .results import SimulationResult
 from .walltime import perf_seconds
 from ..schedulers.base import Scheduler
@@ -81,17 +84,15 @@ class _KJob:
     """Per-job kernel state: dispatch counters + derived wave data."""
 
     __slots__ = (
-        "job", "idx", "submit", "M", "R", "key", "cap_m", "cap_r",
+        "job", "idx", "submit", "M", "R", "key",
         # map side
-        "mdl", "md_np", "mdispatched", "mcompleted", "mse", "fm",
+        "mdl", "md_np", "mdispatched", "mse", "fm",
         # reduce slow-start gate
         "gate_count", "gate_time", "gate_etype", "gate_tie",
         # reduce side
         "fsl", "tsl", "rdl", "fel", "fs_np", "ts_np", "rd_np",
-        "rdispatched", "rcompleted", "maxend", "maxend_i",
-        # event-loop flags (capped modes)
-        "arrived", "gated", "in_mheap", "in_rheap",
-        "completed", "completion_time",
+        "rdispatched", "maxend", "maxend_i",
+        "completion_time",
     )
 
     def __init__(self, job: Job, idx: int, gate_count: int) -> None:
@@ -101,8 +102,6 @@ class _KJob:
         self.M = job.num_maps
         self.R = job.num_reduces
         self.key = (job.sched_key, idx)
-        self.cap_m = job.wanted_map_slots
-        self.cap_r = job.wanted_reduce_slots
         profile = job.profile
         if self.M:
             self.md_np = _cycled(profile.map_durations, self.M)
@@ -111,7 +110,6 @@ class _KJob:
             self.md_np = None
             self.mdl = None
         self.mdispatched = 0
-        self.mcompleted = 0
         # Map-less jobs complete their map stage at submission.
         self.mse = self.submit if self.M == 0 else _INF
         self.fm = -1
@@ -122,14 +120,8 @@ class _KJob:
         self.fsl = self.tsl = self.rdl = self.fel = None
         self.fs_np = self.ts_np = self.rd_np = None
         self.rdispatched = 0
-        self.rcompleted = 0
         self.maxend = -_INF
         self.maxend_i = -1
-        self.arrived = False
-        self.gated = False
-        self.in_mheap = False
-        self.in_rheap = False
-        self.completed = False
         self.completion_time: Optional[float] = None
 
 
@@ -144,7 +136,7 @@ class _DispatchLog:
     plus ``seq_of``, the inverse map from a job-major task position
     (``offsets[job] + task``) back to the sequence number.  Within a job
     task ``i`` is its ``i``-th dispatch, and dispatch starts never
-    decrease (the passes pop slot releases and triggers in time order).
+    decrease (each chain step takes the earliest slot release).
     """
 
     __slots__ = (
@@ -258,6 +250,8 @@ class ColumnarEngine(_EngineBase):
         takes zero time too.  No event happens later than the last submit
         plus every task's longest duration run back to back, so a duration
         no larger than the float spacing at that horizon counts as zero.
+        A horizon that overflows to infinity absorbs every duration (its
+        spacing is NaN, so the comparison below reads "zero").
         """
         profiles = [tj.profile for tj in trace]
         horizon = max((tj.submit_time for tj in trace), default=0.0)
@@ -275,18 +269,22 @@ class ColumnarEngine(_EngineBase):
             reduces = np.concatenate([p.reduce_durations for p in with_r])
             shortest = min(shortest, shuffles.min() + reduces.min())
             horizon += sum(p.num_reduces for p in with_r) * (shuffles.max() + reduces.max())
-        return bool(shortest <= np.spacing(horizon))
+        return not shortest > np.spacing(horizon)
 
     def _passes_apply(self, trace: Sequence[TraceJob]) -> bool:
-        """Whether pass mode reproduces this static-priority run.
+        """Whether pass mode can lay out this static-priority run.
 
         Pass mode lays the schedule out from arrivals, gate crossings and
-        slot releases, so it needs a schedule nothing else feeds: no live
-        preemption, no zero-time tasks, no pluggable shuffle model (it
-        prices each shuffle from the running state), no workflow
-        dependencies, and no sanitizer beyond the observe-only
+        slot releases, dispatching every task of a kind while a slot of
+        that kind frees up, so it needs a schedule nothing else feeds: no
+        live preemption, no zero-time tasks, no pluggable shuffle model
+        (it prices each shuffle from the running state), no workflow
+        dependencies, no sanitizer beyond the observe-only
         :class:`~repro.sanitize.digest.DigestRecorder` (the invariant
-        checker inspects per-event state).
+        checker inspects per-event state), and no reduces on a cluster
+        without reduce slots (the run stalls; ``ClusterConfig`` keeps at
+        least one map slot).  A slot cap is known only once an arrival
+        hook sets it; :meth:`_run_kernel` checks for it there.
         """
         san = self.sanitizer
         if san is not None:
@@ -298,6 +296,10 @@ class ColumnarEngine(_EngineBase):
             (self.preemption and not self._preemption_inert(self.scheduler))
             or self.shuffle_model is not None
             or any(tj.depends_on is not None for tj in trace)
+            or (
+                self.cluster.reduce_slots <= 0
+                and any(tj.profile.num_reduces for tj in trace)
+            )
             or self._has_instant_tasks(trace)
         )
 
@@ -309,8 +311,10 @@ class ColumnarEngine(_EngineBase):
         scheduler = self.scheduler
         if scheduler.static_priority:
             if self._passes_apply(trace):
-                self.last_kernel_mode = "passes"
-                return self._run_kernel(trace)
+                result = self._run_kernel(trace)
+                if result is not None:
+                    self.last_kernel_mode = "passes"
+                    return result
             decide = "static"
         elif not self._contract_covers(scheduler):
             decide = "choose"
@@ -325,9 +329,16 @@ class ColumnarEngine(_EngineBase):
     # kernel
     # ------------------------------------------------------------------ #
 
-    def _run_kernel(self, trace: Sequence[TraceJob]) -> SimulationResult:
+    def _run_kernel(self, trace: Sequence[TraceJob]) -> Optional[SimulationResult]:
+        """Pass mode; ``None`` as soon as an arrival hook sets a slot cap.
+
+        The passes dispatch uncapped, and a cap (MinEDF's "wanted" slots,
+        set from a job's deadline) is known only after ``on_job_arrival``.
+        The heap loop then replays the run on fresh jobs, so the hooks of
+        the short prefix run again; the static policies' hooks write only
+        the job.
+        """
         wall_start = perf_seconds()
-        validate_dependencies(trace)
         scheduler = self.scheduler
         cluster = self.cluster
         mmpc = self.min_map_percent_completed
@@ -344,71 +355,41 @@ class ColumnarEngine(_EngineBase):
             if job.num_maps == 0:
                 job.map_stage_end = job.submit_time
             scheduler.on_job_arrival(job, job.submit_time, cluster)
+            if job.wanted_map_slots is not None or job.wanted_reduce_slots is not None:
+                return None
             job.sched_key = scheduler.priority_key(job)
             gate_val = job.reduce_gate
             gate_count = 0 if gate_val <= 0 else math.ceil(gate_val)
             states[i] = _KJob(job, i, gate_count)
 
-        arr_states = [states[i] for i in order]
-        uncapped_m = all(st.cap_m is None for st in states)
-        uncapped_r = all(st.cap_r is None for st in states)
-
         maps = _DispatchLog()
-        if uncapped_m:
-            self._map_pass_chain(arr_states, maps)
-        else:
-            self._map_pass_capped(arr_states, maps)
+        self._map_pass_chain([states[i] for i in order], maps)
         self._derive_map_results(states, maps)
-
-        gated = self._build_gates(states)
         reduces = _DispatchLog()
-        if uncapped_r:
-            self._reduce_pass_chain(gated, reduces)
-        else:
-            self._reduce_pass_capped(gated, reduces)
-
-        # Completion, departures, stall detection ----------------------------
-        completion_order: list[tuple[float, int, int]] = []
-        for st in states:
-            maps_done = st.M == 0 or (
-                st.mdispatched == st.M  # every dispatched map completes
-            )
-            if not maps_done:
-                continue
-            if st.R == 0:
-                st.completed = True
-                st.completion_time = st.mse
-            elif st.rdispatched == st.R and st.maxend < _INF:
-                st.completed = True
-                st.completion_time = st.maxend
-            if st.completed:
-                job = st.job
-                job.state = JobState.COMPLETED
-                job.completion_time = st.completion_time
-                job.map_stage_end = st.mse
-                completion_order.append((st.completion_time, st.idx, st.idx))
-
-        if len(completion_order) < len(jobs):
-            # The passes lay out only a complete stream.  Replay mode
-            # pops the stalled run's prefix, feeds it and raises.
-            self.last_kernel_mode = "replay"
-            return self._run_heap(trace, "static", "kernel")
-
-        # Every task ran: the reduce columns are complete.
+        self._reduce_pass_chain(self._build_gates(states), reduces)
         self._reduce_columns(states, reduces)
+
+        # Every task ran: each job completes with its last map (no
+        # reduces) or its last-ending reduce.
+        completion_order: list[tuple[float, int]] = []
         for st in states:
-            if st.M or st.R:
-                st.job.start_time = min(
-                    maps.first_start(st.idx) if st.M else _INF,
-                    reduces.first_start(st.idx) if st.R else _INF,
-                )
+            st.completion_time = st.maxend if st.R else st.mse
+            job = st.job
+            job.state = JobState.COMPLETED
+            job.completion_time = st.completion_time
+            job.map_stage_end = st.mse
+            job.start_time = min(
+                maps.first_start(st.idx) if st.M else _INF,
+                reduces.first_start(st.idx) if st.R else _INF,
+            )
+            completion_order.append((st.completion_time, st.idx))
 
         # Departure hooks in completion order.  The static-priority
         # contract (constant priority_key) means the hook cannot feed
         # back into scheduling, so batching it here is observationally
         # identical for any conforming policy.
         completion_order.sort()
-        for when, _tie, idx in completion_order:
+        for when, idx in completion_order:
             scheduler.on_job_departure(states[idx].job, when)
 
         processed = sum(
@@ -437,10 +418,7 @@ class ColumnarEngine(_EngineBase):
         (a ``MAP_TASK_DEPARTURE`` at time *t* is handled before a
         ``JOB_ARRIVAL`` at *t*).
         """
-        slots = self.cluster.map_slots
-        if slots <= 0:
-            return
-        pool = [0.0] * slots  # already a valid heap
+        pool = [0.0] * self.cluster.map_slots  # already a valid heap
         arrivals = [st for st in arr_states if st.M > 0]
         n_arr = len(arrivals)
         ai = 0
@@ -483,53 +461,6 @@ class ColumnarEngine(_EngineBase):
                 heappush(pending, (st2.key, ai))
                 ai += 1
 
-    def _map_pass_capped(self, arr_states: list[_KJob], log: _DispatchLog) -> None:
-        """Slot-capped map dispatch: exact event-replay of the map side.
-
-        Runs the object engine's arrival/departure/allocate cycle for
-        map events only (reduce events provably never change map-side
-        eligibility), with the same lazy priority heap.
-        """
-        states_by_idx = {st.idx: st for st in arr_states}
-        trig: list[tuple] = [
-            (st.submit, _JOB_ARR, st.idx, st.idx) for st in arr_states if st.M > 0
-        ]
-        heapify(trig)
-        free = self.cluster.map_slots
-        mheap: list[tuple[tuple, int]] = []
-        mseq = 0
-        while trig:
-            now, etype, _tie, idx = heappop(trig)
-            st = states_by_idx[idx]
-            if etype == _JOB_ARR:
-                st.arrived = True
-            else:
-                st.mcompleted += 1
-                free += 1
-            if not st.in_mheap and self._map_eligible(st):
-                st.in_mheap = True
-                heappush(mheap, (st.key, st.idx))
-            while free > 0 and mheap:
-                s2 = states_by_idx[mheap[0][1]]
-                if not self._map_eligible(s2):
-                    heappop(mheap)
-                    s2.in_mheap = False
-                    continue
-                free -= 1
-                k = s2.mdispatched
-                s2.mdispatched = k + 1
-                log.starts.append(now)
-                log.runs.append((s2.idx, k, 1))
-                heappush(trig, (now + s2.mdl[k], _MAP_DEP, mseq, s2.idx))
-                mseq += 1
-
-    @staticmethod
-    def _map_eligible(st: _KJob) -> bool:
-        if not st.arrived or st.mdispatched >= st.M:
-            return False
-        cap = st.cap_m
-        return cap is None or st.mdispatched - st.mcompleted < cap
-
     def _derive_map_results(self, states: list[_KJob], maps: _DispatchLog) -> None:
         """Map finishes as one column, then per job the map-stage end and
         the slow-start gate event."""
@@ -538,25 +469,24 @@ class ColumnarEngine(_EngineBase):
         maps.end = maps.start + durations[maps.pos]
         offsets = maps.offsets.tolist()
         for st in states:
-            d = st.mdispatched
-            if st.M == 0 or not d:
+            m = st.M
+            if m == 0:
                 continue
-            # The job's dispatched maps are its tasks 0 .. d-1, in seq order.
-            seqs = maps.seq_of[offsets[st.idx] : offsets[st.idx] + d]
+            # The job's maps are its tasks 0 .. m-1, in seq order.
+            seqs = maps.seq_of[offsets[st.idx] : offsets[st.idx] + m]
             fin = maps.end[seqs]
-            if d == st.M:
-                # Last occurrence of the max: the final departure's
-                # dispatch sequence breaks (time, seq) ties.
-                last = d - 1 - int(fin[::-1].argmax())
-                st.mse = float(fin[last])
-                st.fm = int(seqs[last])
+            # Last occurrence of the max: the final departure's dispatch
+            # sequence breaks (time, seq) ties.
+            last = m - 1 - int(fin[::-1].argmax())
+            st.mse = float(fin[last])
+            st.fm = int(seqs[last])
             k = st.gate_count
-            if k == st.M and d == st.M:
+            if k == m:
                 # Slow-start 1: the gate is the final map departure.
                 st.gate_time = st.mse
                 st.gate_etype = _MAP_DEP
                 st.gate_tie = st.fm
-            elif 0 < k <= d:
+            elif k > 0:
                 # The k-th map departure in (finish, dispatch-seq) pop
                 # order crosses the reduce slow-start gate.
                 gi = int(np.lexsort((seqs, fin))[k - 1])
@@ -581,7 +511,7 @@ class ColumnarEngine(_EngineBase):
         """
         gated: list[_KJob] = []
         for st in states:
-            if st.R == 0 or st.gate_time is None:
+            if st.R == 0:
                 continue
             profile = st.job.profile
             fs_arr = (
@@ -614,10 +544,7 @@ class ColumnarEngine(_EngineBase):
         dispatch classifies itself as filler / first-wave / typical by
         comparing its start against the map-stage end.
         """
-        slots = self.cluster.reduce_slots
-        if slots <= 0 or not gated:
-            return
-        pool = [0.0] * slots
+        pool = [0.0] * self.cluster.reduce_slots
         n_arr = len(gated)
         ai = 0
         pending: list[tuple[tuple, int]] = []
@@ -631,7 +558,6 @@ class ColumnarEngine(_EngineBase):
                 if ai >= n_arr:
                     break
                 st = gated[ai]
-                st.gated = True
                 by_pos[ai] = st
                 heappush(pending, (st.key, ai))
                 ai += 1
@@ -661,8 +587,6 @@ class ColumnarEngine(_EngineBase):
                         break
                 else:
                     start = g_j
-                if start == _INF:
-                    break  # only permanently-occupied (filler) slots left
                 end = fel[k] if start <= mse else (start + tsl[k]) + rdl[k]
                 heapreplace(pool, end)
                 starts_append(start)
@@ -676,76 +600,10 @@ class ColumnarEngine(_EngineBase):
                 runs_append((st.idx, st.rdispatched, k - st.rdispatched))
                 st.rdispatched = k
             if k < limit:
-                if ai >= n_arr:
-                    break  # stalled: dead slots or zero capacity left
                 st2 = gated[ai]
-                st2.gated = True
                 by_pos[ai] = st2
                 heappush(pending, (st2.key, ai))
                 ai += 1
-
-    def _reduce_pass_capped(self, gated: list[_KJob], log: _DispatchLog) -> None:
-        """Slot-capped reduce dispatch: exact event-replay of the reduce side.
-
-        Trigger heap carries gate crossings and reduce departures with
-        the object engine's full ``(time, type, push-order)`` keys, so
-        cap headroom unlocks in the identical order.
-        """
-        free = self.cluster.reduce_slots
-        by_idx = {st.idx: st for st in gated}
-        trig: list[tuple] = [
-            (st.gate_time, st.gate_etype, st.gate_tie, st.idx, -1) for st in gated
-        ]
-        heapify(trig)
-        rheap: list[tuple[tuple, int]] = []
-        rseq = 0
-        while trig:
-            now, etype, _tie, idx, _i = heappop(trig)
-            st = by_idx[idx]
-            if etype == _RED_DEP:
-                st.rcompleted += 1
-                free += 1
-            else:
-                st.gated = True
-            if not st.in_rheap and self._reduce_eligible(st):
-                st.in_rheap = True
-                heappush(rheap, (st.key, st.idx))
-            while free > 0 and rheap:
-                s2 = by_idx[rheap[0][1]]
-                if not self._reduce_eligible(s2):
-                    heappop(rheap)
-                    s2.in_rheap = False
-                    continue
-                free -= 1
-                i = s2.rdispatched
-                s2.rdispatched = i + 1
-                log.starts.append(now)
-                log.runs.append((s2.idx, i, 1))
-                mse = s2.mse
-                if now < mse:
-                    # Filler: departure is pushed by ALL_MAPS_FINISHED,
-                    # whose heap position is (mse, 1, final-map-seq).
-                    # Starts never decrease, so fillers are the job's
-                    # first dispatches and ``i`` is the filler's rank.
-                    end = s2.fel[i]
-                    tie = (mse, _ALL_MAPS, s2.fm, i)
-                else:
-                    # now >= mse here, so <= means the first-wave boundary.
-                    end = s2.fel[i] if now <= mse else (now + s2.tsl[i]) + s2.rdl[i]
-                    tie = (now, _RED_ARR, rseq, 0)
-                rseq += 1
-                if end >= s2.maxend:
-                    s2.maxend = end
-                    s2.maxend_i = i
-                if end < _INF:
-                    heappush(trig, (end, _RED_DEP, tie, s2.idx, i))
-
-    @staticmethod
-    def _reduce_eligible(st: _KJob) -> bool:
-        if not st.gated or st.rdispatched >= st.R:
-            return False
-        cap = st.cap_r
-        return cap is None or st.rdispatched - st.rcompleted < cap
 
     # ------------------------------------------------------------------ #
     # derived outputs

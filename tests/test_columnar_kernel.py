@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ClusterConfig, JobProfile, JobState, TraceJob, simulate
+from repro.core.job import Job
 from repro.core.kernel import ColumnarEngine
 from repro.experiments.scheduler_zoo import ZOO_POLICIES
 from repro.sanitize.digest import DigestRecorder, EventDigest, dual_run
@@ -35,9 +36,9 @@ from repro.schedulers import (
 
 from conftest import make_constant_profile, make_random_profile
 
-#: Zoo policies the kernel runs natively in pass mode (static priority,
-#: no caps set by the engine itself — MinEDF sets per-job caps, still
-#: static).
+#: Static-priority zoo policies.  Pass mode runs them while no arrival
+#: hook sets a slot cap; MinEDF caps each job that has a deadline, so on
+#: a trace with deadlines it takes replay mode.
 STATIC_POLICIES = ("FIFO", "MaxEDF", "MinEDF")
 #: Dynamic zoo policies that carry a kernel contract (the group-share
 #: ShareSchedulerMixin) — the kernel decides them in replay mode.
@@ -150,7 +151,8 @@ class TestDigestIdentityMatrix:
         )
         engine.run(make_zoo_trace())
         assert engine.last_path == "kernel"
-        assert engine.last_kernel_mode == "passes"
+        # The zoo trace has deadlines, so MinEDF caps its jobs.
+        assert engine.last_kernel_mode == ("replay" if policy == "MinEDF" else "passes")
 
     @pytest.mark.parametrize("policy", COLUMNAR_DYNAMIC_POLICIES)
     def test_columnar_dynamic_policies_take_replay_mode(self, policy):
@@ -583,19 +585,30 @@ class TestFallbackEnvelope:
         profile = make_constant_profile()
         dep_trace = [TraceJob(profile, 0.0), TraceJob(profile, 0.0, depends_on=0)]
         zero_trace = [_tie_job(0.0, 1, 1, map_durations=(0.0,))]
-        heap_cases = {
-            "shuffle model": (trace, {"shuffle_model": NetworkShuffleModel(1e6, 1e9)}),
-            "sanitizer": (trace, {"sanitizer": Sanitizer(fail_fast=True)}),
-            "depends_on": (dep_trace, {}),
-            "zero-time task": (zero_trace, {}),
+        cluster = ClusterConfig(8, 4)
+        heap_cases = {  # name: (trace, scheduler factory, engine kwargs)
+            "shuffle model": (
+                trace, FIFOScheduler, {"shuffle_model": NetworkShuffleModel(1e6, 1e9)}
+            ),
+            "sanitizer": (trace, FIFOScheduler, {"sanitizer": Sanitizer(fail_fast=True)}),
+            "depends_on": (dep_trace, FIFOScheduler, {}),
+            "zero-time task": (zero_trace, FIFOScheduler, {}),
+            "slot cap": (trace, lambda: CappedFIFOScheduler(2, 1), {}),
         }
-        for name, (case_trace, kw) in heap_cases.items():
-            engine = ColumnarEngine(ClusterConfig(8, 4), FIFOScheduler(), **kw)
+        for name, (case_trace, factory, kw) in heap_cases.items():
+            engine = ColumnarEngine(cluster, factory(), **kw)
             engine.run(case_trace)
             assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay"), name
-        engine = ColumnarEngine(
-            ClusterConfig(8, 4), MaxEDFScheduler(preemptive=True), preemption=True
-        )
+        # Reduces on a cluster without reduce slots: the run stalls in the
+        # heap loop (TestStallPrefix pins the stalled prefix across
+        # engines).  A cluster without map slots cannot be built.
+        engine = ColumnarEngine(ClusterConfig(8, 0), FIFOScheduler())
+        with pytest.raises(RuntimeError, match="simulation stalled"):
+            engine.run(trace)
+        assert engine.last_kernel_mode == "replay"
+        with pytest.raises(ValueError, match="map_slots"):
+            ClusterConfig(0, 4)
+        engine = ColumnarEngine(cluster, MaxEDFScheduler(preemptive=True), preemption=True)
         engine.run(trace)
         assert engine.last_kernel_mode == "replay"
         # And nothing else leaves pass mode: inert preemption and the
@@ -605,12 +618,42 @@ class TestFallbackEnvelope:
             {"sanitizer": DigestRecorder()},
             {"sanitize": False},
         ):
-            engine = ColumnarEngine(ClusterConfig(8, 4), MaxEDFScheduler(), **kw)
+            engine = ColumnarEngine(cluster, MaxEDFScheduler(), **kw)
             engine.run(trace)
             assert engine.last_kernel_mode == "passes", kw
-        for case_trace, kw in heap_cases.values():
+        # MinEDF sets no cap on a job without a deadline (the sweep's
+        # performance traces), so such a run stays in pass mode too.
+        no_deadlines = [TraceJob(tj.profile, tj.submit_time) for tj in trace]
+        engine = ColumnarEngine(cluster, MinEDFScheduler(), sanitizer=DigestRecorder())
+        engine.run(no_deadlines)
+        assert engine.last_kernel_mode == "passes"
+        assert_identical(no_deadlines, MinEDFScheduler, cluster)
+        for case_trace, factory, kw in heap_cases.values():
             kw = {k: v for k, v in kw.items() if k != "sanitizer"}
-            assert_identical(case_trace, FIFOScheduler, ClusterConfig(8, 4), **kw)
+            assert_identical(case_trace, factory, cluster, **kw)
+
+    @pytest.mark.parametrize(
+        "factory", [lambda: CappedFIFOScheduler(2, 1), MinEDFScheduler],
+        ids=["CappedFIFO", "MinEDF"],
+    )
+    def test_capped_run_leaves_at_first_capping_arrival(self, factory):
+        """Pass mode hands a run to the heap loop at the first arrival hook
+        that sets a slot cap, so the hooks do not run for the whole trace
+        twice."""
+        scheduler = factory()
+        calls = []
+        hook = scheduler.on_job_arrival
+
+        def counting_hook(job, time, cluster):
+            calls.append(job.job_id)
+            hook(job, time, cluster)
+
+        scheduler.on_job_arrival = counting_hook
+        trace = make_deadline_trace(n=12)
+        engine = ColumnarEngine(ClusterConfig(8, 4), scheduler)
+        engine.run(trace)
+        assert engine.last_kernel_mode == "replay"
+        assert len(calls) <= len(trace) + 1
 
     def test_state_inspecting_sanitizer_falls_back(self):
         """The full Sanitizer reads per-event state: the run leaves pass
@@ -917,6 +960,16 @@ def _first_difference(a: list, b: list) -> str:
     return f"lengths differ: object {len(a)}, kernel {len(b)}"
 
 
+def _sets_caps(trace, scheduler, cluster) -> bool:
+    """Whether ``scheduler``'s arrival hook caps a job of ``trace``."""
+    for i, tj in enumerate(trace):
+        job = Job(i, tj)
+        scheduler.on_job_arrival(job, tj.submit_time, cluster)
+        if job.wanted_map_slots is not None or job.wanted_reduce_slots is not None:
+            return True
+    return False
+
+
 def _assert_pass_mode_matches(trace, policy, cluster, slowstart):
     from repro.core.engine import SimulatorEngine
 
@@ -931,10 +984,13 @@ def _assert_pass_mode_matches(trace, policy, cluster, slowstart):
         results.append(engine.run(trace))
         events.append(recorder.digest.events)
     # Zero-time tasks (including absorbed ones) take replay mode (the
-    # sorted stream would pop them too late); everything else here is
-    # pass mode.
+    # sorted stream would pop them too late), and so does a run whose
+    # arrival hook sets a slot cap; everything else here is pass mode.
     assert engine.last_kernel_mode == (
-        "replay" if ColumnarEngine._has_instant_tasks(trace) else "passes"
+        "replay"
+        if ColumnarEngine._has_instant_tasks(trace)
+        or _sets_caps(trace, _PASS_SCHEDULERS[policy](), ClusterConfig(*cluster))
+        else "passes"
     )
     obj, ker = results
     assert events[0] == events[1], _first_difference(*events)
@@ -1005,6 +1061,17 @@ class TestEmissionOrderDifferential:
     )
     @example(
         trace=[_tie_job(1e17, 1, 1), _tie_job(1e17, 1, 1)],
+        policy="FIFO", cluster=(1, 1), slowstart=0.0,
+    )
+    # Durations of 1e308 run back to back overflow the horizon to
+    # infinity, which absorbs every duration: without that check pass
+    # mode dispatched tasks at t = inf out of heap order.
+    @example(
+        trace=[_tie_job(0.0, 2, 1, map_durations=(1e308,), duration=1e308)],
+        policy="FIFO", cluster=(1, 1), slowstart=0.0,
+    )
+    @example(
+        trace=[_tie_job(0.0, 1, 1, map_durations=(1e308,), duration=1e308)] * 2,
         policy="FIFO", cluster=(1, 1), slowstart=0.0,
     )
     def test_events_and_records_match_object_loop(
