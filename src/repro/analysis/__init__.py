@@ -21,7 +21,6 @@ Layout
 ``concurrency`` thread-entry reachability and the CONC rule family
 ``resources``  acquire/release path tracking and the RES rule family
 ``cache``      the content-addressed incremental analysis store
-``baseline``   the committed accepted-findings ledger
 ``reporter``   text, JSON, GitHub-annotation and SARIF renderers
 ``runner``     directory walking and the public ``lint_paths`` API
 
@@ -32,8 +31,7 @@ and the CI gate in ``tests/test_simlint.py``.
 
 from __future__ import annotations
 
-from .baseline import Baseline, load_baseline, partition_findings, write_baseline
-from .cache import AnalysisCache, default_cache_path
+from .cache import AnalysisCache
 from .config import LintConfig
 from .findings import Finding, Severity
 from .registry import RuleInfo, RuleRegistry, default_registry
@@ -42,21 +40,16 @@ from .runner import lint_paths, lint_source
 
 __all__ = [
     "AnalysisCache",
-    "Baseline",
     "Finding",
     "Severity",
     "LintConfig",
     "RuleInfo",
     "RuleRegistry",
-    "default_cache_path",
     "default_registry",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "partition_findings",
     "render_text",
     "render_json",
     "render_github",
     "render_sarif",
-    "write_baseline",
 ]

@@ -19,12 +19,12 @@ cache short-circuits it:
   full.  Cross-module findings always recompute: the call graph makes
   their validity a property of the whole tree.
 
-The store is one JSON file living alongside the lint baseline
-(``scripts/lint_baseline.json`` -> ``scripts/.analysis_cache.json`` by
-default), written atomically via rename.  A missing, corrupt, or
-stale-engine file degrades to an empty cache — never an error; so does
-a store of another layout version (version 1 also held
-scheduler certificates).
+The store is one JSON file, written atomically via rename.  ``simmr
+lint`` keeps one only when given ``--analysis-cache PATH``; the local
+gate (``scripts/check.sh``) uses ``scripts/.analysis_cache.json``.  A
+missing, corrupt, or stale-engine file degrades to an empty cache —
+never an error; so does a store of another layout version (version 1
+also held scheduler certificates).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .findings import Finding
 __all__ = [
     "ANALYSIS_SALT",
     "AnalysisCache",
-    "default_cache_path",
     "engine_version",
     "source_digest",
     "program_key",
@@ -123,13 +122,6 @@ def program_key(
         h.update(digest.encode())
         h.update(b"\n")
     return h.hexdigest()
-
-
-def default_cache_path(baseline: Optional[Path]) -> Optional[Path]:
-    """Where the cache lives for a given baseline ledger (its sibling)."""
-    if baseline is None:
-        return None
-    return Path(baseline).parent / ".analysis_cache.json"
 
 
 class AnalysisCache:

@@ -51,7 +51,7 @@ from .core.engine import simulate
 from .core.job import TraceJob
 from .schedulers import make_scheduler
 from .trace.arrivals import ExponentialArrivals
-from .trace.schema import load_trace, save_trace
+from .trace.schema import save_trace
 from .trace.synthetic import SyntheticTraceGen
 
 __all__ = ["main", "build_parser"]
@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fit",
         help="fit a generative job spec from a trace's recorded profiles",
     )
-    fit.add_argument("trace", type=Path, help="trace JSON with recorded executions")
+    fit.add_argument("trace", type=Path,
+                     help="trace file (JSON or .simmr) with recorded executions")
     fit.add_argument("output", type=Path, help="output spec JSON path")
     fit.add_argument("--name", default=None, help="spec name")
     fit.add_argument(
@@ -284,22 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every rule with its documentation and exit",
     )
     lint.add_argument(
-        "--baseline", type=Path, default=None,
-        help="accepted-findings baseline JSON: exit non-zero only on "
-        "findings absent from it (or on stale entries it still lists)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="record the current findings into --baseline and exit 0",
-    )
-    lint.add_argument(
         "--no-cache", action="store_true",
         help="disable the incremental analysis cache",
     )
     lint.add_argument(
         "--analysis-cache", type=Path, default=None,
-        help="incremental analysis cache JSON (default: .analysis_cache.json "
-        "next to --baseline; no caching without a baseline)",
+        help="incremental analysis cache JSON (default: no caching)",
     )
 
     chk = sub.add_parser(
@@ -313,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chk.add_argument(
         "--trace", type=Path, default=None,
-        help="trace JSON to replay (default: a deterministic synthetic mix)",
+        help="trace file to replay, JSON or .simmr (default: a "
+        "deterministic synthetic mix)",
     )
     chk.add_argument(
         "--schedulers", default=",".join(_CHECK_SCHEDULERS),
@@ -334,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the sanitized replays")
     chk.add_argument("--dynamic-only", action="store_true",
                      help="skip the static lint")
-    chk.add_argument(
-        "--baseline", type=Path, default=None,
-        help="accepted-findings baseline JSON for the static half "
-        "(see 'simmr lint --baseline')",
-    )
     chk.add_argument(
         "--policy", action="append", type=Path, default=None, metavar="TREE",
         dest="policies",
@@ -452,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one replay to a running simulation service",
     )
-    sbm.add_argument("trace", type=Path, help="trace JSON path (sent inline)")
+    sbm.add_argument("trace", type=Path, help="trace file, JSON or .simmr (sent inline)")
     sbm.add_argument("--url", default="http://127.0.0.1:8642",
                      help="service base URL (default http://127.0.0.1:8642)")
     sbm.add_argument("--scheduler", default="fifo", help="fifo | maxedf | minedf | fair")
@@ -513,15 +500,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_cli_trace(command: str, path: Path) -> Optional[list[TraceJob]]:
-    """Load a JSON or binary trace, or print one line and return None."""
+class _TraceLoadError(Exception):
+    """A trace file did not load: :func:`main` prints it and exits 2."""
+
+
+def _load_cli_trace(command: str, path: Path) -> list[TraceJob]:
+    """Load a JSON or binary trace; a bad file ends the command (exit 2)."""
     from .trace.binfmt import load_trace_auto
 
     try:
         return load_trace_auto(path)
-    except ValueError as exc:
-        print(f"simmr {command}: {path}: {exc}", file=sys.stderr)
-        return None
+    except (ValueError, OSError) as exc:
+        raise _TraceLoadError(f"simmr {command}: {path}: {exc}") from None
 
 
 def _replay(
@@ -548,8 +538,6 @@ def _replay(
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = _load_cli_trace("replay", args.trace)
-    if trace is None:
-        return 2
     result = _replay(
         trace, args.scheduler, args.map_slots, args.reduce_slots,
         args.slowstart, record_tasks=args.output is not None,
@@ -618,8 +606,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     names = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     trace = _load_cli_trace("compare", args.trace)
-    if trace is None:
-        return 2
     print(f"{'scheduler':10} {'makespan':>10} {'mean T_J':>10} {'util':>8}")
     for name in names:
         result = _replay(trace, name, args.map_slots, args.reduce_slots)
@@ -636,7 +622,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .core.cluster import ClusterConfig
     from .trace.tools import trace_summary
 
-    trace = load_trace(args.trace)
+    trace = _load_cli_trace("stats", args.trace)
     summary = trace_summary(trace)
     print(summary)
     slots = args.map_slots + args.reduce_slots
@@ -649,7 +635,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_compact(args: argparse.Namespace) -> int:
     from .trace.tools import compact_trace, trace_summary
 
-    trace = load_trace(args.trace)
+    trace = _load_cli_trace("compact", args.trace)
     compacted = compact_trace(trace, max_gap=args.max_gap)
     save_trace(compacted, args.output)
     before = trace_summary(trace).span_seconds
@@ -662,7 +648,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 def _cmd_scale(args: argparse.Namespace) -> int:
     from .trace.scaling import scale_profile
 
-    trace = load_trace(args.trace)
+    trace = _load_cli_trace("scale", args.trace)
     scaled = [
         TraceJob(
             scale_profile(
@@ -707,8 +693,8 @@ def _plot_sweep(result) -> None:
 def _cmd_diff_profiles(args: argparse.Namespace) -> int:
     from .mrprofiler.compare import compare_profiles
 
-    trace_a = load_trace(args.trace_a)
-    trace_b = load_trace(args.trace_b)
+    trace_a = _load_cli_trace("diff-profiles", args.trace_a)
+    trace_b = _load_cli_trace("diff-profiles", args.trace_b)
     try:
         profile_a = trace_a[args.job_a].profile
         profile_b = trace_b[args.job_b].profile
@@ -726,7 +712,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .core.walltime import elapsed_since, perf_seconds
     from .sweep import run_sweep
 
-    trace = load_trace(args.trace)
+    trace = _load_cli_trace("sweep", args.trace)
     map_slots = [int(x) for x in args.map_slots.split(",") if x.strip()]
     if args.reduce_slots is None:
         reduce_slots = map_slots
@@ -809,7 +795,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     from .trace.fit import fit_spec_from_profiles
 
-    trace = load_trace(args.trace)
+    trace = _load_cli_trace("fit", args.trace)
     spec = fit_spec_from_profiles(
         [j.profile for j in trace],
         name=args.name,
@@ -842,7 +828,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from .analysis import (
         AnalysisCache,
-        default_cache_path,
         default_registry,
         lint_paths,
         render_github,
@@ -888,12 +873,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
     cache = None
-    if not args.no_cache:
-        cache_path = args.analysis_cache
-        if cache_path is None:
-            cache_path = default_cache_path(args.baseline)
-        if cache_path is not None:
-            cache = AnalysisCache.load(cache_path)
+    if not args.no_cache and args.analysis_cache is not None:
+        cache = AnalysisCache.load(args.analysis_cache)
     try:
         config.validate(default_registry)
         findings = lint_paths(paths, config=config, cache=cache)
@@ -901,39 +882,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"simmr lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        if args.baseline is None:
-            print("simmr lint: --write-baseline requires --baseline <path>",
-                  file=sys.stderr)
-            return 2
-        from .analysis import write_baseline
-
-        recorded = write_baseline(args.baseline, findings)
-        print(f"simmr lint: recorded {len(recorded.entries)} finding(s) "
-              f"into {args.baseline}")
-        return 0
-
-    fail = bool(findings)
-    if args.baseline is not None:
-        from .analysis import load_baseline, partition_findings
-
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"simmr lint: {exc}", file=sys.stderr)
-            return 2
-        new, _matched, stale = partition_findings(findings, baseline)
-        findings = new  # baselined debt is not re-reported
-        for entry in stale:
-            print(f"simmr lint: stale baseline entry (no longer fires, "
-                  f"remove it): {entry.format()}", file=sys.stderr)
-        fail = bool(new) or bool(stale)
-
     render = {
         "json": render_json, "github": render_github, "sarif": render_sarif,
     }.get(args.format_, render_text)
     print(render(findings))
-    return 1 if fail else 0
+    return 1 if findings else 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -960,12 +913,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"simmr check: {exc}", file=sys.stderr)
             return 2
 
-    if args.baseline is not None and not args.baseline.is_file():
-        print(f"simmr check: baseline {args.baseline} does not exist",
-              file=sys.stderr)
-        return 2
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    trace = load_trace(args.trace) if args.trace is not None else None
+    trace = _load_cli_trace("check", args.trace) if args.trace is not None else None
     report = run_check(
         paths,
         config=config,
@@ -976,7 +925,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         cluster=ClusterConfig(args.map_slots, args.reduce_slots),
         static=static,
         dynamic=dynamic,
-        baseline=args.baseline,
         policy=not args.no_policy,
         policy_files=tuple(args.policies or ()),
     )
@@ -1036,22 +984,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .sanitize.digest import trace_digest
-    from .trace.binfmt import (
-        is_binary_trace_file,
-        load_trace_bin,
-        save_trace_bin,
-    )
+    from .trace.binfmt import is_binary_trace_file, save_trace_bin
 
     if args.trace_command == "pack":
         if is_binary_trace_file(args.input):
             print(f"simmr trace pack: {args.input} is already packed",
                   file=sys.stderr)
             return 2
-        try:
-            trace = load_trace(args.input)
-        except ValueError as exc:
-            print(f"simmr trace pack: {args.input}: {exc}", file=sys.stderr)
-            return 2
+        trace = _load_cli_trace("trace pack", args.input)
         nbytes = save_trace_bin(trace, args.output)
         json_bytes = args.input.stat().st_size
         ratio = json_bytes / nbytes if nbytes else 0.0
@@ -1063,11 +1003,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"simmr trace unpack: {args.input} is not a binary trace",
               file=sys.stderr)
         return 2
-    try:
-        trace = load_trace_bin(args.input)
-    except ValueError as exc:
-        print(f"simmr trace unpack: {args.input}: {exc}", file=sys.stderr)
-        return 2
+    trace = _load_cli_trace("trace unpack", args.input)
     save_trace(trace, args.output)
     print(f"unpacked {len(trace)} jobs to {args.output}; "
           f"digest {trace_digest(trace)}")
@@ -1176,9 +1112,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from .parallel import SchedulerSpec, SimTask, simulate_many
     from .service import ServiceClient, ServiceError
-    from .trace.binfmt import load_trace_auto
 
-    trace = load_trace_auto(args.trace)
+    trace = _load_cli_trace("submit", args.trace)
     client = ServiceClient(args.url)
     try:
         reply = client.replay(
@@ -1378,6 +1313,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     try:
         return _dispatch(argv)
+    except _TraceLoadError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         print(file=sys.stderr)
         return 130

@@ -450,9 +450,6 @@ class _EngineBase:
 
         # Cyclic per-task duration lists: the profile accessors'
         # ``index % size`` lookup, amortized to one list index per event.
-        # Shuffle fallbacks mirror JobProfile.first_shuffle_duration /
-        # typical_shuffle_duration (each substitutes the other's array
-        # when its own is empty).
         mdl: list[list[float]] = [[]] * n
         fsl: list[list[float]] = [[]] * n
         tsl: list[list[float]] = [[]] * n
@@ -462,18 +459,12 @@ class _EngineBase:
             if job.num_maps:
                 mdl[i] = _cycled(profile.map_durations, job.num_maps).tolist()
             if job.num_reduces:
-                fs_arr = (
-                    profile.first_shuffle_durations
-                    if profile.first_shuffle_durations.size
-                    else profile.typical_shuffle_durations
-                )
-                ts_arr = (
-                    profile.typical_shuffle_durations
-                    if profile.typical_shuffle_durations.size
-                    else profile.first_shuffle_durations
-                )
-                fsl[i] = _cycled(fs_arr, job.num_reduces).tolist()
-                tsl[i] = _cycled(ts_arr, job.num_reduces).tolist()
+                fsl[i] = _cycled(
+                    profile.effective_first_shuffle_durations, job.num_reduces
+                ).tolist()
+                tsl[i] = _cycled(
+                    profile.effective_typical_shuffle_durations, job.num_reduces
+                ).tolist()
                 rdl[i] = _cycled(profile.reduce_durations, job.num_reduces).tolist()
 
         # One JOB_ARRIVAL per job without a parent, numbered in trace

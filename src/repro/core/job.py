@@ -121,6 +121,29 @@ class JobProfile:
             if self.first_shuffle_durations.size == 0 and self.typical_shuffle_durations.size == 0:
                 raise ValueError(f"job {self.name!r}: reduces but no shuffle durations")
 
+    # -- shuffle fallback --------------------------------------------------
+    #
+    # A profile may lack one of its two shuffle arrays: it was recorded
+    # without first-wave measurements, or from a single-wave run where
+    # every reduce was first-wave and none typical.  Each kind then
+    # replays the other's durations.  These two properties are the one
+    # place that rule lives; the accessors, the statistics and both
+    # engines read them.
+
+    @property
+    def effective_first_shuffle_durations(self) -> np.ndarray:
+        """First-wave shuffle durations, or the typical ones if none."""
+        if self.first_shuffle_durations.size:
+            return self.first_shuffle_durations
+        return self.typical_shuffle_durations
+
+    @property
+    def effective_typical_shuffle_durations(self) -> np.ndarray:
+        """Typical shuffle durations, or the first-wave ones if none."""
+        if self.typical_shuffle_durations.size:
+            return self.typical_shuffle_durations
+        return self.first_shuffle_durations
+
     # -- per-task duration lookup (deterministic cyclic indexing) ---------
 
     def map_duration(self, index: int) -> float:
@@ -128,23 +151,14 @@ class JobProfile:
         return float(self.map_durations[index % self.map_durations.size])
 
     def first_shuffle_duration(self, index: int) -> float:
-        """Non-overlapping first-wave shuffle duration for reduce ``index``.
-
-        Falls back to the typical-shuffle array when the profile recorded
-        no first-wave measurements (e.g. a single-wave original run where
-        every reduce was first-wave would instead lack *typical* entries).
-        """
-        if self.first_shuffle_durations.size:
-            return float(self.first_shuffle_durations[index % self.first_shuffle_durations.size])
-        return self.typical_shuffle_duration(index)
+        """Non-overlapping first-wave shuffle duration for reduce ``index``."""
+        durations = self.effective_first_shuffle_durations
+        return float(durations[index % durations.size])
 
     def typical_shuffle_duration(self, index: int) -> float:
         """Typical (non-first-wave) shuffle duration for reduce ``index``."""
-        if self.typical_shuffle_durations.size:
-            return float(
-                self.typical_shuffle_durations[index % self.typical_shuffle_durations.size]
-            )
-        return float(self.first_shuffle_durations[index % self.first_shuffle_durations.size])
+        durations = self.effective_typical_shuffle_durations
+        return float(durations[index % durations.size])
 
     def reduce_duration(self, index: int) -> float:
         """Reduce-phase (post-shuffle) duration of reduce task ``index``."""
@@ -158,15 +172,11 @@ class JobProfile:
 
     @property
     def first_shuffle_stats(self) -> PhaseStats:
-        if self.first_shuffle_durations.size:
-            return PhaseStats.of(self.first_shuffle_durations)
-        return PhaseStats.of(self.typical_shuffle_durations)
+        return PhaseStats.of(self.effective_first_shuffle_durations)
 
     @property
     def typical_shuffle_stats(self) -> PhaseStats:
-        if self.typical_shuffle_durations.size:
-            return PhaseStats.of(self.typical_shuffle_durations)
-        return PhaseStats.of(self.first_shuffle_durations)
+        return PhaseStats.of(self.effective_typical_shuffle_durations)
 
     @property
     def reduce_stats(self) -> PhaseStats:

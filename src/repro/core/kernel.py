@@ -251,7 +251,8 @@ class ColumnarEngine(_EngineBase):
         plus every task's longest duration run back to back, so a duration
         no larger than the float spacing at that horizon counts as zero.
         A horizon that overflows to infinity absorbs every duration (its
-        spacing is NaN, so the comparison below reads "zero").
+        spacing is NaN, so the comparison below reads "zero").  The sums
+        are Python floats, which overflow to infinity without a warning.
         """
         profiles = [tj.profile for tj in trace]
         horizon = max((tj.submit_time for tj in trace), default=0.0)
@@ -259,16 +260,18 @@ class ColumnarEngine(_EngineBase):
         with_m = [p for p in profiles if p.num_maps]
         if with_m:
             maps = np.concatenate([p.map_durations for p in with_m])
-            shortest = maps.min()
-            horizon += sum(p.num_maps for p in with_m) * maps.max()
+            shortest = float(maps.min())
+            horizon += sum(p.num_maps for p in with_m) * float(maps.max())
         with_r = [p for p in profiles if p.num_reduces]
         if with_r:
             shuffles = np.concatenate(
                 [a for p in with_r for a in (p.first_shuffle_durations, p.typical_shuffle_durations)]
             )
             reduces = np.concatenate([p.reduce_durations for p in with_r])
-            shortest = min(shortest, shuffles.min() + reduces.min())
-            horizon += sum(p.num_reduces for p in with_r) * (shuffles.max() + reduces.max())
+            shortest = min(shortest, float(shuffles.min()) + float(reduces.min()))
+            horizon += sum(p.num_reduces for p in with_r) * (
+                float(shuffles.max()) + float(reduces.max())
+            )
         return not shortest > np.spacing(horizon)
 
     def _passes_apply(self, trace: Sequence[TraceJob]) -> bool:
@@ -514,18 +517,8 @@ class ColumnarEngine(_EngineBase):
             if st.R == 0:
                 continue
             profile = st.job.profile
-            fs_arr = (
-                profile.first_shuffle_durations
-                if profile.first_shuffle_durations.size
-                else profile.typical_shuffle_durations
-            )
-            ts_arr = (
-                profile.typical_shuffle_durations
-                if profile.typical_shuffle_durations.size
-                else profile.first_shuffle_durations
-            )
-            st.fs_np = _cycled(fs_arr, st.R)
-            st.ts_np = _cycled(ts_arr, st.R)
+            st.fs_np = _cycled(profile.effective_first_shuffle_durations, st.R)
+            st.ts_np = _cycled(profile.effective_typical_shuffle_durations, st.R)
             st.rd_np = _cycled(profile.reduce_durations, st.R)
             st.fsl = st.fs_np.tolist()
             st.tsl = st.ts_np.tolist()

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..analysis.baseline import BaselineEntry, load_baseline, partition_findings
 from ..analysis.config import LintConfig
 from ..analysis.findings import Finding, Severity
 from ..analysis.reporter import render_text, summarize
@@ -110,24 +109,20 @@ class PolicyCheck:
 
 @dataclass(frozen=True, slots=True)
 class CheckReport:
-    """Combined outcome of the static and dynamic halves.
+    """Combined outcome of the static, dynamic and policy halves.
 
-    ``findings`` are the *gating* static findings (with a baseline in
-    play: only those absent from it); ``baselined`` is the accepted
-    debt matched against the baseline, reported but not failing; a
-    ``stale`` baseline entry — recorded debt that no longer fires —
-    fails the gate so the ledger shrinks as debt is paid down.
+    Every static finding gates: a finding is accepted only at its
+    source, by an inline suppression comment or ``[tool.simlint]
+    disable``.
     """
 
     findings: tuple[Finding, ...]
     runs: tuple[SchedulerCheck, ...]
-    baselined: tuple[Finding, ...] = ()
-    stale: tuple[BaselineEntry, ...] = ()
     policies: tuple[PolicyCheck, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return (not self.findings and not self.stale
+        return (not self.findings
                 and all(r.ok for r in self.runs)
                 and all(p.ok for p in self.policies))
 
@@ -178,8 +173,6 @@ class CheckReport:
             "static": {
                 "summary": summarize(self.findings),
                 "findings": [f.to_dict() for f in self.findings],
-                "baselined": len(self.baselined),
-                "stale_baseline_entries": [e.format() for e in self.stale],
             },
             "dynamic": [r.to_dict() for r in self.runs],
             "policy": [p.to_dict() for p in self.policies],
@@ -191,16 +184,6 @@ class CheckReport:
     def render_text(self) -> str:
         lines = ["== static (simlint) =="]
         lines.append(render_text(self.findings))
-        if self.baselined:
-            lines.append(
-                f"simlint: {len(self.baselined)} baselined finding(s) "
-                f"(accepted debt, not gating)"
-            )
-        for entry in self.stale:
-            lines.append(
-                f"simlint: stale baseline entry (no longer fires, remove "
-                f"it): {entry.format()}"
-            )
         lines.append("")
         lines.append("== dynamic (simsan) ==")
         if not self.runs:
@@ -270,16 +253,10 @@ def run_check(
     slowstart: float = 0.05,
     static: bool = True,
     dynamic: bool = True,
-    baseline: Optional[Path] = None,
     policy: bool = True,
     policy_files: Sequence[Path] = (),
 ) -> CheckReport:
     """Run the combined static + dynamic + policy correctness gate.
-
-    ``baseline`` points at a committed accepted-findings JSON (see
-    :mod:`repro.analysis.baseline`); static findings it records do not
-    fail the gate, findings it does not record do, and entries that no
-    longer fire fail it as stale.
 
     The policy half (``policy=True``) certifies the built-in example
     trees (:data:`repro.policy.EXAMPLE_POLICIES`) plus any
@@ -290,17 +267,8 @@ def run_check(
     from ..schedulers import make_scheduler
 
     findings: tuple[Finding, ...] = ()
-    baselined: tuple[Finding, ...] = ()
-    stale: tuple[BaselineEntry, ...] = ()
     if static and paths:
         findings = tuple(lint_paths(paths, config=config or LintConfig()))
-        if baseline is not None:
-            new, matched, stale_entries = partition_findings(
-                findings, load_baseline(baseline)
-            )
-            findings = tuple(new)
-            baselined = tuple(matched)
-            stale = tuple(stale_entries)
 
     runs: list[SchedulerCheck] = []
     if dynamic:
@@ -355,9 +323,7 @@ def run_check(
             ))
 
     return CheckReport(
-        findings=tuple(findings),
+        findings=findings,
         runs=tuple(runs),
-        baselined=baselined,
-        stale=stale,
         policies=tuple(policies),
     )

@@ -211,10 +211,9 @@ def _load_trace(
              "exactly one of 'trace' (inline document) or 'trace_path' "
              "(server-side file) is required")
     if inline is not None:
-        _require(isinstance(inline, dict), "'trace' must be a trace document object")
         try:
             return trace_from_dict(inline), None
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise ProtocolError(f"bad trace document: {exc}") from None
     _require(isinstance(by_path, str) and bool(by_path),
              "'trace_path' must be a non-empty string")
@@ -233,7 +232,7 @@ def _load_trace(
 
     try:
         return load_trace_cached(resolved, trace_cache)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise ProtocolError(f"unreadable trace file {by_path}: {exc}") from None
 
 

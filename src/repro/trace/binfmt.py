@@ -291,28 +291,21 @@ class _MappedFile:
             self.map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def load_columns(
-    path: "str | Path", *, use_mmap: bool = True
-) -> tuple[TraceColumns, str]:
+def load_columns(path: "str | Path") -> tuple[TraceColumns, str]:
     """Load a binary trace file into columnar storage.
 
-    With ``use_mmap=True`` (the default) the file is memory-mapped
-    read-only and the returned columns view it directly: the parse cost
-    is the header walk, the durations stay on disk until touched, and
-    concurrent loaders of the same file share page-cache memory.
-    ``use_mmap=False`` reads the file into a private bytes object
-    (useful when the file may be replaced while in use).
+    The file is memory-mapped read-only and the returned columns view
+    it directly: the parse cost is the header walk, the durations stay
+    on disk until touched, and concurrent loaders of the same file
+    share page-cache memory.
     """
-    path = Path(path)
-    if use_mmap:
-        owner = _MappedFile(path)
-        return unpack_columns(memoryview(owner.map), owner=owner)
-    return unpack_columns(path.read_bytes())
+    owner = _MappedFile(Path(path))
+    return unpack_columns(memoryview(owner.map), owner=owner)
 
 
-def load_trace_bin(path: "str | Path", *, use_mmap: bool = True) -> list[TraceJob]:
+def load_trace_bin(path: "str | Path") -> list[TraceJob]:
     """Load a binary trace file as job objects (thin views)."""
-    columns, _digest = load_columns(path, use_mmap=use_mmap)
+    columns, _digest = load_columns(path)
     return columns.jobs()
 
 

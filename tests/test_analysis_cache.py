@@ -12,7 +12,6 @@ from pathlib import Path
 
 from repro.analysis import AnalysisCache, lint_paths
 from repro.analysis.cache import (
-    default_cache_path,
     engine_version,
     program_key,
     source_digest,
@@ -115,11 +114,6 @@ class TestAnalysisCache:
         assert stored["version"] == 2
         assert "certificates" not in stored
         assert AnalysisCache.load(path).lookup_findings("key") == []
-
-    def test_default_cache_path_is_baseline_sibling(self):
-        assert default_cache_path(None) is None
-        got = default_cache_path(Path("scripts/lint_baseline.json"))
-        assert got == Path("scripts/.analysis_cache.json")
 
     def test_engine_version_is_stable_within_process(self):
         assert engine_version() == engine_version()

@@ -483,3 +483,74 @@ class TestCheckJsonMerged:
         assert doc["findings"]
         assert {entry["source"] for entry in doc["findings"]} == {"lint"}
         assert all(entry["rule_id"] for entry in doc["findings"])
+
+
+#: argv of every trace-reading subcommand; ``{t}`` is the trace file,
+#: ``{out}`` a temporary directory and ``{url}`` a running service.
+TRACE_COMMANDS = {
+    "replay": ["replay", "{t}"],
+    "compare": ["compare", "{t}", "--schedulers", "fifo"],
+    "stats": ["stats", "{t}"],
+    "compact": ["compact", "{t}", "{out}/compact.json"],
+    "scale": ["scale", "{t}", "{out}/scaled.json", "2"],
+    "diff-profiles": ["diff-profiles", "{t}", "{t}"],
+    "sweep": ["sweep", "{t}", "--schedulers", "fifo", "--map-slots", "8",
+              "--no-cache", "--quiet"],
+    "fit": ["fit", "{t}", "{out}/spec.json", "--no-same-app-check"],
+    "check": ["check", "--trace", "{t}", "--dynamic-only", "--no-policy",
+              "--schedulers", "fifo"],
+    "submit": ["submit", "{t}", "--url", "{url}"],
+}
+
+
+class TestEveryCommandReadsBothFormats:
+    """A packed trace behaves like its JSON twin on every subcommand,
+    and a malformed file is one stderr line and exit 2, never a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def service_url(self):
+        from repro.service import ServiceConfig, SimulationServer
+
+        config = ServiceConfig(port=0, workers=1, queue_size=2, cache=None)
+        with SimulationServer(config).start() as server:
+            yield server.url
+
+    @staticmethod
+    def argv(command, trace, out, url):
+        return [
+            arg.format(t=trace, out=out, url=url)
+            for arg in TRACE_COMMANDS[command]
+        ]
+
+    @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+    def test_simmr_file_matches_json_twin(self, command, tmp_path, capsys,
+                                          service_url):
+        from repro.trace.binfmt import save_trace_bin
+
+        json_path = tmp_path / "t.json"
+        assert main(["generate", str(json_path), "--jobs", "4", "--seed", "3",
+                     "--workload", "Sort"]) == 0
+        packed = tmp_path / "t.simmr"
+        save_trace_bin(load_trace(json_path), packed)
+        capsys.readouterr()
+
+        codes = {}
+        for path in (json_path, packed):
+            codes[path.suffix] = main(self.argv(command, path, tmp_path, service_url))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "Error" not in err, err
+        assert codes[".simmr"] == codes[".json"]
+        assert codes[".json"] in (0, 1)
+
+    @pytest.mark.parametrize("payload", [b"\xff\xfe\x00 not a trace", b"[]"],
+                             ids=["binary-garbage", "json-list"])
+    @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+    def test_malformed_file_is_one_line_exit_2(self, command, payload, tmp_path,
+                                               capsys, service_url):
+        bad = tmp_path / "bad.simmr"
+        bad.write_bytes(payload)
+        assert main(self.argv(command, bad, tmp_path, service_url)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"simmr {command}: {bad}: ")
+        assert captured.err.count("\n") == 1

@@ -15,6 +15,8 @@ design.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1078,6 +1080,19 @@ class TestEmissionOrderDifferential:
         self, trace, policy, cluster, slowstart
     ):
         _assert_pass_mode_matches(trace, policy, cluster, slowstart)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_overflowing_horizon_takes_replay_without_warnings(self, copies):
+        """The 1e308 examples above: the horizon overflows to infinity
+        silently, and the run still takes replay mode."""
+        trace = [_tie_job(0.0, 3 - copies, 1, map_durations=(1e308,), duration=1e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ColumnarEngine._has_instant_tasks(trace * copies)
+            engine = ColumnarEngine(ClusterConfig(1, 1), FIFOScheduler(),
+                                    min_map_percent_completed=0.0)
+            engine.run(trace * copies)
+        assert engine.last_kernel_mode == "replay"
 
 
 # --------------------------------------------------------------------------- #

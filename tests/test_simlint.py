@@ -24,8 +24,6 @@ from repro.analysis import (
     default_registry,
     lint_paths,
     lint_source,
-    load_baseline,
-    partition_findings,
     render_json,
     render_text,
 )
@@ -39,7 +37,6 @@ FIXTURE = REPO_ROOT / "tests" / "fixtures" / "bad_scheduler.py"
 XMOD_DIR = REPO_ROOT / "tests" / "fixtures" / "xmod"
 CONC_FIXTURE = REPO_ROOT / "tests" / "fixtures" / "racy_service.py"
 RES_FIXTURE = REPO_ROOT / "tests" / "fixtures" / "leaky_resources.py"
-BASELINE = REPO_ROOT / "scripts" / "lint_baseline.json"
 
 #: Rule ids with a real checker (LINT000 is the docs-only meta rule).
 IMPLEMENTED_RULES = {
@@ -74,21 +71,9 @@ def expected_from_markers(path: Path) -> set[tuple[str, int]]:
 
 class TestCleanTree:
     def test_source_tree_is_clean(self):
-        """Zero non-baseline findings, and zero stale baseline entries.
-
-        The committed baseline (scripts/lint_baseline.json) is the
-        accepted-debt ledger; anything the tree adds beyond it fails
-        here, and so does a ledger entry that no longer fires (pay the
-        debt down *and* shrink the ledger in the same change).
-        """
+        """Zero findings: every accepted one is suppressed at its source."""
         findings = lint_paths([SRC_TREE], root=REPO_ROOT)
-        new, _matched, stale = partition_findings(
-            findings, load_baseline(BASELINE)
-        )
-        assert new == [], "\n" + render_text(new)
-        assert stale == [], "\nstale baseline entries:\n" + "\n".join(
-            e.format() for e in stale
-        )
+        assert findings == [], "\n" + render_text(findings)
 
     def test_check_script_passes(self):
         """`make lint` / scripts/check.sh is green on the committed tree."""
@@ -274,63 +259,6 @@ class TestProgramRuleSuppression:
         assert lint_source(template.format(d=""), path="svc/app.py", config=config) == []
 
 
-# --------------------------------------------------------------------- #
-# baseline (accepted-findings ledger)
-# --------------------------------------------------------------------- #
-
-
-class TestBaselineCli:
-    def test_write_then_compare_is_green(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", str(FIXTURE), "--baseline", str(baseline), "--write-baseline",
-        ]) == 0
-        assert "recorded" in capsys.readouterr().out
-        # The exact same findings now all match the ledger: exit 0.
-        assert main(["lint", str(FIXTURE), "--baseline", str(baseline)]) == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_non_baseline_finding_fails(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"version": 1, "findings": []}\n')
-        assert main(["lint", str(FIXTURE), "--baseline", str(baseline)]) == 1
-        assert "DET001" in capsys.readouterr().out
-
-    def test_stale_entry_fails(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", str(FIXTURE), "--baseline", str(baseline), "--write-baseline",
-        ]) == 0
-        capsys.readouterr()
-        clean = tmp_path / "clean.py"
-        clean.write_text("X = 1\n")
-        assert main([
-            "lint", str(clean), "--no-config", "--baseline", str(baseline),
-        ]) == 1
-        err = capsys.readouterr().err
-        assert "stale baseline entry" in err
-
-    def test_write_baseline_requires_path(self, capsys):
-        assert main(["lint", str(FIXTURE), "--write-baseline"]) == 2
-        assert "requires --baseline" in capsys.readouterr().err
-
-    def test_malformed_baseline_exits_2(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"version": 99, "findings": []}\n')
-        assert main(["lint", str(FIXTURE), "--baseline", str(baseline)]) == 2
-        assert "version" in capsys.readouterr().err
-
-    def test_committed_baseline_is_sorted_and_versioned(self):
-        payload = json.loads(BASELINE.read_text())
-        assert payload["version"] == 1
-        keys = [
-            (e["path"], e["line"], e["rule_id"]) for e in payload["findings"]
-        ]
-        assert keys == sorted(keys)
-
-
-# --------------------------------------------------------------------- #
-# inline suppression
 # --------------------------------------------------------------------- #
 # cross-module rules (DET004 / SIM004 / API002)
 # --------------------------------------------------------------------- #
@@ -745,10 +673,7 @@ class TestCli:
     def test_module_entry_point(self):
         """`python -m repro lint` (the documented invocation) works."""
         proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "lint", "src/repro",
-                "--baseline", "scripts/lint_baseline.json",
-            ],
+            [sys.executable, "-m", "repro", "lint", "src/repro"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,

@@ -40,6 +40,7 @@ from repro.service.tracecache import TraceCache
 from repro.trace import binfmt
 from repro.trace.binfmt import (
     load_columns,
+    load_trace_auto,
     load_trace_bin,
     pack_trace,
     save_trace_bin,
@@ -234,10 +235,9 @@ class TestOneDigestEverywhere:
         assert trace_digest(TraceColumns.from_trace(trace).jobs()) == digest
         path = tmp_path / "t.simmr"
         save_trace_bin(trace, path)
-        for use_mmap in (True, False):
-            columns, header = load_columns(path, use_mmap=use_mmap)
-            assert header == digest
-            assert trace_digest(columns.jobs()) == digest
+        columns, header = load_columns(path)
+        assert header == digest
+        assert trace_digest(columns.jobs()) == digest
 
     def test_pool_fanout_digests_each_trace_once(self, monkeypatch):
         """The parent packs under the digest it keyed the cache with."""
@@ -292,12 +292,12 @@ class TestHeaderDigestVerified:
         with pytest.raises(ValueError, match=MISMATCH):
             unpack_columns(corrupt(pack_trace(rich_trace())))
 
-    @pytest.mark.parametrize("use_mmap", [True, False])
-    def test_file_loads_reject_content_mismatch(self, tmp_path, use_mmap):
+    @pytest.mark.parametrize("sniff", [True, False])
+    def test_file_loads_reject_content_mismatch(self, tmp_path, sniff):
         path = tmp_path / "bad.simmr"
         path.write_bytes(corrupt(pack_trace(rich_trace())))
         with pytest.raises(ValueError, match=MISMATCH):
-            load_trace_bin(path, use_mmap=use_mmap)
+            (load_trace_auto if sniff else load_trace_bin)(path)
 
     def test_service_trace_path_rejects_content_mismatch(self, tmp_path):
         (tmp_path / "bad.simmr").write_bytes(corrupt(pack_trace(rich_trace())))

@@ -219,9 +219,8 @@ class TestBadDependencies:
     def test_binary_decode(self, shape, tmp_path):
         path = tmp_path / "bad.simmr"
         save_trace_bin(bad_trace(shape), path)
-        for use_mmap in (True, False):
-            with pytest.raises(ValueError, match=BAD_DEPS[shape][1]):
-                load_trace_bin(path, use_mmap=use_mmap)
+        with pytest.raises(ValueError, match=BAD_DEPS[shape][1]):
+            load_trace_bin(path)
 
     def test_parse_request_is_400(self, shape):
         doc = request_document(trace=bad_trace(shape), scheduler="fifo")
