@@ -32,10 +32,14 @@ mechanism is exactly what makes Mumak underestimate completion times
 The heap loop
 -------------
 :meth:`_EngineBase._run_heap` is the one event loop of this package.  It
-pops raw ``(time, type, seq, job_id, task_index)`` tuples from a binary
-heap, ordered ``(time, type priority, insertion seq)``, and handles the
-seven event types in one inlined branch chain.  What varies between runs
-is only how a free slot is given to a job (``decide``):
+handles events in ``(time, type priority, insertion seq)`` order, the
+seven event types in one inlined branch chain.  Task arrivals, which a
+dispatch creates at the current instant with the two largest
+priorities, wait in two FIFOs (maps, then reduces) of ``(seq, job_id,
+task_index)``; every other event is a raw ``(time, type, seq, job_id,
+task_index)`` tuple on a binary heap, and a heap event at the current
+instant pops before the FIFOs drain.  What varies between runs is only
+how a free slot is given to a job (``decide``):
 
 * ``"static"`` — policies that declare ``static_priority`` (FIFO,
   MaxEDF, MinEDF) are served from lazy per-kind job heaps keyed by
@@ -45,7 +49,7 @@ is only how a free slot is given to a job (``decide``):
   ``choose_next_reduce_task``.
 * ``"share"`` — group-share policies
   (:class:`~repro.schedulers.base.ShareSchedulerMixin`) decide from the
-  per-group running sums of a :class:`_ShareBook`.
+  per-group share levels and candidate keys of a :class:`_ShareBook`.
 * ``"columns"`` — columnar-key policies
   (:class:`~repro.schedulers.base.ColumnarSchedulerMixin`) decide from
   :class:`~repro.core.columns.SchedulerColumns` arrays and one
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional, Sequence
@@ -113,15 +118,22 @@ def _cycled(arr: np.ndarray, n: int) -> np.ndarray:
 class _ShareSide:
     """One task kind's per-group decision state in a :class:`_ShareBook`.
 
-    Per group: the set of its candidate jobs' ranks and the sum of their
-    running tasks of this kind.  ``run[r]`` is what rank ``r`` adds to
-    its group's sum, -1 when it is not a candidate.
+    Per group: the set of its candidate jobs' keys, the sum of their
+    running tasks of this kind, and its share ``level``, that sum over
+    the group's weight (``inf`` for a group without candidates or
+    budget).  A job's key is its rank, or ``running * n + rank`` when
+    the policy ranks by running tasks first, so the best job of a group
+    is the set's ``min`` and the rank is the key ``% n``.  ``run[r]`` is
+    what rank ``r`` adds to its group's sum, -1 when it is not a
+    candidate; ``live`` counts the candidates over all groups.
     """
 
-    __slots__ = ("group", "weight", "paying", "budgeted", "n", "by_running",
-                 "sets", "sums", "run", "key", "keyf")
+    __slots__ = ("kind_map", "rank", "group", "weight", "paying", "budgeted", "n",
+                 "by_running", "sets", "sums", "level", "run", "key", "live")
 
-    def __init__(self, book: "_ShareBook", by_running: bool) -> None:
+    def __init__(self, book: "_ShareBook", kind_map: bool, by_running: bool) -> None:
+        self.kind_map = kind_map
+        self.rank = book.rank
         self.group = book.group
         self.weight = book.weight
         self.paying = book.paying  # shared: charges update it in place
@@ -130,60 +142,77 @@ class _ShareSide:
         self.by_running = by_running
         self.sets: list[set[int]] = [set() for _ in book.weight]
         self.sums = [0] * len(book.weight)
+        self.level = [_INF] * len(book.weight)
         self.run = [-1] * n
         self.key = list(range(n))
-        self.keyf = self.key.__getitem__ if self.by_running else None
+        self.live = 0
 
-    def update(self, r: int, run: int) -> None:
-        """Rank ``r`` now runs ``run`` tasks as a candidate (-1: none)."""
+    def sync(self, job: Job) -> None:
+        """Re-derive ``job``'s candidacy and running count on this side."""
+        run = -1
+        if job.state is JobState.RUNNING:
+            if self.kind_map:
+                if job.maps_dispatched < job.num_maps:
+                    run = job.maps_dispatched - job.maps_completed
+                    cap = job.wanted_map_slots
+                    if cap is not None and run >= cap:
+                        run = -1
+            elif (
+                job.reduces_dispatched < job.num_reduces
+                and job.maps_completed >= job.reduce_gate
+            ):
+                run = job.reduces_dispatched - job.reduces_completed
+                cap = job.wanted_reduce_slots
+                if cap is not None and run >= cap:
+                    run = -1
+        r = self.rank[job.job_id]
         old = self.run[r]
         if run == old:
             return
-        g = self.group[r]
-        if old < 0:
-            self.sets[g].add(r)
-            self.sums[g] += run
-        elif run < 0:
-            self.sets[g].discard(r)
-            self.sums[g] -= old
-        else:
-            self.sums[g] += run - old
         self.run[r] = run
-        if self.by_running and run >= 0:
-            self.key[r] = run * self.n + r
+        g = self.group[r]
+        cs = self.sets[g]
+        total = self.sums[g]
+        if old >= 0:
+            cs.discard(self.key[r])
+            total -= old
+        else:
+            self.live += 1
+        if run >= 0:
+            k = r
+            if self.by_running:
+                k = self.key[r] = run * self.n + r
+            cs.add(k)
+            total += run
+        else:
+            self.live -= 1
+        self.sums[g] = total
+        self.level[g] = total / self.weight[g] if cs and self.paying[g] else _INF
 
     def pick(self) -> int:
         """Rank of the job the policy picks; -1 for none.
 
-        ``min`` over groups of ``(sum / weight, best job key)``: the
-        group with the least share wins outright, and groups tied on
-        share compare their best jobs' keys.
+        ``min`` over groups of ``(level, best job key)``: the group with
+        the least share wins outright, and groups tied on share compare
+        their best jobs' keys.
         """
-        keyf = self.keyf
-        best: Optional[set[int]] = None
-        best_d = 0.0
-        ties: Optional[list[set[int]]] = None
-        for cs, total, w, paying in zip(self.sets, self.sums, self.weight, self.paying):
-            if cs and paying:
-                d = total / w
-                if best is None or d < best_d:
-                    best = cs
-                    best_d = d
-                    ties = None
-                elif d == best_d:
-                    if ties is None:
-                        ties = [best, cs]
-                    else:
-                        ties.append(cs)
-        if best is None:
-            if not self.budgeted:
-                return -1
-            # No candidate's group is paying: best-effort FIFO over all.
-            heads = [min(cs) for cs in self.sets if cs]
-            return min(heads) if heads else -1
-        if ties is None:
-            return min(best, key=keyf)
-        return min([min(cs, key=keyf) for cs in ties], key=keyf)
+        level = self.level
+        d = min(level)
+        if d < _INF:
+            if level.count(d) == 1:
+                return min(self.sets[level.index(d)]) % self.n
+            sets = self.sets
+            return min([min(sets[g]) for g, x in enumerate(level) if x == d]) % self.n
+        # Every paying group with candidates has a share that overflowed
+        # to inf (a tiny weight): they all tie.
+        heads = [min(cs) for cs, paying in zip(self.sets, self.paying) if cs and paying]
+        if heads:
+            return min(heads) % self.n
+        if not self.budgeted:
+            return -1
+        # No candidate's group is paying: best-effort FIFO over all.
+        ranks = [k % self.n for cs in self.sets for k in cs]
+        return min(ranks) if ranks else -1
 
 
 class _ShareBook:
@@ -194,15 +223,17 @@ class _ShareBook:
     ``(submit_time, job_id)`` order, so the policy's within-group job key
     is one int: the rank itself, or ``running * n + rank`` when the
     policy ranks by running tasks first.  One :class:`_ShareSide` per
-    task kind sums running tasks over each group's candidates only, as
-    the policy's ``choose_next_*`` sums over its candidates.
-    :meth:`sync_map` / :meth:`sync_reduce` re-derive one job's share of
-    that state; the heap loop calls them as its ``offer_*`` (wherever a
-    static policy's job is re-offered to its heap), plus after each
-    dispatch.  Departures need no call:
-    a departing job has dispatched every task, so it is a candidate of
-    neither kind already.  A decision then scans the groups, not the
-    job queue.
+    task kind (``maps``, ``reduces``) sums running tasks over each
+    group's candidates only, as the policy's ``choose_next_*`` sums over
+    its candidates.  :meth:`_ShareSide.sync` re-derives one job's part
+    of that state in place; the heap loop calls it as its ``offer_*``:
+    at arrival, after each dispatch, at a map departure (the map side,
+    and the reduce side only when the slow-start gate is crossed), at a
+    reduce departure and after kills.  Job departures need no call: a
+    departing job has dispatched every task, so it is a candidate of
+    neither kind already.  A decision reads the group levels with
+    ``min`` (not the job queue), and the allocation skips a side whose
+    ``live`` count is zero.
     """
 
     __slots__ = ("rank", "by_rank", "group", "names", "weight", "paying",
@@ -237,38 +268,17 @@ class _ShareBook:
         self.tsl = tsl
         self.rdl = rdl
         by_running = bool(getattr(scheduler, "share_rank_by_running", False))
-        self.maps = _ShareSide(self, by_running)
-        self.reduces = _ShareSide(self, by_running)
-
-    def sync_map(self, job: Job) -> None:
-        """Re-derive ``job``'s map candidacy and running count."""
-        run = -1
-        if job.state is JobState.RUNNING and job.maps_dispatched < job.num_maps:
-            run = job.maps_dispatched - job.maps_completed
-            cap = job.wanted_map_slots
-            if cap is not None and run >= cap:
-                run = -1
-        self.maps.update(self.rank[job.job_id], run)
-
-    def sync_reduce(self, job: Job) -> None:
-        """Re-derive ``job``'s reduce candidacy and running count."""
-        run = -1
-        if (
-            job.state is JobState.RUNNING
-            and job.reduces_dispatched < job.num_reduces
-            and job.maps_completed >= job.reduce_gate
-        ):
-            run = job.reduces_dispatched - job.reduces_completed
-            cap = job.wanted_reduce_slots
-            if cap is not None and run >= cap:
-                run = -1
-        self.reduces.update(self.rank[job.job_id], run)
+        self.maps = _ShareSide(self, True, by_running)
+        self.reduces = _ShareSide(self, False, by_running)
 
     def _charge(self, r: int, slot_seconds: float) -> None:
         """Charge rank ``r``'s group for its granted task, if paying."""
         g = self.group[r]
-        if self.paying[g]:
-            self.paying[g] = bool(self.charge(self.names[g], slot_seconds))
+        if self.paying[g] and not self.charge(self.names[g], slot_seconds):
+            # Spent: the group competes no more (a broke group is never
+            # charged again, so it never pays again).
+            self.paying[g] = False
+            self.maps.level[g] = self.reduces.level[g] = _INF
 
     def pick_map(self) -> Optional[Job]:
         """The job whose next map the policy dispatches."""
@@ -428,8 +438,17 @@ class _EngineBase:
 
         * handlers are inlined into one branch chain ordered by event
           frequency (no dict dispatch, no bound-method calls);
+        * task arrivals skip the heap: a dispatch appends to a map or
+          reduce arrival FIFO, drained while no heap event is due at
+          the current instant (docs/engine-internals.md gives the order
+          argument);
+        * nothing is counted per event: every event takes one ``seq``
+          when pushed and pops exactly once, so the final ``seq`` is
+          ``events_processed``;
         * per-task durations come from cyclic duration *lists*
           precomputed per job, not the profile accessors;
+        * a map departure re-offers its job's reduces only when it
+          crosses the slow-start gate, the one way it changes them;
         * a plain :class:`~repro.sanitize.digest.DigestRecorder` gets the
           popped stream as four flat columns, hashed in one update after
           the run; any other sanitizer gets its per-event hooks.
@@ -538,6 +557,14 @@ class _EngineBase:
 
         push = heappush
         _RUNNING = JobState.RUNNING
+        # Task arrivals as (seq, job_id, index): dispatched at the
+        # current instant, popped from these FIFOs instead of the heap.
+        map_q: deque[tuple[int, int, int]] = deque()
+        red_q: deque[tuple[int, int, int]] = deque()
+        map_arrivals = map_q.append
+        reduce_arrivals = red_q.append
+        next_map = map_q.popleft
+        next_reduce = red_q.popleft
 
         # offer_*: called wherever a job's candidacy or running count may
         # have changed; the static heaps re-admit the job lazily.
@@ -569,8 +596,8 @@ class _EngineBase:
                 push(rheap, (job.sched_key, job.job_id))
 
         if share is not None:
-            offer_map = share.sync_map  # type: ignore[assignment]
-            offer_reduce = share.sync_reduce  # type: ignore[assignment]
+            offer_map = share.maps.sync  # type: ignore[assignment]
+            offer_reduce = share.reduces.sync  # type: ignore[assignment]
 
         def price_shuffle(job: Job, index: int, first_wave: bool) -> float:
             """One shuffle through the pluggable model."""
@@ -654,7 +681,7 @@ class _EngineBase:
                 job.maps_dispatched += 1
                 if job.start_time is None:
                     job.start_time = now
-                push(heap, (now, _MAP_ARR, seq_c, jid, index))
+                map_arrivals((seq_c, jid, index))
             else:
                 free_r -= 1
                 if job.requeued_reduces:
@@ -665,7 +692,7 @@ class _EngineBase:
                 job.reduces_dispatched += 1
                 if job.start_time is None:
                     job.start_time = now
-                push(heap, (now, _RED_ARR, seq_c, jid, index))
+                reduce_arrivals((seq_c, jid, index))
             seq_c += 1
 
         def allocate_static(now: float) -> None:
@@ -738,15 +765,16 @@ class _EngineBase:
                 dispatch(job, now, False)
 
         def allocate_share(now: float) -> None:
-            # One group scan per dispatch (see _ShareBook); the dispatch
-            # changed the job's running count, so re-offer it.
-            while free_m > 0:
+            # One group scan per dispatch (see _ShareBook), none for a
+            # side without candidates; the dispatch changed the job's
+            # running count, so re-offer it.
+            while free_m > 0 and share_m.live:
                 job = pick_map()
                 if job is None:
                     break
                 dispatch(job, now, True)
                 offer_map(job)
-            while free_r > 0:
+            while free_r > 0 and share_r.live:
                 job = pick_reduce()
                 if job is None:
                     break
@@ -811,6 +839,8 @@ class _EngineBase:
         if fast:
             allocate = allocate_static
         elif share is not None:
+            share_m = share.maps
+            share_r = share.reduces
             pick_map = share.pick_map
             pick_reduce = share.pick_reduce
             allocate = allocate_share
@@ -819,11 +849,25 @@ class _EngineBase:
         else:
             allocate = allocate_choose
 
-        processed = 0
         record: Optional[TaskRecord]
-        while heap:
-            now, etype, seq, jid, ti = heappop(heap)
-            processed += 1
+        now = 0.0
+        while True:
+            # Task arrivals wait in their FIFOs, all at ``now``; a heap
+            # event at ``now`` pops first, maps drain before reduces
+            # (see docs/engine-internals.md for why this is heap order).
+            if map_q or red_q:
+                if heap and heap[0][0] <= now:
+                    now, etype, seq, jid, ti = heappop(heap)
+                elif map_q:
+                    seq, jid, ti = next_map()
+                    etype = _MAP_ARR
+                else:
+                    seq, jid, ti = next_reduce()
+                    etype = _RED_ARR
+            elif heap:
+                now, etype, seq, jid, ti = heappop(heap)
+            else:
+                break
             job = jobs[jid]
             if observing:
                 if hooks:
@@ -845,11 +889,12 @@ class _EngineBase:
                     if entry is None or entry[0] != seq:
                         continue  # stale departure of a killed attempt
                     del running[ti]  # type: ignore[union-attr]
-                job.maps_completed += 1
+                done = job.maps_completed + 1
+                job.maps_completed = done
                 free_m += 1
                 if track:
                     v_mcomp[jid] += 1.0
-                if job.maps_completed >= job.num_maps and job.map_stage_end is None:
+                if done >= job.num_maps and job.map_stage_end is None:
                     job.map_stage_end = now
                     push(heap, (now, _ALL_MAPS, seq_c, jid, -1))
                     seq_c += 1
@@ -857,7 +902,10 @@ class _EngineBase:
                         maybe_depart(job, now)
                 else:
                     offer_map(job)
-                offer_reduce(job)
+                # Only crossing the slow-start gate changes the job's
+                # reduce candidacy.
+                if done - 1 < job.reduce_gate <= done:
+                    offer_reduce(job)
                 allocate(now)
             elif etype == _MAP_ARR:
                 end = now + mdl[jid][ti]
@@ -1018,7 +1066,8 @@ class _EngineBase:
         self._raise_if_stalled(jobs)
         if hooks:
             san.end_run(jobs, records, free_m, free_r)
-        return self._result(jobs, records, processed, wall_start, engine_path)
+        # Every event took one ``seq`` when pushed and has popped.
+        return self._result(jobs, records, seq_c, wall_start, engine_path)
 
 
 class SimulatorEngine(_EngineBase):
