@@ -10,7 +10,6 @@ fine-grained substrate used for validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["ClusterConfig"]
 
@@ -44,30 +43,3 @@ class ClusterConfig:
     @property
     def total_slots(self) -> int:
         return self.map_slots + self.reduce_slots
-
-    def slot_accounting_error(
-        self,
-        free_map_slots: int,
-        free_reduce_slots: int,
-        running_maps: int,
-        running_reduces: int,
-    ) -> Optional[str]:
-        """Describe a violated slot-conservation invariant, or ``None``.
-
-        At every point of a simulation ``free + running == capacity``
-        must hold per slot kind, with ``0 <= free <= capacity``.  The
-        runtime sanitizer (``repro.sanitize``) evaluates this after each
-        handled event; a non-None return pinpoints which side leaked.
-        """
-        for kind, free, running, cap in (
-            ("map", free_map_slots, running_maps, self.map_slots),
-            ("reduce", free_reduce_slots, running_reduces, self.reduce_slots),
-        ):
-            if not 0 <= free <= cap:
-                return f"free {kind} slots {free} outside [0, {cap}]"
-            if free + running != cap:
-                return (
-                    f"{kind} slot conservation broken: free {free} + "
-                    f"running {running} != capacity {cap}"
-                )
-        return None

@@ -61,9 +61,11 @@ for the static policies.
 :class:`SimulatorEngine` runs the loop with ``"static"`` or ``"choose"``
 and is the reference every kernel contract is tested against;
 :class:`~repro.core.kernel.ColumnarEngine` runs it with the contracts
-(or its vectorized pass mode).  Workflow dependencies, live preemption,
-a pluggable shuffle model and the per-event sanitizer hooks are branches
-of the same loop.
+(or its vectorized pass mode).  Workflow dependencies, live preemption
+and a pluggable shuffle model are branches of the same loop.  An
+installed observer (:class:`~repro.sanitize.digest.DigestRecorder`, or
+the checking :class:`~repro.sanitize.sanitizer.Sanitizer`) is handed the
+emitted event stream once, after the run.
 """
 
 from __future__ import annotations
@@ -331,14 +333,18 @@ class _EngineBase:
         Three-state switch for the runtime sanitizer (``simsan``):
         ``True`` forces it on, ``False`` forces it off, ``None`` (the
         default) defers to the ``SIMMR_SANITIZE`` environment variable.
-        The off path pays one untaken branch per event (checked by
+        The sanitizer checks the run's emitted event stream once the run
+        ends, on whichever path the run takes; the off path pays one
+        untaken branch per event (checked by
         ``benchmarks/bench_sanitizer_overhead.py``).
     sanitizer:
-        An explicit :class:`~repro.sanitize.sanitizer.Sanitizer` instance
-        (e.g. one collecting violations instead of raising, or carrying
-        an event digest for divergence detection), or a
-        :class:`~repro.sanitize.digest.DigestRecorder` — the one way to
-        observe the popped event stream.  Implies ``sanitize``.
+        An explicit run observer: a
+        :class:`~repro.sanitize.sanitizer.Sanitizer` (e.g. one collecting
+        violations instead of raising, or carrying an event digest for
+        divergence detection), or a
+        :class:`~repro.sanitize.digest.DigestRecorder`, which only
+        fingerprints the stream — the one way to see it.  Implies
+        ``sanitize``.
     """
 
     def __init__(
@@ -416,17 +422,6 @@ class _EngineBase:
             engine_path=engine_path,
         )
 
-    def _observe(self, times: Any, etypes: Any, job_ids: Any, task_indices: Any) -> None:
-        """Hand a run's popped event stream, in pop order, to the recorder.
-
-        The one place a :class:`~repro.sanitize.digest.DigestRecorder` is
-        fed: its digest is reset and takes the whole stream in one
-        packed-buffer update.
-        """
-        digest = self.sanitizer.digest
-        digest.reset()
-        digest.update_many(times, etypes, job_ids, task_indices)
-
     def _run_heap(
         self, trace: Sequence[TraceJob], decide: str, engine_path: str
     ) -> SimulationResult:
@@ -449,9 +444,8 @@ class _EngineBase:
           precomputed per job, not the profile accessors;
         * a map departure re-offers its job's reduces only when it
           crosses the slow-start gate, the one way it changes them;
-        * a plain :class:`~repro.sanitize.digest.DigestRecorder` gets the
-          popped stream as four flat columns, hashed in one update after
-          the run; any other sanitizer gets its per-event hooks.
+        * an observer costs four list appends per event; it gets the
+          popped stream as four flat columns once, after the run.
 
         Preemption kills the youngest attempts first.  A killed attempt's
         orphaned departure event still pops (counted and digested) and is
@@ -462,7 +456,11 @@ class _EngineBase:
         scheduler = self.scheduler
         cluster = self.cluster
         mmpc = self.min_map_percent_completed
-        record_tasks = self.record_tasks
+        san = self.sanitizer
+        observing = san is not None
+        preempt = self.preemption
+        # The checker places kills from the task records.
+        record_tasks = self.record_tasks or (preempt and observing and san.needs_records)
         model = self.shuffle_model
         n = len(trace)
         jobs = [Job(i, tj) for i, tj in enumerate(trace)]
@@ -502,7 +500,6 @@ class _EngineBase:
         free_r = cluster.reduce_slots
         job_q: list[Job] = []  # the paper's jobQ: submitted, not departed
         fillers: dict[int, list[int]] = {}
-        preempt = self.preemption
         # (job_id -> {index: (dep_seq | None for fillers, start, record)}),
         # one dict per task kind; kept only with preemption enabled.
         _RT = dict[int, tuple[Optional[int], float, Optional[TaskRecord]]]
@@ -534,18 +531,6 @@ class _EngineBase:
             v_capm = view.capm
             v_capr = view.capr
 
-        san = self.sanitizer
-        observing = san is not None
-        hooks = False
-        if observing:
-            from ..sanitize.digest import DigestRecorder
-
-            hooks = type(san) is not DigestRecorder
-        if hooks:
-            observe_pop = san.observe_pop
-            observe_handled = san.observe_handled
-            san.begin_run(self, trace)
-        handled: Optional[tuple[Job, int]] = None  # last event, for the hooks
         ev_t: list[float] = []
         ev_e: list[int] = []
         ev_j: list[int] = []
@@ -870,18 +855,10 @@ class _EngineBase:
                 break
             job = jobs[jid]
             if observing:
-                if hooks:
-                    # The previous event's handler is done: check it, then
-                    # this pop.
-                    if handled is not None:
-                        observe_handled(handled[0], handled[1], job_q, free_m, free_r)
-                    observe_pop(now, etype, seq, jid, ti)
-                    handled = (job, etype)
-                else:
-                    app_t(now)
-                    app_e(etype)
-                    app_j(jid)
-                    app_k(ti)
+                app_t(now)
+                app_e(etype)
+                app_j(jid)
+                app_k(ti)
             if etype == _MAP_DEP:
                 if preempt:
                     running = rt_map.get(jid)
@@ -1059,13 +1036,13 @@ class _EngineBase:
 
         # A stall drains the heap too: the observer gets the popped
         # prefix before the run fails.
-        if handled is not None:
-            observe_handled(handled[0], handled[1], job_q, free_m, free_r)
-        elif observing and not hooks:
-            self._observe(ev_t, ev_e, ev_j, ev_k)
+        if observing:
+            san.observe(
+                self, jobs, records if record_tasks else None, ev_t, ev_e, ev_j, ev_k
+            )
         self._raise_if_stalled(jobs)
-        if hooks:
-            san.end_run(jobs, records, free_m, free_r)
+        if not self.record_tasks:
+            records = []  # kept for the checker only
         # Every event took one ``seq`` when pushed and has popped.
         return self._result(jobs, records, seq_c, wall_start, engine_path)
 

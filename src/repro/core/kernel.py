@@ -22,20 +22,22 @@ materialising most of those events:
   slow-start gate is an ``np.lexsort`` order statistic, and first-wave
   reduce completion times are one fused ``(mse + first_shuffle) +
   reduce`` vector expression.
-* **bit-identical event digests.**  When a
-  :class:`~repro.sanitize.digest.DigestRecorder` is attached, the kernel
-  rebuilds the full event stream from the passes' run-wide dispatch
-  columns: one block per event type, each already in the order of its
-  heap tie-break, concatenated in type priority and ordered by one
-  stable sort on time — the heap's ``(time, type, seq)`` order — then
-  streamed through the digest in a single packed-buffer update.  The
-  digest is byte-for-byte the one the heap loop produces (see
-  ``docs/engine-internals.md``).
+* **bit-identical event streams.**  When an observer is attached (a
+  :class:`~repro.sanitize.digest.DigestRecorder`, or the checking
+  :class:`~repro.sanitize.sanitizer.Sanitizer`), the kernel rebuilds
+  the full event stream from the passes' run-wide dispatch columns: one
+  block per event type, each already in the order of its heap
+  tie-break, concatenated in type priority and ordered by one stable
+  sort on time — the heap's ``(time, type, seq)`` order — and hands the
+  four columns to the observer, as the heap loop does.  The stream is
+  byte-for-byte the one the heap loop produces (see
+  ``docs/engine-internals.md``), so the digest matches and the
+  sanitizer checks what pass mode emitted.
 
 Pass mode covers static-priority runs without live preemption, slot
-caps, zero-time tasks, a pluggable shuffle model, workflow dependencies,
-a state-inspecting sanitizer or reduces on a cluster without reduce
-slots (:meth:`ColumnarEngine._passes_apply`; a cap is seen only when an
+caps, zero-time tasks, a pluggable shuffle model, workflow dependencies
+or reduces on a cluster without reduce slots
+(:meth:`ColumnarEngine._passes_apply`; a cap is seen only when an
 arrival hook sets it, in :meth:`ColumnarEngine._run_kernel`).  Every
 other run takes **replay mode**: the heap loop, deciding each
 dispatch through the policy's kernel contract — the static priority
@@ -282,19 +284,12 @@ class ColumnarEngine(_EngineBase):
         that kind frees up, so it needs a schedule nothing else feeds: no
         live preemption, no zero-time tasks, no pluggable shuffle model
         (it prices each shuffle from the running state), no workflow
-        dependencies, no sanitizer beyond the observe-only
-        :class:`~repro.sanitize.digest.DigestRecorder` (the invariant
-        checker inspects per-event state), and no reduces on a cluster
-        without reduce slots (the run stalls; ``ClusterConfig`` keeps at
-        least one map slot).  A slot cap is known only once an arrival
-        hook sets it; :meth:`_run_kernel` checks for it there.
+        dependencies, and no reduces on a cluster without reduce slots
+        (the run stalls; ``ClusterConfig`` keeps at least one map slot).
+        A slot cap is known only once an arrival hook sets it;
+        :meth:`_run_kernel` checks for it there.  An observer does not
+        matter: it reads the emitted stream after the run.
         """
-        san = self.sanitizer
-        if san is not None:
-            from ..sanitize.digest import DigestRecorder
-
-            if type(san) is not DigestRecorder:
-                return False
         return not (
             (self.preemption and not self._preemption_inert(self.scheduler))
             or self.shuffle_model is not None
@@ -404,7 +399,10 @@ class ColumnarEngine(_EngineBase):
             records = self._build_records(states, maps, reduces)
 
         if self.sanitizer is not None:
-            self._observe(*self._event_columns(states, maps, reduces, processed))
+            self.sanitizer.observe(
+                self, jobs, records if self.record_tasks else None,
+                *self._event_columns(states, maps, reduces, processed),
+            )
         return self._result(jobs, records, processed, wall_start, "kernel")
 
     # ------------------------------------------------------------------ #

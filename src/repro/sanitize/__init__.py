@@ -1,18 +1,20 @@
 """simsan — the SimMR runtime simulation sanitizer.
 
 Static analysis (:mod:`repro.analysis`) proves properties of the *code*;
-this package checks properties of a *run*.  An opt-in instrumentation
-layer (``SIMMR_SANITIZE=1``, ``simmr replay --sanitize``, or an explicit
-``SimulatorEngine(..., sanitize=True)``) hooks the engines' shared heap
-loop and verifies, at event granularity:
+this package checks properties of a *run*.  An opt-in checker
+(``SIMMR_SANITIZE=1``, ``simmr replay --sanitize``, or an explicit
+``sanitize=True`` on either engine) reads the event stream a run
+emitted, once the run ends, on whichever path produced it, and
+verifies:
 
-* event-time monotonicity and heap pop order (``EVT*``),
-* map/reduce slot conservation against the cluster capacity (``SLT*``),
-* the per-task/job lifecycle state machine — arrival before dispatch,
-  no double-completion, counters within bounds (``LIF*``),
+* event-time monotonicity and pop order (``EVT*``),
+* map/reduce slot conservation against the cluster capacity (``SLT*``,
+  ``FIN*``),
+* the per-task/job lifecycles — arrival before departure, no
+  double-completion, departures with every task done (``LIF*``),
 * the paper's filler-reduce / first-shuffle overlap bounds (``OVL*``),
-* and, via a streamed event digest, bit-exact replay equivalence of two
-  runs of the same trace (``DIV*``; :func:`~repro.sanitize.digest.dual_run`).
+* and, via the event digest, bit-exact replay equivalence of two runs
+  of the same trace (``DIV*``; :func:`~repro.sanitize.digest.dual_run`).
 
 When disabled the heap loop pays one untaken branch per event
 (``benchmarks/bench_sanitizer_overhead.py`` measures the off path).

@@ -6,9 +6,11 @@ properties.  :func:`run_check` bundles both:
 1. **Static half** — run the simlint registry (including the
    cross-module rules DET004/SIM004/API002) over the requested paths.
 2. **Dynamic half** — for each requested scheduling policy, replay a
-   trace twice on independently built engines with a collecting
-   sanitizer attached (:func:`repro.sanitize.digest.dual_run`), then
-   report every invariant violation and any replay divergence.
+   trace twice on independently built
+   :class:`~repro.core.kernel.ColumnarEngine` instances (the engine
+   ``simulate`` and every sweep use, in the mode each run takes) with a
+   collecting sanitizer attached (:func:`repro.sanitize.digest.dual_run`),
+   then report every invariant violation and any replay divergence.
 
 The trace is either loaded from a file or synthesised from the paper's
 six-application mix with deadlines, so deadline-driven policies
@@ -29,8 +31,8 @@ from ..analysis.findings import Finding, Severity
 from ..analysis.reporter import render_text, summarize
 from ..analysis.runner import lint_paths
 from ..core.cluster import ClusterConfig
-from ..core.engine import SimulatorEngine
 from ..core.job import TraceJob
+from ..core.kernel import ColumnarEngine
 from .digest import DivergenceReport, dual_run
 from .sanitizer import Violation
 
@@ -276,8 +278,8 @@ def run_check(
         check_cluster = cluster or ClusterConfig(64, 64)
         for name in schedulers:
 
-            def factory(name: str = name) -> SimulatorEngine:
-                return SimulatorEngine(
+            def factory(name: str = name) -> ColumnarEngine:
+                return ColumnarEngine(
                     check_cluster,
                     make_scheduler(name),
                     min_map_percent_completed=slowstart,

@@ -3,9 +3,9 @@
 The determinism contract (``docs/linting.md``) promises that replaying
 one trace twice yields the *identical* event stream.  Static analysis
 (DET001/DET002/DET004) proves the absence of known nondeterminism
-sources; this module checks the contract *empirically*: each sanitized
-run streams every popped event ``(time, type, job_id, task_index)``
-into a BLAKE2b digest, and :func:`dual_run` executes the same trace on
+sources; this module checks the contract *empirically*: each observed
+run hands its emitted events ``(time, type, job_id, task_index)`` to a
+BLAKE2b digest once it ends, and :func:`dual_run` executes the same trace on
 two independently built engines and compares the fingerprints.  When
 they disagree the kept event streams are diffed to name the first
 diverging event — the point to start debugging from.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from ..core.events import EventType
 from ..trace.schema import SCHEMA_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.engine import SimulatorEngine
-    from ..core.job import TraceJob
+    from ..core.engine import _EngineBase
+    from ..core.job import Job, TaskRecord, TraceJob
     from ..core.results import SimulationResult
     from .sanitizer import Violation
 
@@ -136,9 +136,9 @@ def _describe_event(event: tuple[float, int, int, int]) -> str:
 class EventDigest:
     """Order-sensitive fingerprint of a simulation's event stream.
 
-    ``update`` is called once per popped event by a
-    :class:`~repro.sanitize.sanitizer.Sanitizer` carrying this digest.
-    With ``keep_events=True`` (the default) the raw
+    A run's observer (:class:`DigestRecorder`) feeds it the whole stream
+    in one :meth:`update_many` call; :meth:`update` hashes one event the
+    same way, for streams built by hand.  With ``keep_events=True`` (the default) the raw
     ``(time, type, job_id, task_index)`` tuples are retained so a
     mismatch can be localised to the first diverging event; disable it
     to fingerprint huge traces in O(1) memory.
@@ -156,6 +156,7 @@ class EventDigest:
         self._hash = blake2b(digest_size=16)
 
     def update(self, time: float, etype: int, job_id: int, task_index: int) -> None:
+        """Hash one event, as :meth:`update_many` hashes each of its rows."""
         self._hash.update(_PACK(time, etype, job_id, task_index))
         self.count += 1
         if self.keep_events:
@@ -193,54 +194,50 @@ class EventDigest:
 
 
 class DigestRecorder:
-    """Minimal sanitizer stand-in that *only* streams the event digest.
+    """The run observer that only fingerprints the event stream.
 
-    Implements the four engine hooks (``begin_run`` / ``observe_pop`` /
-    ``observe_handled`` / ``end_run``) that the heap loop calls on a
-    sanitized run, but performs no invariant checking — one digest
-    update per popped event and nothing else (only a subclass is fed
-    through them: both engines hand an exact ``DigestRecorder`` the
-    whole stream in one bulk update).  This is what the sweep
+    Both engines call :meth:`observe` once per run, after the last event
+    (or, when the run stalls, before it fails), with the emitted stream
+    as four flat columns in pop order; the recorder hashes them in one
+    packed-buffer update and checks nothing.  This is what the sweep
     layers (:mod:`repro.sweep`, :mod:`repro.parallel`) install to
-    fingerprint every run cheaply: the full
-    :class:`~repro.sanitize.sanitizer.Sanitizer` costs roughly a 5x
-    slowdown, the recorder a few percent.
+    fingerprint every run cheaply.
+    :class:`~repro.sanitize.sanitizer.Sanitizer` is the subclass that
+    also checks the stream.
 
     It is also the one way to see the event stream: with
     ``DigestRecorder(EventDigest(keep_events=True))`` the recorder's
     ``digest.events`` holds the popped ``(time, type, job_id,
     task_index)`` tuples after a run (or, when the run stalls, the
-    prefix popped before it failed).  Being observe-only, an exact
-    ``DigestRecorder`` keeps a :class:`~repro.core.kernel.ColumnarEngine`
-    run in pass mode where it applies.
+    prefix popped before it failed).
 
-    The digest is identical to the one a full sanitizer carrying the
-    same :class:`EventDigest` would produce (both hash the popped
-    ``(time, type, job_id, task_index)`` stream), so fingerprints from
-    checked and unchecked runs are directly comparable.
+    A checked and an unchecked run of the same trace hash the same
+    stream, so their fingerprints are directly comparable.
     """
 
     __slots__ = ("digest", "violations")
 
+    #: Whether a preemptive run must keep its task records for this
+    #: observer (the checker places kills from them).
+    needs_records = False
+
     def __init__(self, digest: Optional[EventDigest] = None) -> None:
         self.digest = digest if digest is not None else EventDigest(keep_events=False)
-        #: Always empty — kept so callers can treat any installed
-        #: sanitizer uniformly (``engine.sanitizer.violations``).
+        #: Always empty here — kept so callers can treat any installed
+        #: observer uniformly (``engine.sanitizer.violations``).
         self.violations: list = []
 
-    def begin_run(self, engine: object, trace: Sequence["TraceJob"]) -> None:
+    def observe(self, engine: Any, jobs: Sequence["Job"],
+                records: Optional[Sequence["TaskRecord"]], *columns: Any) -> None:
+        """Take one run's emitted stream: reset the digest and hash it.
+
+        ``engine`` is the engine that ran, ``jobs`` its finished (or
+        stalled) jobs, ``records`` its task records (None when it kept
+        none) and ``columns`` the event ``(times, types, job_ids,
+        task_indices)`` in pop order; this class reads only the columns.
+        """
         self.digest.reset()
-
-    def observe_pop(
-        self, time: float, etype: int, seq: int, job_id: int, task_index: int
-    ) -> None:
-        self.digest.update(time, etype, job_id, task_index)
-
-    def observe_handled(self, job: object, etype: int, *state: object) -> None:
-        pass
-
-    def end_run(self, *state: object) -> None:
-        pass
+        self.digest.update_many(*columns)
 
     def hexdigest(self) -> str:
         return self.digest.hexdigest()
@@ -331,7 +328,7 @@ class DualRunOutcome:
 
 
 def dual_run(
-    engine_factory: Callable[[], "SimulatorEngine"],
+    engine_factory: Callable[[], "_EngineBase"],
     trace: Sequence["TraceJob"],
     *,
     keep_events: bool = True,

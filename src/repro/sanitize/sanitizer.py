@@ -1,64 +1,63 @@
-"""Runtime invariant checks for the SimMR simulator engine.
+"""Invariant checks over a finished SimMR run's event stream.
 
-A :class:`Sanitizer` instance hooks the four engine callbacks
-(``begin_run`` / ``observe_pop`` / ``observe_handled`` / ``end_run``)
-that the heap loop both engines share invokes on a sanitized run.  The
-loop hands each hook the state it checks (the job queue, free slots,
-jobs and task records), so no check reads engine internals.  Each check
-has a stable identifier (catalogued in ``docs/sanitizer.md``) so
-violations can be asserted on in tests and grepped in CI logs:
+A :class:`Sanitizer` is a :class:`~repro.sanitize.digest.DigestRecorder`
+that, after updating the digest, checks the run it observed.  Every
+engine path — the object engine, kernel replay mode and kernel pass
+mode — hands it the same inputs once per run, after the last event: the
+four emitted event columns ``(time, type, job_id, task_index)`` in pop
+order, the jobs (trace, per-job completion times), the task records and
+the engine's cluster, preemption and shuffle-model settings.  No check
+reads engine internals.  The checks are column passes over the stream;
+each has a stable identifier, catalogued with its exact meaning in
+``docs/sanitizer.md``:
 
-========  =============================================================
-``EVT001``  events popped out of ``(time, type, seq)`` order — a handler
-            scheduled an event in the simulated past ("time travel").
-            One exception: a zero-duration attempt departs at the
-            instant it started, so its departure may pop right after
-            (and sort before) the arrival that started it
-``EVT002``  event with a negative simulated timestamp
-``SLT001``  map/reduce slot conservation broken (``free + running !=
-            capacity`` or free slots out of ``[0, capacity]``)
-``LIF001``  completion counter out of bounds (regressed, exceeded the
-            task count, or exceeded the dispatch counter)
-``LIF002``  completion counter changed outside the matching departure
-            event, or jumped by more than one per event
-``LIF003``  illegal job state transition (the only legal path is
-            PENDING -> RUNNING -> COMPLETED)
-``LIF004``  completion bookkeeping broken (COMPLETED with unfinished
-            tasks, missing ``completion_time``, or a completion time
-            that later changed)
-``LIF005``  dispatch counter regressed without preemption enabled
-``OVL001``  reduce-task phase bounds violated: a filler never rewritten,
-            ``start <= shuffle_end <= end`` broken, a first-wave shuffle
-            finishing before the map stage, or a first-wave reduce
-            starting after it
-``OVL002``  recorded task duration disagrees with the trace profile
-``FIN001``  slots not fully returned at end of run
-========  =============================================================
+* ``EVT001``/``EVT002`` — ``(time, type)`` order, with one waiver (a
+  zero-duration departure right after the arrival of its ``(job,
+  task)``), and no negative time;
+* ``SLT001``/``FIN001`` — per kind, arrivals minus departures and kills,
+  cumulated over the stream, stay in ``[0, capacity]`` and end at 0;
+* ``LIF001``-``LIF005`` — per-task and per-job counts and places: a
+  departure needs a running attempt, ``ALL_MAPS_FINISHED`` comes at the
+  final map departure, a job's events lie between its arrival and its
+  departure, the departure comes with every task done at the job's
+  ``completion_time``, and a task restarts only after a kill;
+* ``OVL001``/``OVL002`` — the task records against the paper's shuffle
+  overlap bounds and the profile durations.
+
+**Preemption.**  A kill is not an event, and a killed attempt's
+departure still pops (the engine skips it as stale).  The checker reads
+both from the task records: a killed record's ``end`` is the kill
+instant, placed right after the first ``JOB_ARRIVAL`` at that instant
+following the attempt's arrival, and the matching stale departure is
+skipped.  A preemptive run under a sanitizer keeps its task records
+(:attr:`~repro.sanitize.digest.DigestRecorder.needs_records`).
+
+**Stalls.**  A stalled run is observed before it fails: the stream
+checks run over the popped prefix; ``FIN001``, the ``OVL`` checks and
+"every job arrived and departed" are skipped.
 
 With ``fail_fast=True`` (the default — what ``SIMMR_SANITIZE=1`` gives
-you) the first violation raises :class:`SimsanViolation` at the exact
-event that broke the invariant, so the failure is attributable.  With
-``fail_fast=False`` violations accumulate on :attr:`Sanitizer.violations`
-for inspection — the mode :func:`repro.sanitize.digest.dual_run` and
-``simmr check`` use.
-
-The sanitizer reads engine state; it never mutates it, so a sanitized
-run's schedule is byte-identical to an unsanitized one (the divergence
-digest relies on this).
+you) the earliest violation raises :class:`SimsanViolation`, naming the
+1-based index of the offending event.  With ``fail_fast=False``
+violations accumulate on :attr:`Sanitizer.violations` — the mode
+:func:`repro.sanitize.digest.dual_run` and ``simmr check`` use.  The
+sanitizer never mutates engine state, so a sanitized run's schedule is
+byte-identical to an unsanitized one.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from ..core.job import Job, JobState
+import numpy as np
+
+from .digest import DigestRecorder, EventDigest, _describe_event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.engine import _EngineBase
-    from ..core.job import TaskRecord, TraceJob
-    from .digest import EventDigest
+    from ..core.job import Job, TaskRecord
 
 __all__ = ["Violation", "SimsanViolation", "Sanitizer"]
 
@@ -68,27 +67,16 @@ __all__ = ["Violation", "SimsanViolation", "Sanitizer"]
 _EPS = 1e-9
 
 # Event-type ints, mirrored from the engine's hot-loop constants.
-_MAP_DEP = 0
-_RED_DEP = 2
-_MAP_ARR = 5
-_RED_ARR = 6
-#: Arrival type -> the departure type of the attempt it starts.
-_DEPARTURE_OF = {_MAP_ARR: _MAP_DEP, _RED_ARR: _RED_DEP}
-
-_LEGAL_TRANSITIONS = {
-    JobState.PENDING: (JobState.PENDING, JobState.RUNNING),
-    JobState.RUNNING: (JobState.RUNNING, JobState.COMPLETED),
-    JobState.COMPLETED: (JobState.COMPLETED,),
-}
+_MAP_DEP, _ALL_MAPS, _RED_DEP, _JOB_DEP, _JOB_ARR, _MAP_ARR, _RED_ARR = range(7)
 
 
 @dataclass(frozen=True, slots=True)
 class Violation:
     """One detected invariant violation.
 
-    ``event_index`` is the 1-based position in the popped event stream
-    (0 for violations found at ``end_run``); ``time`` is the simulated
-    time of that event.
+    ``event_index`` is the 1-based position in the emitted event stream
+    (0 for whole-run findings); ``time`` is the simulated time of that
+    event (of the last event for whole-run findings).
     """
 
     check_id: str
@@ -111,297 +99,357 @@ class SimsanViolation(RuntimeError):
         self.violation = violation
 
 
-class Sanitizer:
-    """Event-granular invariant checker attached to a simulator engine.
+class Sanitizer(DigestRecorder):
+    """Invariant checker over one run's emitted event stream.
 
-    One sanitizer serves one engine; ``begin_run`` resets all per-run
-    state (including collected violations), so re-running the engine
-    re-checks from scratch.  Attach an :class:`~repro.sanitize.digest.
-    EventDigest` via ``digest`` to additionally fingerprint the event
-    stream for replay-divergence comparison.
+    :meth:`observe` resets the digest and the collected violations, so
+    re-running the engine re-checks from scratch.  Pass an
+    :class:`~repro.sanitize.digest.EventDigest` via ``digest`` (e.g. one
+    keeping events) to compare runs for replay divergence.
     """
 
-    __slots__ = (
-        "fail_fast",
-        "digest",
-        "violations",
-        "_cluster",
-        "_preempt",
-        "_modelled",
-        "_last_key",
-        "_started",
-        "_events",
-        "_now",
-        "_snaps",
-    )
+    __slots__ = ("fail_fast",)
+
+    needs_records = True
+
+    def __init__(self, *, fail_fast: bool = True, digest: Optional[EventDigest] = None) -> None:
+        super().__init__(digest)
+        self.fail_fast = fail_fast
+
+    def observe(self, engine: Any, jobs: Sequence["Job"],
+                records: Optional[Sequence["TaskRecord"]], *columns: Any) -> None:
+        """Digest the stream, then check it; raise on a violation if
+        ``fail_fast``."""
+        times, etypes, job_ids, task_indices = columns
+        columns = (
+            np.asarray(times, dtype=np.float64), np.asarray(etypes, dtype=np.int64),
+            np.asarray(job_ids, dtype=np.int64), np.asarray(task_indices, dtype=np.int64),
+        )
+        super().observe(engine, jobs, records, *columns)
+        found = _RunCheck(engine, jobs, records, *columns).run()
+        self.violations = found
+        if found and self.fail_fast:
+            raise SimsanViolation(found[0])
+
+
+def _lasted(start: float, end: float, expected: float) -> bool:
+    """Whether ``start -> end`` took the ``expected`` duration.
+
+    A sum that overflowed to infinity is checked by redoing the sum:
+    ``inf - start`` says nothing about the duration.
+    """
+    if math.isfinite(end):
+        return math.isclose(end - start, expected, rel_tol=1e-9, abs_tol=_EPS)
+    return start + expected == end
+
+
+class _RunCheck:
+    """The checks of one observed run."""
 
     def __init__(
         self,
-        *,
-        fail_fast: bool = True,
-        digest: "EventDigest | None" = None,
+        engine: Any,
+        jobs: Sequence["Job"],
+        records: Optional[Sequence["TaskRecord"]],
+        *columns: np.ndarray,
     ) -> None:
-        self.fail_fast = fail_fast
-        self.digest = digest
-        self.violations: list[Violation] = []
-        self._cluster = None
-        self._preempt = False
-        self._modelled = False
-        self._last_key: Optional[tuple[float, int, int]] = None
-        # (departure type, job, task) of the attempt the last pop started.
-        self._started: Optional[tuple[Optional[int], int, int]] = None
-        self._events = 0
-        self._now = 0.0
-        # job_id -> (state, maps_dispatched, maps_completed,
-        #            reduces_dispatched, reduces_completed, completion_time)
-        self._snaps: dict[int, tuple] = {}
+        self.engine, self.jobs, self.records = engine, jobs, records
+        self.t, self.e, self.j, self.k = columns
+        self.stalled = any(job.completion_time is None for job in jobs)
+        self.found: list[Violation] = []
 
-    # ------------------------------------------------------------------ #
-    # engine callbacks
-    # ------------------------------------------------------------------ #
+    def violate(self, check_id: str, message: str, at: Optional[int] = None) -> None:
+        """Record a violation at stream position ``at`` (0-based; None
+        for a whole-run finding)."""
+        t = self.t
+        if at is None:
+            time, index = (float(t[-1]) if len(t) else 0.0), 0
+        else:
+            time, index = float(t[at]), int(at) + 1
+        self.found.append(Violation(check_id, message, time, index))
 
-    def begin_run(self, engine: "_EngineBase", trace: Sequence["TraceJob"]) -> None:
-        """Reset per-run state; called by the engine before the first pop."""
-        self.violations = []
-        self._cluster = engine.cluster
-        self._preempt = engine.preemption
-        self._modelled = engine.shuffle_model is not None
-        self._last_key = None
-        self._started = None
-        self._events = 0
-        self._now = 0.0
-        self._snaps = {}
-        if self.digest is not None:
-            self.digest.reset()
-
-    def observe_pop(
-        self, now: float, etype: int, seq: int, job_id: int, task_index: int
-    ) -> None:
-        """Check heap-pop order; called for every event, before handling."""
-        self._events += 1
-        self._now = now
-        if now < 0.0:
-            self._violate("EVT002", f"event has negative simulated time {now!r}")
-        key = (now, etype, seq)
-        last = self._last_key
-        if (
-            last is not None
-            and key < last
-            # A zero-duration attempt's departure, pushed by the arrival
-            # just popped, sorts ahead of it at the same instant (key <
-            # last already bounds now from above).
-            and not (
-                now >= last[0]
-                and seq > last[2]
-                and self._started == (etype, job_id, task_index)
-            )
-        ):
-            self._violate(
-                "EVT001",
-                f"event {key} popped after {last}: a handler scheduled an "
-                "event in the simulated past",
-            )
-        self._last_key = key
-        self._started = (_DEPARTURE_OF.get(etype), job_id, task_index)
-        if self.digest is not None:
-            self.digest.update(now, etype, job_id, task_index)
-
-    def observe_handled(
-        self,
-        job: Job,
-        etype: int,
-        job_queue: Sequence[Job],
-        free_maps: int,
-        free_reduces: int,
-    ) -> None:
-        """Check slot conservation and the handled job's lifecycle.
-
-        Called after each event's handler with the job it handled, the
-        jobs submitted and not yet departed, and the free slot counts.
-        """
-        running_maps = 0
-        running_reduces = 0
-        for j in job_queue:
-            running_maps += j.maps_dispatched - j.maps_completed
-            running_reduces += j.reduces_dispatched - j.reduces_completed
-        err = self._cluster.slot_accounting_error(
-            free_maps, free_reduces, running_maps, running_reduces
+    def event(self, at: int) -> str:
+        return _describe_event(
+            (float(self.t[at]), int(self.e[at]), int(self.j[at]), int(self.k[at]))
         )
-        if err is not None:
-            self._violate("SLT001", err)
-        self._check_lifecycle(job, etype)
 
-    def end_run(
-        self,
-        jobs: Sequence[Job],
-        records: Sequence["TaskRecord"],
-        free_maps: int,
-        free_reduces: int,
-    ) -> None:
-        """Whole-run checks once the event heap has drained."""
-        cluster = self._cluster
-        if free_maps != cluster.map_slots:
-            self._violate(
-                "FIN001",
-                f"run ended with {free_maps}/{cluster.map_slots} "
-                "map slots free: a map slot leaked",
-                final=True,
-            )
-        if free_reduces != cluster.reduce_slots:
-            self._violate(
-                "FIN001",
-                f"run ended with {free_reduces}/"
-                f"{cluster.reduce_slots} reduce slots free: a reduce slot "
-                "leaked",
-                final=True,
-            )
-        for rec in records:
+    def run(self) -> list[Violation]:
+        """The violations in stream order, whole-run findings last."""
+        self.check_order()
+        if self.name_tasks():
+            live = self.match_kills()
+            self.check_slots(live)
+            self.check_lifecycle(live)
+        if not self.stalled and self.records is not None:
+            self.check_records()
+        return sorted(self.found, key=lambda v: (v.event_index == 0, v.event_index))
+
+    def check_order(self) -> None:
+        """EVT: times are not negative and never go back."""
+        t, e, j, k = self.t, self.e, self.j, self.k
+        for at in np.flatnonzero(t < 0.0).tolist():
+            self.violate("EVT002", f"event has negative simulated time {t[at]!r}", at)
+        same = t[1:] == t[:-1]
+        back = (t[1:] < t[:-1]) | (same & (e[1:] < e[:-1]))
+        # A zero-duration attempt's departure, pushed by the arrival just
+        # popped, sorts ahead of it at the same instant.
+        prev = e[:-1]
+        departs = np.where(prev == _MAP_ARR, _MAP_DEP, np.where(prev == _RED_ARR, _RED_DEP, -1))
+        waived = same & (e[1:] == departs) & (j[1:] == j[:-1]) & (k[1:] == k[:-1])
+        for at in (np.flatnonzero(back & ~waived) + 1).tolist():
+            self.violate("EVT001", f"{self.event(at)} came after {self.event(at - 1)}: "
+                         "a handler scheduled an event in the simulated past", at)
+
+    def name_tasks(self) -> bool:
+        """Number every task (maps of job 0, 1, ..., then reduces) into
+        :attr:`key`; False, after flagging them, when events name no job
+        or task of the trace."""
+        e, j, k = self.e, self.j, self.k
+        n = len(self.jobs)
+        self.M = M = np.asarray([job.num_maps for job in self.jobs], dtype=np.int64)
+        self.R = R = np.asarray([job.num_reduces for job in self.jobs], dtype=np.int64)
+        is_map = (e == _MAP_ARR) | (e == _MAP_DEP)
+        is_red = (e == _RED_ARR) | (e == _RED_DEP)
+        valid = (e >= 0) & (e <= 6) & (j >= 0) & (j < n)
+        if n:
+            size = np.where(is_map, M[np.where(valid, j, 0)], R[np.where(valid, j, 0)])
+            valid &= np.where(is_map | is_red, (k >= 0) & (k < size), k == -1)
+        bad = np.flatnonzero(~valid).tolist()
+        for at in bad:
+            self.violate("LIF001", f"event (t={self.t[at]!r}, type {e[at]}, job {j[at]}, "
+                         f"task {k[at]}) names no job or task of the trace", at)
+        if bad:
+            return False
+        self.n_keys = int(M.sum() + R.sum())
+        moff = np.cumsum(M) - M
+        roff = int(M.sum()) + np.cumsum(R) - R
+        self.key = np.where(is_map, moff[j] + k, np.where(is_red, roff[j] + k, -1))
+        self.arrivals = np.flatnonzero((e == _MAP_ARR) | (e == _RED_ARR))
+        return True
+
+    def match_kills(self) -> np.ndarray:
+        """The live-event column: False at killed attempts' stale departures.
+
+        Sets :attr:`kills`, ``(position, is_map)`` per kill, and
+        :attr:`kills_of`, the kills per task.  The records are one per
+        task arrival, in stream order.  Per task with a killed attempt,
+        the surviving attempt's departure is the task's last one at its
+        record's ``end``; the killed attempts that had a departure
+        pending own the others.
+        """
+        t, e, key, arrivals, records = self.t, self.e, self.key, self.arrivals, self.records
+        live = np.ones(len(e), dtype=bool)
+        self.kills: list[tuple[int, bool]] = []
+        self.kills_of = np.zeros(self.n_keys, dtype=np.int64)
+        if records is None or not self.records_match():
+            return live
+        killed = [i for i, rec in enumerate(records) if rec.killed]
+        if killed and not self.engine.preemption:
+            self.violate("LIF005", "a task attempt was killed with preemption disabled",
+                         int(arrivals[killed[0]]))
+        job_arrivals: dict[float, list[int]] = {}
+        for at in np.flatnonzero(e == _JOB_ARR).tolist():
+            job_arrivals.setdefault(float(t[at]), []).append(at)
+        hit = set(key[arrivals[killed]].tolist())
+        tries: dict[int, list[int]] = {}
+        for i, task in enumerate(key[arrivals].tolist()):
+            if task in hit:
+                tries.setdefault(task, []).append(i)
+        departures: dict[int, list[int]] = {}
+        for at in np.flatnonzero(((e == _MAP_DEP) | (e == _RED_DEP))
+                                 & np.isin(key, list(hit))).tolist():
+            departures.setdefault(int(key[at]), []).append(at)
+        for task, attempts in tries.items():
+            pending = 0
+            for i in attempts:
+                rec = records[i]
+                if not rec.killed:
+                    continue
+                self.kills_of[task] += 1
+                pending += rec.kind == "map" or rec.shuffle_end is not None
+                instants = job_arrivals.get(rec.end, [])
+                nxt = bisect_right(instants, int(arrivals[i]))
+                if nxt < len(instants):
+                    self.kills.append((instants[nxt], rec.kind == "map"))
+                else:
+                    self.violate("LIF005", f"{self.event(int(arrivals[i]))} started an "
+                                 f"attempt killed at t={rec.end!r}, where no job arrives",
+                                 int(arrivals[i]))
+            last = records[attempts[-1]]
+            deps = departures.get(task, [])
+            ends = [] if last.killed else [
+                d for d in deps if d > arrivals[attempts[-1]] and t[d] == last.end
+            ]
+            real = ends[-1] if ends else None
+            live[[d for d in deps if d != real][:pending]] = False
+        return live
+
+    def records_match(self) -> bool:
+        """Whether the records are the stream's task arrivals, in order."""
+        records, arrivals = self.records, self.arrivals
+        got = [(r.kind == "map", r.job_id, r.index, r.start) for r in records]  # type: ignore[union-attr]
+        want = list(zip((self.e[arrivals] == _MAP_ARR).tolist(), self.j[arrivals].tolist(),
+                        self.k[arrivals].tolist(), self.t[arrivals].tolist()))
+        if got == want:
+            return True
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        if i is None:
+            self.violate("LIF004", f"{len(got)} task records for {len(want)} task "
+                         "arrivals in the stream")
+        else:
+            self.violate("LIF004", f"task record #{i} {records[i]} disagrees with "  # type: ignore[index]
+                         f"{self.event(int(arrivals[i]))}", int(arrivals[i]))
+        return False
+
+    def check_slots(self, live: np.ndarray) -> None:
+        """SLT/FIN: running tasks per kind stay in ``[0, capacity]`` and
+        end at 0."""
+        e, cluster = self.e, self.engine.cluster
+        for kind, arr, dep, cap in (
+            ("map", _MAP_ARR, _MAP_DEP, cluster.map_slots),
+            ("reduce", _RED_ARR, _RED_DEP, cluster.reduce_slots),
+        ):
+            delta = (e == arr).astype(np.int64) - ((e == dep) & live)
+            kills = [q for q, is_map in self.kills if is_map is (kind == "map")]
+            np.subtract.at(delta, np.asarray(kills, dtype=np.int64), 1)
+            running = np.cumsum(delta)
+            for at in np.flatnonzero(running > cap)[:1].tolist():
+                self.violate("SLT001", f"{running[at]} {kind} tasks running on {cap} "
+                             f"{kind} slots", at)
+            for at in np.flatnonzero(running < 0)[:1].tolist():
+                self.violate("SLT001", f"{-running[at]} more {kind} departures than "
+                             f"{kind} arrivals", at)
+            if not self.stalled and len(running) and running[-1] != 0:
+                self.violate("FIN001", f"run ended with {running[-1]} {kind} task(s) "
+                             f"holding a slot: a {kind} slot leaked")
+
+    def check_lifecycle(self, live: np.ndarray) -> None:
+        """LIF: per-task and per-job counts and places."""
+        t, e, j, key, arrivals = self.t, self.e, self.j, self.key, self.arrivals
+        n = len(self.jobs)
+        deps = np.flatnonzero(((e == _MAP_DEP) | (e == _RED_DEP)) & live)
+        # A departure needs a running attempt: after the task's (last)
+        # arrival, and one per task; a task runs again only after a kill.
+        last_arrival = np.full(self.n_keys, -1, dtype=np.int64)
+        np.maximum.at(last_arrival, key[arrivals], arrivals)
+        dk = key[deps]
+        for at in deps[(last_arrival[dk] > deps) | (last_arrival[dk] < 0)].tolist():
+            self.violate("LIF001", f"{self.event(at)} completed a task that was not "
+                         "running", at)
+        order = np.argsort(dk, kind="stable")
+        for at in deps[order][1:][dk[order][1:] == dk[order][:-1]].tolist():
+            self.violate("LIF001", f"{self.event(at)} completed a task a second time", at)
+        runs = np.bincount(key[arrivals], minlength=self.n_keys) - self.kills_of
+        for at in last_arrival[runs > 1].tolist():
+            self.violate("LIF005", f"{self.event(at)} restarted a task that was never "
+                         "killed", at)
+
+        # Per job: completions, its first/last live event, its job events.
+        is_mdep = e[deps] == _MAP_DEP
+        maps_done = np.bincount(j[deps[is_mdep]], minlength=n).tolist()
+        reduces_done = np.bincount(j[deps[~is_mdep]], minlength=n).tolist()
+        last_map = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(last_map, j[deps[is_mdep]], deps[is_mdep])
+        last_task = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(last_task, j[deps], deps)
+        ev = np.flatnonzero(live)
+        first = np.full(n, len(e), dtype=np.int64)
+        np.minimum.at(first, j[ev], ev)
+        last = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(last, j[ev], ev)
+        marks: dict[int, dict[int, list[int]]] = {_ALL_MAPS: {}, _JOB_ARR: {}, _JOB_DEP: {}}
+        for etype, by_job in marks.items():
+            for at in np.flatnonzero(e == etype).tolist():
+                by_job.setdefault(int(j[at]), []).append(at)
+
+        for jid, job in enumerate(self.jobs):
+            name = f"job {jid} ({job.name})"
+            m, r, md, rd = int(self.M[jid]), int(self.R[jid]), maps_done[jid], reduces_done[jid]
+            all_maps = marks[_ALL_MAPS].get(jid, [])
+            lm = int(last_map[jid])
+            for at in all_maps[1:]:
+                self.violate("LIF002", f"{name} finished its map stage twice", at)
+            if all_maps and (md < m or m == 0):
+                self.violate("LIF002", f"{name} finished its map stage with {md}/{m} "
+                             "maps done", all_maps[0])
+            elif all_maps and (all_maps[0] < lm or t[all_maps[0]] != t[lm]):
+                self.violate("LIF002", f"{name} finished its map stage at event "
+                             f"#{all_maps[0] + 1}, not at its final map departure "
+                             f"(event #{lm + 1})", all_maps[0])
+            elif not all_maps and m and md == m:
+                self.violate("LIF002", f"{name} completed its {m} maps without "
+                             "ALL_MAPS_FINISHED", lm)
+
+            arrived = marks[_JOB_ARR].get(jid, [])
+            for at in arrived[1:]:
+                self.violate("LIF003", f"{name} arrived twice", at)
+            if last[jid] >= 0 and (not arrived or first[jid] != arrived[0]):
+                self.violate("LIF003", f"{name}: {self.event(int(first[jid]))} precedes "
+                             "the job's arrival", int(first[jid]))
+            if not arrived and not self.stalled:
+                self.violate("LIF003", f"{name} never arrived")
+
+            departed = marks[_JOB_DEP].get(jid, [])
+            for at in departed[1:]:
+                self.violate("LIF004", f"{name} departed twice", at)
+            if not departed:
+                if job.completion_time is not None:
+                    self.violate("LIF004", f"{name} has completion_time "
+                                 f"{job.completion_time!r} but never departed")
+                continue
+            at, lj, lt = departed[0], int(last[jid]), int(last_task[jid])
+            if lj != at:
+                self.violate("LIF003", f"{name}: {self.event(lj)} follows the job's "
+                             "departure", lj)
+            if md != m or rd != r:
+                self.violate("LIF004", f"{name} departed with {md}/{m} maps and "
+                             f"{rd}/{r} reduces done", at)
+            # Exact on purpose: the event carries the float the job stored.
+            if t[at] != job.completion_time:  # simlint: disable=SIM001
+                self.violate("LIF004", f"{name} departed at t={t[at]!r} but its "
+                             f"completion_time is {job.completion_time!r}", at)
+            if lt >= 0 and t[at] != t[lt]:
+                self.violate("LIF004", f"{name} departed at t={t[at]!r}, not at its "
+                             f"last task departure (t={t[lt]!r})", at)
+
+    # ------------------------------------------------------------------ #
+    # OVL: task records against the profile
+    # ------------------------------------------------------------------ #
+
+    def check_records(self) -> None:
+        """OVL: task records against the profile and the overlap bounds."""
+        for rec in self.records:  # type: ignore[union-attr]
             if rec.killed:
                 continue  # preempted attempt: end is the kill time
-            job = jobs[rec.job_id]
+            job = self.jobs[rec.job_id]
             where = f"{rec.kind} task {rec.job_id}.{rec.index}"
             if rec.kind == "map":
                 expected = job.profile.map_duration(rec.index)
-                if not math.isclose(
-                    rec.end - rec.start, expected, rel_tol=1e-9, abs_tol=_EPS
-                ):
-                    self._violate(
-                        "OVL002",
-                        f"{where} ran for {rec.end - rec.start!r}s but the "
-                        f"profile says {expected!r}s",
-                        final=True,
-                    )
+                if not _lasted(rec.start, rec.end, expected):
+                    self.violate("OVL002", f"{where} ran for {rec.end - rec.start!r}s "
+                                 f"but the profile says {expected!r}s")
                 continue
-            if not math.isfinite(rec.end) or rec.shuffle_end is None:
-                self._violate(
-                    "OVL001",
-                    f"{where} is still an infinite filler: ALL_MAPS_FINISHED "
-                    "never rewrote its duration",
-                    final=True,
-                )
+            if rec.shuffle_end is None:
+                self.violate("OVL001", f"{where} is still an infinite filler: "
+                             "ALL_MAPS_FINISHED never rewrote its duration")
                 continue
             if not (rec.start - _EPS <= rec.shuffle_end <= rec.end + _EPS):
-                self._violate(
-                    "OVL001",
-                    f"{where} phase boundary out of order: start={rec.start!r}, "
-                    f"shuffle_end={rec.shuffle_end!r}, end={rec.end!r}",
-                    final=True,
-                )
-            if not self._modelled:
+                self.violate("OVL001", f"{where} phase boundary out of order: start="
+                             f"{rec.start!r}, shuffle_end={rec.shuffle_end!r}, "
+                             f"end={rec.end!r}")
+            if self.engine.shuffle_model is None:
                 expected = job.profile.reduce_duration(rec.index)
-                if not math.isclose(
-                    rec.end - rec.shuffle_end, expected, rel_tol=1e-9, abs_tol=_EPS
-                ):
-                    self._violate(
-                        "OVL002",
-                        f"{where} reduce phase ran for "
-                        f"{rec.end - rec.shuffle_end!r}s but the profile says "
-                        f"{expected!r}s",
-                        final=True,
-                    )
+                if not _lasted(rec.shuffle_end, rec.end, expected):
+                    self.violate("OVL002", f"{where} reduce phase ran for "
+                                 f"{rec.end - rec.shuffle_end!r}s but the profile "
+                                 f"says {expected!r}s")
             mse = job.map_stage_end
             if rec.first_wave and mse is not None:
                 if rec.start > mse + _EPS:
-                    self._violate(
-                        "OVL001",
-                        f"{where} is marked first-wave but started at "
-                        f"{rec.start!r}, after the map stage ended at {mse!r}",
-                        final=True,
-                    )
+                    self.violate("OVL001", f"{where} is marked first-wave but started "
+                                 f"at {rec.start!r}, after the map stage ended at {mse!r}")
                 if rec.shuffle_end < mse - _EPS:
-                    self._violate(
-                        "OVL001",
-                        f"{where} first-wave shuffle finished at "
-                        f"{rec.shuffle_end!r}, before the last map at {mse!r} "
-                        "— overlapping shuffles cannot finish before the map "
-                        "stage (paper Section III-B)",
-                        final=True,
-                    )
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-
-    def _check_lifecycle(self, job: Job, etype: int) -> None:
-        snap = self._snaps.get(job.job_id)
-        if snap is None:
-            snap = (JobState.PENDING, 0, 0, 0, 0, None)
-        prev_state, pmd, pmc, prd, prc, pct = snap
-        state = job.state
-        md, mc = job.maps_dispatched, job.maps_completed
-        rd, rc = job.reduces_dispatched, job.reduces_completed
-        ct = job.completion_time
-        name = f"job {job.job_id} ({job.name})"
-
-        if state not in _LEGAL_TRANSITIONS[prev_state]:
-            self._violate(
-                "LIF003",
-                f"{name} jumped from {prev_state.value} to {state.value}",
-            )
-        for kind, completed, prev_completed, dispatched, total, dep in (
-            ("map", mc, pmc, md, job.num_maps, _MAP_DEP),
-            ("reduce", rc, prc, rd, job.num_reduces, _RED_DEP),
-        ):
-            if completed < prev_completed:
-                self._violate(
-                    "LIF001",
-                    f"{name} {kind}s_completed regressed "
-                    f"{prev_completed} -> {completed}",
-                )
-            elif completed > total:
-                self._violate(
-                    "LIF001",
-                    f"{name} completed {completed} {kind}s of {total}: a task "
-                    "completed twice",
-                )
-            elif completed > dispatched:
-                self._violate(
-                    "LIF001",
-                    f"{name} completed {completed} {kind}s but only "
-                    f"{dispatched} were dispatched",
-                )
-            delta = completed - prev_completed
-            if delta > 1:
-                self._violate(
-                    "LIF002",
-                    f"{name} completed {delta} {kind} tasks in one event",
-                )
-            elif delta == 1 and etype != dep:
-                self._violate(
-                    "LIF002",
-                    f"{name} {kind}s_completed advanced outside a {kind} "
-                    "departure event",
-                )
-        if not self._preempt and (md < pmd or rd < prd):
-            self._violate(
-                "LIF005",
-                f"{name} dispatch counters regressed (maps {pmd} -> {md}, "
-                f"reduces {prd} -> {rd}) with preemption disabled",
-            )
-        if state is JobState.COMPLETED:
-            if not job.is_complete:
-                self._violate(
-                    "LIF004",
-                    f"{name} marked COMPLETED with {mc}/{job.num_maps} maps "
-                    f"and {rc}/{job.num_reduces} reduces done",
-                )
-            if ct is None:
-                self._violate(
-                    "LIF004", f"{name} is COMPLETED but has no completion_time"
-                )
-        if pct is not None and ct != pct:
-            self._violate(
-                "LIF004", f"{name} completion_time changed {pct!r} -> {ct!r}"
-            )
-        self._snaps[job.job_id] = (state, md, mc, rd, rc, ct)
-
-    def _violate(self, check_id: str, message: str, *, final: bool = False) -> None:
-        violation = Violation(
-            check_id=check_id,
-            message=message,
-            time=self._now,
-            event_index=0 if final else self._events,
-        )
-        if self.fail_fast:
-            raise SimsanViolation(violation)
-        self.violations.append(violation)
+                    self.violate("OVL001", f"{where} first-wave shuffle finished at "
+                                 f"{rec.shuffle_end!r}, before the last map at {mse!r} "
+                                 "— overlapping shuffles cannot finish before the map "
+                                 "stage (paper Section III-B)")

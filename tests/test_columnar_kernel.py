@@ -592,7 +592,6 @@ class TestFallbackEnvelope:
             "shuffle model": (
                 trace, FIFOScheduler, {"shuffle_model": NetworkShuffleModel(1e6, 1e9)}
             ),
-            "sanitizer": (trace, FIFOScheduler, {"sanitizer": Sanitizer(fail_fast=True)}),
             "depends_on": (dep_trace, FIFOScheduler, {}),
             "zero-time task": (zero_trace, FIFOScheduler, {}),
             "slot cap": (trace, lambda: CappedFIFOScheduler(2, 1), {}),
@@ -613,11 +612,13 @@ class TestFallbackEnvelope:
         engine = ColumnarEngine(cluster, MaxEDFScheduler(preemptive=True), preemption=True)
         engine.run(trace)
         assert engine.last_kernel_mode == "replay"
-        # And nothing else leaves pass mode: inert preemption and the
-        # observe-only recorder keep it.
+        # And nothing else leaves pass mode: inert preemption, the
+        # recorder and the sanitizer (both read the emitted stream after
+        # the run) keep it.
         for kw in (
             {"preemption": True, "sanitize": False},
             {"sanitizer": DigestRecorder()},
+            {"sanitizer": Sanitizer(fail_fast=True)},
             {"sanitize": False},
         ):
             engine = ColumnarEngine(cluster, MaxEDFScheduler(), **kw)
@@ -631,7 +632,6 @@ class TestFallbackEnvelope:
         assert engine.last_kernel_mode == "passes"
         assert_identical(no_deadlines, MinEDFScheduler, cluster)
         for case_trace, factory, kw in heap_cases.values():
-            kw = {k: v for k, v in kw.items() if k != "sanitizer"}
             assert_identical(case_trace, factory, cluster, **kw)
 
     @pytest.mark.parametrize(
@@ -657,15 +657,14 @@ class TestFallbackEnvelope:
         assert engine.last_kernel_mode == "replay"
         assert len(calls) <= len(trace) + 1
 
-    def test_state_inspecting_sanitizer_falls_back(self):
-        """The full Sanitizer reads per-event state: the run leaves pass
-        mode for the heap loop, which calls its hooks."""
-        engine = ColumnarEngine(
-            ClusterConfig(8, 4), FIFOScheduler(),
-            sanitizer=Sanitizer(fail_fast=True),
-        )
+    def test_full_sanitizer_stays_on_kernel(self):
+        """The full Sanitizer checks the stream pass mode emits, so the run
+        stays in pass mode and is clean."""
+        san = Sanitizer(fail_fast=True)
+        engine = ColumnarEngine(ClusterConfig(8, 4), FIFOScheduler(), sanitizer=san)
         engine.run(make_zoo_trace(n=6))
-        assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "replay")
+        assert (engine.last_path, engine.last_kernel_mode) == ("kernel", "passes")
+        assert san.violations == [] and san.digest.count > 0
 
     def test_digest_recorder_stays_on_kernel(self):
         engine = ColumnarEngine(
@@ -687,13 +686,13 @@ class TestFallbackEnvelope:
         assert result.jobs[1].start_time >= result.jobs[0].completion_time
 
     def test_sanitized_run_under_full_sanitizer_is_clean(self):
-        """sanitize=True builds the full Sanitizer: the run takes the heap
-        loop and must report zero invariant violations, on a static and a
-        contracted dynamic policy."""
-        for scheduler in (FIFOScheduler(), FairScheduler()):
+        """sanitize=True builds the full Sanitizer: each run keeps the mode
+        it takes unsanitized (pass mode for FIFO, replay for Fair) and
+        must report zero invariant violations."""
+        for scheduler, mode in ((FIFOScheduler(), "passes"), (FairScheduler(), "replay")):
             engine = ColumnarEngine(ClusterConfig(8, 4), scheduler, sanitize=True)
             engine.run(make_zoo_trace(n=8))
-            assert engine.last_kernel_mode == "replay"
+            assert engine.last_kernel_mode == mode
             assert engine.sanitizer.violations == []
 
     def test_simulate_rejects_unknown_engine(self):
@@ -766,8 +765,8 @@ class TestStallPrefix:
 class TestDualRunDivergence:
     def test_dual_run_on_columnar_engine_is_clean(self):
         """The simsan DIV001 check accepts a ColumnarEngine factory: it
-        installs the full Sanitizer (fallback path) and both replays must
-        agree with zero violations."""
+        installs the full Sanitizer, which checks pass mode's stream, and
+        both replays must agree with zero violations."""
         trace = make_zoo_trace(seed=29, n=10)
         outcome = dual_run(
             lambda: ColumnarEngine(ClusterConfig(8, 4), FIFOScheduler()), trace

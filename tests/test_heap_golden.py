@@ -9,7 +9,8 @@ group-share contract and a columnar-key policy tree.  Per case,
 ``tests/golden/heap_corpus.json`` pins the event digest, the number of
 events popped and the stall message (``null`` for a run that finished).
 
-Both engines must reproduce every case.  Regenerate the file only for a
+Both engines must reproduce every case, and under the full sanitizer
+no case may break an invariant.  Regenerate the file only for a
 deliberate change to the event semantics::
 
     PYTHONPATH=src python tests/test_heap_golden.py
@@ -28,6 +29,7 @@ from repro.core import ClusterConfig, JobProfile, TraceJob
 from repro.core.engine import SimulatorEngine
 from repro.core.kernel import ColumnarEngine
 from repro.core.shuffle import NetworkShuffleModel
+from repro.sanitize import Sanitizer
 from repro.sanitize.digest import DigestRecorder, EventDigest
 from repro.schedulers import (
     CapacityScheduler,
@@ -144,17 +146,15 @@ def make_case(index: int) -> dict:
     }
 
 
-class _PerEventRecorder(DigestRecorder):
-    """Not exactly a DigestRecorder, so the heap loop calls its hooks
-    event by event instead of feeding the digest in one bulk update."""
+def run_case(engine_cls, case: dict, recorder=None) -> dict:
+    """Run ``case`` on ``engine_cls``: digest, events popped, stall message.
 
-    __slots__ = ()
-
-
-def run_case(engine_cls, case: dict, recorder_cls=DigestRecorder) -> dict:
-    """Run ``case`` on ``engine_cls``: digest, events popped, stall message."""
+    ``recorder`` is the run's observer, a fresh ``DigestRecorder`` when
+    None.
+    """
     factory, kwargs = POLICIES[case["policy"]]
-    recorder = recorder_cls(EventDigest(keep_events=False))
+    if recorder is None:
+        recorder = DigestRecorder(EventDigest(keep_events=False))
     engine = engine_cls(
         ClusterConfig(*case["cluster"]),
         factory(),
@@ -207,26 +207,35 @@ def test_corpus_covers_every_feature(golden):
 
 
 @pytest.mark.parametrize(
-    "engine_cls, recorder_cls",
+    "engine_cls, sanitized",
     [
-        (SimulatorEngine, DigestRecorder),
-        (ColumnarEngine, DigestRecorder),
-        (SimulatorEngine, _PerEventRecorder),
+        (SimulatorEngine, False),
+        (ColumnarEngine, False),
+        (SimulatorEngine, True),
+        (ColumnarEngine, True),
     ],
-    ids=["SimulatorEngine", "ColumnarEngine", "SimulatorEngine-per-event"],
+    ids=["SimulatorEngine", "ColumnarEngine", "SimulatorEngine-sanitized",
+         "ColumnarEngine-sanitized"],
 )
-def test_engines_reproduce_golden_corpus(golden, engine_cls, recorder_cls):
+def test_engines_reproduce_golden_corpus(golden, engine_cls, sanitized):
+    """Every case reproduces its pinned stream; sanitized, it also breaks
+    no invariant (a stalled case gets the checks of its popped prefix)."""
     mismatches = []
+    violations = []
     for entry in golden:
         case = make_case(entry["case"])
         assert _settings(case) == {k: entry[k] for k in _settings(case)}, (
             f"case {entry['case']}: the generator drifted from the golden file"
         )
-        got = run_case(engine_cls, case, recorder_cls)
+        recorder = Sanitizer(fail_fast=False) if sanitized else None
+        got = run_case(engine_cls, case, recorder)
         want = {k: entry[k] for k in got}
         if got != want:
             mismatches.append((entry["case"], want, got))
+        if recorder is not None and recorder.violations:
+            violations.append((entry["case"], [str(v) for v in recorder.violations[:3]]))
     assert not mismatches, f"{len(mismatches)} case(s) differ, first: {mismatches[0]}"
+    assert not violations, f"{len(violations)} case(s) violate, first: {violations[0]}"
 
 
 if __name__ == "__main__":
