@@ -125,13 +125,16 @@ class _ShareSide:
     the group's weight (``inf`` for a group without candidates or
     budget).  A job's key is its rank, or ``running * n + rank`` when
     the policy ranks by running tasks first, so the best job of a group
-    is the set's ``min`` and the rank is the key ``% n``.  ``run[r]`` is
-    what rank ``r`` adds to its group's sum, -1 when it is not a
-    candidate; ``live`` counts the candidates over all groups.
+    is the set's ``min``, kept as ``best[g]``, and the rank is the key
+    ``% n``.  ``lo`` is the least level.  ``run[r]`` is what rank ``r``
+    adds to its group's sum, -1 when it is not a candidate; ``live``
+    counts the candidates over all groups.  :meth:`sync` pays for
+    ``best`` and ``lo``, so :meth:`pick` and :meth:`keeps`, which run
+    far more often since a departure can skip the sync, read them.
     """
 
     __slots__ = ("kind_map", "rank", "group", "weight", "paying", "budgeted", "n",
-                 "by_running", "sets", "sums", "level", "run", "key", "live")
+                 "by_running", "sets", "best", "sums", "level", "lo", "run", "key", "live")
 
     def __init__(self, book: "_ShareBook", kind_map: bool, by_running: bool) -> None:
         self.kind_map = kind_map
@@ -143,8 +146,10 @@ class _ShareSide:
         self.n = n = len(book.group)
         self.by_running = by_running
         self.sets: list[set[int]] = [set() for _ in book.weight]
+        self.best = [-1] * len(book.weight)
         self.sums = [0] * len(book.weight)
         self.level = [_INF] * len(book.weight)
+        self.lo = _INF
         self.run = [-1] * n
         self.key = list(range(n))
         self.live = 0
@@ -189,7 +194,45 @@ class _ShareSide:
         else:
             self.live -= 1
         self.sums[g] = total
+        if cs:
+            self.best[g] = min(cs)
         self.level[g] = total / self.weight[g] if cs and self.paying[g] else _INF
+        self.lo = min(self.level)
+
+    def keeps(self, job: Job) -> bool:
+        """Whether :meth:`pick` would choose ``job`` once one of its
+        running tasks of this kind is gone, read without writing.
+
+        Answers only for a candidate with a running task whose paying
+        group's level stays finite; False otherwise (the caller then
+        syncs and picks).  The departure leaves the job's group at
+        ``(sum - 1) / weight`` and, ranking by running tasks, the job's
+        key ``n`` lower; nothing else changes.
+        """
+        r = self.rank[job.job_id]
+        if self.run[r] <= 0:
+            return False
+        g = self.group[r]
+        if not self.paying[g]:
+            return False
+        d = (self.sums[g] - 1) / self.weight[g]
+        if not d < _INF:
+            return False  # overflowed: pick's all-tie branch decides
+        key = self.key[r] - self.n if self.by_running else r
+        best = self.best
+        if key > best[g]:
+            return False
+        # The group's own entry holds its old level, sum / weight >= d,
+        # so a minimum below d is another group's.
+        lo = self.lo
+        if lo > d:
+            return True
+        if lo != d:
+            return False
+        for h, x in enumerate(self.level):
+            if x == d and h != g and best[h] < key:
+                return False
+        return True
 
     def pick(self) -> int:
         """Rank of the job the policy picks; -1 for none.
@@ -199,15 +242,15 @@ class _ShareSide:
         their best jobs' keys.
         """
         level = self.level
-        d = min(level)
+        best = self.best
+        d = self.lo
         if d < _INF:
             if level.count(d) == 1:
-                return min(self.sets[level.index(d)]) % self.n
-            sets = self.sets
-            return min([min(sets[g]) for g, x in enumerate(level) if x == d]) % self.n
+                return best[level.index(d)] % self.n
+            return min([best[g] for g, x in enumerate(level) if x == d]) % self.n
         # Every paying group with candidates has a share that overflowed
         # to inf (a tiny weight): they all tie.
-        heads = [min(cs) for cs, paying in zip(self.sets, self.paying) if cs and paying]
+        heads = [b for b, cs, paying in zip(best, self.sets, self.paying) if cs and paying]
         if heads:
             return min(heads) % self.n
         if not self.budgeted:
@@ -231,11 +274,16 @@ class _ShareBook:
     of that state in place; the heap loop calls it as its ``offer_*``:
     at arrival, after each dispatch, at a map departure (the map side,
     and the reduce side only when the slow-start gate is crossed), at a
-    reduce departure and after kills.  Job departures need no call: a
-    departing job has dispatched every task, so it is a candidate of
-    neither kind already.  A decision reads the group levels with
-    ``min`` (not the job queue), and the allocation skips a side whose
-    ``live`` count is zero.
+    reduce departure and after kills.  A task departure whose freed
+    slot :meth:`_ShareSide.keeps` says goes straight back to its job
+    skips both its own sync and the dispatch's (the two cancel) and
+    syncs only when that dispatch used up the job's tasks of the kind;
+    the loop then charges through :meth:`charge_map` /
+    :meth:`charge_reduce` as the picks do.  Job departures need no
+    call: a departing job has dispatched every task, so it is a
+    candidate of neither kind already.  A decision reads the least
+    level and the winning group's least key (not the job queue), and
+    the allocation skips a side whose ``live`` count is zero.
     """
 
     __slots__ = ("rank", "by_rank", "group", "names", "weight", "paying",
@@ -280,7 +328,20 @@ class _ShareBook:
             # Spent: the group competes no more (a broke group is never
             # charged again, so it never pays again).
             self.paying[g] = False
-            self.maps.level[g] = self.reduces.level[g] = _INF
+            for side in (self.maps, self.reduces):
+                side.level[g] = _INF
+                side.lo = min(side.level)
+
+    def charge_map(self, job: Job) -> None:
+        """Charge ``job``'s group for the map about to be dispatched."""
+        jid = job.job_id
+        self._charge(self.rank[jid], self.mdl[jid][job.maps_dispatched])
+
+    def charge_reduce(self, job: Job) -> None:
+        """Charge ``job``'s group for the reduce about to be dispatched."""
+        jid = job.job_id
+        index = job.reduces_dispatched
+        self._charge(self.rank[jid], self.tsl[jid][index] + self.rdl[jid][index])
 
     def pick_map(self) -> Optional[Job]:
         """The job whose next map the policy dispatches."""
@@ -289,7 +350,7 @@ class _ShareBook:
             return None
         job = self.by_rank[r]
         if self.budgeted:
-            self._charge(r, self.mdl[job.job_id][job.maps_dispatched])
+            self.charge_map(job)
         return job
 
     def pick_reduce(self) -> Optional[Job]:
@@ -299,9 +360,7 @@ class _ShareBook:
             return None
         job = self.by_rank[r]
         if self.budgeted:
-            jid = job.job_id
-            index = job.reduces_dispatched
-            self._charge(r, self.tsl[jid][index] + self.rdl[jid][index])
+            self.charge_reduce(job)
         return job
 
 
@@ -444,6 +503,12 @@ class _EngineBase:
           precomputed per job, not the profile accessors;
         * a map departure re-offers its job's reduces only when it
           crosses the slow-start gate, the one way it changes them;
+        * in share mode, a task departure that frees the only free slot
+          of its kind asks the book whether the slot goes straight back
+          to its job (:meth:`_ShareSide.keeps`, read-only); if so it
+          dispatches the job without the sync, pick and re-sync that
+          would cancel out (docs/engine-internals.md, "A freed slot
+          stays with its job");
         * an observer costs four list appends per event; it gets the
           popped stream as four flat columns once, after the run.
 
@@ -821,6 +886,9 @@ class _EngineBase:
                     v_rdisp[pick] = d
                     el[pick] = d < v_nreds[pick] and d - v_rcomp[pick] < v_capr[pick]
 
+        # A departure whose freed slot goes straight back to its job
+        # skips the share book's sync-pick-sync (share mode only).
+        keeps_m = keeps_r = None
         if fast:
             allocate = allocate_static
         elif share is not None:
@@ -828,6 +896,11 @@ class _EngineBase:
             share_r = share.reduces
             pick_map = share.pick_map
             pick_reduce = share.pick_reduce
+            keeps_m = share_m.keeps
+            keeps_r = share_r.keeps
+            budgeted = share.budgeted
+            charge_map = share.charge_map
+            charge_reduce = share.charge_reduce
             allocate = allocate_share
         elif track:
             allocate = allocate_columns
@@ -877,6 +950,15 @@ class _EngineBase:
                     seq_c += 1
                     if job.num_reduces == 0:
                         maybe_depart(job, now)
+                elif free_m == 1 and keeps_m is not None and keeps_m(job):
+                    # The freed slot goes straight back to this job: the
+                    # departure's sync, the pick and the re-sync would
+                    # leave the book as it is (docs/engine-internals.md).
+                    if budgeted:
+                        charge_map(job)
+                    dispatch(job, now, True)
+                    if job.maps_dispatched >= job.num_maps:
+                        offer_map(job)
                 else:
                     offer_map(job)
                 # Only crossing the slow-start gate changes the job's
@@ -912,9 +994,23 @@ class _EngineBase:
                 free_r += 1
                 if track:
                     v_rcomp[jid] += 1.0
-                maybe_depart(job, now)
-                offer_reduce(job)
-                allocate(now)
+                if (
+                    free_r == 1
+                    and keeps_r is not None
+                    and (free_m == 0 or not share_m.live)
+                    and keeps_r(job)
+                ):
+                    # As at a map departure; no map is due first, and a
+                    # job with a reduce left to run does not depart.
+                    if budgeted:
+                        charge_reduce(job)
+                    dispatch(job, now, False)
+                    if job.reduces_dispatched >= job.num_reduces:
+                        offer_reduce(job)
+                else:
+                    maybe_depart(job, now)
+                    offer_reduce(job)
+                    allocate(now)
             elif etype == _RED_ARR:
                 if job.maps_completed < job.num_maps:
                     # First wave overlapping the map stage: an infinite

@@ -77,9 +77,11 @@ class SimulationResult:
     makespan: float
     events_processed: int
     wall_clock_seconds: float
-    #: BLAKE2b fingerprint of the popped event stream (hex), populated
-    #: when the run carried an event digest (a sanitizer with
-    #: ``digest=``, or the sweep layers' ``DigestRecorder``).  Two runs
+    #: BLAKE2b fingerprint of the popped event stream (hex), set only by
+    #: the sweep executor (:func:`repro.parallel.executor._execute`),
+    #: which installs a ``DigestRecorder``; a run through ``simulate``
+    #: or an engine leaves it ``None`` whatever observer it carried (read
+    #: that observer's ``hexdigest()`` instead).  Two runs
     #: with equal digests scheduled the same tasks at the same times in
     #: the same order — the determinism contract's equality, and how the
     #: parallel sweep cache proves a restored result faithful.

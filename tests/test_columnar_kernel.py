@@ -506,6 +506,16 @@ def _fair_tied_weights():
     )
 
 
+def _fair_overflowing_shares():
+    from repro.schedulers import FairScheduler
+
+    # running / 1e-320 is inf from one running task up: the share book
+    # takes its all-tied branch, and a departure's level check falls back.
+    return FairScheduler(
+        weights=dict.fromkeys(["Sort", "Grep", "Bayes", "WikiTrends"], 1e-320)
+    )
+
+
 def _fair_preemptive():
     from repro.schedulers import FairScheduler
 
@@ -522,6 +532,7 @@ class TestShareContractIdentity:
         "dp-finite-budgets": (_dp_finite_budgets, {}),
         "capacity-unmapped": (_capacity_with_unmapped_jobs, {}),
         "fair-tied-weights": (_fair_tied_weights, {}),
+        "fair-overflowing-shares": (_fair_overflowing_shares, {}),
         "fair-preemptive": (_fair_preemptive, {"preemption": True}),
     }
 

@@ -6,13 +6,15 @@ slow-start gate crossed, departure, and a DynamicPriority budget running
 dry.  It calls the book's ``sync`` exactly where the loop does (a map
 completion re-syncs the reduce side only when it crosses the gate).
 After every step the book must equal a recount from job state (live
-count, candidate keys, group sums and levels), and every dispatch must
-go to the job the policy's own ``choose_next_*`` picks from the same
-jobs.
+count, candidate keys and each group's least key, group sums, levels
+and the least level), and every dispatch must go to the job the
+policy's own ``choose_next_*`` picks from the same jobs.  At every task completion, before the sync, the book's read-only
+``keeps`` must answer what a sync and a pick on a copy of the book do.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from collections import Counter
@@ -62,6 +64,8 @@ POLICIES: dict[str, Callable[[], Any]] = {
     "Capacity": lambda: CapacityScheduler(
         {"a": 0.5, "b": 0.3, "c": 0.2}, queue_of=lambda job: job.name
     ),
+    # A share of one running task or more overflows to inf.
+    "Fair(overflow)": lambda: FairScheduler(weights=dict.fromkeys("abc", 1e-320)),
 }
 
 
@@ -94,11 +98,13 @@ def assert_matches_jobs(book: _ShareBook, jobs: list[Job]) -> None:
                 sets[g].add(run * side.n + r if side.by_running else r)
                 sums[g] += run
         assert side.sets == sets
+        assert [b for b, cs in zip(side.best, sets) if cs] == [min(cs) for cs in sets if cs]
         assert side.sums == sums
         assert side.level == [
             total / w if cs and paying else math.inf
             for cs, total, w, paying in zip(sets, sums, book.weight, book.paying)
         ]
+        assert side.lo == min(side.level)
 
 
 class Driver:
@@ -166,6 +172,38 @@ class Driver:
         self.queue.remove(job)
         self.seen["departure"] += 1
 
+    def check_keeps(self, job: Job, maps: bool) -> None:
+        """``keeps(job)`` against a sync and a pick on a copy of the book.
+
+        It must not write, must agree with the pick wherever it answers
+        (a candidate with a running task in a paying group whose level
+        stays finite) and must say False everywhere else.
+        """
+        side = self.side(maps)
+
+        def state() -> tuple:
+            return copy.deepcopy((side.sets, side.best, side.sums, side.level, side.lo,
+                                  side.run, side.key, side.live, self.book.paying))
+
+        before = state()
+        kept = side.keeps(job)
+        assert state() == before
+        shadow = copy.deepcopy(self.book)
+        shadow_side = shadow.maps if maps else shadow.reduces
+        shadow_side.sync(job)
+        r = self.book.rank[job.job_id]
+        picked = shadow_side.pick() == r
+        g = self.book.group[r]
+        d = (side.sums[g] - 1) / self.book.weight[g] if side.run[r] > 0 else math.inf
+        if not (self.book.paying[g] and d < math.inf):
+            assert not kept
+            self.seen["keeps: falls back"] += 1
+            return
+        assert kept == picked, (job, maps)
+        self.seen["keeps: kept" if kept else "keeps: lost"] += 1
+        if any(x == d for h, x in enumerate(side.level) if h != g):
+            self.seen["keeps: tied level"] += 1
+
     def complete_map(self, job: Job) -> None:
         done = job.maps_completed + 1
         job.maps_completed = done
@@ -175,6 +213,7 @@ class Driver:
             if job.num_reduces == 0:
                 self.depart(job)
         else:
+            self.check_keeps(job, True)
             self.book.maps.sync(job)
         if done - 1 < job.reduce_gate <= done:
             self.book.reduces.sync(job)
@@ -183,6 +222,7 @@ class Driver:
     def complete_reduce(self, job: Job) -> None:
         job.reduces_completed += 1
         self.free[False] += 1
+        self.check_keeps(job, False)
         if job.reduces_completed >= job.num_reduces and job.maps_completed >= job.num_maps:
             self.depart(job)
         self.book.reduces.sync(job)
@@ -224,3 +264,16 @@ def test_book_matches_jobs_and_policy(policy, seed):
     if policy.startswith("DP"):
         assert not any(driver.book.paying)
         assert driver.seen["all broke"] > 0
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_keeps_reaches_every_outcome(policy):
+    seen: Counter[str] = Counter()
+    for seed in range(4):
+        driver = Driver(POLICIES[policy], seed)
+        while driver.step():
+            pass
+        seen += driver.seen
+    assert {"keeps: kept", "keeps: lost", "keeps: tied level"} <= set(seen), seen
+    if policy == "Fair(overflow)":
+        assert seen["keeps: falls back"] > 0

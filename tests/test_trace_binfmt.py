@@ -292,18 +292,29 @@ class TestTransports:
         assert shm.bytes_per_worker < len(pickle.dumps(list(traces["t"]))) / 10
 
     def test_no_shared_storage_leaks(self, sweep, monkeypatch):
-        import glob
-        import tempfile
+        import os
 
+        from repro.parallel.executor import _PublishedTraces
+
+        # Only the storage these sweeps published: other processes on
+        # the host may hold segments and spill files of their own.
+        published: list[tuple[str, str, int]] = []
+        real_init = _PublishedTraces.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            published.extend(self.sources.values())
+
+        monkeypatch.setattr(_PublishedTraces, "__init__", recording_init)
         traces, tasks = sweep
-        before_shm = set(glob.glob("/dev/shm/psm_*"))
-        before_tmp = set(glob.glob(f"{tempfile.gettempdir()}/simmr-trace-*"))
         simulate_many(traces, tasks, workers=2, cache=None)
         _refuse_shared_memory(monkeypatch)
         simulate_many(traces, tasks, workers=2, cache=None)
         assert last_fanout_stats().transport == "tempfile"
-        assert set(glob.glob("/dev/shm/psm_*")) <= before_shm
-        assert set(glob.glob(f"{tempfile.gettempdir()}/simmr-trace-*")) <= before_tmp
+        assert sorted(kind for kind, _, _ in published) == ["file", "shm"]
+        for kind, name, _ in published:
+            path = name if kind == "file" else os.path.join("/dev/shm", name.lstrip("/"))
+            assert not os.path.exists(path), (kind, name)
 
 
 def _refuse_shared_memory(monkeypatch):
