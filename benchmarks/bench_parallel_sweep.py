@@ -15,10 +15,11 @@ The tentpole claims of :mod:`repro.parallel`, measured:
 
 A second bench (``test_columnar_fanout``) measures the columnar trace
 subsystem end to end: cold-parse time of the binary format vs JSON,
-bytes shipped per worker through shared memory and its tempfile
-fallback (both must be O(1) in the worker count, far below the pickled
-job list), and event-digest identity across every execution path —
-serial, shared-memory, tempfile, and the HTTP service.
+bytes shipped per worker through the ``.simmr`` spill file (O(1) in the
+worker count, far below the pickled job list), a pool worker's attach
+time for that file (first attach in a fresh worker, then a repeat), and
+event-digest identity across every execution path — serial, pooled at
+2 and 4 workers, and the HTTP service.
 
 Artifacts: prints the timing tables and writes
 ``BENCH_parallel_sweep.json`` + ``BENCH_columnar.json`` at the repo
@@ -28,8 +29,10 @@ root for EXPERIMENTS.md.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
+import statistics
 from pathlib import Path
 
 from repro.core import ClusterConfig
@@ -141,11 +144,19 @@ def _timed(fn, *args, **kwargs):
     return result, elapsed_since(start)
 
 
-def _refuse_shared_memory(self, payload):
-    raise OSError("shared memory disabled to measure the tempfile fallback")
+#: Fresh workers timed per attach measurement.
+ATTACH_ROUNDS = 5
 
 
-def test_columnar_fanout(benchmark, once, tmp_path, monkeypatch):
+def _timed_attach(path):
+    """In a pool worker: (first, repeat) seconds to attach the spill file."""
+    from repro.parallel.executor import _attach_file
+    from repro.trace import binfmt  # noqa: F401 - import outside the timing
+
+    return tuple(_timed(_attach_file, path)[1] for _ in range(2))
+
+
+def test_columnar_fanout(benchmark, once, tmp_path):
     from repro.parallel.executor import (
         SchedulerSpec,
         SimTask,
@@ -173,9 +184,8 @@ def test_columnar_fanout(benchmark, once, tmp_path, monkeypatch):
     digest = trace_digest(trace)
     assert trace_digest(from_bin) == digest
 
-    # Fan-out accounting: the same 4-task batch at 2 and 4 workers,
-    # through shared memory, then through the tempfile fallback.
-    # Headline number = the shared-memory batch.
+    # Fan-out accounting: the same 4-task batch at 2 and 4 workers.
+    # Headline number = the 2-worker batch.
     tasks = [
         SimTask(trace_id="t", scheduler=SchedulerSpec(name=name))
         for name in SCHEDULERS
@@ -187,23 +197,23 @@ def test_columnar_fanout(benchmark, once, tmp_path, monkeypatch):
 
     once(benchmark, simulate_many, traces, tasks, workers=2, cache=None)
 
-    shipping: dict[str, dict] = {}
+    shipping: dict[int, dict] = {}
     path_digests = {"serial": reference}
-    for transport in ("shared_memory", "tempfile"):
-        if transport == "tempfile":
-            monkeypatch.setattr(
-                _PublishedTraces, "_publish_shm", _refuse_shared_memory
-            )
-        per_workers = {}
-        for workers in (2, 4):
-            outcomes = simulate_many(traces, tasks, workers=workers, cache=None)
-            path_digests[f"{transport}@{workers}"] = [
-                o.result.event_digest for o in outcomes
-            ]
-            per_workers[workers] = last_fanout_stats().to_dict()
-            assert per_workers[workers]["transport"] == transport
-        shipping[transport] = per_workers
-    monkeypatch.undo()
+    for workers in (2, 4):
+        outcomes = simulate_many(traces, tasks, workers=workers, cache=None)
+        path_digests[f"pool@{workers}"] = [o.result.event_digest for o in outcomes]
+        shipping[workers] = last_fanout_stats().to_dict()
+
+    # Worker attach: map the spill file, re-check its digest, rebuild
+    # the job views.  The file was just written, so its pages are in the
+    # page cache; each round starts a fresh worker.
+    attach = []
+    with _PublishedTraces(traces, {"t": digest}, 1) as published:
+        for _ in range(ATTACH_ROUNDS):
+            with multiprocessing.get_context("spawn").Pool(1) as pool:
+                attach.append(pool.apply(_timed_attach, (published.sources["t"],)))
+    attach_first_s = statistics.median(first for first, _ in attach)
+    attach_repeat_s = statistics.median(repeat for _, repeat in attach)
     # What each worker would receive if the job objects were pickled.
     pickled_bytes = len(pickle.dumps(list(trace)))
 
@@ -221,8 +231,7 @@ def test_columnar_fanout(benchmark, once, tmp_path, monkeypatch):
         trace_cache = server.trace_cache.stats()
     path_digests["service"] = [reply.event_digest]
 
-    shm2 = shipping["shared_memory"][2]
-    shm4 = shipping["shared_memory"][4]
+    ship2, ship4 = shipping[2], shipping[4]
     report = {
         "trace_jobs": len(trace),
         "trace_digest": digest,
@@ -234,6 +243,9 @@ def test_columnar_fanout(benchmark, once, tmp_path, monkeypatch):
         "binary_parse_speedup": json_s / bin_s,
         "shipping": shipping,
         "pickled_trace_bytes": pickled_bytes,
+        "attach_rounds": ATTACH_ROUNDS,
+        "attach_first_seconds": attach_first_s,
+        "attach_repeat_seconds": attach_repeat_s,
         "service_first_request_seconds": first_s,
         "service_cached_trace_request_seconds": second_s,
         "service_trace_cache": {
@@ -249,9 +261,11 @@ def test_columnar_fanout(benchmark, once, tmp_path, monkeypatch):
         f"\nJSON parse        : {json_s * 1e3:.1f}ms ({json_bytes:,} bytes)"
         f"\nbinary load       : {bin_s * 1e3:.1f}ms ({bin_bytes:,} bytes, "
         f"{json_s / bin_s:.0f}x faster)"
-        f"\nshm per-worker    : {shm2['bytes_per_worker']} B at 2w, "
-        f"{shm4['bytes_per_worker']} B at 4w "
-        f"(payload {shm4['payload_bytes']:,} B once)"
+        f"\nper-worker bytes  : {ship2['bytes_per_worker']} B at 2w, "
+        f"{ship4['bytes_per_worker']} B at 4w "
+        f"(payload {ship4['payload_bytes']:,} B once)"
+        f"\nworker attach     : {attach_first_s * 1e3:.1f}ms first, "
+        f"{attach_repeat_s * 1e3:.1f}ms repeat (median of {ATTACH_ROUNDS})"
         f"\npickled job list  : {pickled_bytes:,} B"
         f"\nservice trace LRU : {trace_cache.hits} hit(s), "
         f"{trace_cache.misses} miss(es)"
@@ -266,13 +280,11 @@ def test_columnar_fanout(benchmark, once, tmp_path, monkeypatch):
     # Binary load must beat the JSON parse outright.
     assert bin_s < json_s
 
-    # O(1) shipping: the shared payload does not grow with the worker
-    # count, and the per-worker descriptor stays far below the pickled
-    # job list.
-    assert shm4["payload_bytes"] == shm2["payload_bytes"]
-    assert shm4["bytes_per_worker"] == shm2["bytes_per_worker"]
-    assert shm4["bytes_per_worker"] < pickled_bytes / 100
-    assert shipping["tempfile"][4]["payload_bytes"] == shm4["payload_bytes"]
+    # O(1) shipping: the spill file does not grow with the worker count,
+    # and the per-worker path stays far below the pickled job list.
+    assert ship4["payload_bytes"] == ship2["payload_bytes"] == bin_bytes
+    assert ship4["bytes_per_worker"] == ship2["bytes_per_worker"]
+    assert ship4["bytes_per_worker"] < pickled_bytes / 100
 
     # The service's second request was served from the parsed-trace LRU.
     assert trace_cache.misses == 1 and trace_cache.hits >= 1

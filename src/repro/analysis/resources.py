@@ -1,10 +1,10 @@
 """Resource-safety analysis: the RES rule family.
 
-The parallel executor hands trace payloads around as
-``multiprocessing.shared_memory`` segments and spill files, and both
-cache layers sit on sqlite.  A segment that leaks on an exception path
-is not a theoretical concern: the OS keeps ``/dev/shm`` backing alive
-until ``unlink()``, so a crashed sweep leaves memory pinned until
+The parallel executor hands trace payloads to its workers as spill
+files, and both cache layers sit on sqlite.  A
+``multiprocessing.shared_memory`` segment that leaks on an exception
+path is not a theoretical concern: the OS keeps ``/dev/shm`` backing alive
+until ``unlink()``, so a crashed process leaves memory pinned until
 reboot.  This module tracks acquire/release pairs along
 :mod:`repro.analysis.cfg` paths:
 

@@ -10,13 +10,13 @@ single contiguous float64 buffer, with small per-job metadata columns
 (``array`` module vectors) describing where each phase's span sits.
 
 The crucial property is that the buffer never needs to be owned by this
-process: it can be an in-process ``array('d')``, an ``mmap`` of a
-binary trace file, or a ``multiprocessing.shared_memory`` segment —
-:meth:`TraceColumns.jobs` rebuilds :class:`~repro.core.job.TraceJob`
-objects whose :class:`~repro.core.job.JobProfile` arrays are *views*
-into that buffer (``numpy.frombuffer``), so "parsing" a trace the
-second time is O(jobs), not O(task durations), and N workers mapping
-the same segment share one physical copy of the durations.
+process: it can be an in-process ``array('d')`` or an ``mmap`` of a
+binary trace file — :meth:`TraceColumns.jobs` rebuilds
+:class:`~repro.core.job.TraceJob` objects whose
+:class:`~repro.core.job.JobProfile` arrays are *views* into that buffer
+(``numpy.frombuffer``), so "parsing" a trace the second time is
+O(jobs), not O(task durations), and N workers mapping the same file
+share one physical copy of the durations in the page cache.
 
 Schedulers, the engine and the results layer are unchanged: a view-built
 ``TraceJob`` is indistinguishable from a loaded one (same types, same
@@ -73,8 +73,7 @@ class TraceColumns:
 
     ``data`` is any object exposing the buffer protocol over the
     contiguous float64 durations; ``owner`` (optional) is kept alive so
-    a backing ``mmap`` or shared-memory segment cannot be collected
-    while views into it exist.
+    a backing ``mmap`` cannot be collected while views into it exist.
 
     Identical duration vectors are stored once (content deduplication):
     a trace replaying one recorded profile 500 times carries one copy
@@ -232,7 +231,7 @@ class TraceColumns:
 
         O(jobs) object construction; no duration is copied.  The views
         keep :attr:`data` (and :attr:`owner`) alive, so the backing
-        mmap / shared-memory segment outlives every returned job.
+        mmap outlives every returned job.
         """
         raw = memoryview(self.data).cast("B")
         return [self._job(i, raw) for i in range(len(self.names))]

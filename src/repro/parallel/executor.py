@@ -24,14 +24,13 @@ already had and must keep:
 
 Tasks cross the process boundary as plain picklable data: schedulers
 as symbolic :class:`SchedulerSpec` names resolved inside the worker,
-traces as *references into shared storage*.  Each distinct trace is
-packed once into the compact binary format
-(:mod:`repro.trace.binfmt`) and published under its content digest in a
-``multiprocessing.shared_memory`` segment (fallback: a temporary file,
-``mmap``-ed read-only by each worker); workers attach lazily and
-rebuild zero-copy :class:`~repro.core.columns.TraceColumns` views, so
-the bytes shipped per worker are O(1) in the trace size and all workers
-share one physical copy of the durations.
+traces as *paths to spill files*.  Each distinct trace is packed once
+into the compact binary format (:mod:`repro.trace.binfmt`) under its
+content digest and written to a temporary ``.simmr`` file; workers
+``mmap`` it read-only on first use, re-check its digest and rebuild
+zero-copy :class:`~repro.core.columns.TraceColumns` views, so the bytes
+shipped per worker are O(1) in the trace size and the page cache holds
+one physical copy of the durations for all workers.
 
 In-process factories (``SchedulerSpec.inline``) are supported for
 ad-hoc policies but always execute in the parent and bypass the cache —
@@ -279,14 +278,13 @@ def _execute(
 # worker-process plumbing
 # --------------------------------------------------------------------------- #
 
-#: One published trace: how a worker can reach its bytes.
-#: ``("shm", segment_name, nbytes)`` / ``("file", path, nbytes)``.
-_TraceSource = tuple
+#: One published trace: the path of its ``.simmr`` spill file.
+_TraceSource = str
 
 #: Per-worker source table (installed by the pool initializer) and the
-#: traces already attached and decoded in this worker.  Shared-memory
-#: segments and mmaps are pinned in ``_WORKER_OWNERS`` for the worker's
-#: lifetime — the decoded jobs are views into them.
+#: traces already attached and decoded in this worker.  The mmaps are
+#: pinned in ``_WORKER_OWNERS`` for the worker's lifetime — the decoded
+#: jobs are views into them.
 _WORKER_SOURCES: dict[str, _TraceSource] = {}
 _WORKER_TRACES: dict[str, Sequence[TraceJob]] = {}
 _WORKER_OWNERS: list[object] = []
@@ -297,35 +295,6 @@ def _init_worker(sources: dict[str, _TraceSource]) -> None:
     _WORKER_SOURCES.update(sources)
     _WORKER_TRACES.clear()
     _WORKER_OWNERS.clear()
-
-
-def _attach_shared_memory(name: str, nbytes: int) -> Sequence[TraceJob]:
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=name)
-    # Pin the segment for the worker's lifetime *before* anything below
-    # can raise: once in _WORKER_OWNERS the handle has an owner, so an
-    # exception past this point cannot strand an unreferenced mapping.
-    _WORKER_OWNERS.append(segment)
-    # CPython registers the segment with the resource tracker on attach
-    # as well as on create (bpo-39959).  fork/forkserver children share
-    # the parent's tracker, so their registration is an idempotent no-op
-    # and must stay; a spawn child runs its *own* tracker, which would
-    # unlink the parent's segment when the child exits — take that
-    # registration back out.  The parent owns the lifetime either way.
-    if multiprocessing.get_start_method(allow_none=True) == "spawn":
-        try:  # pragma: no cover - depends on stdlib internals
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
-    from ..trace.binfmt import unpack_columns
-
-    columns, _digest = unpack_columns(
-        memoryview(segment.buf)[:nbytes], owner=segment
-    )
-    return columns.jobs()
 
 
 def _attach_file(path: str) -> Sequence[TraceJob]:
@@ -340,11 +309,7 @@ def _worker_trace(trace_id: str) -> Sequence[TraceJob]:
     """The worker-local trace for ``trace_id``, attached and decoded once."""
     trace = _WORKER_TRACES.get(trace_id)
     if trace is None:
-        source = _WORKER_SOURCES[trace_id]
-        if source[0] == "shm":
-            trace = _attach_shared_memory(source[1], source[2])
-        else:
-            trace = _attach_file(source[1])
+        trace = _attach_file(_WORKER_SOURCES[trace_id])
         _WORKER_TRACES[trace_id] = trace
     return trace
 
@@ -366,13 +331,12 @@ def _run_in_worker(item: tuple[int, SimTask, int, bool]) -> tuple[int, dict[str,
 class FanoutStats:
     """How the last pool fan-out shipped its traces (perf accounting).
 
-    ``payload_bytes`` counts the trace bytes that exist *once* in
-    shared storage (binary-packed traces in shared memory or tempfiles).
-    ``bytes_per_worker`` is what actually crosses each worker's process
-    boundary via the pool initializer: segment names and sizes.
+    ``payload_bytes`` counts the trace bytes that exist *once*, in the
+    binary-packed spill files.  ``bytes_per_worker`` is what actually
+    crosses each worker's process boundary via the pool initializer:
+    the spill-file paths.
     """
 
-    transport: str
     traces: int
     workers: int
     payload_bytes: int
@@ -380,12 +344,11 @@ class FanoutStats:
 
     @property
     def total_shipped_bytes(self) -> int:
-        """Bytes moved in total: shared payload + per-worker copies."""
+        """Bytes moved in total: the payload once + per-worker copies."""
         return self.payload_bytes + self.bytes_per_worker * self.workers
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "transport": self.transport,
             "traces": self.traces,
             "workers": self.workers,
             "payload_bytes": self.payload_bytes,
@@ -407,14 +370,12 @@ def last_fanout_stats() -> Optional[FanoutStats]:
 
 
 class _PublishedTraces:
-    """Parent-side shared storage for one pool's traces.
+    """Parent-side spill files for one pool's traces.
 
     Packs each trace once (binary format) under the digest the caller
-    already computed, publishes it in shared memory, or in a temporary
-    file (``mmap``-ed by workers) where shared memory is unavailable,
-    and tears the storage down in :meth:`close` after the pool has
-    exited.  Each worker's decode re-checks that digest against the
-    bytes it maps.
+    already computed, writes it to a temporary ``.simmr`` file, and
+    deletes the files in :meth:`close` after the pool has exited.  Each
+    worker's decode re-checks that digest against the bytes it maps.
     """
 
     def __init__(
@@ -426,64 +387,35 @@ class _PublishedTraces:
         from ..trace.binfmt import pack_columns
 
         self.sources: dict[str, _TraceSource] = {}
-        self._segments: list[Any] = []
         self._files: list[str] = []
         payload_bytes = 0
-        used: set[str] = set()
         try:
             for trace_id, trace in traces.items():
                 payload = pack_columns(
                     TraceColumns.from_trace(trace), digests[trace_id]
                 )
                 payload_bytes += len(payload)
-                try:
-                    self.sources[trace_id] = self._publish_shm(payload)
-                    used.add("shared_memory")
-                except (ImportError, OSError):
-                    self.sources[trace_id] = self._publish_file(payload)
-                    used.add("tempfile")
+                fd, path = tempfile.mkstemp(prefix="simmr-trace-", suffix=".simmr")
+                # The path joins its cleanup owner before the write that
+                # could fail part-way.
+                self._files.append(path)
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(payload)
+                self.sources[trace_id] = path
         except BaseException:
-            # A failure publishing trace N must not strand segments and
-            # spill files already published for traces 1..N-1: the
-            # context manager is never entered, so clean up here.
+            # A failure publishing trace N must not strand the spill
+            # files already written for traces 1..N-1: the context
+            # manager is never entered, so clean up here.
             self.close()
             raise
         self.stats = FanoutStats(
-            transport="+".join(sorted(used)) if used else "none",
             traces=len(self.sources),
             workers=workers,
             payload_bytes=payload_bytes,
             bytes_per_worker=len(pickle.dumps(self.sources)),
         )
 
-    def _publish_shm(self, payload: bytes) -> _TraceSource:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=len(payload))
-        # Register with the cleanup list before the (fallible) copy into
-        # the mapping, so close() releases the segment even when the
-        # write below raises.
-        self._segments.append(segment)
-        segment.buf[:len(payload)] = payload
-        return ("shm", segment.name, len(payload))
-
-    def _publish_file(self, payload: bytes) -> _TraceSource:
-        fd, path = tempfile.mkstemp(prefix="simmr-trace-", suffix=".simmr")
-        # Same ordering as _publish_shm: the path joins its cleanup
-        # owner before the write that could fail part-way.
-        self._files.append(path)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        return ("file", path, len(payload))
-
     def close(self) -> None:
-        for segment in self._segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
         for path in self._files:
             try:
                 os.unlink(path)
@@ -522,8 +454,8 @@ def simulate_many(
         ``<= 1`` runs in-process (no pool); ``N > 1`` fans uncached
         tasks out over ``N`` worker processes.  Both paths produce
         event-digest-identical results.  Each trace reaches the
-        workers once, through shared memory (or a tempfile where shared
-        memory is unavailable).
+        workers once, as a ``.simmr`` spill file that every worker
+        maps.
     cache:
         ``None``/``False`` disables caching; ``True`` opens the default
         cache file (:func:`~repro.parallel.cache.default_cache_path`);

@@ -87,7 +87,7 @@ def trace_digest(trace: Sequence["TraceJob"]) -> str:
     ``-0.0`` and ``0.0`` differ in both.  The digest reads each job's
     own vectors, so it does not depend on how
     :class:`~repro.core.columns.TraceColumns` deduplicates them or
-    where their buffer lives (heap, ``mmap``, shared memory).
+    where their buffer lives (heap or ``mmap``).
     :mod:`repro.parallel` keys its content-addressed result cache on
     this together with the scheduler and engine configuration, and the
     ``.simmr`` header records it.

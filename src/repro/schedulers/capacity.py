@@ -19,6 +19,7 @@ running sums kept as events change them.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..core.job import Job
@@ -36,7 +37,7 @@ class CapacityScheduler(ShareSchedulerMixin, Scheduler):
     ----------
     capacities:
         Queue name -> guaranteed capacity fraction.  Fractions must be
-        positive; they are normalized, so they need not sum to 1.
+        finite and positive; they are normalized, so they need not sum to 1.
     queue_of:
         Maps a job to a queue name.  Jobs mapping to an unknown queue go
         to ``default_queue``.
@@ -55,8 +56,10 @@ class CapacityScheduler(ShareSchedulerMixin, Scheduler):
         if not capacities:
             raise ValueError("at least one queue capacity is required")
         total = float(sum(capacities.values()))
-        if total <= 0 or any(c <= 0 for c in capacities.values()):
-            raise ValueError("queue capacities must be positive")
+        if not math.isfinite(total) or any(
+            not (math.isfinite(c) and c > 0) for c in capacities.values()
+        ):
+            raise ValueError("queue capacities must be finite and positive")
         self.capacities: dict[str, float] = {q: c / total for q, c in capacities.items()}
         self.default_queue = default_queue if default_queue is not None else next(iter(capacities))
         if self.default_queue not in self.capacities:

@@ -24,6 +24,7 @@ per-user running sums kept as events change them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -45,10 +46,14 @@ class UserAccount:
     spent: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.budget < 0:
+        # Written so that NaN fails each check; an infinite budget (the
+        # default account's) stays valid.
+        if not self.budget >= 0:
             raise ValueError(f"user {self.name!r}: budget must be >= 0")
-        if self.spending_rate <= 0:
-            raise ValueError(f"user {self.name!r}: spending rate must be > 0")
+        if not (math.isfinite(self.spending_rate) and self.spending_rate > 0):
+            raise ValueError(
+                f"user {self.name!r}: spending rate must be finite and > 0"
+            )
 
     @property
     def remaining(self) -> float:
@@ -92,6 +97,7 @@ class DynamicPriorityScheduler(ShareSchedulerMixin, Scheduler):
     ) -> None:
         self.user_of: UserFn = user_of or _default_user
         self._default = default_account
+        UserAccount("default", *default_account)  # reject bad terms now
         self.accounts: dict[str, UserAccount] = {}
         for name, acct in (accounts or {}).items():
             if isinstance(acct, tuple):

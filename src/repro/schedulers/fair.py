@@ -33,6 +33,7 @@ Digest identity with the object path is asserted in
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from ..core.job import Job
@@ -79,8 +80,10 @@ class FairScheduler(ShareSchedulerMixin, Scheduler):
         self.pool_of: PoolFn = pool_of or _default_pool
         self.weights: dict[str, float] = dict(weights or {})
         for pool, w in self.weights.items():
-            if w <= 0:
-                raise ValueError(f"pool {pool!r} has non-positive weight {w}")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(
+                    f"pool {pool!r} weight must be finite and positive, got {w}"
+                )
         self.preemptive = preemptive
         if preemptive:
             self.name = "Fair+P"

@@ -226,8 +226,8 @@ def unpack_columns(
     Returns ``(columns, digest)`` where ``columns.data`` is a
     *memoryview into* ``data`` — no duration bytes are copied.  Pass
     ``owner`` to pin the object that must stay alive for the buffer to
-    remain valid (an ``mmap``, a shared-memory segment); it is stored
-    on the returned columns.  Raises ``ValueError`` when the header
+    remain valid (an ``mmap``, say); it is stored on the returned
+    columns.  Raises ``ValueError`` when the header
     digest does not match the decoded content, or when a ``depends_on``
     edge is out of range, points at its own job or closes a cycle.
     """

@@ -35,6 +35,22 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def spill_files(monkeypatch) -> list[str]:
+    """Paths of the spill files the pool executor publishes during the test."""
+    from repro.parallel.executor import _PublishedTraces
+
+    paths: list[str] = []
+    real_init = _PublishedTraces.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        paths.extend(self.sources.values())
+
+    monkeypatch.setattr(_PublishedTraces, "__init__", recording_init)
+    return paths
+
+
+@pytest.fixture
 def cluster64() -> ClusterConfig:
     """The paper's testbed shape: 64 map + 64 reduce slots."""
     return ClusterConfig(64, 64)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from repro.core import ClusterConfig, Job, TraceJob, simulate
 from repro.schedulers import (
     CapacityScheduler,
     CappedFIFOScheduler,
+    DynamicPriorityScheduler,
     FairScheduler,
     FIFOScheduler,
     MaxEDFScheduler,
     MinEDFScheduler,
+    UserAccount,
     make_scheduler,
 )
 
@@ -301,6 +305,30 @@ class TestCapacity:
         sched = CapacityScheduler({"a": 1.0}, queue_of=lambda j: "a")
         jobs = make_jobs((5.0, None), (1.0, None))
         assert sched.choose_next_map_task(jobs).job_id == 1
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: FairScheduler(weights={"Sort": math.nan}), id="fair-nan"),
+    pytest.param(lambda: FairScheduler(weights={"Sort": math.inf}), id="fair-inf"),
+    pytest.param(lambda: CapacityScheduler({"a": math.nan, "b": 1}), id="capacity-nan"),
+    pytest.param(lambda: CapacityScheduler({"a": math.inf, "b": 1}), id="capacity-inf"),
+    pytest.param(lambda: UserAccount("u", math.nan, math.nan), id="account-nan"),
+    pytest.param(lambda: UserAccount("u", 1.0, math.nan), id="account-rate-nan"),
+    pytest.param(lambda: UserAccount("u", math.inf, math.inf), id="account-rate-inf"),
+    pytest.param(lambda: UserAccount("u", -1.0, 1.0), id="account-budget-negative"),
+    pytest.param(
+        lambda: DynamicPriorityScheduler({"u": (math.nan, 1.0)}), id="dp-account-nan"
+    ),
+    pytest.param(
+        lambda: DynamicPriorityScheduler(default_account=(math.inf, math.nan)),
+        id="dp-default-nan",
+    ),
+])
+def test_share_parameters_must_be_finite(build):
+    """NaN compares False with everything, so a `w <= 0` guard let it
+    through, and the two engines then disagreed on the schedule."""
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestRegistry:

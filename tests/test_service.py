@@ -9,6 +9,8 @@ and graceful drain with jobs still in flight.
 
 from __future__ import annotations
 
+import json
+import math
 import threading
 from pathlib import Path
 
@@ -133,6 +135,16 @@ class TestProtocol:
         doc["config"]["slowstart"] = 1.5
         with pytest.raises(ProtocolError, match="slowstart"):
             parse_request(doc)
+
+    def test_rejects_nan_share_weight(self, trace):
+        # The server reads bodies with json.loads, which accepts a bare NaN.
+        doc = self.doc(trace)
+        doc["scheduler"] = json.loads(
+            '{"kind":"registry","name":"fair","kwargs":{"weights":{"Sort":NaN}}}'
+        )
+        with pytest.raises(ProtocolError, match="cannot build scheduler") as excinfo:
+            parse_request(doc)
+        assert excinfo.value.status == 400
 
     def test_trace_path_requires_root(self, trace):
         with pytest.raises(ProtocolError) as excinfo:
@@ -347,6 +359,15 @@ class TestServiceEndToEnd:
         )
         assert status == 400
         assert b"error" in payload
+
+    def test_nan_share_weight_is_400(self, server, trace):
+        doc = request_document(trace=trace)
+        doc["scheduler"] = {
+            "kind": "registry", "name": "fair", "kwargs": {"weights": {"Sort": math.nan}}
+        }
+        status, _, payload = ServiceClient(server.url)._request("/simulate", doc)
+        assert status == 400
+        assert b"weight must be finite" in payload
 
     def test_unknown_endpoint_404(self, client):
         status, _, _ = client._request("/nope", {"x": 1})

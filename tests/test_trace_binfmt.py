@@ -5,8 +5,8 @@ single sentence: *every representation of a trace is the same trace* —
 same ``trace_digest``, bit-for-bit identical durations, and identical
 ``event_digest`` when replayed.  These tests pin that sentence across
 JSON ↔ binary ↔ columnar ↔ sqlite round-trips, the executor's
-shared-memory transport and its tempfile fallback, the service's trace cache,
-and the error paths of the binary parser.
+spill-file fan-out, the service's trace cache, and the error paths of the
+binary parser.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class TestBinaryFormat:
 
 
 # --------------------------------------------------------------------------- #
-# executor transports
+# executor fan-out through spill files
 # --------------------------------------------------------------------------- #
 
 class TestTransports:
@@ -264,67 +264,65 @@ class TestTransports:
         ]
         return {"t": trace}, tasks
 
-    def test_all_transports_digest_identical(self, sweep, monkeypatch):
-        traces, tasks = sweep
+    def _serial_digests(self, traces, tasks):
         reference = [
             o.result.event_digest
             for o in simulate_many(traces, tasks, workers=0, cache=None)
         ]
         assert all(reference)
-        shared = simulate_many(traces, tasks, workers=2, cache=None)
-        assert last_fanout_stats().transport == "shared_memory"
-        assert [o.result.event_digest for o in shared] == reference
-        _refuse_shared_memory(monkeypatch)
-        fallback = simulate_many(traces, tasks, workers=2, cache=None)
-        assert last_fanout_stats().transport == "tempfile"
-        assert [o.result.event_digest for o in fallback] == reference
+        return reference
+
+    def test_pool_digests_identical_to_serial(self, sweep):
+        traces, tasks = sweep
+        reference = self._serial_digests(traces, tasks)
+        pooled = simulate_many(traces, tasks, workers=2, cache=None)
+        assert [o.result.event_digest for o in pooled] == reference
 
     def test_shared_transports_ship_o1_bytes(self, sweep):
         import pickle
 
         traces, tasks = sweep
         simulate_many(traces, tasks, workers=2, cache=None)
-        shm = last_fanout_stats()
-        # Shared memory ships the trace once; per-worker bytes are just
-        # the (name, size) descriptors — orders of magnitude below the
-        # pickled job list each worker would otherwise receive.
-        assert shm.transport == "shared_memory"
-        assert shm.bytes_per_worker < len(pickle.dumps(list(traces["t"]))) / 10
+        stats = last_fanout_stats()
+        # The trace is written once; per-worker bytes are just the spill
+        # file paths — orders of magnitude below the pickled job list
+        # each worker would otherwise receive.
+        assert stats.traces == 1 and stats.workers == 2
+        assert stats.bytes_per_worker < len(pickle.dumps(list(traces["t"]))) / 10
 
-    def test_no_shared_storage_leaks(self, sweep, monkeypatch):
+    def test_no_shared_storage_leaks(self, sweep, spill_files):
         import os
 
-        from repro.parallel.executor import _PublishedTraces
-
-        # Only the storage these sweeps published: other processes on
-        # the host may hold segments and spill files of their own.
-        published: list[tuple[str, str, int]] = []
-        real_init = _PublishedTraces.__init__
-
-        def recording_init(self, *args, **kwargs):
-            real_init(self, *args, **kwargs)
-            published.extend(self.sources.values())
-
-        monkeypatch.setattr(_PublishedTraces, "__init__", recording_init)
         traces, tasks = sweep
         simulate_many(traces, tasks, workers=2, cache=None)
-        _refuse_shared_memory(monkeypatch)
-        simulate_many(traces, tasks, workers=2, cache=None)
-        assert last_fanout_stats().transport == "tempfile"
-        assert sorted(kind for kind, _, _ in published) == ["file", "shm"]
-        for kind, name, _ in published:
-            path = name if kind == "file" else os.path.join("/dev/shm", name.lstrip("/"))
-            assert not os.path.exists(path), (kind, name)
+        assert len(spill_files) == 1
+        assert not os.path.exists(spill_files[0])
 
+    def test_spawn_workers_digest_identical_and_leave_no_spill_file(
+        self, sweep, spill_files, monkeypatch
+    ):
+        """A spawned worker runs fresh imports and its own resource
+        tracker; the fan-out must not depend on inheriting the parent."""
+        import multiprocessing
+        import os
 
-def _refuse_shared_memory(monkeypatch):
-    """Make shared memory unavailable, so traces take the tempfile fallback."""
-    from repro.parallel.executor import _PublishedTraces
+        from repro.parallel import executor
 
-    def refuse(self, payload):
-        raise OSError("shared memory unavailable")
+        real_get_context = multiprocessing.get_context
+        contexts = []
 
-    monkeypatch.setattr(_PublishedTraces, "_publish_shm", refuse)
+        def spawn_context(method=None):
+            contexts.append(real_get_context("spawn"))
+            return contexts[-1]
+
+        monkeypatch.setattr(executor.multiprocessing, "get_context", spawn_context)
+        traces, tasks = sweep
+        reference = self._serial_digests(traces, tasks)
+        pooled = simulate_many(traces, tasks, workers=2, cache=None)
+        assert [c.get_start_method() for c in contexts] == ["spawn"]
+        assert [o.result.event_digest for o in pooled] == reference
+        assert len(spill_files) == 1
+        assert not os.path.exists(spill_files[0])
 
 
 # --------------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -258,21 +259,13 @@ class TestOneDigestEverywhere:
         simulate_many({"t": rich_trace()}, tasks, workers=2, cache=None)
         assert calls == [4]
 
-    def test_executor_shared_memory_segment(self, monkeypatch):
+    def test_executor_spill_file(self, monkeypatch):
         trace = rich_trace()
         digest = trace_digest(trace)
         monkeypatch.setattr(executor, "_WORKER_OWNERS", [])
-        try:
-            with executor._PublishedTraces({"t": trace}, {"t": digest}, 2) as published:
-                kind, name, nbytes = published.sources["t"]
-                if kind != "shm":
-                    pytest.skip("shared memory unavailable")
-                attached = executor._attach_shared_memory(name, nbytes)
-                assert trace_digest(attached) == digest
-                del attached
-        finally:
-            for segment in executor._WORKER_OWNERS:
-                segment.close()
+        with executor._PublishedTraces({"t": trace}, {"t": digest}, 2) as published:
+            attached = executor._attach_file(published.sources["t"])
+            assert trace_digest(attached) == digest
 
 
 # --------------------------------------------------------------------------- #
@@ -311,7 +304,7 @@ class TestHeaderDigestVerified:
             )
         assert excinfo.value.status == 400
 
-    def test_shared_memory_fanout_rejects_content_mismatch(self, monkeypatch):
+    def test_spill_file_fanout_rejects_content_mismatch(self, monkeypatch, spill_files):
         real_pack = binfmt.pack_columns
         monkeypatch.setattr(
             binfmt, "pack_columns", lambda columns, digest: corrupt(real_pack(columns, digest))
@@ -323,6 +316,10 @@ class TestHeaderDigestVerified:
         ]
         with pytest.raises(ValueError, match=MISMATCH):
             simulate_many({"t": trace}, tasks, workers=2, cache=None)
+        # The worker's error reaches the parent only after the spill
+        # file it refused has been deleted.
+        assert len(spill_files) == 1
+        assert not os.path.exists(spill_files[0])
 
     def test_version_one_is_refused_with_repack_hint(self):
         payload = bytearray(pack_trace(rich_trace()))
