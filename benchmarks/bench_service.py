@@ -7,6 +7,10 @@ The service's tentpole claims, measured end to end over real HTTP:
   :func:`simulate_many`;
 * **reuse** — replaying the same request mix against a warm cache is
   answered without a single re-simulation (and much faster);
+* **the trace crosses the wire once** — each phase records the request
+  body bytes its clients sent: a client names the trace by digest and
+  sends it inline only when the server does not hold it, so the warm
+  phase sends references alone;
 * **backpressure is bounded** — the numbers here come from an
   *unsaturated* server; the 503 path is pinned by ``tests/test_service.py``.
 
@@ -23,7 +27,12 @@ from pathlib import Path
 from repro.core import ClusterConfig
 from repro.core.walltime import elapsed_since, perf_seconds
 from repro.parallel import SchedulerSpec, SimTask, simulate_many
-from repro.service import ServiceClient, ServiceConfig, SimulationServer
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    SimulationServer,
+    request_document,
+)
 from repro.trace.arrivals import ExponentialArrivals
 from repro.trace.synthetic import SyntheticTraceGen
 from repro.workloads.apps import make_app_specs
@@ -46,15 +55,34 @@ def make_trace():
     return gen.generate(TRACE_JOBS)
 
 
-def run_phase(url: str, trace, requests) -> tuple[float, list]:
-    """Fire ``requests`` from CLIENT_THREADS concurrent clients."""
+class CountingClient(ServiceClient):
+    """A client that adds the bytes of each request body it sends to
+    ``sent[0]`` (the count re-encodes the body, outside the server)."""
+
+    def __init__(self, url: str, sent: list[int], lock: threading.Lock) -> None:
+        super().__init__(url, timeout=300.0)
+        self._sent = sent
+        self._sent_lock = lock
+
+    def _request(self, path, body=None):
+        if body is not None:
+            size = len(json.dumps(body).encode())
+            with self._sent_lock:
+                self._sent[0] += size
+        return super()._request(path, body)
+
+
+def run_phase(url: str, trace, requests) -> tuple[float, list, int]:
+    """Fire ``requests`` from CLIENT_THREADS concurrent clients; return
+    the seconds, the replies and the request body bytes sent."""
     replies: list = [None] * len(requests)
     errors: list[BaseException] = []
     lock = threading.Lock()
     cursor = [0]
+    sent = [0]
 
     def worker() -> None:
-        client = ServiceClient(url, timeout=300.0)
+        client = CountingClient(url, sent, lock)
         while True:
             with lock:
                 if cursor[0] >= len(requests):
@@ -78,7 +106,7 @@ def run_phase(url: str, trace, requests) -> tuple[float, list]:
         t.join()
     seconds = elapsed_since(start)
     assert not errors, errors
-    return seconds, replies
+    return seconds, replies, sent[0]
 
 
 def test_service_throughput(benchmark, once):
@@ -114,8 +142,10 @@ def test_service_throughput(benchmark, once):
         )
         with SimulationServer(config).start() as server:
             # Headline number via the shared harness: the cold phase.
-            cold_s, cold = once(benchmark, run_phase, server.url, trace, requests)
-            warm_s, warm = run_phase(server.url, trace, requests)
+            cold_s, cold, cold_bytes = once(
+                benchmark, run_phase, server.url, trace, requests
+            )
+            warm_s, warm, warm_bytes = run_phase(server.url, trace, requests)
             metrics_page = ServiceClient(server.url).metrics()
 
     cold_rps = len(requests) / cold_s
@@ -134,6 +164,9 @@ def test_service_throughput(benchmark, once):
         "warm_requests_per_second": warm_rps,
         "warm_speedup": cold_s / warm_s,
         "warm_cache_hit_rate": hit_rate,
+        "cold_request_bytes": cold_bytes,
+        "warm_request_bytes": warm_bytes,
+        "inline_trace_bytes": len(json.dumps(request_document(trace=trace)).encode()),
         "digests_identical_to_local": True,
     }
     (REPO_ROOT / "BENCH_service.json").write_text(json.dumps(report, indent=2) + "\n")
@@ -144,6 +177,7 @@ def test_service_throughput(benchmark, once):
         f"\ncold (simulating) : {cold_s:.2f}s ({cold_rps:.1f} req/s)"
         f"\nwarm (cache)      : {warm_s:.2f}s ({warm_rps:.1f} req/s, "
         f"{hit_rate:.0%} hits, {cold_s / warm_s:.1f}x)"
+        f"\nrequest bytes     : cold {cold_bytes}, warm {warm_bytes}"
     )
 
     # Identity: the service replays exactly what a local run replays.
@@ -155,4 +189,8 @@ def test_service_throughput(benchmark, once):
     # Reuse: a warm request mix never re-simulates and outruns cold.
     assert hit_rate >= REQUIRED_WARM_HIT_RATE
     assert warm_s < cold_s
+
+    # The warm phase names the trace by digest in every request: all of
+    # it sends fewer bytes than the trace inline once.
+    assert warm_bytes < report["inline_trace_bytes"]
     assert 'simmr_requests_total{status="cached"}' in metrics_page

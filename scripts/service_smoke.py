@@ -7,8 +7,11 @@ the shipped entrypoint exactly the way an operator would:
 1. launch ``python -m repro serve --port 0`` as a subprocess;
 2. discover the ephemeral port from the stable "listening on" line;
 3. submit one registry replay and one ``policy`` replay (a built-in
-   example tree) over HTTP and assert each ``event_digest`` equals a
-   local :func:`simulate_many` replay of the same request;
+   example tree) of the same trace over HTTP and assert each
+   ``event_digest`` equals a local :func:`simulate_many` replay of the
+   same request, and that ``/metrics`` shows the second one found the
+   trace in the server's trace cache (the client named it by digest
+   and did not send it again);
 4. submit scheduler *source code* under the removed
    ``inline-certified`` kind and assert the unknown-kind 400, whose
    message points at ``policy`` (the only kind carrying user logic);
@@ -45,6 +48,9 @@ from repro.trace.synthetic import SyntheticTraceGen  # noqa: E402
 from repro.workloads.apps import make_app_specs  # noqa: E402
 
 LISTENING = re.compile(r"simmr service listening on (http://[\w.]+:\d+)")
+TRACE_CACHE_HITS = re.compile(
+    r'^simmr_trace_cache_lookups_total\{outcome="hit"\} (\d+)$', re.MULTILINE
+)
 STARTUP_LINES = 50  # give up if the banner has not appeared by then
 
 
@@ -107,6 +113,10 @@ def main() -> int:
             print(f"served policy digest: {reply.event_digest}")
             assert reply.event_digest == local_policy.result.event_digest, \
                 "service policy digest diverges from local replay"
+            hits = TRACE_CACHE_HITS.search(client.metrics())
+            print(f"trace cache hits: {hits and hits.group(1)}")
+            assert hits is not None and int(hits.group(1)) >= 1, \
+                "the repeat replay did not find its trace by digest"
 
             source = SchedulerSpec(
                 kind="inline-certified", name="TinyFifo",
@@ -132,8 +142,8 @@ def main() -> int:
                 proc.kill()
                 proc.wait()
 
-    print("service smoke OK: digests verified, scheduler source refused, "
-          "SIGTERM drained cleanly")
+    print("service smoke OK: digests verified, repeat trace sent by digest, "
+          "scheduler source refused, SIGTERM drained cleanly")
     return 0
 
 

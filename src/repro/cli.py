@@ -432,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="result-cache sqlite file (default: $SIMMR_CACHE_DIR/"
                      "results.sqlite or ~/.cache/simmr/results.sqlite)")
     srv.add_argument("--trace-cache-size", type=int, default=8,
-                     help="parsed-trace LRU capacity for trace_path requests "
-                     "(0 disables; default 8)")
+                     help="parsed-trace LRU capacity, trace_path files and "
+                     "inline traces together (0 disables; default 8)")
 
     sbm = sub.add_parser(
         "submit",

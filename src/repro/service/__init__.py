@@ -19,7 +19,13 @@ CLI: ``simmr serve`` / ``simmr submit``.  Guide: ``docs/service.md``.
 from .client import ServiceClient, ServiceError, ServiceRejected, ServiceReply
 from .jobs import JobManager, JobTicket, QueueFullError, ServiceClosedError
 from .metrics import ServiceMetrics
-from .protocol import ProtocolError, ReplayRequest, parse_request, request_document
+from .protocol import (
+    ProtocolError,
+    ReplayRequest,
+    UnknownTraceError,
+    parse_request,
+    request_document,
+)
 from .server import ServiceConfig, SimulationServer, install_signal_handlers
 from .tracecache import TraceCache, TraceCacheStats
 
@@ -39,6 +45,7 @@ __all__ = [
     "SimulationServer",
     "TraceCache",
     "TraceCacheStats",
+    "UnknownTraceError",
     "install_signal_handlers",
     "parse_request",
     "request_document",

@@ -8,6 +8,11 @@ the rebuilt :class:`~repro.core.results.SimulationResult` so the caller
 can assert the service result is byte-identical to a local replay —
 the service's core promise.
 
+An inline trace crosses the wire once per server: :meth:`ServiceClient.replay`
+first names the trace by its content digest, and sends it inline only
+when the server answers that it does not hold it (404 naming the
+digest).
+
 Backpressure is first-class: a 503 raises :class:`ServiceRejected`
 carrying the server's ``Retry-After``; pass ``max_retries`` to have
 :meth:`ServiceClient.replay` honour it with bounded retries instead.
@@ -27,6 +32,7 @@ from ..core.job import TraceJob
 from ..core.results import SimulationResult
 from ..core.results_io import result_from_dict
 from ..parallel.executor import SchedulerSpec
+from ..sanitize.digest import trace_digest
 from .protocol import request_document
 
 __all__ = ["ServiceClient", "ServiceError", "ServiceRejected", "ServiceReply"]
@@ -125,43 +131,65 @@ class ServiceClient:
     ) -> ServiceReply:
         """Submit one replay; block until its result (or an error) arrives.
 
-        ``max_retries`` bounds how many 503 rejections are absorbed by
-        sleeping the server's ``Retry-After`` and resubmitting; the
-        default 0 surfaces backpressure to the caller as
-        :class:`ServiceRejected`.
+        An inline ``trace`` is first sent as its ``trace_digest`` alone;
+        only when the server answers 404 naming that digest is the
+        trace sent inline, once.  ``max_retries`` bounds how many 503
+        rejections each send absorbs by sleeping the server's
+        ``Retry-After`` and resubmitting; the default 0 surfaces
+        backpressure to the caller as :class:`ServiceRejected`.
         """
-        doc = request_document(
-            trace=trace,
-            trace_path=trace_path,
+        fields: dict[str, Any] = dict(
             scheduler=scheduler,
             cluster=cluster,
             slowstart=slowstart,
             preemption=preemption,
             timeout=timeout,
         )
+        if trace is None:
+            doc = request_document(trace_path=trace_path, **fields)
+            status, payload = self._send(doc, max_retries)
+        else:
+            digest = trace_digest(trace)
+            doc = request_document(trace_digest=digest, trace_path=trace_path, **fields)
+            status, payload = self._send(doc, max_retries)
+            if status == 404 and self._unknown_digest(payload) == digest:
+                doc = request_document(trace=trace, **fields)
+                status, payload = self._send(doc, max_retries)
+        if status != 200:
+            raise ServiceError(status, self._error_message(payload))
+        reply = json.loads(payload)
+        seconds = reply.get("seconds", {})
+        return ServiceReply(
+            result=result_from_dict(reply["result"]),
+            cached=bool(reply["cached"]),
+            event_digest=reply.get("event_digest"),
+            key=reply.get("key"),
+            request_id=reply.get("request_id", ""),
+            queue_seconds=float(seconds.get("queue", 0.0)),
+            server_seconds=float(seconds.get("total", 0.0)),
+        )
+
+    def _send(self, doc: dict[str, Any], max_retries: int) -> tuple[int, bytes]:
+        """POST ``doc`` to /simulate, absorbing up to ``max_retries`` 503s."""
         attempts = max(0, max_retries) + 1
         for attempt in range(attempts):
             status, headers, payload = self._request("/simulate", doc)
-            if status == 503:
-                retry_after = float(headers.get("Retry-After", 1) or 1)
-                if attempt + 1 < attempts:
-                    self._sleep(retry_after)
-                    continue
+            if status != 503:
+                return status, payload
+            retry_after = float(headers.get("Retry-After", 1) or 1)
+            if attempt + 1 == attempts:
                 raise ServiceRejected(self._error_message(payload), retry_after)
-            if status != 200:
-                raise ServiceError(status, self._error_message(payload))
-            reply = json.loads(payload)
-            seconds = reply.get("seconds", {})
-            return ServiceReply(
-                result=result_from_dict(reply["result"]),
-                cached=bool(reply["cached"]),
-                event_digest=reply.get("event_digest"),
-                key=reply.get("key"),
-                request_id=reply.get("request_id", ""),
-                queue_seconds=float(seconds.get("queue", 0.0)),
-                server_seconds=float(seconds.get("total", 0.0)),
-            )
+            self._sleep(retry_after)
         raise AssertionError("unreachable")  # pragma: no cover
+
+    @staticmethod
+    def _unknown_digest(payload: bytes) -> Optional[str]:
+        """The ``trace_digest`` a 404 body names, if it names one."""
+        try:
+            digest = json.loads(payload).get("trace_digest")
+        except (ValueError, AttributeError):
+            return None
+        return digest if isinstance(digest, str) else None
 
     def metrics(self) -> str:
         """The raw ``/metrics`` page (Prometheus text format)."""

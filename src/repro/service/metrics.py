@@ -26,7 +26,11 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: ``simmr_requests_total`` statuses, pre-declared so every series shows
 #: up (as 0) from the first scrape — absent series confuse rate() queries.
-REQUEST_STATUSES = ("ok", "cached", "rejected", "invalid", "timeout", "error")
+#: ``unknown_trace`` is a ``trace_digest`` the server does not hold (404);
+#: the client then sends the trace inline.
+REQUEST_STATUSES = (
+    "ok", "cached", "rejected", "invalid", "unknown_trace", "timeout", "error",
+)
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -133,11 +137,12 @@ class ServiceMetrics:
             "# TYPE simmr_cache_hit_rate gauge",
             f"simmr_cache_hit_rate {hit_rate:.6f}",
             "# HELP simmr_trace_cache_lookups_total Parsed-trace LRU lookups "
-            "by outcome.",
+            "by outcome (trace_path and trace_digest requests).",
             "# TYPE simmr_trace_cache_lookups_total counter",
             f'simmr_trace_cache_lookups_total{{outcome="hit"}} {trace_cache_hits}',
             f'simmr_trace_cache_lookups_total{{outcome="miss"}} {trace_cache_misses}',
-            "# HELP simmr_trace_cache_entries Parsed traces currently held.",
+            "# HELP simmr_trace_cache_entries Parsed traces currently held "
+            "(by path and by digest).",
             "# TYPE simmr_trace_cache_entries gauge",
             f"simmr_trace_cache_entries {trace_cache_entries}",
             "# HELP simmr_request_latency_seconds Request latency "

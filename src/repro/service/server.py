@@ -41,7 +41,7 @@ from ..core.walltime import elapsed_since, perf_seconds
 from ..parallel.cache import ResultCache, default_cache_path
 from .jobs import JobManager, QueueFullError, ServiceClosedError
 from .metrics import PROMETHEUS_CONTENT_TYPE, ServiceMetrics
-from .protocol import ProtocolError, parse_request
+from .protocol import ProtocolError, UnknownTraceError, parse_request
 from .tracecache import TraceCache
 
 __all__ = ["ServiceConfig", "SimulationServer", "install_signal_handlers"]
@@ -72,8 +72,9 @@ class ServiceConfig:
     trace_root: Optional[Path] = None
     #: Server-side cap on one request's wall-clock budget (seconds).
     request_timeout: float = 120.0
-    #: Parsed-trace LRU capacity (distinct ``trace_path`` files held in
-    #: memory); 0 disables the trace cache.
+    #: Parsed-trace LRU capacity: ``trace_path`` files and inline traces
+    #: (by digest) held in memory together; 0 disables the trace cache,
+    #: so every ``trace_digest`` reference misses.
     trace_cache_size: int = 8
 
 
@@ -277,6 +278,15 @@ class _Handler(BaseHTTPRequestHandler):
                     },
                     "result": result_to_dict(outcome.result),
                 },
+                None,
+            )
+        except UnknownTraceError as exc:
+            # The client's cue to resend the trace inline.
+            return (
+                "unknown_trace",
+                exc.status,
+                {"error": str(exc), "request_id": request_id,
+                 "trace_digest": exc.digest},
                 None,
             )
         except ProtocolError as exc:

@@ -1,4 +1,4 @@
-"""In-service LRU of parsed traces: stat, don't re-parse.
+"""In-service LRU of parsed traces: stat, don't re-parse; send once.
 
 Every ``/simulate`` request naming a server-side ``trace_path`` used to
 re-read and re-parse the trace file, even though a replay service sees
@@ -11,6 +11,13 @@ the very next request.  Each entry also pins the trace's canonical
 content digest (:func:`~repro.sanitize.digest.trace_digest`), so a
 cache hit skips digest recomputation too and the executor/result-cache
 keys stay byte-identical to a cold load.
+
+The same LRU holds the inline traces requests carried, keyed by the
+digest the server computed after parsing them, so a client can name a
+trace it sent before (``trace_digest``) instead of sending it again.
+Both kinds of entry share one capacity bound.  A digest entry needs no
+validation: the digest *is* the content, and only the server ever
+writes one (:meth:`TraceCache.remember`).
 
 Binary traces (:mod:`repro.trace.binfmt`) get a second win on the cold
 path: loading one costs an ``mmap``, an O(jobs) header walk and one
@@ -35,6 +42,9 @@ from typing import Optional
 
 from ..core.job import TraceJob
 
+#: An LRU key: ``("path", resolved path)`` or ``("digest", hex digest)``.
+_Key = tuple[str, str]
+
 __all__ = ["TraceCache", "TraceCacheStats"]
 
 
@@ -51,33 +61,34 @@ class TraceCacheStats:
 
 @dataclass(frozen=True)
 class _Entry:
-    mtime_ns: int
-    size: int
     trace: tuple[TraceJob, ...]
     digest: str
+    #: ``(st_mtime_ns, st_size)`` of the file the trace was parsed from;
+    #: None for a trace remembered by digest.
+    stamp: Optional[tuple[int, int]] = None
 
 
 class TraceCache:
-    """LRU of parsed traces keyed by ``(path, mtime, trace_digest)``.
+    """LRU of parsed traces, by file path and by content digest.
 
-    ``capacity`` bounds the number of distinct trace files held; 0
-    disables caching entirely (every :meth:`load` parses).  Entries are
-    validated against the file's current ``(st_mtime_ns, st_size)`` on
-    every hit, so staleness is bounded by one ``stat`` call, not by a
-    TTL.
+    ``capacity`` bounds the number of entries of both kinds together; 0
+    disables caching entirely (every :meth:`load` parses and every
+    :meth:`lookup` misses).  File entries are validated against the
+    file's current ``(st_mtime_ns, st_size)`` on every hit, so staleness
+    is bounded by one ``stat`` call, not by a TTL.
     """
 
     def __init__(self, capacity: int = 8) -> None:
         if capacity < 0:
             raise ValueError("trace cache capacity must be >= 0")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[_Key, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
-    # -- the one entry point ------------------------------------------------
+    # -- entry points -------------------------------------------------------
 
     def load(self, path: Path) -> tuple[tuple[TraceJob, ...], str]:
         """The parsed trace and its canonical digest for ``path``.
@@ -89,32 +100,44 @@ class TraceCache:
         for undecodable ones; failures are never cached.
         """
         stat = path.stat()
-        key = str(path)
+        key = ("path", str(path))
+        stamp = (stat.st_mtime_ns, stat.st_size)
         with self._lock:
             entry = self._entries.get(key)
-            if (
-                entry is not None
-                and entry.mtime_ns == stat.st_mtime_ns
-                and entry.size == stat.st_size
-            ):
+            if entry is not None and entry.stamp == stamp:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 return entry.trace, entry.digest
             self._misses += 1
         trace, digest = _parse_trace_file(path)
-        if self.capacity > 0:
-            with self._lock:
-                self._entries[key] = _Entry(
-                    mtime_ns=stat.st_mtime_ns,
-                    size=stat.st_size,
-                    trace=trace,
-                    digest=digest,
-                )
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
+        self._insert(key, _Entry(trace, digest, stamp))
         return trace, digest
+
+    def lookup(self, digest: str) -> Optional[tuple[TraceJob, ...]]:
+        """The trace remembered under ``digest``, or None (a miss)."""
+        key = ("digest", digest)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry.trace
+
+    def remember(self, trace: tuple[TraceJob, ...], digest: str) -> None:
+        """Hold ``trace`` under ``digest``, which the caller computed from it."""
+        self._insert(("digest", digest), _Entry(trace, digest))
+
+    def _insert(self, key: _Key, entry: _Entry) -> None:
+        if self.capacity == 0:
+            return
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions += 1
 
     # -- maintenance / introspection ---------------------------------------
 
@@ -138,7 +161,7 @@ class TraceCache:
 
     def __contains__(self, path: "str | Path") -> bool:
         with self._lock:
-            return str(path) in self._entries
+            return ("path", str(path)) in self._entries
 
 
 def _parse_trace_file(path: Path) -> tuple[tuple[TraceJob, ...], str]:

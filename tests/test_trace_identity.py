@@ -10,6 +10,10 @@ text.  These tests pin what that identity promises:
 * the digest does not depend on where the durations live: job objects,
   ``TraceColumns`` views, a ``.simmr`` file read or ``mmap``-ed, and the
   executor's shared-memory segment all give one digest;
+* a trace's digest survives the service's wire, ``trace_to_dict`` ->
+  JSON text -> ``trace_from_dict`` (a client names a trace by the
+  digest it computes, and the server holds it under the digest of what
+  it parsed, so a difference would make every reference miss);
 * a fixed small trace has a pinned hex digest, so the layout cannot
   drift silently;
 * a ``.simmr`` whose content disagrees with its header is rejected on
@@ -138,6 +142,53 @@ def traces(draw):
     return jobs
 
 
+# Any finite non-negative value: zeros of both signs, subnormals, the
+# float maximum.
+wire_durations = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+wire_vectors = st.lists(wire_durations, min_size=1, max_size=3)
+
+
+@st.composite
+def wire_traces(draw):
+    """Traces as a service client may send them: deadlines, dependency
+    chains, map-less and reduce-less jobs and zero durations."""
+    chain = draw(st.booleans())
+    jobs = []
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        shape = draw(st.sampled_from(["both", "map-less", "reduce-less"]))
+        maps = [] if shape == "map-less" else draw(wire_vectors)
+        if shape == "reduce-less":
+            first = typical = reduce = []
+        else:
+            first = draw(st.one_of(st.just([]), wire_vectors))
+            typical = draw(wire_vectors) if not first else draw(
+                st.one_of(st.just([]), wire_vectors))
+            reduce = draw(wire_vectors)
+        submit = draw(st.one_of(st.sampled_from([0, 0.0, -0.0]), wire_durations))
+        deadline = draw(st.one_of(st.none(), st.floats(
+            min_value=float(submit), allow_nan=False, allow_infinity=False)))
+        if chain:
+            depends_on = i - 1 if i else None
+        else:
+            depends_on = draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None
+        jobs.append(
+            TraceJob(
+                profile(
+                    draw(names), maps, first, typical, reduce,
+                    num_maps=0 if shape == "map-less" else draw(st.integers(1, 2**40)),
+                    num_reduces=0 if shape == "reduce-less" else draw(st.integers(1, 9)),
+                ),
+                submit,
+                deadline=deadline,
+                depends_on=depends_on,
+            )
+        )
+    return jobs
+
+
 def _mutate(doc, kind, index):
     """Edit one field of a trace document (or none); may be a no-op."""
     jobs = doc["jobs"]
@@ -223,6 +274,12 @@ class TestDigestIsCanonicalText:
 
     def test_golden_digest(self):
         assert trace_digest(golden_trace()) == GOLDEN_DIGEST
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace=wire_traces())
+    def test_digest_survives_the_json_wire(self, trace):
+        wire = json.loads(json.dumps(trace_to_dict(trace)))
+        assert trace_digest(trace_from_dict(wire)) == trace_digest(trace)
 
 
 # --------------------------------------------------------------------------- #
