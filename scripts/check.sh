@@ -168,7 +168,7 @@ print(f"DP replay mode bit-identical after user {user!r} ran out of budget "
 PY
 
 echo
-echo "== policy-tree digest smoke (compiled dynamic tree: columnar-key replay vs object) =="
+echo "== policy-tree digest smoke (compiled dynamic tree: kernel replay vs object) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys
 
@@ -178,9 +178,8 @@ from repro.experiments.performance import make_performance_trace
 from repro.policy import compile_policy, example_policy
 from repro.sanitize.digest import DigestRecorder
 
-# The compiled deadline-aware tree is dynamic: the kernel decides it
-# through its vectorized columnar-key route, not the tree's own
-# choose_next_* calls the object engine makes.
+# The compiled deadline-aware tree is dynamic: the kernel's replay mode
+# asks its choose_next_*, as the object engine does.
 trace = make_performance_trace(30, mean_interarrival=10.0, seed=7)
 cluster = ClusterConfig(8, 4)
 

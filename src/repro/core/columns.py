@@ -28,17 +28,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .job import JobProfile, TraceJob
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .cluster import ClusterConfig
-    from .job import Job
-
-__all__ = ["SchedulerColumns", "TraceColumns", "PHASES"]
+__all__ = ["TraceColumns", "PHASES"]
 
 #: The four duration phases, in their storage order within each job's
 #: span table (and within the binary trace format's job records).
@@ -241,106 +237,6 @@ class TraceColumns:
             f"TraceColumns(jobs={len(self)}, durations={self.total_durations}, "
             f"~{self.nbytes} bytes)"
         )
-
-
-class SchedulerColumns:
-    """Per-job simulation-state columns the kernel maintains for policies.
-
-    The columnar engine's replay path hands one instance to schedulers
-    opting into :class:`~repro.schedulers.base.ColumnarSchedulerMixin`.
-    Static columns (submit times, deadlines, task counts) are built once
-    per run; the dispatch/completion counters are updated in place by
-    the kernel as events are processed, so a policy's
-    ``columnar_key_columns`` sees exactly the state the object engine's
-    ``choose_next_*`` would read from the :class:`~repro.core.job.Job`
-    objects — same values, as contiguous float64 vectors.
-
-    Scalars (``now``, ``queue_depth``, ``free_map``, ``free_reduce``)
-    are refreshed by the kernel before every key computation and mirror
-    :class:`repro.policy.compiler._EvalContext`: ``now`` is the time of
-    the last job arrival/departure hook.  The heavier profile-derived
-    columns (``total_work``, phase averages) are built lazily on first
-    access, so policies that never read them pay nothing.
-    """
-
-    __slots__ = (
-        "jobs", "cluster", "job_ids", "submit", "deadline", "has_deadline",
-        "rel_deadline", "nmaps", "nreds", "total_tasks", "gate",
-        "active", "mdisp", "mcomp", "rdisp", "rcomp", "capm", "capr",
-        "now", "queue_depth", "free_map", "free_reduce",
-        "_total_work", "_avg_map", "_avg_reduce",
-    )
-
-    def __init__(self, jobs: Sequence["Job"], cluster: "ClusterConfig") -> None:
-        n = len(jobs)
-        self.jobs = jobs
-        self.cluster = cluster
-        self.job_ids = np.arange(n, dtype=np.int64)
-        self.submit = np.array([j.submit_time for j in jobs], dtype=np.float64)
-        self.deadline = np.array(
-            [math.inf if j.deadline is None else j.deadline for j in jobs],
-            dtype=np.float64,
-        )
-        self.has_deadline = np.array(
-            [0.0 if j.deadline is None else 1.0 for j in jobs], dtype=np.float64
-        )
-        # Same per-job arithmetic as the scalar accessor: deadline -
-        # submit_time, +inf for deadline-less jobs.
-        self.rel_deadline = np.array(
-            [
-                math.inf if j.deadline is None else j.deadline - j.submit_time
-                for j in jobs
-            ],
-            dtype=np.float64,
-        )
-        self.nmaps = np.array([float(j.num_maps) for j in jobs], dtype=np.float64)
-        self.nreds = np.array([float(j.num_reduces) for j in jobs], dtype=np.float64)
-        self.total_tasks = self.nmaps + self.nreds
-        self.gate = np.zeros(n, dtype=np.float64)
-        # In the job queue right now: arrived and not yet departed.
-        self.active = np.zeros(n, dtype=np.bool_)
-        self.mdisp = np.zeros(n, dtype=np.float64)
-        self.mcomp = np.zeros(n, dtype=np.float64)
-        self.rdisp = np.zeros(n, dtype=np.float64)
-        self.rcomp = np.zeros(n, dtype=np.float64)
-        # Wanted-slot caps; +inf encodes "uncapped".
-        self.capm = np.full(n, math.inf, dtype=np.float64)
-        self.capr = np.full(n, math.inf, dtype=np.float64)
-        self.now = 0.0
-        self.queue_depth = 0.0
-        self.free_map = 0.0
-        self.free_reduce = 0.0
-        self._total_work: Optional[np.ndarray] = None
-        self._avg_map: Optional[np.ndarray] = None
-        self._avg_reduce: Optional[np.ndarray] = None
-
-    @property
-    def total_work(self) -> np.ndarray:
-        """Sum of all task durations per job (lazy; profile-derived)."""
-        if self._total_work is None:
-            self._total_work = np.array(
-                [j.profile.total_task_seconds() for j in self.jobs],
-                dtype=np.float64,
-            )
-        return self._total_work
-
-    @property
-    def avg_map(self) -> np.ndarray:
-        """Mean map duration per job (lazy; profile-derived)."""
-        if self._avg_map is None:
-            self._avg_map = np.array(
-                [j.profile.map_stats.avg for j in self.jobs], dtype=np.float64
-            )
-        return self._avg_map
-
-    @property
-    def avg_reduce(self) -> np.ndarray:
-        """Mean reduce duration per job (lazy; profile-derived)."""
-        if self._avg_reduce is None:
-            self._avg_reduce = np.array(
-                [j.profile.reduce_stats.avg for j in self.jobs], dtype=np.float64
-            )
-        return self._avg_reduce
 
 
 def columns_from_trace(trace: Sequence[TraceJob]) -> TraceColumns:

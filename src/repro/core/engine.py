@@ -50,10 +50,6 @@ how a free slot is given to a job (``decide``):
 * ``"share"`` — group-share policies
   (:class:`~repro.schedulers.base.ShareSchedulerMixin`) decide from the
   per-group share levels and candidate keys of a :class:`_ShareBook`.
-* ``"columns"`` — columnar-key policies
-  (:class:`~repro.schedulers.base.ColumnarSchedulerMixin`) decide from
-  :class:`~repro.core.columns.SchedulerColumns` arrays and one
-  ``np.lexsort``.
 
 Tests assert ``"static"`` and ``"choose"`` produce identical schedules
 for the static policies.
@@ -80,7 +76,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 import numpy as np
 
 from .cluster import ClusterConfig
-from .columns import SchedulerColumns
 from .events import EventType
 from .job import Job, JobState, TaskRecord, TraceJob, validate_dependencies
 from .results import JobResult, SimulationResult
@@ -486,9 +481,9 @@ class _EngineBase:
     ) -> SimulationResult:
         """Replay ``trace`` through the event heap; ``decide`` picks jobs.
 
-        ``decide`` is one of ``"static"``, ``"choose"``, ``"share"`` or
-        ``"columns"`` (see the module docstring).  The loop's per-event
-        costs are kept low:
+        ``decide`` is one of ``"static"``, ``"choose"`` or ``"share"``
+        (see the module docstring).  The loop's per-event costs are kept
+        low:
 
         * handlers are inlined into one branch chain ordered by event
           frequency (no dict dispatch, no bound-method calls);
@@ -574,27 +569,9 @@ class _EngineBase:
         fast = decide == "static"
         mheap: list[tuple[tuple, int]] = []
         rheap: list[tuple[tuple, int]] = []
-        # The contracted dynamic decisions read kernel-resident state:
-        # per-group sums for the share contract (Fair, DP, Capacity), or
-        # SchedulerColumns arrays for columnar-key policies (compiled
-        # policy trees).  Only the latter pays for per-event array writes.
         share: Optional[_ShareBook] = None
         if decide == "share":
             share = _ShareBook(scheduler, jobs, mdl, tsl, rdl)
-        track = decide == "columns"
-        if track:
-            view = SchedulerColumns(jobs, cluster)
-            key_columns = getattr(scheduler, "columnar_key_columns")
-            v_gate = view.gate
-            v_active = view.active
-            v_mdisp = view.mdisp
-            v_mcomp = view.mcomp
-            v_rdisp = view.rdisp
-            v_rcomp = view.rcomp
-            v_nmaps = view.nmaps
-            v_nreds = view.nreds
-            v_capm = view.capm
-            v_capr = view.capr
 
         ev_t: list[float] = []
         ev_e: list[int] = []
@@ -669,10 +646,6 @@ class _EngineBase:
                 scheduler.on_job_departure(job, now)
                 push(heap, (now, _JOB_DEP, seq_c, job.job_id, -1))
                 seq_c += 1
-                if track:
-                    v_active[job.job_id] = False
-                    if now > view.now:
-                        view.now = now
                 for child in dependents.pop(job.job_id, ()):
                     push(heap, (max(jobs[child].submit_time, now), _JOB_ARR, seq_c, child, -1))
                     seq_c += 1
@@ -700,14 +673,10 @@ class _EngineBase:
                     victim.maps_dispatched -= 1
                     victim.requeued_maps.append(index)
                     free_m += 1
-                    if track:
-                        v_mdisp[vid] -= 1.0
                 else:
                     victim.reduces_dispatched -= 1
                     victim.requeued_reduces.append(index)
                     free_r += 1
-                    if track:
-                        v_rdisp[vid] -= 1.0
                     if dep_seq is None:
                         # A filler awaiting the map stage: cancel its rewrite.
                         filler_list = fillers.get(vid)
@@ -831,61 +800,6 @@ class _EngineBase:
                 dispatch(job, now, False)
                 offer_reduce(job)
 
-        def allocate_columns(now: float) -> None:
-            # Vectorized decision per dispatch: one eligibility mask per
-            # side per allocation, updated in place for the dispatched
-            # job only (nothing else changes between dispatches of the
-            # same allocation), then the policy's key columns + one
-            # lexsort with the kernel-appended job_id tie-break.
-            # ``min(candidates, key=...)`` with a total key picks the
-            # same job regardless of candidate order, so increasing-id
-            # candidates are sound.
-            if free_m > 0:
-                el = v_active & (v_mdisp < v_nmaps) & (v_mdisp - v_mcomp < v_capm)
-                while free_m > 0:
-                    cand = el.nonzero()[0]
-                    k = cand.size
-                    if k == 0:
-                        break
-                    if k == 1:
-                        pick = int(cand[0])
-                    else:
-                        view.queue_depth = float(k)
-                        view.free_map = float(free_m)
-                        view.free_reduce = float(free_r)
-                        cols = key_columns(view, cand, "map")
-                        order = np.lexsort((cand,) + tuple(reversed(cols)))
-                        pick = int(cand[order[0]])
-                    dispatch(jobs[pick], now, True)
-                    d = v_mdisp[pick] + 1.0
-                    v_mdisp[pick] = d
-                    el[pick] = d < v_nmaps[pick] and d - v_mcomp[pick] < v_capm[pick]
-            if free_r > 0:
-                el = (
-                    v_active
-                    & (v_rdisp < v_nreds)
-                    & (v_mcomp >= v_gate)
-                    & (v_rdisp - v_rcomp < v_capr)
-                )
-                while free_r > 0:
-                    cand = el.nonzero()[0]
-                    k = cand.size
-                    if k == 0:
-                        break
-                    if k == 1:
-                        pick = int(cand[0])
-                    else:
-                        view.queue_depth = float(k)
-                        view.free_map = float(free_m)
-                        view.free_reduce = float(free_r)
-                        cols = key_columns(view, cand, "reduce")
-                        order = np.lexsort((cand,) + tuple(reversed(cols)))
-                        pick = int(cand[order[0]])
-                    dispatch(jobs[pick], now, False)
-                    d = v_rdisp[pick] + 1.0
-                    v_rdisp[pick] = d
-                    el[pick] = d < v_nreds[pick] and d - v_rcomp[pick] < v_capr[pick]
-
         # A departure whose freed slot goes straight back to its job
         # skips the share book's sync-pick-sync (share mode only).
         keeps_m = keeps_r = None
@@ -902,8 +816,6 @@ class _EngineBase:
             charge_map = share.charge_map
             charge_reduce = share.charge_reduce
             allocate = allocate_share
-        elif track:
-            allocate = allocate_columns
         else:
             allocate = allocate_choose
 
@@ -942,8 +854,6 @@ class _EngineBase:
                 done = job.maps_completed + 1
                 job.maps_completed = done
                 free_m += 1
-                if track:
-                    v_mcomp[jid] += 1.0
                 if done >= job.num_maps and job.map_stage_end is None:
                     job.map_stage_end = now
                     push(heap, (now, _ALL_MAPS, seq_c, jid, -1))
@@ -992,8 +902,6 @@ class _EngineBase:
                     del running[ti]  # type: ignore[union-attr]
                 job.reduces_completed += 1
                 free_r += 1
-                if track:
-                    v_rcomp[jid] += 1.0
                 if (
                     free_r == 1
                     and keeps_r is not None
@@ -1106,17 +1014,6 @@ class _EngineBase:
                 scheduler.on_job_arrival(job, now, cluster)
                 if fast:
                     job.sched_key = scheduler.priority_key(job)
-                elif track:
-                    v_gate[jid] = job.reduce_gate
-                    cap_m = job.wanted_map_slots
-                    if cap_m is not None:
-                        v_capm[jid] = float(cap_m)
-                    cap_r = job.wanted_reduce_slots
-                    if cap_r is not None:
-                        v_capr[jid] = float(cap_r)
-                    v_active[jid] = True
-                    if now > view.now:
-                        view.now = now
                 offer_map(job)
                 offer_reduce(job)
                 if preempt:

@@ -41,12 +41,11 @@ or reduces on a cluster without reduce slots
 arrival hook sets it, in :meth:`ColumnarEngine._run_kernel`).  Every
 other run takes **replay mode**: the heap loop, deciding each
 dispatch through the policy's kernel contract — the static priority
-heaps, the group-share
+heaps or the group-share
 :class:`~repro.schedulers.base.ShareSchedulerMixin` (Fair,
-DynamicPriority, Capacity) or the columnar-key
-:class:`~repro.schedulers.base.ColumnarSchedulerMixin` (dynamic policy
-trees) — and through ``choose_next_*`` for a policy no contract covers
-(Flex).  ``ColumnarEngine`` is always safe to use;
+DynamicPriority, Capacity) — and through ``choose_next_*`` for a policy
+no contract covers (Flex, compiled dynamic policy trees).
+``ColumnarEngine`` is always safe to use;
 :attr:`ColumnarEngine.last_kernel_mode` reports which mode a run took.
 """
 
@@ -211,19 +210,15 @@ class ColumnarEngine(_EngineBase):
 
     @staticmethod
     def _contract_covers(scheduler: Scheduler) -> bool:
-        """True when a kernel contract vouches for the dynamic decision.
+        """True when the share contract vouches for the dynamic decision.
 
-        The contract hook (``share_group`` or ``columnar_key_columns``)
-        describes the ``choose_next_*`` of the class defining it.  A
-        subclass that overrides ``choose_next_*`` without restating the
-        hook makes a decision the kernel would not reproduce, so it is
-        not covered and runs on the object engine.
+        The contract hook ``share_group`` describes the ``choose_next_*``
+        of the class defining it.  A subclass that overrides
+        ``choose_next_*`` without restating the hook makes a decision the
+        share book would not reproduce, so it is not covered and is asked
+        through ``choose_next_*``.
         """
-        if getattr(scheduler, "share_capable", False):
-            hook = "share_group"
-        elif getattr(scheduler, "columnar_capable", False):
-            hook = "columnar_key_columns"
-        else:
+        if not getattr(scheduler, "share_capable", False):
             return False
         mro = type(scheduler).__mro__
 
@@ -233,7 +228,7 @@ class ColumnarEngine(_EngineBase):
             )
 
         return all(
-            depth(name) >= depth(hook)
+            depth(name) >= depth("share_group")
             for name in ("choose_next_map_task", "choose_next_reduce_task")
         )
 
@@ -314,12 +309,10 @@ class ColumnarEngine(_EngineBase):
                     self.last_kernel_mode = "passes"
                     return result
             decide = "static"
-        elif not self._contract_covers(scheduler):
-            decide = "choose"
-        elif getattr(scheduler, "share_capable", False):
+        elif self._contract_covers(scheduler):
             decide = "share"
         else:
-            decide = "columns"
+            decide = "choose"
         self.last_kernel_mode = "replay"
         return self._run_heap(trace, decide, "kernel")
 

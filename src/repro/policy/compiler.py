@@ -30,16 +30,11 @@ the canonical tree JSON (see :func:`policy_spec`).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
-
-import numpy as np
+from typing import Any, Callable, Optional, Sequence, Union
 
 from ..core.cluster import ClusterConfig
 from ..core.job import Job
-from ..schedulers.base import ColumnarSchedulerMixin, Scheduler, StaticPriorityScheduler
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.columns import SchedulerColumns
+from ..schedulers.base import Scheduler, StaticPriorityScheduler
 from .dsl import (
     FEATURES,
     Leaf,
@@ -183,100 +178,6 @@ def _compile_node(node: Node) -> _Accessor:
     return evaluate
 
 
-# -- columnar evaluation (the kernel's vectorized dispatch decisions) ----
-#
-# Every feature in the vocabulary is kernel-resident: derivable from the
-# per-job state arrays the columnar kernel maintains in
-# :class:`~repro.core.columns.SchedulerColumns`.  Each source below is
-# the vectorized twin of the scalar accessor above — same float64
-# arithmetic on the same operand values, so tree scores (and hence the
-# dispatch choices and the event digest) are bit-identical between the
-# object loop and the kernel.
-
-_ColumnSource = Callable[["SchedulerColumns", Any], Any]
-
-
-def _mfc_columns(view: "SchedulerColumns", ids: Any) -> Any:
-    # Scalar twin returns 1.0 for map-less jobs, else mcomp / nmaps
-    # (int/int true division == float64 division of exact values).
-    nmaps = view.nmaps[ids]
-    out = np.ones_like(nmaps)
-    np.divide(view.mcomp[ids], nmaps, out=out, where=nmaps > 0.0)
-    return out
-
-
-_COLUMN_SOURCES: dict[str, _ColumnSource] = {
-    "submit_time": lambda v, ids: v.submit[ids],
-    "deadline": lambda v, ids: v.deadline[ids],
-    "relative_deadline": lambda v, ids: v.rel_deadline[ids],
-    "has_deadline": lambda v, ids: v.has_deadline[ids],
-    "num_maps": lambda v, ids: v.nmaps[ids],
-    "num_reduces": lambda v, ids: v.nreds[ids],
-    "total_tasks": lambda v, ids: v.total_tasks[ids],
-    "total_work": lambda v, ids: v.total_work[ids],
-    "avg_map_duration": lambda v, ids: v.avg_map[ids],
-    "avg_reduce_duration": lambda v, ids: v.avg_reduce[ids],
-    "queue_depth": lambda v, ids: v.queue_depth,
-    "job_age": lambda v, ids: v.now - v.submit[ids],
-    "deadline_slack": lambda v, ids: v.deadline[ids] - v.now,
-    "map_fraction_completed": _mfc_columns,
-    "pending_maps": lambda v, ids: (v.nmaps - v.mdisp)[ids],
-    "pending_reduces": lambda v, ids: (v.nreds - v.rdisp)[ids],
-    "running_maps": lambda v, ids: (v.mdisp - v.mcomp)[ids],
-    "running_reduces": lambda v, ids: (v.rdisp - v.rcomp)[ids],
-    "free_map_slots": lambda v, ids: v.free_map,
-    "free_reduce_slots": lambda v, ids: v.free_reduce,
-}
-assert set(_COLUMN_SOURCES) == set(FEATURES), (
-    "columnar source table drifted from vocabulary"
-)
-
-
-def _compile_leaf_columns(leaf: Leaf) -> _ColumnSource:
-    terms = tuple(
-        (_COLUMN_SOURCES[term.feature], term.weight) for term in leaf.score_terms()
-    )
-    bias = 0.0 if leaf.pick is not None else leaf.bias
-    if len(terms) == 1 and terms[0][1] == 1.0 and bias == 0.0:
-        source = terms[0][0]
-
-        def evaluate_direct(view: "SchedulerColumns", ids: Any) -> Any:
-            value = source(view, ids)
-            return np.where(value == value, value, _INF)
-
-        return evaluate_direct
-
-    def evaluate(view: "SchedulerColumns", ids: Any) -> Any:
-        # Accumulate left to right, exactly like the scalar loop — the
-        # IEEE result of a float sum depends on term order.
-        score: Any = bias
-        for source, weight in terms:
-            score = score + weight * source(view, ids)
-        return np.where(score == score, score, _INF)
-
-    return evaluate
-
-
-def _compile_node_columns(node: Node) -> _ColumnSource:
-    if isinstance(node, Leaf):
-        return _compile_leaf_columns(node)
-    assert isinstance(node, Predicate)
-    source = _COLUMN_SOURCES[node.feature]
-    op = _OP_TABLE[node.op]
-    value = node.value
-    then = _compile_node_columns(node.then)
-    otherwise = _compile_node_columns(node.otherwise)
-
-    def evaluate(view: "SchedulerColumns", ids: Any) -> Any:
-        # The comparison lambdas are elementwise on arrays; evaluating
-        # both branches and selecting is value-identical to the scalar
-        # short-circuit (branch evaluation is pure).
-        mask = op(source(view, ids), value)
-        return np.where(mask, then(view, ids), otherwise(view, ids))
-
-    return evaluate
-
-
 class CompiledStaticPolicy(StaticPriorityScheduler):
     """A state-free tree as a static-priority policy (heap/kernel path)."""
 
@@ -291,20 +192,14 @@ class CompiledStaticPolicy(StaticPriorityScheduler):
         return (self._evaluate(job, self._ctx), job.submit_time, job.job_id)
 
 
-class CompiledDynamicPolicy(ColumnarSchedulerMixin, Scheduler):
+class CompiledDynamicPolicy(Scheduler):
     """A state-reading tree, evaluated per decision like Fair.
 
     The decision context is maintained from the only state the narrow
     interface provides: the arrival/departure hooks (clock, cluster
-    shape, active-job set) and the eligible-job queue itself.
-
-    Every dynamic feature in the vocabulary is kernel-resident, so the
-    class also carries the columnar contract: the kernel evaluates the
-    same tree as one vectorized expression over its
-    :class:`~repro.core.columns.SchedulerColumns` state arrays
-    (``columnar_key_columns``), producing bit-identical scores and thus
-    bit-identical event digests — an evolve winner's pinned digest is
-    stable across both engine paths.
+    shape, active-job set) and the eligible-job queue itself.  Both
+    engines ask ``choose_next_*``, so an evolve winner's pinned event
+    digest is the same on either.
     """
 
     static_priority = False
@@ -314,7 +209,6 @@ class CompiledDynamicPolicy(ColumnarSchedulerMixin, Scheduler):
         self.name = f"policy:{doc.name}"
         self.digest = policy_digest(doc)
         self._evaluate = _compile_node(doc.tree)
-        self._evaluate_columns = _compile_node_columns(doc.tree)
         self._ctx = _EvalContext()
         features = doc.features()
         self._uses_slots = bool(
@@ -366,21 +260,6 @@ class CompiledDynamicPolicy(ColumnarSchedulerMixin, Scheduler):
 
     def choose_next_reduce_task(self, job_queue: Sequence[Job]) -> Optional[Job]:
         return self._choose(job_queue)
-
-    def columnar_key_columns(
-        self, view: "SchedulerColumns", ids: Any, kind: str
-    ) -> tuple:
-        """``(tree score, submit)`` columns; the kernel appends job_id.
-
-        ``errstate`` silences the invalid-op warnings of ``inf - inf``
-        intermediates that the scalar path produces silently; the nan
-        results collapse to ``_INF`` per leaf either way.
-        """
-        with np.errstate(invalid="ignore"):
-            score = np.asarray(self._evaluate_columns(view, ids), dtype=np.float64)
-        if score.ndim == 0:
-            score = np.broadcast_to(score, ids.shape)
-        return (score, view.submit[ids])
 
 
 def compile_policy(

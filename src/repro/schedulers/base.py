@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.job import Job
 
 __all__ = [
-    "ColumnarSchedulerMixin",
     "Scheduler",
     "ShareSchedulerMixin",
     "StaticPriorityScheduler",
@@ -98,55 +97,6 @@ class Scheduler(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class ColumnarSchedulerMixin:
-    """Opt-in contract letting the columnar kernel drive a dynamic policy.
-
-    A dynamic scheduler normally forces the object engine: its choice
-    reads mutable state, so the kernel cannot precompute the schedule.
-    Mixing this class in promises that the policy's *entire* decision is
-    a pure function of the per-job state arrays the kernel already
-    maintains (running/dispatched/completed counts, submit times,
-    deadlines, queue depth, free slots — see
-    :class:`~repro.core.columns.SchedulerColumns`).  The kernel then
-    recomputes the policy's priority columns vectorially at every
-    decision point instead of rebuilding candidate lists and calling
-    ``choose_next_*`` per dispatch, and keeps the event stream
-    bit-identical to the object engine's (the contract below is exactly
-    ``min(candidates, key=...)`` with a forced ``job_id`` tie-break).
-
-    Requirements:
-
-    * ``columnar_key_columns(view, ids, kind)`` must return the policy's
-      priority key as a tuple of float columns aligned with ``ids``
-      (lexicographic, most significant first), *without* the final
-      ``job_id`` tie-break — the kernel appends it, making every key
-      total.  The columns must equal, element for element, the leading
-      components of the key ``choose_next_*`` minimises.
-    * ``choose_next_*`` must never return ``None`` for a non-empty
-      candidate list (policies that deliberately idle slots cannot use
-      the kernel).
-    * any state the key reads beyond the view must be fixed per job for
-      the whole run.
-    """
-
-    #: Envelope flag the kernel checks; the mixin's presence is the opt-in.
-    columnar_capable: bool = True
-
-    def columnar_key_columns(
-        self, view: object, ids: object, kind: str
-    ) -> tuple:
-        """Priority-key columns for the eligible jobs ``ids``.
-
-        ``ids`` is an int64 array of job ids (indices into the view's
-        arrays); ``kind`` is ``"map"`` or ``"reduce"``.  Returns a tuple
-        of numpy columns, most significant first; scalars broadcast.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} mixes in ColumnarSchedulerMixin but "
-            "defines no columnar_key_columns"
-        )
 
 
 class ShareSchedulerMixin:

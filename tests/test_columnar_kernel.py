@@ -7,7 +7,7 @@ event count, same task records, same results.  These tests assert that
 contract across the full scheduler zoo, the slow-start range, slot
 caps, degenerate job shapes, live preemption (replay mode), dynamic
 schedulers on the replay mode (the group-share policies Fair,
-DynamicPriority and Capacity, compiled policy trees, and Flex through
+DynamicPriority and Capacity, and compiled policy trees and Flex through
 ``choose_next_*``), and the simsan dual-run divergence check, and pin
 the pass-mode envelope.  See ``docs/engine-internals.md`` for the
 design.
@@ -412,6 +412,53 @@ class TestColumnarDynamicIdentity:
         trace = make_zoo_trace(seed=7)
         for cluster in (ClusterConfig(16, 8), ClusterConfig(6, 3)):
             assert_identical(trace, lambda: compile_policy(doc), cluster)
+
+    #: (tree, cluster) -> (event digest, events_processed) on the dense
+    #: trace below; recorded when the kernel still decided trees with a
+    #: vectorized key per dispatch, so they pin that regime's schedules.
+    DENSE_PINS = {
+        ("mix", (8, 4)): ("57342c4b250d4169fe6a289279520386", 45292),
+        ("mix", (6, 3)): ("867106e028f5d2e8d177217a45e5178d", 45292),
+        ("deadline-aware", (8, 4)): ("792875c1d1517caf8ea517e91a31885a", 45292),
+        ("deadline-aware", (6, 3)): ("ec75104b582f7e69b4eb6887f6d3633b", 45292),
+    }
+
+    @staticmethod
+    def make_dense_trace() -> list[TraceJob]:
+        """60 application-mix jobs 10 s apart: long job queues on a small
+        cluster.  Every other job has a 1.5x deadline."""
+        from repro.trace.arrivals import ExponentialArrivals
+        from repro.trace.deadlines import DeadlineFactorPolicy
+        from repro.trace.synthetic import SyntheticTraceGen
+        from repro.workloads.apps import make_app_specs
+
+        gen = SyntheticTraceGen(
+            list(make_app_specs().values()),
+            ExponentialArrivals(10.0),
+            deadline_policy=DeadlineFactorPolicy(1.5, ClusterConfig(8, 4)),
+            seed=3,
+        )
+        return [
+            TraceJob(tj.profile, tj.submit_time, deadline=tj.deadline if i % 2 == 0 else None)
+            for i, tj in enumerate(gen.generate(60))
+        ]
+
+    @pytest.mark.parametrize(
+        "tree,cluster", sorted(DENSE_PINS),
+        ids=[f"{tree}-{m}x{r}" for tree, (m, r) in sorted(DENSE_PINS)],
+    )
+    def test_policy_trees_dense_trace_pinned(self, tree, cluster):
+        """Both engines replay the dense trace to the pinned stream."""
+        from repro.policy.compiler import compile_policy
+        from repro.policy.examples import example_policy
+
+        doc = self.TREES[tree] if tree in self.TREES else example_policy(tree)
+        runs = run_both(
+            self.make_dense_trace(), lambda: compile_policy(doc), ClusterConfig(*cluster)
+        )
+        for result, recorder in runs:
+            pin = (recorder.hexdigest(), result.events_processed)
+            assert pin == self.DENSE_PINS[(tree, cluster)]
 
     def test_dynamic_tree_takes_replay_mode(self):
         from repro.policy.compiler import compile_policy

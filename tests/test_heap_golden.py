@@ -5,7 +5,7 @@ run under one policy, cluster shape and slow-start.  The corpus covers
 what the heap loop has to get exactly right: preemption kill order,
 zero-time tasks, slot caps, workflow dependencies (``depends_on``), a
 pluggable shuffle model, an uncontracted dynamic policy (Flex), the
-group-share contract and a columnar-key policy tree.  Per case,
+group-share contract and a dynamic policy tree.  Per case,
 ``tests/golden/heap_corpus.json`` pins the event digest, the number of
 events popped and the stall message (``null`` for a run that finished).
 
