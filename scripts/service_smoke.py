@@ -9,8 +9,10 @@ the shipped entrypoint exactly the way an operator would:
 3. submit one registry replay and one ``policy`` replay (a built-in
    example tree) of the same trace over HTTP and assert each
    ``event_digest`` equals a local :func:`simulate_many` replay of the
-   same request, and that ``/metrics`` shows the second one found the
-   trace in the server's trace cache (the client named it by digest
+   same request, that the first reply's ``result`` document has
+   ``format_version`` 3 and decodes to the local replay's per-job
+   completion times, and that ``/metrics`` shows the second one found
+   the trace in the server's trace cache (the client named it by digest
    and did not send it again);
 4. submit scheduler *source code* under the removed
    ``inline-certified`` kind and assert the unknown-kind 400, whose
@@ -24,6 +26,7 @@ Exits non-zero on any failure.  Run: ``python scripts/service_smoke.py``
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import signal
@@ -52,6 +55,19 @@ TRACE_CACHE_HITS = re.compile(
     r'^simmr_trace_cache_lookups_total\{outcome="hit"\} (\d+)$', re.MULTILINE
 )
 STARTUP_LINES = 50  # give up if the banner has not appeared by then
+RESULT_FORMAT_VERSION = 3
+
+
+class RecordingClient(ServiceClient):
+    """A client that keeps the body of its last accepted /simulate reply."""
+
+    last_reply = b""
+
+    def _request(self, path, body=None):
+        status, headers, payload = super()._request(path, body)
+        if path == "/simulate" and status == 200:
+            self.last_reply = payload
+        return status, headers, payload
 
 
 def wait_for_url(proc: subprocess.Popen) -> str:
@@ -102,12 +118,20 @@ def main() -> int:
         )
         try:
             url = wait_for_url(proc)
-            client = ServiceClient(url, timeout=120.0)
+            client = RecordingClient(url, timeout=120.0)
             reply = client.replay(trace, scheduler="maxedf", cluster=cluster)
             print(f"served digest: {reply.event_digest} "
                   f"(cached={reply.cached}, {reply.request_id})")
             assert reply.event_digest == local.result.event_digest, \
                 "service digest diverges from local replay"
+            document = json.loads(client.last_reply)["result"]
+            print(f"result document: format_version {document['format_version']}, "
+                  f"job columns {sorted(document['jobs'])}")
+            assert document["format_version"] == RESULT_FORMAT_VERSION, \
+                "reply's result document is not in the columnar format"
+            served_times = [j.completion_time for j in reply.result.jobs]
+            assert served_times == [j.completion_time for j in local.result.jobs], \
+                "decoded per-job completion times diverge from local replay"
 
             reply = client.replay(trace, scheduler=policy, cluster=cluster)
             print(f"served policy digest: {reply.event_digest}")
@@ -142,7 +166,8 @@ def main() -> int:
                 proc.kill()
                 proc.wait()
 
-    print("service smoke OK: digests verified, repeat trace sent by digest, "
+    print("service smoke OK: digests and decoded job columns verified, "
+          "repeat trace sent by digest, "
           "scheduler source refused, SIGTERM drained cleanly")
     return 0
 

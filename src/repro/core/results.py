@@ -9,12 +9,12 @@ and engine statistics (Figure 6 / the ">1M events per second" headline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, fields, make_dataclass
+from typing import Iterable, Optional, Sequence
 
 from .job import Job, TaskRecord
 
-__all__ = ["JobResult", "SimulationResult"]
+__all__ = ["JobResult", "SimulationResult", "job_results"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,6 +65,35 @@ class JobResult:
             return 0.0
         over = self.completion_time - self.deadline
         return over / self.deadline if over > 0 else 0.0
+
+
+#: :class:`JobResult`'s slot layout without the frozen ``__setattr__``:
+#: its generated ``__init__`` stores each field directly, where the frozen
+#: one calls ``object.__setattr__`` nine times (~1.4 us a job, against
+#: ~0.3 us here with the relabelling below, on a 2-vCPU KVM host).
+_JobResultSlots = make_dataclass(
+    "_JobResultSlots",
+    [(f.name, f.type) for f in fields(JobResult)],
+    slots=True,
+    eq=False,
+    repr=False,
+)
+
+
+def job_results(*columns: Sequence) -> list[JobResult]:
+    """One :class:`JobResult` per position of ``columns``, which hold
+    the values of each field in field order (``job_id``, ``name``, ...).
+
+    Each row is built in the unfrozen twin of ``JobResult`` and then
+    relabelled as a ``JobResult``: the two classes have the same slots,
+    so the objects are ordinary frozen ``JobResult`` instances, equal
+    and hashing like ones built by the constructor.  The columns must
+    have equal lengths; a shorter one silently ends the list.
+    """
+    rows = list(map(_JobResultSlots, *columns))
+    for row in rows:
+        row.__class__ = JobResult
+    return rows
 
 
 @dataclass(slots=True)

@@ -5,6 +5,21 @@ log.  This module writes a :class:`~repro.core.results.SimulationResult`
 as a JSON document (reloadable; the optional debug event log is not
 persisted) or a CSV job table (for spreadsheets/pandas), and reads the
 JSON back.
+
+The document (``format_version`` 3) stores ``jobs`` and
+``task_records`` column-wise: one list per field, so a 120-job result
+is nine lists rather than 120 nine-key objects::
+
+    {"format_version": 3, "scheduler": "FIFO", "makespan": 1248.3, ...,
+     "jobs": {"job_id": [0, 1], "name": ["a", "b"], ...},
+     "task_records": {"kind": ["map", "reduce"], "job_id": [0, 0], ...}}
+
+Decoding then parses a few long lists and builds the objects by
+position.  The layout is private to this module: the result cache, the
+executor's pool hand-off, the service reply and ``simmr replay
+--output`` all go through :func:`result_to_dict` and
+:func:`result_from_dict`.  Version 1 and 2 documents, which hold one
+object per job and per record, are still read.
 """
 
 from __future__ import annotations
@@ -13,11 +28,13 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
 from .job import TaskRecord
-from .results import JobResult, SimulationResult
+from .results import JobResult, SimulationResult, job_results
 
 __all__ = [
     "result_to_dict",
@@ -32,9 +49,64 @@ __all__ = [
 # are still readable — they simply carry no digest.  The optional
 # ``engine_path`` accounting key rides on version 2 (readers default it
 # to None), so older readers and pinned documents stay valid; a
-# ``fallback_reason`` key in older documents is ignored.
-_FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+# ``fallback_reason`` key in older documents is ignored.  Version 3
+# stores ``jobs`` and ``task_records`` as columns instead of rows.
+_FORMAT_VERSION = 3
+_READABLE_VERSIONS = (1, 2, 3)
+
+#: Column names, in constructor order: the readers build by position.
+_JOB_FIELDS = tuple(f.name for f in fields(JobResult))
+_RECORD_FIELDS = tuple(f.name for f in fields(TaskRecord))
+_RECORD_END = _RECORD_FIELDS.index("end")
+
+
+def _to_columns(rows: list[Any], names: tuple[str, ...]) -> dict[str, list[Any]]:
+    """``{name: [row.name for row in rows]}`` for every field name."""
+    if not rows:
+        return {name: [] for name in names}
+    return dict(zip(names, map(list, zip(*map(attrgetter(*names), rows)))))
+
+
+def _checked_columns(
+    columns: Any, section: str, names: tuple[str, ...]
+) -> list[list[Any]]:
+    """The columns of a version-3 ``section``, in ``names`` order.
+
+    Raises ValueError naming the field when ``section`` is not an object
+    of columns, a column is missing or not a list, or the columns differ
+    in length (building by position would silently drop the surplus).
+    """
+    if not isinstance(columns, dict):
+        raise ValueError(f"result field {section!r} must be an object of columns")
+    ordered = []
+    for name in names:
+        if name not in columns:
+            raise ValueError(f"result field '{section}.{name}' is missing")
+        column = columns[name]
+        if not isinstance(column, list):
+            raise ValueError(f"result field '{section}.{name}' must be a list")
+        ordered.append(column)
+    length = len(ordered[0])
+    for name, column in zip(names, ordered):
+        if len(column) != length:
+            raise ValueError(
+                f"result field '{section}.{name}' has {len(column)} entries, "
+                f"but '{section}.{names[0]}' has {length}"
+            )
+    return ordered
+
+
+def _row_columns(rows: list[dict[str, Any]], names: tuple[str, ...]) -> list[list[Any]]:
+    """The columns of a version-1/2 list of row objects, in ``names`` order.
+
+    ``killed`` is optional in rows: records from before preemption lack it.
+    """
+    return [
+        [row.get(name, False) for row in rows]
+        if name == "killed"
+        else [row[name] for row in rows]
+        for name in names
+    ]
 
 
 def result_to_dict(result: SimulationResult) -> dict[str, Any]:
@@ -47,6 +119,9 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
     ``tests/test_results_io.py``) — which is what lets the parallel
     sweep cache restore a stored run as if it had just executed.
     """
+    records = _to_columns(result.task_records, _RECORD_FIELDS)
+    # JSON has no infinity: an attempt still running ends at None.
+    records["end"] = [None if math.isinf(end) else end for end in records["end"]]
     return {
         "format_version": _FORMAT_VERSION,
         "scheduler": result.scheduler_name,
@@ -55,75 +130,32 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
         "wall_clock_seconds": result.wall_clock_seconds,
         "event_digest": result.event_digest,
         "engine_path": result.engine_path,
-        "jobs": [
-            {
-                "job_id": j.job_id,
-                "name": j.name,
-                "submit_time": j.submit_time,
-                "start_time": j.start_time,
-                "map_stage_end": j.map_stage_end,
-                "completion_time": j.completion_time,
-                "deadline": j.deadline,
-                "num_maps": j.num_maps,
-                "num_reduces": j.num_reduces,
-            }
-            for j in result.jobs
-        ],
-        "task_records": [
-            {
-                "kind": r.kind,
-                "job_id": r.job_id,
-                "index": r.index,
-                "start": r.start,
-                "end": None if math.isinf(r.end) else r.end,
-                "shuffle_end": r.shuffle_end,
-                "first_wave": r.first_wave,
-                "killed": r.killed,
-            }
-            for r in result.task_records
-        ],
+        "jobs": _to_columns(result.jobs, _JOB_FIELDS),
+        "task_records": records,
     }
 
 
 def result_from_dict(data: dict[str, Any]) -> SimulationResult:
-    """Rebuild a result from :func:`result_to_dict` output."""
+    """Rebuild a result from :func:`result_to_dict` output (any readable
+    version).  A malformed version-3 column raises ValueError naming it."""
     version = data.get("format_version")
     if version not in _READABLE_VERSIONS:
         raise ValueError(
             f"unsupported result format version {version!r} "
             f"(readable: {', '.join(map(str, _READABLE_VERSIONS))})"
         )
-    jobs = [
-        JobResult(
-            job_id=j["job_id"],
-            name=j["name"],
-            submit_time=j["submit_time"],
-            start_time=j["start_time"],
-            map_stage_end=j["map_stage_end"],
-            completion_time=j["completion_time"],
-            deadline=j["deadline"],
-            num_maps=j["num_maps"],
-            num_reduces=j["num_reduces"],
-        )
-        for j in data["jobs"]
-    ]
-    records = [
-        TaskRecord(
-            kind=r["kind"],
-            job_id=r["job_id"],
-            index=r["index"],
-            start=r["start"],
-            end=math.inf if r["end"] is None else r["end"],
-            shuffle_end=r["shuffle_end"],
-            first_wave=r["first_wave"],
-            killed=r.get("killed", False),
-        )
-        for r in data["task_records"]
-    ]
+    if version == 3:
+        job_columns = _checked_columns(data["jobs"], "jobs", _JOB_FIELDS)
+        record_columns = _checked_columns(data["task_records"], "task_records", _RECORD_FIELDS)
+    else:
+        job_columns = _row_columns(data["jobs"], _JOB_FIELDS)
+        record_columns = _row_columns(data["task_records"], _RECORD_FIELDS)
+    ends = record_columns[_RECORD_END]
+    record_columns[_RECORD_END] = [math.inf if end is None else end for end in ends]
     return SimulationResult(
         scheduler_name=data["scheduler"],
-        jobs=jobs,
-        task_records=records,
+        jobs=job_results(*job_columns),
+        task_records=list(map(TaskRecord, *record_columns)),
         makespan=data["makespan"],
         events_processed=data["events_processed"],
         wall_clock_seconds=data["wall_clock_seconds"],

@@ -22,7 +22,13 @@ executes the rest.
 The stored payload is the :func:`repro.core.results_io.result_to_dict`
 document, including the run's event-stream digest, so a restored
 :class:`~repro.core.results.SimulationResult` is verifiably identical
-to a fresh execution (compare ``event_digest``).
+to a fresh execution (compare ``event_digest``).  Its layout belongs to
+:mod:`repro.core.results_io`: rows are written in its current format
+(jobs and task records stored column-wise) and decoded by
+:func:`~repro.core.results_io.result_from_dict`, which still reads the
+row form of older entries, so a format change alone does not bump
+:data:`CACHE_SCHEMA_VERSION`.  A lookup reads and decodes one key; a
+payload that no longer decodes is deleted and counted as a miss.
 """
 
 from __future__ import annotations

@@ -247,7 +247,10 @@ def run_sweep(
     hits = 0
     for point, outcome in zip(points, outcomes):
         result = outcome.result
-        durations = np.array(list(result.durations().values()))
+        # result.durations()'s values, without building its dict.
+        durations = np.array(
+            [j.completion_time - j.submit_time for j in result.jobs if j.completion_time is not None]
+        )
         hits += outcome.cached
         cells.append(
             SweepCell(

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
+import hashlib
 import json
+
+import numpy as np
+import pytest
 
 from repro.cli import main
 from repro.core import ClusterConfig, TraceJob
@@ -160,6 +162,51 @@ class TestRunSweep:
             cell = result.cells[0]
             assert cell.cached is expect_cached
             assert cell.engine_path == "kernel"
+
+
+class TestSummaryPinned:
+    """A cell's summary is computed from the jobs directly; it must equal,
+    bit for bit, the formulas it replaced, on a cold and a warm sweep."""
+
+    #: blake2b-128 of ``repr(rows())`` for the sweep below, recorded with
+    #: the summary's earlier ``durations()``-dict formulas.
+    ROWS_DIGEST = "6b397a3eebfbd6046ebc5c8960a9c756"
+
+    def test_warm_rows_equal_cold_rows_and_the_reference_formulas(self, tmp_path):
+        from repro.core import simulate
+        from repro.experiments.performance import make_performance_trace
+        from repro.schedulers import make_scheduler
+        from repro.trace.deadlines import DeadlineFactorPolicy
+
+        trace = DeadlineFactorPolicy(1.2, ClusterConfig(16, 16)).assign(
+            make_performance_trace(30, mean_interarrival=20.0, seed=5),
+            np.random.default_rng(0),
+        )
+        kwargs = dict(
+            schedulers=("fifo", "maxedf", "minedf"),
+            clusters=(ClusterConfig(8, 8), ClusterConfig(16, 16)),
+            slowstarts=(0.05, 1.0),
+            cache=tmp_path / "results.sqlite",
+        )
+        cold = run_sweep(trace, **kwargs)
+        warm = run_sweep(trace, **kwargs)
+        assert cold.cache_hits == 0 and warm.cache_hits == len(warm.cells) == 12
+        # repr tells -0.0 from 0.0 and names every float exactly.
+        assert repr(warm.rows()) == repr(cold.rows())
+        digest = hashlib.blake2b(repr(cold.rows()).encode(), digest_size=16).hexdigest()
+        assert digest == self.ROWS_DIGEST
+        for cell in warm.cells:
+            result = simulate(
+                trace,
+                make_scheduler(cell.scheduler.lower()),
+                ClusterConfig(cell.map_slots, cell.reduce_slots),
+                min_map_percent_completed=cell.slowstart,
+            )
+            durations = np.array(list(result.durations().values()))
+            assert repr(cell.mean_duration) == repr(float(durations.mean()))
+            assert repr(cell.p95_duration) == repr(float(np.percentile(durations, 95)))
+            assert repr(cell.deadline_utility) == repr(result.relative_deadline_exceeded())
+            assert cell.deadline_utility > 0
 
 
 class TestSweepCLI:
