@@ -70,6 +70,21 @@ bad = subprocess.run(
 assert bad.returncode != 0, "corrupted .simmr unpacked without error"
 assert "header digest does not match content" in bad.stderr, bad.stderr
 print("corrupted .simmr rejected (header digest does not match content)")
+
+# A version-2 header holds a digest of the retired layout (every
+# duration hashed, not each profile's digest): refused, not trusted.
+packed = bytearray((out / "smoke.simmr").read_bytes())
+packed[8:10] = (2).to_bytes(2, "little")
+(out / "v2.simmr").write_bytes(bytes(packed))
+old = subprocess.run(
+    [sys.executable, "-m", "repro", "trace", "unpack",
+     str(out / "v2.simmr"), str(out / "v2.json")],
+    capture_output=True, text=True,
+    env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+)
+assert old.returncode != 0, "version-2 .simmr unpacked without error"
+assert "re-pack it from its JSON trace" in old.stderr, old.stderr
+print("version-2 .simmr refused (re-pack it from its JSON trace)")
 PY
 
 echo

@@ -70,6 +70,9 @@ class TraceColumns:
     ``data`` is any object exposing the buffer protocol over the
     contiguous float64 durations; ``owner`` (optional) is kept alive so
     a backing ``mmap`` cannot be collected while views into it exist.
+    Profiles view a read-only buffer (``bytes``, a read-only ``mmap``)
+    in place; a writable one is copied per profile, since
+    :class:`~repro.core.job.JobProfile` content must not change.
 
     Identical duration vectors are stored once (content deduplication):
     a trace replaying one recorded profile 500 times carries one copy
@@ -161,7 +164,8 @@ class TraceColumns:
             num_maps=num_maps,
             num_reduces=num_reduces,
             spans=spans,
-            data=data,
+            # Immutable, so the profiles of jobs() view it uncopied.
+            data=data.tobytes(),
         )
 
     # -- shape -------------------------------------------------------------
@@ -225,9 +229,10 @@ class TraceColumns:
     def jobs(self) -> list[TraceJob]:
         """The full trace, every duration array a view into :attr:`data`.
 
-        O(jobs) object construction; no duration is copied.  The views
-        keep :attr:`data` (and :attr:`owner`) alive, so the backing
-        mmap outlives every returned job.
+        O(jobs) object construction; no duration of a read-only
+        :attr:`data` is copied.  The views keep :attr:`data` (and
+        :attr:`owner`) alive, so the backing mmap outlives every
+        returned job.
         """
         raw = memoryview(self.data).cast("B")
         return [self._job(i, raw) for i in range(len(self.names))]

@@ -19,8 +19,11 @@ one replayed job.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from hashlib import blake2b
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,14 +39,54 @@ __all__ = [
 ]
 
 
+_LENGTH = struct.Struct("<Q").pack
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """True when no reference can write ``arr``'s memory: it and every
+    array it views are read-only, and the root is either a read-only
+    array owning its memory or a read-only buffer (``bytes``, an
+    ``mmap`` opened for reading)."""
+    owner: object = arr
+    while isinstance(owner, np.ndarray):
+        if owner.flags.writeable:
+            return False
+        owner = owner.base
+    if owner is None:
+        return True
+    try:
+        return memoryview(owner).readonly  # type: ignore[arg-type]
+    except TypeError:
+        return False
+
+
 def _as_duration_array(values: Sequence[float], what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    """A read-only float64 vector holding ``values``.
+
+    A float64 array whose memory nothing can write (a view into a
+    read-only ``mmap``, say) is kept as it is; anything else is copied,
+    so the profile never shares writable memory with its caller and
+    never changes the caller's flags.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and _frozen(values):
+        arr = np.asarray(values)
+    else:
+        arr = np.array(values, dtype=np.float64)
+        arr.flags.writeable = False
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a 1-D sequence, got shape {arr.shape}")
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
         raise ValueError(f"{what} must contain finite non-negative durations")
-    arr.flags.writeable = False
     return arr
+
+
+def _phases_digest(phases: Sequence[np.ndarray]) -> bytes:
+    """BLAKE2b-16 of phase vectors, each a u64 length then its ``<f8`` bytes."""
+    h = blake2b(digest_size=16)
+    for durations in phases:
+        h.update(_LENGTH(durations.size))
+        h.update(np.ascontiguousarray(durations, dtype="<f8"))
+    return h.digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +121,11 @@ class JobProfile:
     ``num_reduces`` may exceed the stored array lengths (e.g. a profile
     recorded from a down-sampled run); replay then cycles through the
     arrays deterministically via :meth:`map_duration` and friends.
+
+    The four duration arrays are read-only and share no writable memory
+    with the caller (see :func:`_as_duration_array`), so a profile's
+    content never changes after construction and
+    :attr:`durations_digest` is computed at most once.
     """
 
     name: str
@@ -120,6 +168,39 @@ class JobProfile:
                 )
             if self.first_shuffle_durations.size == 0 and self.typical_shuffle_durations.size == 0:
                 raise ValueError(f"job {self.name!r}: reduces but no shuffle durations")
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through __init__: unpickled arrays come back writable
+        # and must be frozen again, and the cached digest is not carried.
+        return (
+            JobProfile,
+            (
+                self.name,
+                self.num_maps,
+                self.num_reduces,
+                self.map_durations,
+                self.first_shuffle_durations,
+                self.typical_shuffle_durations,
+                self.reduce_durations,
+            ),
+        )
+
+    @cached_property
+    def durations_digest(self) -> bytes:
+        """BLAKE2b-16 of the four phase vectors (map, first shuffle,
+        typical shuffle, reduce), each as a u64 length followed by its
+        raw ``<f8`` bytes.
+
+        :func:`~repro.sanitize.digest.trace_digest` hashes this in place
+        of the durations, so a trace digested once re-digests in
+        O(jobs).
+        """
+        return _phases_digest((
+            self.map_durations,
+            self.first_shuffle_durations,
+            self.typical_shuffle_durations,
+            self.reduce_durations,
+        ))
 
     # -- shuffle fallback --------------------------------------------------
     #

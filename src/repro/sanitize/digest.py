@@ -62,7 +62,6 @@ _PACK_DTYPE = [
 # depends_on, num_maps, num_reduces and name length.
 _TRACE_HEAD = struct.Struct("<8sIQ")
 _JOB_HEAD = struct.Struct("<ddBqqqQ")
-_LENGTH = struct.Struct("<Q").pack
 
 
 def trace_digest(trace: Sequence["TraceJob"]) -> str:
@@ -77,9 +76,10 @@ def trace_digest(trace: Sequence["TraceJob"]) -> str:
       (0.0 when absent) plus a deadline-present byte, ``depends_on`` i64
       (-1 for none), ``num_maps`` i64, ``num_reduces`` i64 and the
       UTF-8 name length; then the name bytes;
-    * then the job's four phase vectors (map, first shuffle, typical
-      shuffle, reduce), each as a u64 length followed by its raw
-      ``<f8`` bytes.
+    * then the job profile's 16-byte
+      :attr:`~repro.core.job.JobProfile.durations_digest`: BLAKE2b-16
+      of its four phase vectors (map, first shuffle, typical shuffle,
+      reduce), each as a u64 length followed by its raw ``<f8`` bytes.
 
     Every variable-length field is length-prefixed, so two traces
     digest equally iff their canonical JSON documents
@@ -88,6 +88,10 @@ def trace_digest(trace: Sequence["TraceJob"]) -> str:
     own vectors, so it does not depend on how
     :class:`~repro.core.columns.TraceColumns` deduplicates them or
     where their buffer lives (heap or ``mmap``).
+
+    A profile is immutable and computes its durations digest at most
+    once, so only the first call on a trace's profiles reads the
+    durations; every later call costs O(jobs).
     :mod:`repro.parallel` keys its content-addressed result cache on
     this together with the scheduler and engine configuration, and the
     ``.simmr`` header records it.
@@ -112,14 +116,7 @@ def trace_digest(trace: Sequence["TraceJob"]) -> str:
             )
         )
         update(name)
-        for durations in (
-            profile.map_durations,
-            profile.first_shuffle_durations,
-            profile.typical_shuffle_durations,
-            profile.reduce_durations,
-        ):
-            update(_LENGTH(durations.size))
-            update(np.ascontiguousarray(durations, dtype="<f8"))
+        update(profile.durations_digest)
     return h.hexdigest()
 
 

@@ -189,6 +189,29 @@ class SweepResult:
         return format_table(self.rows(), title=f"What-if sweep ({len(self.cells)} cells)")
 
 
+def _p95(values: np.ndarray) -> float:
+    """``float(np.percentile(values, 95))`` bit for bit, without its
+    per-call machinery (~34 µs on a 120-value cell).
+
+    numpy's default "linear" method: the virtual index ``(n - 1) * 0.95``
+    into the sorted values, then the same two-sided interpolation, which
+    counts from the upper neighbour once the weight reaches one half.
+    """
+    ordered = np.sort(values)
+    last = ordered.size - 1
+    virtual = last * 0.95
+    below = int(virtual)
+    if below >= last:  # one value: numpy returns it
+        return float(ordered[last])
+    lo = float(ordered[below])
+    hi = float(ordered[below + 1])
+    weight = virtual - below
+    step = hi - lo
+    if weight >= 0.5:
+        return hi - step * (1 - weight)
+    return lo + step * weight
+
+
 def run_sweep(
     trace: Sequence[TraceJob],
     *,
@@ -260,7 +283,7 @@ def run_sweep(
                 slowstart=point.slowstart,
                 makespan=result.makespan,
                 mean_duration=float(durations.mean()),
-                p95_duration=float(np.percentile(durations, 95)),
+                p95_duration=_p95(durations),
                 deadline_utility=result.relative_deadline_exceeded(),
                 cached=outcome.cached,
                 event_digest=result.event_digest,

@@ -29,19 +29,21 @@ Layout (all integers little-endian, fixed-width, ``struct``-packed)::
 identity — :func:`repro.sanitize.digest.trace_digest`, BLAKE2b-16 over
 a canonical byte layout of the jobs' logical content — so the same
 trace has the same digest in every format and a loaded trace keys
-caches exactly as its JSON twin would.  Version 2 is the first version
-whose header carries that digest; version-1 files (whose header held
-the older JSON-text digest) are rejected and must be re-packed from
-their JSON trace.  Packing is deterministic: the same trace always
+caches exactly as its JSON twin would.  Version 3 is the current
+version: its header digest hashes each job's 16-byte profile digest in
+place of the raw durations.  Older headers hold retired digests and are
+rejected with a hint to re-pack from the JSON trace: version 1 held the
+JSON-text digest, version 2 the layout that hashed every duration.
+Packing is deterministic: the same trace always
 produces byte-identical files (dedup decisions depend only on content,
 in job order).
 
 **The header is never trusted.**  Every decode
-(:func:`unpack_columns`, and through it the file, ``mmap`` and
-shared-memory paths) recomputes the digest from the decoded jobs and
-raises ``ValueError`` when it disagrees with the header, so a flipped
-duration byte cannot load under a stale identity.  The check decodes
-the jobs once more and digests them: a cold load of a 120-job,
+(:func:`unpack_columns`, and through it the file and ``mmap`` paths
+and the executor's spill files) recomputes the digest from the decoded
+jobs and raises ``ValueError`` when it disagrees with the header, so a
+flipped duration byte cannot load under a stale identity.  The check
+decodes the jobs once more and digests them: a cold load of a 120-job,
 ~73k-duration trace takes ~16 ms instead of ~7 ms.  Downstream cache
 keys further salt this digest with the cache schema and package version
 (:func:`repro.parallel.cache.cache_key`), so a format change can never
@@ -78,7 +80,7 @@ __all__ = [
 ]
 
 BINARY_MAGIC = b"SIMMRBIN"
-BINARY_VERSION = 2
+BINARY_VERSION = 3
 
 _HEADER = struct.Struct("<8sHHIQQQ32s")
 _JOB = struct.Struct("<ddqqq" + "Q" * 10)
@@ -189,9 +191,9 @@ def _parse_header(view: memoryview) -> tuple[int, int, int, str]:
     )
     if magic != BINARY_MAGIC:
         raise ValueError("not a binary trace (bad magic)")
-    if version == 1:
+    if version in (1, 2):
         raise ValueError(
-            "binary trace version 1 carries a retired trace digest; "
+            f"binary trace version {version} carries a retired trace digest; "
             "re-pack it from its JSON trace (simmr trace pack)"
         )
     if version != BINARY_VERSION:

@@ -47,18 +47,15 @@ def profile_from_dict(data: dict[str, Any]) -> JobProfile:
         name = data["name"]
         if not isinstance(name, str):
             raise ValueError(f"profile field 'name' must be a string, not {type(name).__name__}")
+        # JobProfile converts each list into its own read-only array.
         return JobProfile(
             name=name,
             num_maps=int(data["num_maps"]),
             num_reduces=int(data["num_reduces"]),
-            map_durations=np.asarray(data["map_durations"], dtype=np.float64),
-            first_shuffle_durations=np.asarray(
-                data["first_shuffle_durations"], dtype=np.float64
-            ),
-            typical_shuffle_durations=np.asarray(
-                data["typical_shuffle_durations"], dtype=np.float64
-            ),
-            reduce_durations=np.asarray(data["reduce_durations"], dtype=np.float64),
+            map_durations=data["map_durations"],
+            first_shuffle_durations=data["first_shuffle_durations"],
+            typical_shuffle_durations=data["typical_shuffle_durations"],
+            reduce_durations=data["reduce_durations"],
         )
     except KeyError as exc:
         raise ValueError(f"profile dict missing required field {exc}") from None

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import JobProfile, PhaseStats, TraceJob
+from repro.core import JobProfile, PhaseStats, TraceColumns, TraceJob
+from repro.sanitize.digest import trace_digest
+from repro.trace.binfmt import load_trace_bin, save_trace_bin
 
 from conftest import make_constant_profile
 
@@ -99,6 +101,70 @@ class TestJobProfileValidation:
     def test_duration_arrays_immutable(self, constant_profile):
         with pytest.raises(ValueError):
             constant_profile.map_durations[0] = 99.0
+
+
+def map_only(durations) -> JobProfile:
+    return JobProfile("x", 2, 0, durations, [], [], [])
+
+
+class TestDurationArraysOwnTheirContent:
+    """A profile's durations cannot change after construction, so its
+    cached digest stays a valid cache key."""
+
+    def test_writes_through_the_callers_array_do_not_reach_the_profile(self):
+        base = np.array([1.0, 2.0, 3.0, 4.0])
+        p = map_only(base[:2])
+        digest = trace_digest([TraceJob(p, 0.0)])
+        base[0] = 99.0
+        assert p.map_durations.tolist() == [1.0, 2.0]
+        assert not np.shares_memory(p.map_durations, base)
+        fresh = map_only(np.array([1.0, 2.0]))
+        assert trace_digest([TraceJob(fresh, 0.0)]) == digest
+        assert p.durations_digest == fresh.durations_digest
+
+    def test_callers_flags_are_left_alone(self):
+        base = np.array([1.0, 2.0, 3.0, 4.0])
+        view = base[:2]
+        map_only(base)
+        map_only(view)
+        assert base.flags.writeable and view.flags.writeable
+        view[0] = 5.0  # still the caller's to write
+
+    def test_read_only_view_of_writable_memory_is_copied(self):
+        base = np.array([1.0, 2.0, 3.0])
+        view = base[:2]
+        view.flags.writeable = False
+        p = map_only(view)
+        base[0] = 99.0
+        assert p.map_durations.tolist() == [1.0, 2.0]
+
+    def test_read_only_buffer_views_are_not_copied(self):
+        view = np.frombuffer(np.array([1.0, 2.0]).tobytes(), dtype="<f8")
+        assert map_only(view).map_durations is view
+
+    def test_mapped_file_views_are_not_copied(self, tmp_path):
+        shared = np.array([3.0, 1.0, 2.0])
+        trace = [TraceJob(map_only(shared), 0.0), TraceJob(map_only(shared), 1.0)]
+        save_trace_bin(trace, tmp_path / "t.simmr")
+        a, b = (tj.profile.map_durations for tj in load_trace_bin(tmp_path / "t.simmr"))
+        assert np.shares_memory(a, b)  # both view the one deduplicated span
+        assert not a.flags.writeable
+
+    def test_unpickled_profile_is_frozen_and_digests_afresh(self):
+        import pickle
+
+        p = map_only([1.0, 2.0])
+        digest = p.durations_digest
+        q = pickle.loads(pickle.dumps(p))
+        assert not q.map_durations.flags.writeable
+        assert "durations_digest" not in vars(q)
+        assert q.durations_digest == digest and q.name == p.name
+
+    def test_in_memory_columns_are_not_copied(self):
+        shared = np.array([3.0, 1.0, 2.0])
+        trace = [TraceJob(map_only(shared), 0.0), TraceJob(map_only(shared), 1.0)]
+        a, b = (tj.profile.map_durations for tj in TraceColumns.from_trace(trace).jobs())
+        assert np.shares_memory(a, b)
 
 
 class TestDurationLookup:

@@ -7,12 +7,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import ClusterConfig, TraceJob
 from repro.parallel import ResultCache, SchedulerSpec
 from repro.schedulers import FIFOScheduler, MinEDFScheduler
-from repro.sweep import expand_grid, run_sweep
+from repro.sweep import _p95, expand_grid, run_sweep
 
 from conftest import make_constant_profile
 
@@ -207,6 +209,29 @@ class TestSummaryPinned:
             assert repr(cell.p95_duration) == repr(float(np.percentile(durations, 95)))
             assert repr(cell.deadline_utility) == repr(result.relative_deadline_exceeded())
             assert cell.deadline_utility > 0
+
+
+# Non-negative like job durations; a small pool makes ties common.
+_tied = st.sampled_from([0.0, 1.0, 2.5, 7.0, 1e-300])
+_free = st.floats(min_value=0.0, max_value=1e12, allow_nan=False).map(abs)
+
+
+class TestP95:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.one_of(_tied, _free), min_size=1, max_size=500))
+    @example(values=[3.0])
+    @example(values=[1.0, 2.0])
+    @example(values=[5.0] * 21)
+    @example(values=[float(i) for i in range(21)])
+    def test_equals_numpy_percentile_bit_for_bit(self, values):
+        arr = np.array(values)
+        assert repr(_p95(arr)) == repr(float(np.percentile(arr, 95)))
+
+    def test_empty_raises_like_numpy(self):
+        with pytest.raises(IndexError):
+            np.percentile(np.array([]), 95)
+        with pytest.raises(IndexError):
+            _p95(np.array([]))
 
 
 class TestSweepCLI:

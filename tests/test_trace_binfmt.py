@@ -230,6 +230,18 @@ class TestBinaryFormat:
         with pytest.raises(ValueError, match="version"):
             unpack_columns(bytes(payload))
 
+    @pytest.mark.parametrize("retired", [1, 2])
+    def test_retired_version_refused_with_repack_hint(self, rng, retired):
+        # Their headers hold digests of retired layouts; version 2's hashed
+        # every duration instead of each profile's digest.
+        payload = bytearray(pack_trace(make_trace(rng, jobs=2)))
+        payload[8:10] = retired.to_bytes(2, "little")
+        with pytest.raises(ValueError, match=(
+            f"version {retired} carries a retired trace digest; "
+            "re-pack it from its JSON trace"
+        )):
+            unpack_columns(bytes(payload))
+
     def test_truncation_rejected(self, rng):
         payload = pack_trace(make_trace(rng, jobs=2))
         with pytest.raises(ValueError, match="truncated"):

@@ -16,8 +16,12 @@ text.  These tests pin what that identity promises:
   it parsed, so a difference would make every reference miss);
 * a fixed small trace has a pinned hex digest, so the layout cannot
   drift silently;
+* each profile digests its durations once: a trace digests as the same
+  trace rebuilt from fresh array copies, and a repeat digest (a second
+  ``trace_digest``, a fresh service client's reference) reads no
+  duration;
 * a ``.simmr`` whose content disagrees with its header is rejected on
-  every load path, and version-1 files are refused;
+  every load path, and version-1 and version-2 files are refused;
 * non-finite deadlines are rejected with one message naming
   ``deadline`` at ``TraceJob``, ``trace_from_dict`` and ``/simulate``;
 * result-cache keys are salted so rows keyed on retired digests miss.
@@ -40,7 +44,15 @@ from repro.parallel.cache import ResultCache, cache_key
 from repro.parallel.executor import SchedulerSpec, SimTask, simulate_many
 from repro.sanitize.digest import trace_digest
 from repro.schedulers import make_scheduler
-from repro.service import ProtocolError, parse_request, request_document
+from repro.core import job as job_module
+from repro.service import (
+    ProtocolError,
+    ServiceClient,
+    ServiceConfig,
+    SimulationServer,
+    parse_request,
+    request_document,
+)
 from repro.service.tracecache import TraceCache
 from repro.trace import binfmt
 from repro.trace.binfmt import (
@@ -81,7 +93,8 @@ def golden_trace() -> list[TraceJob]:
 
 
 #: trace_digest(golden_trace()); changing the byte layout moves it.
-GOLDEN_DIGEST = "84572de57a654880a88892792b6ea3b5"
+#: Re-pinned when per-job profile digests replaced the raw durations.
+GOLDEN_DIGEST = "2c93dc924a2840509a9f5d3f206a8532"
 
 
 def rich_trace() -> list[TraceJob]:
@@ -283,6 +296,78 @@ class TestDigestIsCanonicalText:
 
 
 # --------------------------------------------------------------------------- #
+# per-profile digests, computed once
+# --------------------------------------------------------------------------- #
+
+def fresh_copy(trace) -> list[TraceJob]:
+    """The same trace with every profile and array built anew."""
+    return [
+        TraceJob(
+            JobProfile(
+                name=tj.profile.name,
+                num_maps=tj.profile.num_maps,
+                num_reduces=tj.profile.num_reduces,
+                map_durations=tj.profile.map_durations.copy(),
+                first_shuffle_durations=tj.profile.first_shuffle_durations.copy(),
+                typical_shuffle_durations=tj.profile.typical_shuffle_durations.copy(),
+                reduce_durations=tj.profile.reduce_durations.copy(),
+            ),
+            tj.submit_time,
+            deadline=tj.deadline,
+            depends_on=tj.depends_on,
+        )
+        for tj in trace
+    ]
+
+
+@pytest.fixture
+def profile_digests(monkeypatch):
+    """One entry per profile digest computed while the test runs."""
+    calls: list[int] = []
+    real = job_module._phases_digest
+
+    def counting(phases):
+        calls.append(len(phases))
+        return real(phases)
+
+    monkeypatch.setattr(job_module, "_phases_digest", counting)
+    return calls
+
+
+class TestProfileDigestComputedOnce:
+    @settings(max_examples=100, deadline=None)
+    @given(trace=traces())
+    def test_cached_digest_equals_digest_of_fresh_copies(self, trace):
+        digest = trace_digest(trace)
+        assert trace_digest(trace) == digest
+        copy = fresh_copy(trace)
+        assert trace_digest(copy) == digest
+        for a, b in zip(trace, copy):
+            assert a.profile.durations_digest == b.profile.durations_digest
+
+    def test_repeat_digest_reads_no_duration(self, profile_digests):
+        trace = rich_trace()
+        digest = trace_digest(trace)
+        assert len(profile_digests) == len(trace)
+        del profile_digests[:]
+        assert trace_digest(trace) == digest
+        assert profile_digests == []
+
+    def test_fresh_client_on_a_digested_trace_reads_no_duration(
+        self, tmp_path, profile_digests
+    ):
+        trace = rich_trace()
+        config = ServiceConfig(port=0, workers=1, cache=tmp_path / "s.sqlite")
+        with SimulationServer(config).start() as server:
+            first = ServiceClient(server.url, timeout=60.0).replay(trace)
+            del profile_digests[:]
+            again = ServiceClient(server.url, timeout=60.0).replay(trace)
+        assert not first.cached and again.cached
+        assert again.event_digest == first.event_digest
+        assert profile_digests == []
+
+
+# --------------------------------------------------------------------------- #
 # one digest on every representation
 # --------------------------------------------------------------------------- #
 
@@ -383,7 +468,7 @@ class TestHeaderDigestVerified:
         payload[8:10] = (1).to_bytes(2, "little")
         with pytest.raises(ValueError, match="re-pack it from its JSON trace"):
             unpack_columns(bytes(payload))
-        assert binfmt.BINARY_VERSION == 2
+        assert binfmt.BINARY_VERSION == 3
 
 
 # --------------------------------------------------------------------------- #
