@@ -4,8 +4,8 @@ second" (paper Sections I and IV-E).
 Measures raw engine event throughput on a large saturated trace with
 task recording disabled (the configuration a capacity-planning sweep
 would use).  The headline number is the **columnar kernel**
-(``engine="columnar"``, see ``docs/engine-internals.md``); the classic
-object-per-event loop is timed alongside it so the report carries the
+(``ColumnarEngine``, see ``docs/engine-internals.md``); the reference
+``SimulatorEngine`` loop is timed alongside it so the report carries the
 kernel's speedup.  With the kernel, the pure-Python engine clears the
 paper's one-million-events-per-second claim — the asserted floor.
 

@@ -88,22 +88,22 @@ print("version-2 .simmr refused (re-pack it from its JSON trace)")
 PY
 
 echo
-echo "== kernel-vs-object digest smoke (engine=columnar vs engine=object) =="
+echo "== kernel-vs-object digest smoke (ColumnarEngine vs SimulatorEngine) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys
 
 sys.path.insert(0, "src")
-from repro.core import ClusterConfig, simulate
+from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine
 from repro.experiments.performance import make_performance_trace
 from repro.sanitize.digest import DigestRecorder
 from repro.schedulers import FIFOScheduler
 
 trace = make_performance_trace(20, mean_interarrival=50.0, seed=7)
 digests = {}
-for engine in ("object", "columnar"):
+for engine, engine_cls in (("object", SimulatorEngine), ("columnar", ColumnarEngine)):
     recorder = DigestRecorder()
-    simulate(trace, FIFOScheduler(), ClusterConfig(16, 16),
-             engine=engine, record_tasks=False, sanitizer=recorder)
+    engine_cls(ClusterConfig(16, 16), FIFOScheduler(),
+               record_tasks=False, sanitizer=recorder).run(trace)
     digests[engine] = (recorder.hexdigest(), recorder.digest.count)
 assert digests["object"] == digests["columnar"], (
     f"engine paths diverged: {digests}")
@@ -117,7 +117,7 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys
 
 sys.path.insert(0, "src")
-from repro.core import ClusterConfig, ColumnarEngine, simulate
+from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine
 from repro.experiments.performance import make_performance_trace
 from repro.sanitize.digest import DigestRecorder
 from repro.schedulers import FairScheduler
@@ -128,10 +128,10 @@ trace = make_performance_trace(30, mean_interarrival=10.0, seed=7)
 cluster = ClusterConfig(8, 4)
 digests = {}
 kills = {}
-for engine in ("object", "columnar"):
+for engine, engine_cls in (("object", SimulatorEngine), ("columnar", ColumnarEngine)):
     recorder = DigestRecorder()
-    result = simulate(trace, FairScheduler(preemptive=True), cluster,
-                      engine=engine, preemption=True, sanitizer=recorder)
+    result = engine_cls(cluster, FairScheduler(preemptive=True),
+                        preemption=True, sanitizer=recorder).run(trace)
     digests[engine] = (recorder.hexdigest(), recorder.digest.count)
     kills[engine] = sum(1 for r in result.task_records if r.killed)
 assert digests["object"] == digests["columnar"], (
@@ -152,7 +152,7 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys
 
 sys.path.insert(0, "src")
-from repro.core import ClusterConfig, simulate
+from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine
 from repro.experiments.performance import make_performance_trace
 from repro.sanitize.digest import DigestRecorder
 from repro.schedulers import DynamicPriorityScheduler
@@ -168,10 +168,10 @@ def scheduler():
 
 digests = {}
 paths = {}
-for engine in ("object", "columnar"):
+for engine, engine_cls in (("object", SimulatorEngine), ("columnar", ColumnarEngine)):
     sched = scheduler()
     recorder = DigestRecorder()
-    result = simulate(trace, sched, cluster, engine=engine, sanitizer=recorder)
+    result = engine_cls(cluster, sched, sanitizer=recorder).run(trace)
     digests[engine] = (recorder.hexdigest(), recorder.digest.count)
     paths[engine] = result.engine_path
     assert not sched.accounts[user].paying, "the finite budget never ran dry"
@@ -188,7 +188,7 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys
 
 sys.path.insert(0, "src")
-from repro.core import ClusterConfig, ColumnarEngine, simulate
+from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine
 from repro.experiments.performance import make_performance_trace
 from repro.policy import compile_policy, example_policy
 from repro.sanitize.digest import DigestRecorder
@@ -202,9 +202,9 @@ def scheduler():
     return compile_policy(example_policy("deadline-aware"))
 
 digests = {}
-for engine in ("object", "columnar"):
+for engine, engine_cls in (("object", SimulatorEngine), ("columnar", ColumnarEngine)):
     recorder = DigestRecorder()
-    simulate(trace, scheduler(), cluster, engine=engine, sanitizer=recorder)
+    engine_cls(cluster, scheduler(), sanitizer=recorder).run(trace)
     digests[engine] = (recorder.hexdigest(), recorder.digest.count)
 assert digests["object"] == digests["columnar"], (
     f"policy tree diverged: {digests}")

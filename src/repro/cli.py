@@ -121,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--sanitize", action="store_true",
                      help="run under the simsan runtime sanitizer "
                      "(fails fast on any simulation-invariant violation)")
-    rep.add_argument("--engine", choices=("columnar", "object"), default="columnar",
-                     help="execution path: the columnar kernel (default; "
-                     "pass mode where it applies, else the heap loop with "
-                     "the policy's kernel contract) or the reference heap "
-                     "engine")
     rep.add_argument(
         "--format", choices=["text", "json"], default="text", dest="format_",
         help="report format (default text); json includes the engine "
@@ -522,7 +517,6 @@ def _replay(
     slowstart: float = 0.05,
     record_tasks: bool = False,
     sanitize: Optional[bool] = None,
-    engine: str = "columnar",
 ):
     scheduler = make_scheduler(scheduler_name)
     return simulate(
@@ -532,7 +526,6 @@ def _replay(
         min_map_percent_completed=slowstart,
         record_tasks=record_tasks,
         sanitize=sanitize,
-        engine=engine,
     )
 
 
@@ -541,7 +534,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     result = _replay(
         trace, args.scheduler, args.map_slots, args.reduce_slots,
         args.slowstart, record_tasks=args.output is not None,
-        sanitize=True if args.sanitize else None, engine=args.engine,
+        sanitize=True if args.sanitize else None,
     )
     if args.format_ == "json":
         import json as _json

@@ -1059,26 +1059,14 @@ def simulate(
     trace: Sequence[TraceJob],
     scheduler: Scheduler,
     cluster: Optional[ClusterConfig] = None,
-    *,
-    engine: str = "columnar",
     **engine_kwargs: Any,
 ) -> SimulationResult:
-    """One-shot convenience wrapper: build an engine and run ``trace``.
-
-    ``engine`` selects the execution path: ``"columnar"`` (default)
-    runs :class:`~repro.core.kernel.ColumnarEngine`, the vectorized pass
-    mode where it applies and the heap loop with the kernel contracts
-    elsewhere; ``"object"`` forces :class:`SimulatorEngine`, the heap
-    loop with the policy's own ``choose_next_*`` decisions (see
-    ``docs/engine-internals.md``).  Both paths produce bit-identical
-    event digests.
+    """One-shot convenience wrapper: run ``trace`` on a fresh
+    :class:`~repro.core.kernel.ColumnarEngine` — the vectorized pass mode
+    where it applies, else the heap loop with the policy's kernel
+    contract or its ``choose_next_*`` (see ``docs/engine-internals.md``).
+    ``engine_kwargs`` go to the engine's constructor.
     """
-    if engine == "columnar":
-        from .kernel import ColumnarEngine
+    from .kernel import ColumnarEngine
 
-        eng: Any = ColumnarEngine(cluster or ClusterConfig(), scheduler, **engine_kwargs)
-    elif engine == "object":
-        eng = SimulatorEngine(cluster or ClusterConfig(), scheduler, **engine_kwargs)
-    else:
-        raise ValueError(f"engine must be 'object' or 'columnar', got {engine!r}")
-    return eng.run(trace)
+    return ColumnarEngine(cluster or ClusterConfig(), scheduler, **engine_kwargs).run(trace)

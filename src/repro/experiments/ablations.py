@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.cluster import ClusterConfig
-from ..core.engine import SimulatorEngine, simulate
+from ..core.engine import simulate
 from ..core.job import JobProfile, TraceJob
 from ..hadoop.emulator import EmulatorConfig, HadoopClusterEmulator
 from ..mrprofiler.profiler import profile_history
@@ -143,15 +143,12 @@ def run_slowstart_ablation(
     cluster = ClusterConfig(64, 64)
     samples = []
     for pct in thresholds:
-        engine = SimulatorEngine(
-            cluster, FIFOScheduler(), min_map_percent_completed=pct, record_tasks=False
-        )
-        solo = engine.run([TraceJob(profile, 0.0)]).jobs[0].duration
-        engine = SimulatorEngine(
-            cluster, FIFOScheduler(), min_map_percent_completed=pct, record_tasks=False
-        )
-        contended = engine.run(
-            [TraceJob(profile, 0.0), TraceJob(profile_b, 10.0)]
+        kw = dict(min_map_percent_completed=pct, record_tasks=False)
+        solo = simulate(
+            [TraceJob(profile, 0.0)], FIFOScheduler(), cluster, **kw
+        ).jobs[0].duration
+        contended = simulate(
+            [TraceJob(profile, 0.0), TraceJob(profile_b, 10.0)], FIFOScheduler(), cluster, **kw
         ).makespan
         samples.append((float(pct), float(solo), float(contended)))
     return SlowstartAblationResult(samples=samples)

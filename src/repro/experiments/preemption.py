@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.cluster import ClusterConfig
-from ..core.engine import SimulatorEngine
+from ..core.kernel import ColumnarEngine
 from ..schedulers.edf import MinEDFScheduler
 from ..workloads.mixes import permuted_deadline_trace, testbed_mix_profiles
 from .common import format_table
@@ -88,10 +88,10 @@ def run_preemption_ablation(
             trace = permuted_deadline_trace(
                 profiles, ia, deadline_factor, cluster, seed=run_seed
             )
-            plain = SimulatorEngine(
+            plain = ColumnarEngine(
                 cluster, MinEDFScheduler(), record_tasks=False
             ).run(trace)
-            preempt_engine = SimulatorEngine(
+            preempt_engine = ColumnarEngine(
                 cluster,
                 MinEDFScheduler(preemptive=True),
                 preemption=True,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.cluster import ClusterConfig
-from ..core.engine import SimulatorEngine
+from ..core.kernel import ColumnarEngine
 from ..core.job import TraceJob
 from ..schedulers.fifo import FIFOScheduler
 from ..workloads.apps import app_spec
@@ -125,7 +125,7 @@ def run_progress(
         typical_shuffle_durations=spec.typical_shuffle.sample(rng, num_reduces),
         reduce_durations=spec.reduce_durations.sample(rng, num_reduces),
     )
-    engine = SimulatorEngine(
+    engine = ColumnarEngine(
         ClusterConfig(map_slots, reduce_slots),
         FIFOScheduler(),
         min_map_percent_completed=min_map_percent_completed,

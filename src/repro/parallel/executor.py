@@ -211,11 +211,11 @@ class SimTask:
     slowstart: float = 0.05
     record_tasks: bool = False
     preemption: bool = False
-    #: Execution path: ``"columnar"`` (the kernel: pass mode or the heap
-    #: loop with kernel contracts) or ``"object"``.  Part of the cache key —
-    #: the paths are digest-identical, but keeping them separately
-    #: addressed means a cache entry always names the code path that
-    #: produced it.
+    #: ``"columnar"`` runs :class:`ColumnarEngine`; ``"object"`` runs the
+    #: reference :class:`SimulatorEngine`.  Outside the tests, its one
+    #: user is the e2e benchmark's correctness check, which replays a
+    #: cell with ``"object"`` and compares digests.  Part of the cache
+    #: key, so a cache entry always names the engine that produced it.
     engine: str = "columnar"
     tag: Any = None
 
@@ -298,11 +298,11 @@ def _init_worker(sources: dict[str, _TraceSource]) -> None:
 
 
 def _attach_file(path: str) -> Sequence[TraceJob]:
-    from ..trace.binfmt import load_columns
+    from ..trace.binfmt import load_packed
 
-    columns, _digest = load_columns(path)
+    columns, jobs, _digest = load_packed(path)
     _WORKER_OWNERS.append(columns.owner)
-    return columns.jobs()
+    return jobs
 
 
 def _worker_trace(trace_id: str) -> Sequence[TraceJob]:

@@ -32,7 +32,7 @@ import math
 from typing import Callable, Optional
 
 from .core.cluster import ClusterConfig
-from .core.engine import SimulatorEngine
+from .core.kernel import ColumnarEngine
 from .core.job import TraceJob
 from .core.results import SimulationResult
 from .schedulers.base import Scheduler
@@ -88,7 +88,7 @@ class ClusterPlanner:
 
     def simulate(self, trace: list[TraceJob], map_slots: int) -> SimulationResult:
         """One probe: replay the trace on ``map_slots``-sized cluster."""
-        engine = SimulatorEngine(
+        engine = ColumnarEngine(
             self.cluster_of(map_slots),
             self.scheduler_factory(),
             min_map_percent_completed=self.min_map_percent_completed,

@@ -56,7 +56,6 @@ _CONFIG_DEFAULTS: dict[str, Any] = {
     "reduce_slots": 64,
     "slowstart": 0.05,
     "preemption": False,
-    "engine": "columnar",
 }
 
 #: The trace sources; a request names exactly one.
@@ -115,8 +114,6 @@ class ReplayRequest:
     cluster: ClusterConfig
     slowstart: float
     preemption: bool
-    #: Execution path: "columnar" (default) or "object".
-    engine: str = "columnar"
     #: Client-requested wall-clock budget (seconds); None = server default.
     timeout: Optional[float] = None
 
@@ -128,7 +125,6 @@ class ReplayRequest:
             cluster=self.cluster,
             slowstart=self.slowstart,
             preemption=self.preemption,
-            engine=self.engine,
         )
 
 
@@ -215,8 +211,6 @@ def _parse_config(raw: Any) -> dict[str, Any]:
     config["slowstart"] = float(slowstart)
     _require(isinstance(config["preemption"], bool),
              "'config.preemption' must be a boolean")
-    _require(config["engine"] in ("object", "columnar"),
-             "'config.engine' must be 'object' or 'columnar'")
     return config
 
 
@@ -323,7 +317,6 @@ def parse_request(
         cluster=ClusterConfig(config["map_slots"], config["reduce_slots"]),
         slowstart=config["slowstart"],
         preemption=config["preemption"],
-        engine=config["engine"],
         timeout=timeout,
     )
     if trace_cache is not None and doc.get("trace") is not None:
@@ -340,7 +333,6 @@ def request_document(
     cluster: Optional[ClusterConfig] = None,
     slowstart: float = 0.05,
     preemption: bool = False,
-    engine: str = "columnar",
     timeout: Optional[float] = None,
 ) -> dict[str, Any]:
     """The JSON document for one replay request (the client's half)."""
@@ -365,7 +357,6 @@ def request_document(
             "reduce_slots": cluster.reduce_slots,
             "slowstart": slowstart,
             "preemption": preemption,
-            "engine": engine,
         },
     }
     if trace is not None:

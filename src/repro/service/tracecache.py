@@ -166,11 +166,11 @@ class TraceCache:
 
 def _parse_trace_file(path: Path) -> tuple[tuple[TraceJob, ...], str]:
     """Cold-load one trace file in whichever format it is on disk."""
-    from ..trace.binfmt import is_binary_trace_file, load_columns
+    from ..trace.binfmt import is_binary_trace_file, load_packed
 
     if is_binary_trace_file(path):
-        columns, digest = load_columns(path)
-        return tuple(columns.jobs()), digest
+        _columns, jobs, digest = load_packed(path)
+        return tuple(jobs), digest
     from ..sanitize.digest import trace_digest
     from ..trace.schema import load_trace
 

@@ -44,7 +44,9 @@ and the executor's spill files) recomputes the digest from the decoded
 jobs and raises ``ValueError`` when it disagrees with the header, so a
 flipped duration byte cannot load under a stale identity.  The check
 decodes the jobs once more and digests them: a cold load of a 120-job,
-~73k-duration trace takes ~16 ms instead of ~7 ms.  Downstream cache
+~73k-duration trace takes ~16 ms instead of ~7 ms.  :func:`load_packed`
+hands out the very jobs the check digested, so their profile digests
+are computed once per load.  Downstream cache
 keys further salt this digest with the cache schema and package version
 (:func:`repro.parallel.cache.cache_key`), so a format change can never
 resurrect stale results.
@@ -72,7 +74,7 @@ __all__ = [
     "unpack_columns",
     "packed_digest",
     "save_trace_bin",
-    "load_columns",
+    "load_packed",
     "load_trace_bin",
     "load_trace_auto",
     "is_packed",
@@ -233,6 +235,14 @@ def unpack_columns(
     digest does not match the decoded content, or when a ``depends_on``
     edge is out of range, points at its own job or closes a cycle.
     """
+    columns, _jobs, digest = _unpack(data, owner)
+    return columns, digest
+
+
+def _unpack(
+    data: Buffer, owner: object
+) -> tuple[TraceColumns, list[TraceJob], str]:
+    """:func:`unpack_columns`, also returning the jobs the check digested."""
     view = memoryview(data).cast("B")
     njobs, ndoubles, names_bytes, digest = _parse_header(view)
 
@@ -280,7 +290,7 @@ def unpack_columns(
     if trace_digest(jobs) != digest:
         raise ValueError("binary trace corrupt: header digest does not match content")
     validate_dependencies(jobs)
-    return columns, digest
+    return columns, jobs, digest
 
 
 class _MappedFile:
@@ -293,22 +303,24 @@ class _MappedFile:
             self.map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def load_columns(path: "str | Path") -> tuple[TraceColumns, str]:
-    """Load a binary trace file into columnar storage.
+def load_packed(path: "str | Path") -> tuple[TraceColumns, list[TraceJob], str]:
+    """Load a binary trace file: its columns, its jobs and its digest.
 
-    The file is memory-mapped read-only and the returned columns view
-    it directly: the parse cost is the header walk, the durations stay
-    on disk until touched, and concurrent loaders of the same file
-    share page-cache memory.
+    The file is memory-mapped read-only and the columns view it
+    directly: the parse cost is the header walk, the durations stay on
+    disk until touched, and concurrent loaders of the same file share
+    page-cache memory.  The jobs are the ones the header check
+    digested, so a later :func:`~repro.sanitize.digest.trace_digest` of
+    them reuses their profile digests; prefer them to a second
+    ``columns.jobs()``.
     """
     owner = _MappedFile(Path(path))
-    return unpack_columns(memoryview(owner.map), owner=owner)
+    return _unpack(memoryview(owner.map), owner)
 
 
 def load_trace_bin(path: "str | Path") -> list[TraceJob]:
     """Load a binary trace file as job objects (thin views)."""
-    columns, _digest = load_columns(path)
-    return columns.jobs()
+    return load_packed(path)[1]
 
 
 def load_trace_auto(path: "str | Path") -> list[TraceJob]:

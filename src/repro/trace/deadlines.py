@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.cluster import ClusterConfig
-from ..core.engine import SimulatorEngine
+from ..core.kernel import ColumnarEngine
 from ..core.job import JobProfile, TraceJob
 
 __all__ = ["solo_completion_time", "DeadlineFactorPolicy", "clear_solo_cache"]
@@ -34,19 +34,12 @@ def clear_solo_cache() -> None:
 
 
 def _profile_key(profile: JobProfile) -> tuple:
-    # Content-based key: profiles are immutable, and identical templates
-    # (e.g. one profile replayed many times across trace permutations)
-    # share one cache entry.  ``id()`` would be unsafe — ids are reused
-    # after garbage collection.
-    return (
-        profile.name,
-        profile.num_maps,
-        profile.num_reduces,
-        hash(profile.map_durations.tobytes()),
-        hash(profile.first_shuffle_durations.tobytes()),
-        hash(profile.typical_shuffle_durations.tobytes()),
-        hash(profile.reduce_durations.tobytes()),
-    )
+    # Content-based key: identical templates (e.g. one profile replayed
+    # many times across trace permutations) share one cache entry, and
+    # the durations digest is computed at most once per profile.  The
+    # name is left out: it cannot change T_J.  ``id()`` would be unsafe —
+    # ids are reused after garbage collection.
+    return (profile.num_maps, profile.num_reduces, profile.durations_digest)
 
 
 def solo_completion_time(
@@ -72,7 +65,7 @@ def solo_completion_time(
     # Local import avoids a schedulers <-> trace import cycle at load time.
     from ..schedulers.fifo import FIFOScheduler
 
-    engine = SimulatorEngine(
+    engine = ColumnarEngine(
         cluster,
         FIFOScheduler(),
         min_map_percent_completed=min_map_percent_completed,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ClusterConfig, JobProfile, TraceJob
+from repro.core import ClusterConfig, ColumnarEngine, JobProfile, SimulatorEngine, TraceJob
 
 
 @pytest.fixture(autouse=True)
@@ -18,15 +18,22 @@ def _isolated_result_cache(tmp_path_factory, monkeypatch) -> None:
     monkeypatch.setenv("SIMMR_CACHE_DIR", str(tmp_path_factory.mktemp("simmr-cache")))
 
 
-@pytest.fixture(params=["object", "columnar"])
-def engine_kind(request) -> str:
-    """Both execution paths of the engine split (see docs/engine-internals.md).
+@pytest.fixture(params=[SimulatorEngine, ColumnarEngine], ids=["object", "columnar"])
+def engine_kind(request) -> type:
+    """Both engines: the reference and the one every caller runs
+    (see docs/engine-internals.md).
 
-    Suites that request this fixture run every test twice — once on the
-    object-per-event loop, once on the columnar kernel — so behavioural
-    pins hold on both paths.  Pass it as ``simulate(..., engine=engine_kind)``.
+    Suites that request this fixture run every test twice — once on
+    :class:`SimulatorEngine`, once on :class:`ColumnarEngine` — so
+    behavioural pins hold on both.  Run it as
+    ``run_engine(engine_kind, trace, scheduler, cluster, **kw)``.
     """
     return request.param
+
+
+def run_engine(engine_cls, trace, scheduler, cluster=None, **engine_kwargs):
+    """``simulate`` on a chosen engine: one run on a fresh ``engine_cls``."""
+    return engine_cls(cluster or ClusterConfig(), scheduler, **engine_kwargs).run(trace)
 
 
 @pytest.fixture

@@ -97,19 +97,21 @@ class TestProfileAndReplay:
         self, history_file, tmp_path, capsys
     ):
         """Flex has no kernel contract and still runs on the kernel's heap
-        loop; ``--engine object`` names the reference engine."""
+        loop; there is no ``--engine`` flag to pick another engine."""
         import json
 
         out = tmp_path / "trace.json"
         main(["profile", str(history_file), str(out)])
         capsys.readouterr()
-        for engine in ("columnar", "object"):
-            assert main(
-                ["replay", str(out), "--scheduler", "flex", "--engine", engine,
-                 "--format", "json"]
-            ) == 0
-            doc = json.loads(capsys.readouterr().out)
-            assert doc["engine_path"] == ("kernel" if engine == "columnar" else "object")
+        assert main(
+            ["replay", str(out), "--scheduler", "flex", "--format", "json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["engine_path"] == "kernel"
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(out), "--engine", "object"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_compare_subcommand(self, history_file, tmp_path, capsys):
         out = tmp_path / "trace.json"

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import ClusterConfig, JobProfile, JobState, TraceJob, simulate
+from repro.core import ClusterConfig, JobProfile, JobState, SimulatorEngine, TraceJob, simulate
 from repro.core.job import Job
 from repro.core.kernel import ColumnarEngine
 from repro.experiments.scheduler_zoo import ZOO_POLICIES
@@ -36,7 +36,11 @@ from repro.schedulers import (
     MinEDFScheduler,
 )
 
-from conftest import make_constant_profile, make_random_profile
+from conftest import make_constant_profile, make_random_profile, run_engine
+
+#: The reference engine and the kernel, in the order every differential
+#: test runs them.
+ENGINES = (SimulatorEngine, ColumnarEngine)
 
 #: Static-priority zoo policies.  Pass mode runs them while no arrival
 #: hook sets a slot cap; MinEDF caps each job that has a deadline, so on
@@ -108,11 +112,10 @@ def make_zoo_trace(seed: int = 7, n: int = 24) -> list[TraceJob]:
 def run_both(trace, scheduler_factory, cluster, **kw):
     """(object result+digest, columnar result+digest) for one workload."""
     out = []
-    for engine in ("object", "columnar"):
+    for engine in ENGINES:
         recorder = DigestRecorder(EventDigest(keep_events=True))
-        result = simulate(
-            trace, scheduler_factory(), cluster, engine=engine,
-            sanitizer=recorder, **kw,
+        result = run_engine(
+            engine, trace, scheduler_factory(), cluster, sanitizer=recorder, **kw,
         )
         out.append((result, recorder))
     return out
@@ -280,7 +283,7 @@ class TestPreemptiveReplayIdentity:
         trace = make_deadline_trace(seed=23)
         result = simulate(
             trace, MaxEDFScheduler(preemptive=True), ClusterConfig(16, 8),
-            engine="columnar", preemption=True, sanitize=False,
+            preemption=True, sanitize=False,
         )
         assert any(r.killed for r in result.task_records)
 
@@ -603,11 +606,10 @@ class TestShareContractIdentity:
         broke mid-run, so the all-broke FIFO branch is exercised."""
         trace = make_zoo_trace(seed=5, n=30)
         spent = []
-        for engine in ("object", "columnar"):
+        for engine in ENGINES:
             scheduler = _dp_finite_budgets()
-            result = simulate(
-                trace, scheduler, ClusterConfig(8, 4), engine=engine,
-                sanitize=False,
+            result = run_engine(
+                engine, trace, scheduler, ClusterConfig(8, 4), sanitize=False,
             )
             accounts = scheduler.accounts
             assert accounts and not any(a.paying for a in accounts.values())
@@ -620,7 +622,7 @@ class TestShareContractIdentity:
         trace = make_shape_trace("mixed")
         result = simulate(
             trace, _fair_preemptive(), ClusterConfig(16, 8),
-            engine="columnar", preemption=True, sanitize=False,
+            preemption=True, sanitize=False,
         )
         assert result.engine_path == "kernel"
         assert any(r.killed for r in result.task_records)
@@ -754,8 +756,12 @@ class TestFallbackEnvelope:
             assert engine.sanitizer.violations == []
 
     def test_simulate_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine must be"):
-            simulate([], FIFOScheduler(), ClusterConfig(4, 4), engine="gpu")
+        """``simulate`` has no engine choice: it always runs the kernel,
+        and an ``engine=`` argument is refused, not ignored."""
+        for engine in ("gpu", "object", "columnar"):
+            with pytest.raises(TypeError, match="'engine'"):
+                simulate([], FIFOScheduler(), ClusterConfig(4, 4), engine=engine)
+        assert simulate([], FIFOScheduler(), ClusterConfig(4, 4)).engine_path == "kernel"
 
     def test_validates_slowstart_like_object_engine(self):
         with pytest.raises(ValueError, match="min_map_percent_completed"):
@@ -769,22 +775,21 @@ class TestStallParity:
     def test_zero_reduce_slots_stall_message_identical(self):
         trace = [TraceJob(make_constant_profile(), 0.0)]
         messages = []
-        for engine in ("object", "columnar"):
+        for engine in ENGINES:
             with pytest.raises(RuntimeError, match="simulation stalled") as exc:
-                simulate(
-                    trace, FIFOScheduler(), ClusterConfig(4, 0),
-                    engine=engine, sanitize=False,
+                run_engine(
+                    engine, trace, FIFOScheduler(), ClusterConfig(4, 0), sanitize=False,
                 )
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
     def test_zero_reduce_cap_stalls_both_engines(self):
         trace = [TraceJob(make_constant_profile(), 0.0)]
-        for engine in ("object", "columnar"):
+        for engine in ENGINES:
             with pytest.raises(RuntimeError, match="simulation stalled"):
-                simulate(
-                    trace, CappedFIFOScheduler(2, 0), ClusterConfig(4, 4),
-                    engine=engine, sanitize=False,
+                run_engine(
+                    engine, trace, CappedFIFOScheduler(2, 0), ClusterConfig(4, 4),
+                    sanitize=False,
                 )
 
 
@@ -800,21 +805,20 @@ class TestStallPrefix:
         profile = make_constant_profile(num_maps=2, num_reduces=1)
         trace = [TraceJob(profile, 0.0), TraceJob(profile, 1.0)]
         observed = {}
-        for engine in ("object", "columnar"):
+        for engine in ENGINES:
             # One recorder for both runs: the stalled run must replace
             # the finished run's stream, not leave it standing.
             recorder = DigestRecorder(EventDigest(keep_events=True))
-            simulate(trace, factory(), ClusterConfig(2, 2), engine=engine,
-                     sanitizer=recorder)
+            run_engine(engine, trace, factory(), ClusterConfig(2, 2), sanitizer=recorder)
             assert recorder.digest.count == 18
             with pytest.raises(RuntimeError, match="simulation stalled") as exc:
-                simulate(trace, factory(), ClusterConfig(2, 0), engine=engine,
-                         sanitizer=recorder)
+                run_engine(engine, trace, factory(), ClusterConfig(2, 0),
+                           sanitizer=recorder)
             observed[engine] = (
                 recorder.digest.events, recorder.hexdigest(), str(exc.value)
             )
-        assert len(observed["object"][0]) == 12
-        assert observed["object"] == observed["columnar"]
+        assert len(observed[SimulatorEngine][0]) == 12
+        assert observed[SimulatorEngine] == observed[ColumnarEngine]
         engine = ColumnarEngine(ClusterConfig(2, 2), factory(), sanitize=False)
         engine.run(trace)
         assert engine.last_kernel_mode == mode
@@ -836,11 +840,10 @@ class TestDualRunDivergence:
         digests from either path are interchangeable cache/verify keys."""
         trace = make_zoo_trace(seed=31, n=10)
         digests = []
-        for engine in ("object", "columnar"):
+        for engine in ENGINES:
             recorder = DigestRecorder(EventDigest(keep_events=True))
-            simulate(
-                trace, FIFOScheduler(), ClusterConfig(8, 4),
-                engine=engine, sanitizer=recorder,
+            run_engine(
+                engine, trace, FIFOScheduler(), ClusterConfig(8, 4), sanitizer=recorder,
             )
             digests.append(recorder.digest)
         from repro.sanitize.digest import compare_digests
@@ -884,18 +887,16 @@ class TestColumnsInput:
         )
         from_columns = engine.run(columns)
         assert engine.last_path == "kernel"
-        direct = simulate(
-            trace, FIFOScheduler(), ClusterConfig(8, 4), engine="object",
-            sanitize=False,
-        )
+        direct = SimulatorEngine(
+            ClusterConfig(8, 4), FIFOScheduler(), sanitize=False
+        ).run(trace)
         assert from_columns.makespan == direct.makespan
         assert from_columns.events_processed == direct.events_processed
 
     def test_all_jobs_complete(self):
         trace = make_zoo_trace(seed=41, n=12)
         result = simulate(
-            trace, FIFOScheduler(), ClusterConfig(16, 8), engine="columnar",
-            sanitize=False,
+            trace, FIFOScheduler(), ClusterConfig(16, 8), sanitize=False,
         )
         assert all(j.completion_time is not None for j in result.jobs)
         assert result.makespan == max(j.completion_time for j in result.jobs)
@@ -931,24 +932,25 @@ class TestExecutorPlumbing:
 
 class TestServiceProtocol:
     def test_engine_config_validated(self):
+        """A request cannot pick the engine: ``config.engine`` is an
+        unknown config key, refused with a 400 that names it."""
         from repro.service.protocol import ProtocolError, parse_request
         from repro.trace.schema import trace_to_dict
 
         trace = [TraceJob(make_constant_profile(), 0.0)]
-        doc = {"trace": trace_to_dict(trace), "config": {"engine": "gpu"}}
-        with pytest.raises(ProtocolError, match="config.engine"):
-            parse_request(doc, trace_root=None)
+        for engine in ("gpu", "object", "columnar"):
+            doc = {"trace": trace_to_dict(trace), "config": {"engine": engine}}
+            with pytest.raises(ProtocolError, match=r"unknown config key\(s\): \['engine'\]") as exc:
+                parse_request(doc, trace_root=None)
+            assert exc.value.status == 400
 
-    def test_engine_config_reaches_task(self):
+    def test_request_task_runs_the_kernel(self):
         from repro.service.protocol import parse_request
         from repro.trace.schema import trace_to_dict
 
         trace = [TraceJob(make_constant_profile(), 0.0)]
-        for engine in ("object", "columnar"):
-            doc = {"trace": trace_to_dict(trace), "config": {"engine": engine}}
-            request = parse_request(doc, trace_root=None)
-            assert request.engine == engine
-            assert request.task().engine == engine
+        request = parse_request({"trace": trace_to_dict(trace)}, trace_root=None)
+        assert request.task().engine == "columnar"
 
 
 # --------------------------------------------------------------------------- #

@@ -13,11 +13,11 @@ import pytest
 import functools
 import sys
 
-from repro.core import ClusterConfig, JobState, SimulatorEngine, TraceJob
+from repro.core import ClusterConfig, JobState, TraceJob
 from repro.core import simulate as _simulate
 from repro.schedulers import FIFOScheduler
 
-from conftest import make_constant_profile
+from conftest import make_constant_profile, run_engine
 
 simulate = _simulate
 
@@ -28,7 +28,7 @@ def _both_engines(engine_kind, monkeypatch):
     monkeypatch.setattr(
         sys.modules[__name__],
         "simulate",
-        functools.partial(_simulate, engine=engine_kind),
+        functools.partial(run_engine, engine_kind),
     )
 
 
@@ -169,29 +169,29 @@ class TestEngineMechanics:
         assert r1.completion_times() == r2.completion_times()
         assert r1.events_processed == r2.events_processed
 
-    def test_engine_reusable(self, single_job_trace):
-        engine = SimulatorEngine(ClusterConfig(4, 4), FIFOScheduler())
+    def test_engine_reusable(self, single_job_trace, engine_kind):
+        engine = engine_kind(ClusterConfig(4, 4), FIFOScheduler())
         first = engine.run(single_job_trace)
         second = engine.run(single_job_trace)
         assert first.completion_times() == second.completion_times()
 
-    def test_invalid_slowstart_rejected(self):
+    def test_invalid_slowstart_rejected(self, engine_kind):
         with pytest.raises(ValueError, match="min_map_percent_completed"):
-            SimulatorEngine(ClusterConfig(4, 4), FIFOScheduler(), min_map_percent_completed=1.5)
+            engine_kind(ClusterConfig(4, 4), FIFOScheduler(), min_map_percent_completed=1.5)
 
     def test_empty_trace(self):
         result = simulate([], FIFOScheduler(), ClusterConfig(4, 4))
         assert result.makespan == 0.0
         assert len(result.jobs) == 0
 
-    def test_job_states_completed(self, single_job_trace):
+    def test_job_states_completed(self, single_job_trace, engine_kind):
         departed = []
 
         class Recording(FIFOScheduler):
             def on_job_departure(self, job, time):
                 departed.append(job)
 
-        SimulatorEngine(ClusterConfig(4, 4), Recording()).run(single_job_trace)
+        engine_kind(ClusterConfig(4, 4), Recording()).run(single_job_trace)
         assert len(departed) == len(single_job_trace)
         assert all(j.state is JobState.COMPLETED for j in departed)
 

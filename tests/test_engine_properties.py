@@ -15,6 +15,8 @@ from repro.core import ClusterConfig, JobProfile, TraceJob
 from repro.core import simulate as _simulate
 from repro.schedulers import FIFOScheduler, MaxEDFScheduler, MinEDFScheduler
 
+from conftest import run_engine
+
 simulate = _simulate
 
 
@@ -28,7 +30,7 @@ def _both_engines(engine_kind, monkeypatch):
     monkeypatch.setattr(
         sys.modules[__name__],
         "simulate",
-        functools.partial(_simulate, engine=engine_kind),
+        functools.partial(run_engine, engine_kind),
     )
 
 durations = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.core import ClusterConfig, TraceJob
-from repro.core.engine import simulate
+from repro.core.engine import SimulatorEngine
 from repro.policy import (
     EXAMPLE_POLICIES,
     FEATURES,
@@ -49,7 +49,7 @@ from repro.sanitize.digest import DigestRecorder
 from repro.schedulers import FIFOScheduler
 from repro.schedulers.edf import MaxEDFScheduler
 
-from conftest import make_random_profile
+from conftest import make_random_profile, run_engine
 
 
 @pytest.fixture
@@ -73,15 +73,9 @@ def rule_ids(report):
     return {f.rule_id for f in report.findings}
 
 
-def run_digest(trace, scheduler, engine="object", cluster=None):
+def run_digest(trace, scheduler, engine=SimulatorEngine, cluster=None):
     recorder = DigestRecorder()
-    simulate(
-        trace,
-        scheduler,
-        cluster or ClusterConfig(16, 16),
-        engine=engine,
-        sanitizer=recorder,
-    )
+    run_engine(engine, trace, scheduler, cluster or ClusterConfig(16, 16), sanitizer=recorder)
     return recorder.hexdigest()
 
 

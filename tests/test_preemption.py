@@ -15,7 +15,7 @@ import pytest
 from repro.core import ClusterConfig, SimulatorEngine, TraceJob, simulate
 from repro.schedulers import FIFOScheduler, MaxEDFScheduler, MinEDFScheduler
 
-from conftest import make_constant_profile, make_random_profile
+from conftest import make_constant_profile, make_random_profile, run_engine
 
 
 @pytest.fixture
@@ -25,8 +25,8 @@ def run(engine_kind):
     here holds on both the object loop and the columnar kernel."""
 
     def _run(trace, scheduler, cluster=ClusterConfig(4, 4), **kw):
-        return simulate(
-            trace, scheduler, cluster, engine=engine_kind, preemption=True,
+        return run_engine(
+            engine_kind, trace, scheduler, cluster, preemption=True,
             sanitize=False, **kw,
         )
 

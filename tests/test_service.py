@@ -426,6 +426,15 @@ class TestServiceEndToEnd:
         assert status == 400
         assert b"weight must be finite" in payload
 
+    def test_engine_config_key_is_400_naming_it(self, server, trace):
+        """The service runs one engine; a request that still picks one
+        is refused, not silently run on the kernel."""
+        doc = request_document(trace=trace)
+        doc["config"]["engine"] = "object"
+        status, _, payload = ServiceClient(server.url)._request("/simulate", doc)
+        assert status == 400
+        assert "unknown config key(s): ['engine']" in json.loads(payload)["error"]
+
     def test_unknown_endpoint_404(self, client):
         status, _, _ = client._request("/nope", {"x": 1})
         assert status == 404

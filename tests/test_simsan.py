@@ -659,7 +659,9 @@ class TestRunCheck:
 
     def test_fifo_replay_takes_pass_mode(self, monkeypatch):
         """The dynamic half checks ColumnarEngine in the mode a sweep cell
-        takes: pass mode for FIFO."""
+        takes: pass mode for FIFO.  The trace is built first: its
+        deadlines come from T_J runs, which take the kernel too."""
+        trace = default_check_trace(jobs=4, seed=2)
         modes = []
         run = ColumnarEngine.run
 
@@ -669,7 +671,7 @@ class TestRunCheck:
             return result
 
         monkeypatch.setattr(ColumnarEngine, "run", spy)
-        report = run_check(schedulers=("fifo",), jobs=4, seed=2, static=False,
+        report = run_check(schedulers=("fifo",), trace=trace, static=False,
                            policy=False)
         assert report.ok
         assert modes == ["passes", "passes"]

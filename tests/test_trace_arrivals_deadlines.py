@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ClusterConfig, TraceJob
+from repro.core import ClusterConfig, JobProfile, TraceJob
 from repro.trace.arrivals import (
     BatchArrivals,
     ExponentialArrivals,
@@ -85,6 +85,44 @@ class TestSoloCompletionTime:
         t1 = solo_completion_time(p1, cluster64)
         t2 = solo_completion_time(p2, cluster64)
         assert t1 == t2
+
+    def test_equal_content_shares_one_entry(self, cluster64, monkeypatch):
+        """The key is (shape, durations digest): equal-content profiles,
+        whatever their names, share one entry, and each profile's
+        digest is computed once however often it is asked for."""
+        import repro.core.job as job_module
+        from repro.trace.deadlines import _SOLO_CACHE
+
+        calls = []
+        real = job_module._phases_digest
+        monkeypatch.setattr(
+            job_module, "_phases_digest", lambda phases: calls.append(1) or real(phases)
+        )
+        clear_solo_cache()
+        profiles = [make_constant_profile(name=name) for name in ("a", "a", "b")]
+        for _ in range(3):
+            for profile in profiles:
+                solo_completion_time(profile, cluster64)
+        assert len(_SOLO_CACHE) == 1
+        assert len(calls) == len(profiles)
+
+    def test_different_content_gets_its_own_entry(self, cluster64):
+        from repro.trace.deadlines import _SOLO_CACHE
+
+        clear_solo_cache()
+        base = make_constant_profile(num_maps=8, num_reduces=4)
+        longer_maps = make_constant_profile(num_maps=8, num_reduces=4, map_s=11.0)
+        # Same duration arrays, one map fewer: the shape is in the key too.
+        fewer_maps = JobProfile(
+            name=base.name, num_maps=7, num_reduces=4,
+            map_durations=base.map_durations,
+            first_shuffle_durations=base.first_shuffle_durations,
+            typical_shuffle_durations=base.typical_shuffle_durations,
+            reduce_durations=base.reduce_durations,
+        )
+        times = {solo_completion_time(p, cluster64) for p in (base, longer_maps, fewer_maps)}
+        assert len(_SOLO_CACHE) == 3
+        assert len(times) == 2  # 7 and 8 maps both fit one wave on 64 slots
 
     def test_cache_distinguishes_different_profiles(self, cluster64, rng):
         """Regression: id()-keyed caching returned stale values after GC."""

@@ -31,7 +31,7 @@ from repro.trace.binfmt import (
     BINARY_VERSION,
     is_binary_trace_file,
     is_packed,
-    load_columns,
+    load_packed,
     load_trace_auto,
     load_trace_bin,
     pack_trace,
@@ -182,8 +182,10 @@ class TestBinaryFormat:
         assert_same_trace(trace, load_trace_bin(path))
         read, _ = unpack_columns(path.read_bytes())
         assert_same_trace(trace, read.jobs())
-        columns, digest = load_columns(path)
+        columns, jobs, digest = load_packed(path)
         assert digest == trace_digest(trace)
+        assert_same_trace(trace, jobs)
+        assert_same_trace(trace, columns.jobs())
 
     def test_load_trace_auto_sniffs_both_formats(self, rng, tmp_path):
         trace = make_trace(rng)

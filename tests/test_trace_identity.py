@@ -56,7 +56,7 @@ from repro.service import (
 from repro.service.tracecache import TraceCache
 from repro.trace import binfmt
 from repro.trace.binfmt import (
-    load_columns,
+    load_packed,
     load_trace_auto,
     load_trace_bin,
     pack_trace,
@@ -353,6 +353,27 @@ class TestProfileDigestComputedOnce:
         assert trace_digest(trace) == digest
         assert profile_digests == []
 
+    @pytest.mark.parametrize("loader", ["load_trace_bin", "trace_cache", "executor"])
+    def test_loaded_simmr_profiles_are_digested_once(
+        self, tmp_path, monkeypatch, profile_digests, loader
+    ):
+        """A ``.simmr`` load hands out the jobs its header check digested,
+        so digesting the loaded trace reads no duration again."""
+        trace = rich_trace()
+        path = tmp_path / "t.simmr"
+        save_trace_bin(trace, path)
+        del profile_digests[:]
+        if loader == "load_trace_bin":
+            loaded = load_trace_bin(path)
+        elif loader == "trace_cache":
+            loaded, _digest = TraceCache().load(path)
+        else:
+            monkeypatch.setattr(executor, "_WORKER_OWNERS", [])
+            loaded = executor._attach_file(str(path))
+        assert len(profile_digests) == len(trace)
+        assert trace_digest(loaded) == binfmt.packed_digest(path.read_bytes())
+        assert len(profile_digests) == len(trace)
+
     def test_fresh_client_on_a_digested_trace_reads_no_duration(
         self, tmp_path, profile_digests
     ):
@@ -378,8 +399,9 @@ class TestOneDigestEverywhere:
         assert trace_digest(TraceColumns.from_trace(trace).jobs()) == digest
         path = tmp_path / "t.simmr"
         save_trace_bin(trace, path)
-        columns, header = load_columns(path)
+        columns, jobs, header = load_packed(path)
         assert header == digest
+        assert trace_digest(jobs) == digest
         assert trace_digest(columns.jobs()) == digest
 
     def test_pool_fanout_digests_each_trace_once(self, monkeypatch):

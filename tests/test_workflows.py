@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import ClusterConfig, TraceJob, simulate
+from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine, TraceJob, simulate
 from repro.core.job import validate_dependencies
 from repro.schedulers import FIFOScheduler
 from repro.service import (
@@ -26,7 +26,7 @@ from repro.trace.schema import trace_from_dict, trace_to_dict
 from repro.trace.synthetic import SyntheticJobSpec
 from repro.trace.workflows import WorkflowSpec, WorkflowStage, chain
 
-from conftest import make_constant_profile
+from conftest import make_constant_profile, run_engine
 
 
 def spec(name: str = "s", maps: int = 4, map_s: float = 10.0) -> SyntheticJobSpec:
@@ -207,10 +207,9 @@ class TestBadDependencies:
     """Every entry point rejects a bad ``depends_on`` with one message."""
 
     def test_engine(self, shape):
-        for engine in ("columnar", "object"):
+        for engine in (ColumnarEngine, SimulatorEngine):
             with pytest.raises(ValueError, match=BAD_DEPS[shape][1]):
-                simulate(bad_trace(shape), FIFOScheduler(), ClusterConfig(8, 8),
-                         engine=engine)
+                run_engine(engine, bad_trace(shape), FIFOScheduler(), ClusterConfig(8, 8))
 
     def test_trace_from_dict(self, shape):
         with pytest.raises(ValueError, match=BAD_DEPS[shape][1]):
