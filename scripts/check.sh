@@ -88,6 +88,48 @@ print("version-2 .simmr refused (re-pack it from its JSON trace)")
 PY
 
 echo
+echo "== result-cache smoke (simmr sweep twice on one cache file) =="
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$smoke_dir" <<'PY' || fail=1
+import json, sqlite3, subprocess, sys
+from pathlib import Path
+
+sys.path.insert(0, "src")
+from repro.core.results_io import _BLOB_MAGIC
+
+out = Path(sys.argv[1])
+cache = out / "results.sqlite"
+
+def sweep(*extra):
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", str(out / "smoke.json"),
+         "--schedulers", "fifo,maxedf", "--map-slots", "8,16",
+         "--cache-path", str(cache), "--format", "json", "--quiet", *extra],
+        check=True, capture_output=True, text=True,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+    )
+    return json.loads(done.stdout)
+
+# The first run fans out over a pool (results come back packed) and
+# fills the cache; the second is served from it alone.
+cold = sweep("--workers", "2")
+warm = sweep()
+cells = len(cold["cells"])
+assert cold["executed"] == cells and cold["cache_hits"] == 0, cold
+assert warm["cache_hits"] == cells and warm["executed"] == 0, warm
+assert all(cell["cached"] for cell in warm["cells"]), warm["cells"]
+digests = [cell["event_digest"] for cell in cold["cells"]]
+assert [cell["event_digest"] for cell in warm["cells"]] == digests, "digest drift"
+conn = sqlite3.connect(cache)
+rows = conn.execute("SELECT typeof(payload), substr(payload, 1, ?) FROM results",
+                    (len(_BLOB_MAGIC),)).fetchall()
+conn.close()
+assert len(rows) == cells, rows
+assert all(kind == "blob" and head == _BLOB_MAGIC for kind, head in rows), rows
+print(f"{cells} cells served from the cache with equal digests; "
+      f"every payload a packed BLOB")
+PY
+
+echo
 echo "== kernel-vs-object digest smoke (ColumnarEngine vs SimulatorEngine) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys

@@ -19,16 +19,22 @@ one as runs finish, which is what makes an interrupted sweep resumable
 for free — the completed cells are already on disk, and the re-run only
 executes the rest.
 
-The stored payload is the :func:`repro.core.results_io.result_to_dict`
-document, including the run's event-stream digest, so a restored
+The stored payload is the result packed by
+:func:`repro.core.results_io.result_to_bytes` (a sqlite BLOB of
+fixed-width little-endian columns plus a small JSON head), including
+the run's event-stream digest, so a restored
 :class:`~repro.core.results.SimulationResult` is verifiably identical
-to a fresh execution (compare ``event_digest``).  Its layout belongs to
-:mod:`repro.core.results_io`: rows are written in its current format
-(jobs and task records stored column-wise) and decoded by
-:func:`~repro.core.results_io.result_from_dict`, which still reads the
-row form of older entries, so a format change alone does not bump
-:data:`CACHE_SCHEMA_VERSION`.  A lookup reads and decodes one key; a
-payload that no longer decodes is deleted and counted as a miss.
+to a fresh execution (compare ``event_digest``).  The cache is a
+machine-local store, so it keeps the packed form, which a hit decodes
+with a few ``numpy.frombuffer`` calls; the JSON document of
+:func:`~repro.core.results_io.result_to_dict` stays the format for
+people and for HTTP.  Rows written as JSON text by earlier versions
+(any readable document version) still hit: :meth:`ResultCache.get`
+decodes a TEXT payload with
+:func:`~repro.core.results_io.result_from_dict`, so a payload format
+change alone does not bump :data:`CACHE_SCHEMA_VERSION`.  A lookup
+reads and decodes one key; a payload that no longer decodes is deleted
+and counted as a miss.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
 from ..core.results import SimulationResult
-from ..core.results_io import result_from_dict, result_to_dict
+from ..core.results_io import result_from_bytes, result_from_dict, result_to_bytes
 
 __all__ = ["ResultCache", "CacheStats", "cache_key", "default_cache_path"]
 
@@ -210,9 +216,11 @@ class ResultCache:
     def get(self, key: str) -> Optional[SimulationResult]:
         """The stored result under ``key``, or None (counted as a miss).
 
-        A row whose payload no longer parses (truncated write, format
-        change) is treated as absent and deleted, so a corrupt entry
-        costs one re-execution instead of a crash.
+        A BLOB payload is a packed result; a TEXT one is a JSON document
+        stored by an earlier version.  A row whose payload no longer
+        decodes (truncated write, format change) is treated as absent
+        and deleted, so a corrupt entry costs one re-execution instead
+        of a crash.
         """
         with self._lock:
             row = self._conn.execute(
@@ -221,8 +229,12 @@ class ResultCache:
             if row is None:
                 self.stats.misses += 1
                 return None
+            payload = row[0]
             try:
-                result = result_from_dict(json.loads(row[0]))
+                if isinstance(payload, bytes):
+                    result = result_from_bytes(payload)
+                else:
+                    result = result_from_dict(json.loads(payload))
             except (ValueError, KeyError, TypeError):
                 self.delete(key)
                 self.stats.misses += 1
@@ -249,7 +261,7 @@ class ResultCache:
         scheduler_id: str = "",
     ) -> None:
         """Store (or overwrite) a result; committed immediately."""
-        payload = json.dumps(result_to_dict(result))
+        payload = result_to_bytes(result)
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO results"

@@ -30,7 +30,9 @@ content digest and written to a temporary ``.simmr`` file; workers
 ``mmap`` it read-only on first use, re-check its digest and rebuild
 zero-copy :class:`~repro.core.columns.TraceColumns` views, so the bytes
 shipped per worker are O(1) in the trace size and the page cache holds
-one physical copy of the durations for all workers.
+one physical copy of the durations for all workers.  Results come back
+as the bytes :func:`~repro.core.results_io.result_to_bytes` packs, the
+same bytes the result cache stores.
 
 In-process factories (``SchedulerSpec.inline``) are supported for
 ad-hoc policies but always execute in the parent and bypass the cache —
@@ -55,7 +57,7 @@ from ..core.engine import SimulatorEngine
 from ..core.kernel import ColumnarEngine
 from ..core.job import TraceJob
 from ..core.results import SimulationResult
-from ..core.results_io import result_from_dict, result_to_dict
+from ..core.results_io import result_from_bytes, result_to_bytes
 from ..sanitize.digest import DigestRecorder, trace_digest
 from ..schedulers import Scheduler, make_scheduler
 from .cache import ResultCache, cache_key, default_cache_path
@@ -314,13 +316,14 @@ def _worker_trace(trace_id: str) -> Sequence[TraceJob]:
     return trace
 
 
-def _run_in_worker(item: tuple[int, SimTask, int, bool]) -> tuple[int, dict[str, Any]]:
+def _run_in_worker(item: tuple[int, SimTask, int, bool]) -> tuple[int, bytes]:
     index, task, seed, digest = item
     result = _execute(_worker_trace(task.trace_id), task, seed, digest)
-    # Results travel back as their canonical serialization document —
-    # the exact bytes the cache would store — so a parallel result is
-    # structurally identical to a cache restore of itself.
-    return index, result_to_dict(result)
+    # Results travel back packed by ``result_to_bytes`` — the exact
+    # bytes the cache would store — so a parallel result is structurally
+    # identical to a cache restore of itself.  The JSON document is for
+    # people and HTTP; both ends of this pipe are one machine.
+    return index, result_to_bytes(result)
 
 
 # --------------------------------------------------------------------------- #
@@ -581,7 +584,7 @@ def _simulate_many(
                 by_index = {i: (task, seed) for i, task, seed in parallel}
                 for index, payload in pool.imap_unordered(_run_in_worker, items):
                     task, seed = by_index[index]
-                    finish(index, store(index, task, seed, result_from_dict(payload)))
+                    finish(index, store(index, task, seed, result_from_bytes(payload)))
     else:
         inline = pending  # run everything in-process, in submission order
     for index, task, seed in inline:

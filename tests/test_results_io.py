@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import sqlite3
+import struct
 import sys
 from pathlib import Path
 
@@ -13,12 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ClusterConfig, TraceJob, simulate
+from repro.core import results_io
 from repro.core.job import TaskRecord
 from repro.core.results import JobResult, SimulationResult
 from repro.core.results_io import (
     jobs_to_csv,
     load_result,
+    result_from_bytes,
     result_from_dict,
+    result_to_bytes,
     result_to_dict,
     save_result,
 )
@@ -298,6 +303,219 @@ class TestRoundTripProperty:
         # Text equality also tells -0.0 from 0.0, which == does not.
         assert json.dumps(result_to_dict(rebuilt)) == text
         assert [type(j) for j in rebuilt.jobs] == [JobResult] * len(result.jobs)
+
+
+_NON_OBJECTS = ("[]", "null", "5")
+
+
+class TestNonObjectDocument:
+    """Valid JSON that is not an object is a malformed document."""
+
+    @pytest.mark.parametrize("text", _NON_OBJECTS)
+    def test_load_result_raises_value_error(self, text, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must be an object"):
+            load_result(path)
+
+    @pytest.mark.parametrize("text", _NON_OBJECTS)
+    def test_cache_drops_the_row_as_a_miss(self, result, text):
+        with ResultCache() as cache:
+            cache.put("k", result)
+            cache._conn.execute("UPDATE results SET payload = ? WHERE key = ?", (text, "k"))
+            assert cache.get("k") is None
+            assert cache.stats.misses == 1 and cache.stats.hits == 0
+            assert not cache.contains("k")
+
+
+def _floats(result: SimulationResult) -> list:
+    """Every float-or-None field of ``result``, in a fixed order."""
+    values = [result.makespan, result.wall_clock_seconds]
+    for j in result.jobs:
+        values += [j.submit_time, j.start_time, j.map_stage_end, j.completion_time, j.deadline]
+    for r in result.task_records:
+        values += [r.start, r.end, r.shuffle_end]
+    return values
+
+
+def _bits(value):
+    """``value``'s IEEE-754 bytes (None stays None): tells -0.0 from 0.0."""
+    return None if value is None else struct.pack("<d", value)
+
+
+#: Names the JSON head must carry: non-ASCII, astral, a lone surrogate.
+_ODD_NAMES = ("héllo", "\U0001f600 job", "\ud800", "a\udfffb", "", '"\\\n')
+
+_odd_names_result = SimulationResult(
+    scheduler_name="\udc80 sched",
+    jobs=[JobResult(i, name, 1.0, None, None, None, None, 1, 0) for i, name in enumerate(_ODD_NAMES)],
+    task_records=[],
+    makespan=float("inf"),
+    events_processed=2**40,
+    wall_clock_seconds=0.0,
+    event_digest="ab" * 16,
+    engine_path="kernel",
+)
+
+_bytes_results = st.builds(
+    SimulationResult,
+    scheduler_name=st.text(st.characters(exclude_categories=()), max_size=8),
+    jobs=st.lists(
+        st.builds(
+            JobResult,
+            job_id=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            name=st.text(st.characters(exclude_categories=()), max_size=8),
+            submit_time=_times,
+            start_time=_maybe_time,
+            map_stage_end=_maybe_time,
+            completion_time=_maybe_time,
+            deadline=_maybe_time,
+            num_maps=st.integers(min_value=0, max_value=10**6),
+            num_reduces=st.integers(min_value=0, max_value=10**6),
+        ),
+        max_size=6,
+    ),
+    task_records=st.lists(_task_records, max_size=6),
+    makespan=_times,
+    events_processed=st.integers(min_value=0, max_value=2**40),
+    wall_clock_seconds=_times,
+    event_digest=st.none() | st.text(alphabet="0123456789abcdef", min_size=32, max_size=32),
+    engine_path=st.sampled_from((None, "kernel", "object")),
+)
+
+
+class TestBytesRoundTripProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(result=_bytes_results)
+    @example(result=_EDGE_RESULT)
+    @example(result=SimulationResult("empty", [], [], 0.0, 0, 0.0))
+    @example(result=SimulationResult("no-records", _EDGE_RESULT.jobs, [], 1.0, 1, 1.0))
+    @example(result=SimulationResult("no-jobs", [], _EDGE_RESULT.task_records, 1.0, 1, 1.0))
+    @example(result=_odd_names_result)
+    def test_bytes_round_trip_is_exact_and_a_fixpoint(self, result):
+        blob = result_to_bytes(result)
+        rebuilt = result_from_bytes(blob)
+        assert rebuilt == result
+        assert list(map(_bits, _floats(rebuilt))) == list(map(_bits, _floats(result)))
+        assert result_to_bytes(rebuilt) == blob
+        assert [type(j) for j in rebuilt.jobs] == [JobResult] * len(result.jobs)
+
+    def test_edge_result_reaches_every_case(self):
+        """The hand-picked example holds what the layout must carry."""
+        values = _floats(_EDGE_RESULT)
+        assert None in values and math.inf in values
+        assert {_bits(0.0), _bits(-0.0), _bits(5e-324), _bits(-5e-324)} <= set(map(_bits, values))
+        records = _EDGE_RESULT.task_records
+        assert any(r.killed for r in records) and any(r.first_wave for r in records)
+        assert {r.kind for r in records} == {"map", "reduce"}
+        for field in ("start_time", "map_stage_end", "completion_time", "deadline"):
+            assert any(getattr(j, field) is None for j in _EDGE_RESULT.jobs)
+
+    def test_starts_with_the_magic(self, result):
+        assert result_to_bytes(result).startswith(results_io._BLOB_MAGIC)
+
+    def test_unpackable_results_raise_value_error(self, result):
+        big = SimulationResult("big", [JobResult(2**63, "x", 0.0, None, None, None, None, 1, 0)], [], 0.0, 0, 0.0)
+        with pytest.raises(ValueError):
+            result_to_bytes(big)
+        odd = SimulationResult("odd", [], [TaskRecord("shuffle", 0, 0, 0.0)], 0.0, 0, 0.0)
+        with pytest.raises(ValueError):
+            result_to_bytes(odd)
+
+
+def _with_head(blob: bytes, head: bytes) -> bytes:
+    """``blob`` with its JSON head replaced and the header's length fixed."""
+    header = results_io._BLOB_HEADER
+    magic, version, jobs, records, head_len = header.unpack_from(blob)
+    body = blob[header.size : len(blob) - head_len]
+    return header.pack(magic, version, jobs, records, len(head)) + body + head
+
+
+def _head_of(blob: bytes) -> dict:
+    head_len = results_io._BLOB_HEADER.unpack_from(blob)[-1]
+    return json.loads(blob[len(blob) - head_len :])
+
+
+def _malformed_blobs(blob: bytes) -> dict:
+    """Named corruptions of ``blob``: each must decode to ValueError."""
+    header_size = results_io._BLOB_HEADER.size
+    head = _head_of(blob)
+    cases = {f"truncated-{k}": blob[:k] for k in range(len(blob))}
+    for i in range(header_size):
+        flipped = bytearray(blob)
+        flipped[i] ^= 0xFF
+        cases[f"header-byte-{i}"] = bytes(flipped)
+    cases["trailing-byte"] = blob + b"\x00"
+    cases["extra-name"] = _with_head(blob, json.dumps({**head, "names": head["names"] + ["x"]}).encode())
+    cases["missing-name"] = _with_head(blob, json.dumps({**head, "names": head["names"][:-1]}).encode())
+    cases["name-not-str"] = _with_head(blob, json.dumps({**head, "names": [1] * len(head["names"])}).encode())
+    wrong_heads = {
+        "head-list": b"[]",
+        "head-empty": b"",
+        "head-not-json": b"{not json",
+        "head-non-ascii": json.dumps(head, ensure_ascii=False).encode()[:-1] + b"\xff}",
+        "head-deep": b"[" * 100_000,
+        "head-missing-key": json.dumps({k: v for k, v in head.items() if k != "makespan"}).encode(),
+        "head-extra-key": json.dumps({**head, "extra": 1}).encode(),
+        "head-scheduler-number": json.dumps({**head, "scheduler": 5}).encode(),
+        "head-events-bool": json.dumps({**head, "events_processed": True}).encode(),
+        "head-makespan-string": json.dumps({**head, "makespan": "1.0"}).encode(),
+        "head-names-object": json.dumps({**head, "names": {}}).encode(),
+    }
+    cases.update({name: _with_head(blob, raw) for name, raw in wrong_heads.items()})
+    flagged = bytearray(blob)
+    flagged[len(blob) - results_io._BLOB_HEADER.unpack_from(blob)[-1] - 1] = 2
+    cases["flag-2"] = bytes(flagged)
+    return cases
+
+
+class TestMalformedBlob:
+    """A packed payload that is not ``result_to_bytes`` output fails as
+    ValueError only (no struct.error, IndexError, UnicodeDecodeError or
+    JSONDecodeError), and a cache row holding one is a miss."""
+
+    def test_each_case_raises_plain_value_error(self, result):
+        cases = _malformed_blobs(result_to_bytes(result))
+        assert len(cases) > 100
+        for name, blob in cases.items():
+            with pytest.raises(ValueError) as info:
+                result_from_bytes(blob)
+            assert info.type is ValueError, (name, info.type)
+
+    def test_cache_drops_each_blob_row_as_a_miss(self, result):
+        cases = _malformed_blobs(result_to_bytes(result))
+        with ResultCache() as cache:
+            for blob in cases.values():
+                cache.put("k", result)
+                cache._conn.execute(
+                    "UPDATE results SET payload = ? WHERE key = ?", (blob, "k")
+                )
+                assert cache.get("k") is None
+                assert not cache.contains("k")
+            assert cache.stats.misses == len(cases) and cache.stats.hits == 0
+
+    def test_cache_stores_blobs_that_hit(self, result):
+        with ResultCache() as cache:
+            cache.put("k", result)
+            (payload,) = cache._conn.execute("SELECT payload FROM results").fetchone()
+            assert isinstance(payload, bytes) and payload == result_to_bytes(result)
+            assert cache.get("k") == result
+
+    def test_pool_results_equal_the_serial_run(self):
+        trace, task = _v2_fixture_replay()
+        tasks = [
+            task,
+            SimTask("t", SchedulerSpec(kind="registry", name="fifo"), ClusterConfig(4, 2), 0.05,
+                    record_tasks=True),
+        ]
+        serial = simulate_many({"t": trace}, tasks)
+        pooled = simulate_many({"t": trace}, tasks, workers=2)
+        for s, p in zip(serial, pooled):
+            assert p.result.task_records and p.result.jobs
+            assert p.result.jobs == s.result.jobs
+            assert p.result.task_records == s.result.task_records
+            assert p.result.event_digest == s.result.event_digest
+            assert p.result.makespan == s.result.makespan
 
 
 class TestCSV:
