@@ -119,13 +119,19 @@ assert warm["cache_hits"] == cells and warm["executed"] == 0, warm
 assert all(cell["cached"] for cell in warm["cells"]), warm["cells"]
 digests = [cell["event_digest"] for cell in cold["cells"]]
 assert [cell["event_digest"] for cell in warm["cells"]] == digests, "digest drift"
+# The warm summary reads the packed columns, the cold one the fresh run:
+# the same numbers, compared as JSON text so -0.0 and 0.0 differ.
+summary = ("makespan_s", "mean_T_J_s", "p95_T_J_s", "deadline_utility")
+def summaries(run):
+    return json.dumps([[cell[key] for key in summary] for cell in run["cells"]])
+assert summaries(warm) == summaries(cold), (summaries(cold), summaries(warm))
 conn = sqlite3.connect(cache)
 rows = conn.execute("SELECT typeof(payload), substr(payload, 1, ?) FROM results",
                     (len(_BLOB_MAGIC),)).fetchall()
 conn.close()
 assert len(rows) == cells, rows
 assert all(kind == "blob" and head == _BLOB_MAGIC for kind, head in rows), rows
-print(f"{cells} cells served from the cache with equal digests; "
+print(f"{cells} cells served from the cache with equal digests and summaries; "
       f"every payload a packed BLOB")
 PY
 

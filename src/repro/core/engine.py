@@ -78,7 +78,7 @@ import numpy as np
 from .cluster import ClusterConfig
 from .events import EventType
 from .job import Job, JobState, TaskRecord, TraceJob, validate_dependencies
-from .results import JobResult, SimulationResult
+from .results import JobColumns, RecordColumns, SimulationResult
 from .shuffle import ShuffleContext, ShuffleModel
 from .walltime import elapsed_since, perf_seconds
 from ..schedulers.base import Scheduler
@@ -455,12 +455,15 @@ class _EngineBase:
     def _result(
         self,
         jobs: Sequence[Job],
-        records: list[TaskRecord],
+        records: list[TaskRecord] | RecordColumns,
         processed: int,
         wall_start: float,
         engine_path: str,
     ) -> SimulationResult:
-        """Assemble a finished run's :class:`SimulationResult`."""
+        """Assemble a finished run's :class:`SimulationResult`: the jobs
+        go in as columns, so no
+        :class:`~repro.core.results.JobResult` is built until a
+        reader asks for one."""
         wall = elapsed_since(wall_start)
         makespan = max(
             (j.completion_time for j in jobs if j.completion_time is not None),
@@ -468,7 +471,7 @@ class _EngineBase:
         )
         return SimulationResult(
             scheduler_name=self.scheduler.name,
-            jobs=[JobResult.from_job(j) for j in jobs],
+            jobs=JobColumns.from_jobs(jobs),
             task_records=records,
             makespan=makespan,
             events_processed=processed,

@@ -71,7 +71,7 @@ from .engine import (
     _cycled,
 )
 from .job import Job, JobState, TaskRecord, TraceJob
-from .results import SimulationResult
+from .results import RecordColumns, SimulationResult
 from .walltime import perf_seconds
 from ..schedulers.base import Scheduler
 
@@ -387,13 +387,13 @@ class ColumnarEngine(_EngineBase):
             2 + 2 * st.M + 2 * st.R + (1 if st.M else 0) for st in states
         )
 
-        records: list[TaskRecord] = []
+        records: list[TaskRecord] | RecordColumns = []
         if self.record_tasks:
-            records = self._build_records(states, maps, reduces)
+            records = self._build_records(maps, reduces)
 
         if self.sanitizer is not None:
             self.sanitizer.observe(
-                self, jobs, records if self.record_tasks else None,
+                self, jobs, records.rows() if self.record_tasks else None,
                 *self._event_columns(states, maps, reduces, processed),
             )
         return self._result(jobs, records, processed, wall_start, "kernel")
@@ -617,36 +617,41 @@ class ColumnarEngine(_EngineBase):
         reduces.shuffle_end = np.where(reduces.first_wave, mse + fs, start + ts)
         reduces.end = reduces.shuffle_end + rd
 
-    def _build_records(
-        self, states: list[_KJob], maps: _DispatchLog, reduces: _DispatchLog
-    ) -> list[TaskRecord]:
-        """Task records in the object engine's global append order.
+    def _build_records(self, maps: _DispatchLog, reduces: _DispatchLog) -> RecordColumns:
+        """Task records in the object engine's global append order, as
+        the blocks of :class:`~repro.core.results.RecordColumns`.
 
         The engine appends one record per ``*_TASK_ARRIVAL`` pop, so the
         global order is ``(start, arrival-event type, dispatch seq)``:
         one stable sort by start over the map then reduce columns, each
         already in seq order.
         """
-        records: list[TaskRecord] = []
-        for jid, k, start, end in zip(
-            maps.job.tolist(), maps.task.tolist(), maps.starts, maps.end.tolist()
-        ):
-            rec = TaskRecord("map", jid, k, start, end)
-            states[jid].job.map_records.append(rec)
-            records.append(rec)
-        for jid, i, start, end, se, first in zip(
-            reduces.job.tolist(),
-            reduces.task.tolist(),
-            reduces.starts,
-            reduces.end.tolist(),
-            reduces.shuffle_end.tolist(),
-            reduces.first_wave.tolist(),
-        ):
-            rec = TaskRecord("reduce", jid, i, start, end, se, first)
-            states[jid].job.reduce_records.append(rec)
-            records.append(rec)
+        n_maps = len(maps.starts)
+        n_reduces = len(reduces.starts)
+        is_reduce = np.repeat(np.array([0, 1], dtype=np.uint8), (n_maps, n_reduces))
         order = np.argsort(np.concatenate((maps.start, reduces.start)), kind="stable")
-        return [records[i] for i in order.tolist()]
+        ints = np.array(
+            [np.concatenate((maps.job, reduces.job)), np.concatenate((maps.task, reduces.task))],
+            dtype="<i8",
+        )
+        floats = np.array(
+            [
+                np.concatenate((maps.start, reduces.start)),
+                np.concatenate((maps.end, reduces.end)),
+                np.concatenate((np.zeros(n_maps), reduces.shuffle_end)),
+            ],
+            dtype="<f8",
+        )
+        flags = np.array(
+            [
+                is_reduce,
+                1 - is_reduce,  # a map's shuffle_end is None
+                np.concatenate((np.zeros(n_maps, dtype=np.uint8), reduces.first_wave)),
+                np.zeros(n_maps + n_reduces, dtype=np.uint8),
+            ],
+            dtype=np.uint8,
+        )
+        return RecordColumns(blocks=(ints[:, order], floats[:, order], flags[:, order]))
 
     def _event_columns(
         self,

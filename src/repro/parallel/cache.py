@@ -86,6 +86,11 @@ def default_cache_path() -> Path:
     return base / "results.sqlite"
 
 
+def config_json(engine_config: Mapping[str, Any]) -> str:
+    """``engine_config`` canonicalized: sorted keys, compact JSON."""
+    return json.dumps(dict(engine_config), sort_keys=True, separators=(",", ":"))
+
+
 def cache_key(
     trace_digest: str,
     scheduler_id: str,
@@ -98,18 +103,23 @@ def cache_key(
     hashing, and salted with the cache schema and package versions so an
     engine behaviour change cannot resurrect stale entries.
     """
+    return cache_key_from_json(trace_digest, scheduler_id, config_json(engine_config))
+
+
+def cache_key_from_json(trace_digest: str, scheduler_id: str, config_text: str) -> str:
+    """:func:`cache_key` for an engine config already canonicalized by
+    :func:`config_json` (the executor builds that text once per task)."""
     # Deferred import: repro/__init__ imports the sweep layers, so the
     # package version is not yet bound while this module first loads.
     from .. import __version__
 
-    config_json = json.dumps(dict(engine_config), sort_keys=True, separators=(",", ":"))
     h = blake2b(digest_size=16)
     for part in (
         f"simmr-cache-v{CACHE_SCHEMA_VERSION}",
         __version__,
         trace_digest,
         scheduler_id,
-        config_json,
+        config_text,
     ):
         h.update(part.encode())
         h.update(b"\x00")

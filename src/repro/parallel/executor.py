@@ -60,7 +60,7 @@ from ..core.results import SimulationResult
 from ..core.results_io import result_from_bytes, result_to_bytes
 from ..sanitize.digest import DigestRecorder, trace_digest
 from ..schedulers import Scheduler, make_scheduler
-from .cache import ResultCache, cache_key, default_cache_path
+from .cache import ResultCache, cache_key_from_json, config_json, default_cache_path
 
 __all__ = [
     "FanoutStats",
@@ -522,7 +522,7 @@ def _simulate_many(
     total = len(tasks)
     done = 0
     outcomes: list[Optional[SimOutcome]] = [None] * total
-    pending: list[tuple[int, SimTask, int]] = []  # (index, task, seed)
+    pending: list[tuple[int, SimTask, int, Optional[str]]] = []  # (index, task, seed, key)
 
     def finish(index: int, outcome: SimOutcome) -> None:
         nonlocal done
@@ -534,36 +534,31 @@ def _simulate_many(
     # Phase 1: content keys, deterministic seeds, cache lookups.
     for index, task in enumerate(tasks):
         trace_dig = digests[task.trace_id]
-        config_json = json.dumps(
-            task.engine_config(), sort_keys=True, separators=(",", ":")
-        )
+        config_text = config_json(task.engine_config())
         if task.scheduler.cacheable:
             scheduler_id = task.scheduler.identity()
-            key = cache_key(trace_dig, scheduler_id, task.engine_config())
+            key = cache_key_from_json(trace_dig, scheduler_id, config_text)
         else:
             scheduler_id = f"inline:{task.scheduler.name}"
             key = None
-        seed = _derive_seed(trace_dig, scheduler_id, config_json)
+        seed = _derive_seed(trace_dig, scheduler_id, config_text)
         if cache is not None and key is not None and not fresh:
             hit = cache.get(key)
             if hit is not None:
                 finish(index, SimOutcome(task, hit, cached=True, key=key, seed=seed))
                 continue
-        pending.append((index, task, seed))
+        pending.append((index, task, seed, key))
 
-    def store(index: int, task: SimTask, seed: int, result: SimulationResult) -> SimOutcome:
-        key = None
-        if task.scheduler.cacheable:
-            key = cache_key(
-                digests[task.trace_id], task.scheduler.identity(), task.engine_config()
+    def store(
+        task: SimTask, seed: int, key: Optional[str], result: SimulationResult
+    ) -> SimOutcome:
+        if key is not None and cache is not None:
+            cache.put(
+                key,
+                result,
+                trace_digest=digests[task.trace_id],
+                scheduler_id=task.scheduler.identity(),
             )
-            if cache is not None:
-                cache.put(
-                    key,
-                    result,
-                    trace_digest=digests[task.trace_id],
-                    scheduler_id=task.scheduler.identity(),
-                )
         return SimOutcome(task, result, cached=False, key=key, seed=seed)
 
     # Phase 2: execute the misses.
@@ -571,7 +566,7 @@ def _simulate_many(
     inline = [p for p in pending if not p[1].scheduler.cacheable]
     if workers > 1 and len(parallel) > 1:
         used_traces = {
-            task.trace_id: traces[task.trace_id] for _, task, _ in parallel
+            task.trace_id: traces[task.trace_id] for _, task, _, _ in parallel
         }
         ctx = multiprocessing.get_context()
         nproc = min(workers, len(parallel))
@@ -580,16 +575,16 @@ def _simulate_many(
             with ctx.Pool(
                 nproc, initializer=_init_worker, initargs=(published.sources,)
             ) as pool:
-                items = [(i, task, seed, digest) for i, task, seed in parallel]
-                by_index = {i: (task, seed) for i, task, seed in parallel}
+                items = [(i, task, seed, digest) for i, task, seed, _ in parallel]
+                by_index = {i: (task, seed, key) for i, task, seed, key in parallel}
                 for index, payload in pool.imap_unordered(_run_in_worker, items):
-                    task, seed = by_index[index]
-                    finish(index, store(index, task, seed, result_from_bytes(payload)))
+                    task, seed, key = by_index[index]
+                    finish(index, store(task, seed, key, result_from_bytes(payload)))
     else:
         inline = pending  # run everything in-process, in submission order
-    for index, task, seed in inline:
+    for index, task, seed, key in inline:
         result = _execute(traces[task.trace_id], task, seed, digest)
-        finish(index, store(index, task, seed, result))
+        finish(index, store(task, seed, key, result))
 
     assert all(o is not None for o in outcomes)
     return outcomes  # type: ignore[return-value]

@@ -270,10 +270,9 @@ def run_sweep(
     hits = 0
     for point, outcome in zip(points, outcomes):
         result = outcome.result
-        # result.durations()'s values, without building its dict.
-        durations = np.array(
-            [j.completion_time - j.submit_time for j in result.jobs if j.completion_time is not None]
-        )
+        # Read from the columns: a cell builds no JobResult.
+        jobs = result.job_columns
+        durations = jobs.durations()
         hits += outcome.cached
         cells.append(
             SweepCell(
@@ -284,7 +283,7 @@ def run_sweep(
                 makespan=result.makespan,
                 mean_duration=float(durations.mean()),
                 p95_duration=_p95(durations),
-                deadline_utility=result.relative_deadline_exceeded(),
+                deadline_utility=jobs.deadline_utility(),
                 cached=outcome.cached,
                 event_digest=result.event_digest,
                 engine_path=result.engine_path,

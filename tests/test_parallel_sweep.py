@@ -139,6 +139,21 @@ class TestCacheKey:
         assert cache_key("td", "sid", {**self.CONFIG, "slowstart": 1.0}) != base
 
 
+    def test_executor_key_and_seed_are_pinned(self):
+        """The executor canonicalizes each task's engine config once and
+        reuses the text for the key and the seed; the bytes it hashes are
+        those of the separate ``cache_key`` call it replaced (values
+        recorded before that change), so existing cache rows still hit."""
+        trace = [TraceJob(make_constant_profile(num_maps=2, num_reduces=1), 0.0, deadline=50.0)]
+        task = SimTask("t", SchedulerSpec(kind="registry", name="fifo"), ClusterConfig(4, 2), 0.05)
+        [outcome] = simulate_many({"t": trace}, [task])
+        assert outcome.key == "06e589083be197c8083cd9a0e37e167b"
+        assert outcome.seed == 1688417959396434421
+        assert outcome.key == cache_key(
+            trace_digest(trace), task.scheduler.identity(), task.engine_config()
+        )
+
+
 class TestTraceDigest:
     def test_stable_and_content_addressed(self, rng, trace):
         assert trace_digest(trace) == trace_digest(list(trace))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import ClusterConfig, TraceJob
-from repro.parallel import ResultCache, SchedulerSpec
+from repro.parallel import ResultCache, SchedulerSpec, SimTask, simulate_many
 from repro.schedulers import FIFOScheduler, MinEDFScheduler
 from repro.sweep import _p95, expand_grid, run_sweep
 
@@ -209,6 +211,71 @@ class TestSummaryPinned:
             assert repr(cell.p95_duration) == repr(float(np.percentile(durations, 95)))
             assert repr(cell.deadline_utility) == repr(result.relative_deadline_exceeded())
             assert cell.deadline_utility > 0
+
+
+class TestWarmCellsFromColumns:
+    """A warm sweep summarizes each cached cell from its packed columns.
+    Its cells must equal the cold pass's bit for bit, type included, on
+    a trace whose deadlines make the deadline utility nonzero (a float
+    summed in another order would show here), and it must build no
+    JobResult."""
+
+    @staticmethod
+    def _bits(value):
+        return struct.pack("<d", value) if isinstance(value, float) else value
+
+    def test_cells_bit_identical_and_no_job_objects(self, tmp_path, monkeypatch):
+        from repro.core.results import JobResult
+        from repro.experiments.performance import make_performance_trace
+        from repro.sweep import SweepCell
+        from repro.trace.deadlines import DeadlineFactorPolicy
+
+        trace = DeadlineFactorPolicy(1.1, ClusterConfig(16, 16)).assign(
+            make_performance_trace(40, mean_interarrival=10.0, seed=11),
+            np.random.default_rng(3),
+        )
+        kwargs = dict(
+            schedulers=("fifo", "maxedf", "minedf"),
+            clusters=(ClusterConfig(8, 8), ClusterConfig(12, 6)),
+            slowstarts=(0.05, 0.5),
+            cache=tmp_path / "results.sqlite",
+        )
+        cold = run_sweep(trace, **kwargs)
+
+        built = []
+        init = JobResult.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(JobResult, "__init__", counting_init)
+        warm = run_sweep(trace, **kwargs)
+        assert built == []
+        monkeypatch.undo()
+
+        assert warm.cache_hits == len(warm.cells) == len(cold.cells) == 12
+        assert sum(c.deadline_utility > 0 for c in cold.cells if c.scheduler != "FIFO") >= 4
+        names = [f.name for f in dataclasses.fields(SweepCell) if f.name != "cached"]
+        for c, w in zip(cold.cells, warm.cells):
+            assert (c.cached, w.cached) == (False, True)
+            for name in names:
+                a, b = getattr(c, name), getattr(w, name)
+                assert type(a) is type(b), name
+                assert self._bits(a) == self._bits(b), name
+
+        # The cold cells equal the formulas over the job objects.
+        [outcome] = simulate_many(
+            {"t": trace},
+            [SimTask("t", SchedulerSpec(name="maxedf"), ClusterConfig(8, 8), 0.05)],
+        )
+        jobs = outcome.result.jobs
+        cell = cold.cells[4]
+        assert (cell.scheduler, cell.map_slots, cell.slowstart) == ("MaxEDF", 8, 0.05)
+        oracle = sum(j.relative_deadline_exceeded() for j in jobs)
+        assert oracle > 0 and self._bits(cell.deadline_utility) == self._bits(oracle)
+        durations = np.array([j.duration for j in jobs])
+        assert self._bits(cell.mean_duration) == self._bits(float(durations.mean()))
 
 
 # Non-negative like job durations; a small pool makes ties common.
