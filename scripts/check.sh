@@ -88,13 +88,13 @@ print("version-2 .simmr refused (re-pack it from its JSON trace)")
 PY
 
 echo
-echo "== result-cache smoke (simmr sweep twice on one cache file) =="
+echo "== result-cache smoke (simmr sweep cold, warm, then over a layout-1 row) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$smoke_dir" <<'PY' || fail=1
-import json, sqlite3, subprocess, sys
+import json, sqlite3, struct, subprocess, sys
 from pathlib import Path
 
 sys.path.insert(0, "src")
-from repro.core.results_io import _BLOB_MAGIC
+from repro.core import results_io
 
 out = Path(sys.argv[1])
 cache = out / "results.sqlite"
@@ -108,6 +108,13 @@ def sweep(*extra):
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
     )
     return json.loads(done.stdout)
+
+def payload_heads():
+    conn = sqlite3.connect(cache)
+    rows = conn.execute("SELECT key, typeof(payload), substr(payload, 1, 8) FROM results"
+                        " ORDER BY key").fetchall()
+    conn.close()
+    return rows
 
 # The first run fans out over a pool (results come back packed) and
 # fills the cache; the second is served from it alone.
@@ -125,14 +132,38 @@ summary = ("makespan_s", "mean_T_J_s", "p95_T_J_s", "deadline_utility")
 def summaries(run):
     return json.dumps([[cell[key] for key in summary] for cell in run["cells"]])
 assert summaries(warm) == summaries(cold), (summaries(cold), summaries(warm))
-conn = sqlite3.connect(cache)
-rows = conn.execute("SELECT typeof(payload), substr(payload, 1, ?) FROM results",
-                    (len(_BLOB_MAGIC),)).fetchall()
-conn.close()
+# Every payload is a packed BLOB of layout version 2.
+packed_v2 = b"SIMMRR" + struct.pack("<H", 2)
+rows = payload_heads()
 assert len(rows) == cells, rows
-assert all(kind == "blob" and head == _BLOB_MAGIC for kind, head in rows), rows
+assert all(kind == "blob" and head == packed_v2 for _, kind, head in rows), rows
+
+# A row packed in layout version 1 (the same blocks, then a JSON head)
+# is a miss: the next sweep drops it and re-runs that cell alone.
+conn = sqlite3.connect(cache)
+key, payload = conn.execute("SELECT key, payload FROM results ORDER BY key").fetchone()
+result = results_io.result_from_bytes(payload)
+head = json.dumps({
+    "scheduler": result.scheduler_name, "makespan": result.makespan,
+    "events_processed": result.events_processed,
+    "wall_clock_seconds": result.wall_clock_seconds,
+    "event_digest": result.event_digest, "engine_path": result.engine_path,
+    "names": [job.name for job in result.jobs],
+}).encode("ascii")
+jobs, records = len(result), len(result.task_records)
+start = results_io._BLOB_HEADER.size
+blocks = payload[start : start + jobs * results_io._JOB_BYTES + records * results_io._RECORD_BYTES]
+version_1 = struct.pack("<6sHQQQ", b"SIMMRR", 1, jobs, records, len(head)) + blocks + head
+conn.execute("UPDATE results SET payload = ? WHERE key = ?", (version_1, key))
+conn.commit()
+conn.close()
+again = sweep()
+assert again["executed"] == 1 and again["cache_hits"] == cells - 1, again
+assert [cell["event_digest"] for cell in again["cells"]] == digests, "digest drift"
+assert summaries(again) == summaries(cold), (summaries(cold), summaries(again))
+assert payload_heads() == rows, payload_heads()
 print(f"{cells} cells served from the cache with equal digests and summaries; "
-      f"every payload a packed BLOB")
+      f"every payload a packed BLOB of layout 2; a layout-1 row re-ran its cell alone")
 PY
 
 echo

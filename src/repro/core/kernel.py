@@ -91,7 +91,7 @@ class _KJob:
         # reduce slow-start gate
         "gate_count", "gate_time", "gate_etype", "gate_tie",
         # reduce side
-        "fsl", "tsl", "rdl", "fel", "fs_np", "ts_np", "rd_np",
+        "tsl", "rdl", "fel", "fs_np", "ts_np", "rd_np",
         "rdispatched", "maxend", "maxend_i",
         "completion_time",
     )
@@ -118,7 +118,7 @@ class _KJob:
         self.gate_time: Optional[float] = None
         self.gate_etype = _JOB_ARR
         self.gate_tie = idx
-        self.fsl = self.tsl = self.rdl = self.fel = None
+        self.tsl = self.rdl = self.fel = None
         self.fs_np = self.ts_np = self.rd_np = None
         self.rdispatched = 0
         self.maxend = -_INF
@@ -511,7 +511,6 @@ class ColumnarEngine(_EngineBase):
             st.fs_np = _cycled(profile.effective_first_shuffle_durations, st.R)
             st.ts_np = _cycled(profile.effective_typical_shuffle_durations, st.R)
             st.rd_np = _cycled(profile.reduce_durations, st.R)
-            st.fsl = st.fs_np.tolist()
             st.tsl = st.ts_np.tolist()
             st.rdl = st.rd_np.tolist()
             st.fel = ((st.mse + st.fs_np) + st.rd_np).tolist()

@@ -87,6 +87,12 @@ def _values_of_rows(rows: Sequence[Any], names: tuple[str, ...]) -> list[list[An
     return list(map(list, zip(*map(attrgetter(*names), rows))))
 
 
+def _split_names(lengths: np.ndarray, names: str) -> list[str]:
+    """``names`` cut into consecutive pieces of ``lengths`` code points."""
+    ends = np.cumsum(lengths).tolist()
+    return [names[start:end] for start, end in zip([0, *ends], ends)]
+
+
 class _Columns:
     """Rows of one record type held in one of three forms, the others
     built from it on first use and kept:
@@ -158,12 +164,15 @@ class _Columns:
 class JobColumns(_Columns):
     """A result's jobs as columns.
 
-    The blocks are ``(ints, floats, nulls, names)``: ``ints`` is a
-    (3, n) ``<i8`` array of job_id, num_maps and num_reduces; ``floats``
-    a (5, n) ``<f8`` array of submit_time and the four optional times
-    (start_time, map_stage_end, completion_time, deadline), 0.0 where a
-    time is None; ``nulls`` a (4, n) bool array, True where each
-    optional time is None; ``names`` the list of job names.
+    The blocks are ``(ints, floats, nulls, name_lengths, names)``:
+    ``ints`` is a (3, n) ``<i8`` array of job_id, num_maps and
+    num_reduces; ``floats`` a (5, n) ``<f8`` array of submit_time and
+    the four optional times (start_time, map_stage_end, completion_time,
+    deadline), 0.0 where a time is None; ``nulls`` a (4, n) bool array,
+    True where each optional time is None; ``name_lengths`` a (n,)
+    ``<u4`` array of each job name's length in code points; ``names``
+    the names joined into one string.  The list of names is split out of
+    that string only when the values are built.
     """
 
     __slots__ = ()
@@ -179,29 +188,34 @@ class JobColumns(_Columns):
 
     @staticmethod
     def _values_of(blocks: tuple[Any, ...]) -> list[list[Any]]:
-        ints, floats, nulls, names = blocks
+        ints, floats, nulls, name_lengths, names = blocks
         times = floats.astype(object)
         times[1:][nulls] = None
         submit, start, map_end, completion, deadline = times.tolist()
         job_id, num_maps, num_reduces = ints.tolist()
-        return [job_id, names, submit, start, map_end, completion, deadline, num_maps, num_reduces]
+        return [
+            job_id, _split_names(name_lengths, names), submit, start, map_end, completion,
+            deadline, num_maps, num_reduces,
+        ]
 
     @staticmethod
     def _blocks_of(values: list[list[Any]]) -> tuple[Any, ...]:
         job_id, names, submit, *optional, num_maps, num_reduces = values
         try:
             ints = np.array([job_id, num_maps, num_reduces], dtype="<i8")
+            joined = "".join(names)
+            name_lengths = np.fromiter(map(len, names), dtype="<u4", count=len(names))
         except (OverflowError, TypeError) as exc:
             raise ValueError(f"jobs do not fit the packed layout: {exc!r}") from None
         nulls = np.array([[t is None for t in col] for col in optional], dtype=bool)
         floats = np.array([submit, *optional], dtype="<f8")
         floats[1:][nulls] = 0.0
-        return ints, floats, nulls, names
+        return ints, floats, nulls, name_lengths, joined
 
     def durations(self) -> np.ndarray:
         """T_J = completion - submission of each completed job, in job
         order: the values of :meth:`SimulationResult.durations`."""
-        _, floats, nulls, _ = self.blocks()
+        _, floats, nulls, *_ = self.blocks()
         done = ~nulls[2]
         return floats[3][done] - floats[0][done]
 
@@ -211,7 +225,7 @@ class JobColumns(_Columns):
         the builtin ``sum``: the same floats added in the same order, so
         bit for bit the value the objects give.  0.0 without late jobs.
         """
-        _, floats, nulls, _ = self.blocks()
+        _, floats, nulls, *_ = self.blocks()
         completion, deadline = floats[3], floats[4]
         # With deadline > 0, completion - deadline > 0 exactly when
         # completion > deadline: a difference of two unequal doubles is

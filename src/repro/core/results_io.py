@@ -26,12 +26,15 @@ object per job and per record, are still read.
 
 Results that never leave the machine travel as packed bytes instead:
 :func:`result_to_bytes` writes fixed-width little-endian column blocks
-behind a small header and a JSON head, and :func:`result_from_bytes`
-reads each block with one ``numpy.frombuffer`` call, so a hit parses no
-number as text.  The blocks are the ones a result's columns hold: the
-writer writes them as they are, and the reader hands its read-only
-views to the result, so a cache hit builds no Python object per job or
-record until a reader asks for one.  The result cache stores these
+behind a small header, then a fixed ``struct`` tail with the run's
+scalars and byte lengths, the few strings, and the job names as one
+UTF-8 text.  :func:`result_from_bytes` reads each block with one
+``numpy.frombuffer`` call and each string with one decode, so a hit
+parses no JSON and no number as text.  The blocks are the ones a
+result's columns hold: the writer writes them as they are, and the
+reader hands its read-only views and the names text to the result, so
+a cache hit builds no Python object per job or record, not even the
+list of names, until a reader asks for one.  The result cache stores these
 bytes, and pool workers hand results back in them.  Both file layouts
 are private to this module.
 """
@@ -181,66 +184,84 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
 
 # -- packed bytes (the result cache and the pool hand-off) -------------------
 
-#: Magic, layout version, job count, record count, head length.
-_BLOB_HEADER = struct.Struct("<6sHQQQ")
+#: Magic, layout version, job count, record count.
+_BLOB_HEADER = struct.Struct("<6sHQQ")
 _BLOB_MAGIC = b"SIMMRR"
-_BLOB_VERSION = 1
+_BLOB_VERSION = 2
 #: Bytes per job (three ``<i8``, five ``<f8``, four ``u1`` null flags)
 #: and per record (two ``<i8``, three ``<f8``, four ``u1`` flags).
 _JOB_BYTES = 3 * 8 + 5 * 8 + 4
 _RECORD_BYTES = 2 * 8 + 3 * 8 + 4
-#: The head's keys and the JSON types each may hold.
-_HEAD_TYPES: dict[str, tuple[type, ...]] = {
-    "scheduler": (str,),
-    "makespan": (float, int),
-    "events_processed": (int,),
-    "wall_clock_seconds": (float, int),
-    "event_digest": (str, type(None)),
-    "engine_path": (str, type(None)),
-    "names": (list,),
-}
+#: Makespan, wall-clock seconds, events processed, the None bits
+#: (``_NO_DIGEST``, ``_NO_PATH``), and the UTF-8 byte lengths of the
+#: scheduler, event digest, engine path and job names.
+_BLOB_TAIL = struct.Struct("<ddqBQQQQ")
+_NO_DIGEST = 1
+_NO_PATH = 2
+
+
+def _utf8(text: str) -> bytes:
+    """``text`` as UTF-8; a lone surrogate (a name read from JSON may
+    hold one) is kept as its three-byte form."""
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _from_utf8(raw: bytes) -> str:
+    """The text :func:`_utf8` wrote as ``raw``."""
+    return raw.decode("utf-8", "surrogatepass")
 
 
 def result_to_bytes(result: SimulationResult) -> bytes:
     """``result`` as packed little-endian columns: the machine-local
     twin of :func:`result_to_dict`, read back by :func:`result_from_bytes`.
 
-    Layout, in byte order: the 32-byte header (magic ``SIMMRR``, layout
-    version, job count ``n``, record count ``m``, head length); the jobs'
-    ``<i8`` block (job_id, num_maps, num_reduces) and ``<f8`` block
+    Layout, in byte order: the 24-byte header (magic ``SIMMRR``, layout
+    version 2, job count ``n``, record count ``m``); the jobs' ``<i8``
+    block (job_id, num_maps, num_reduces) and ``<f8`` block
     (submit_time, start_time, map_stage_end, completion_time, deadline);
     the records' ``<i8`` block (job_id, index) and ``<f8`` block (start,
     end, shuffle_end); the jobs' ``u1`` block (1 where each optional time
     is None); the records' ``u1`` block (kind 0 map / 1 reduce,
-    shuffle_end is None, first_wave, killed); then the ASCII JSON head
-    (scheduler, makespan, events_processed, wall_clock_seconds,
-    event_digest, engine_path, names).  Each block holds its fields one
-    after another, ``n`` or ``m`` values each: they are the blocks of
-    :class:`~repro.core.results.JobColumns` and
+    shuffle_end is None, first_wave, killed); the 57-byte tail
+    (``<f8`` makespan and wall_clock_seconds, ``<i8`` events_processed,
+    a ``u1`` with bit 0 set where event_digest is None and bit 1 where
+    engine_path is None, then four ``<u8`` byte lengths); the scheduler,
+    event digest and engine path as UTF-8; a ``<u4`` code-point length
+    per job name; and the job names as one UTF-8 text.  Each block
+    holds its fields one after another, ``n`` or ``m`` values each: they
+    are the blocks of :class:`~repro.core.results.JobColumns` and
     :class:`~repro.core.results.RecordColumns`, written as they are.
     Floats are their raw bytes (a running attempt's ``end`` is ``inf``;
-    a None time is 0.0 under its flag), so they round-trip bit for bit.
-    Integers outside ``<i8`` or a kind other than map/reduce raise
-    ValueError.
+    a None time is 0.0 under its flag), so they round-trip bit for bit;
+    the makespan and wall-clock seconds are stored as floats too.  Text
+    is UTF-8 with lone surrogates kept (``surrogatepass``).  Integers
+    outside ``<i8``, a non-string job name or a kind other than
+    map/reduce raise ValueError.
     """
-    job_ints, job_floats, job_nulls, names = result.job_columns.blocks()
+    job_ints, job_floats, job_nulls, name_lengths, names = result.job_columns.blocks()
     record_ints, record_floats, record_flags = result.record_columns.blocks()
-    head = json.dumps(
-        {
-            "scheduler": result.scheduler_name,
-            "makespan": result.makespan,
-            "events_processed": result.events_processed,
-            "wall_clock_seconds": result.wall_clock_seconds,
-            "event_digest": result.event_digest,
-            "engine_path": result.engine_path,
-            "names": names,
-        },
-        separators=(",", ":"),
-    ).encode("ascii")
+    digest, path = result.event_digest, result.engine_path
+    texts = [
+        _utf8(result.scheduler_name),
+        b"" if digest is None else _utf8(digest),
+        b"" if path is None else _utf8(path),
+        _utf8(names),
+    ]
+    nones = (_NO_DIGEST if digest is None else 0) | (_NO_PATH if path is None else 0)
+    try:
+        tail = _BLOB_TAIL.pack(
+            result.makespan,
+            result.wall_clock_seconds,
+            result.events_processed,
+            nones,
+            *map(len, texts),
+        )
+    except struct.error as exc:
+        raise ValueError(f"result does not fit the packed layout: {exc}") from None
     return b"".join(
         (
             _BLOB_HEADER.pack(
-                _BLOB_MAGIC, _BLOB_VERSION, len(names), record_ints.shape[1], len(head)
+                _BLOB_MAGIC, _BLOB_VERSION, len(name_lengths), record_ints.shape[1]
             ),
             job_ints.astype("<i8", copy=False).tobytes(),
             job_floats.astype("<f8", copy=False).tobytes(),
@@ -248,77 +269,86 @@ def result_to_bytes(result: SimulationResult) -> bytes:
             record_floats.astype("<f8", copy=False).tobytes(),
             job_nulls.tobytes(),
             record_flags.tobytes(),
-            head,
+            tail,
+            *texts[:3],
+            name_lengths.astype("<u4", copy=False).tobytes(),
+            texts[3],
         )
     )
-
-
-def _blob_head(raw: bytes, jobs: int) -> dict[str, Any]:
-    """The JSON head of a packed result, checked against its shape."""
-    try:
-        head = json.loads(raw.decode("ascii"))
-    except (ValueError, RecursionError):
-        raise ValueError("packed result head is not ASCII JSON") from None
-    if (
-        not isinstance(head, dict)
-        or head.keys() != _HEAD_TYPES.keys()
-        or not all(type(head[key]) in types for key, types in _HEAD_TYPES.items())
-    ):
-        raise ValueError("packed result head does not have the head's keys and types")
-    names = head["names"]
-    if len(names) != jobs or not set(map(type, names)) <= {str}:
-        raise ValueError(
-            f"packed result head holds {len(names)} entries for {jobs} job names"
-        )
-    return head
 
 
 def result_from_bytes(blob: bytes) -> SimulationResult:
     """Rebuild a result from :func:`result_to_bytes` output.
 
-    The result's columns are read-only numpy views of ``blob``: nothing
-    is converted to Python objects until a reader asks for them.  Any
-    blob that is not such output (wrong magic or version, a length that
-    disagrees with the header, flags other than 0/1, a head of the wrong
-    shape) raises ValueError and nothing else.
+    The result's columns are read-only numpy views of ``blob`` and the
+    job names stay one string: nothing is converted to Python objects
+    per job or record until a reader asks for them.  Every check runs
+    here, in a fixed number of calls whatever the size: any blob that
+    is not such output (wrong magic or version, a length that disagrees
+    with the blob's size or with the names text, flags other than 0/1,
+    None bits that are unknown or name a present string, text that is
+    not UTF-8) raises ValueError and nothing else.
     """
     size = len(blob)
     if size < _BLOB_HEADER.size:
         raise ValueError(f"packed result is {size} bytes, shorter than its header")
-    magic, version, n, m, head_len = _BLOB_HEADER.unpack_from(blob)
+    magic, version, n, m = _BLOB_HEADER.unpack_from(blob)
     if magic != _BLOB_MAGIC:
         raise ValueError(f"not a packed result (magic {magic!r})")
     if version != _BLOB_VERSION:
         raise ValueError(f"unsupported packed result layout version {version}")
-    expected = _BLOB_HEADER.size + n * _JOB_BYTES + m * _RECORD_BYTES + head_len
+    offset = _BLOB_HEADER.size + n * _JOB_BYTES + m * _RECORD_BYTES
+    if size < offset + _BLOB_TAIL.size:
+        raise ValueError(
+            f"packed result is {size} bytes, its header says at least {offset + _BLOB_TAIL.size}"
+        )
+    makespan, wall, events, nones, *lengths = _BLOB_TAIL.unpack_from(blob, offset)
+    scheduler_len, digest_len, path_len, names_len = lengths
+    text_at = offset + _BLOB_TAIL.size
+    expected = text_at + scheduler_len + digest_len + path_len + 4 * n + names_len
     if size != expected:
-        raise ValueError(f"packed result is {size} bytes, its header says {expected}")
-    offset = _BLOB_HEADER.size
-    job_ints = np.frombuffer(blob, "<i8", 3 * n, offset).reshape(3, n)
-    offset += 24 * n
-    job_floats = np.frombuffer(blob, "<f8", 5 * n, offset).reshape(5, n)
-    offset += 40 * n
-    record_ints = np.frombuffer(blob, "<i8", 2 * m, offset).reshape(2, m)
-    offset += 16 * m
-    record_floats = np.frombuffer(blob, "<f8", 3 * m, offset).reshape(3, m)
-    offset += 24 * m
-    flags = np.frombuffer(blob, np.uint8, 4 * (n + m), offset)
+        raise ValueError(f"packed result is {size} bytes, its header and tail say {expected}")
+    if nones > _NO_DIGEST | _NO_PATH or (nones & _NO_DIGEST and digest_len) or (
+        nones & _NO_PATH and path_len
+    ):
+        raise ValueError(f"packed result None bits {nones} do not fit its lengths")
+    digest_at = text_at + scheduler_len
+    path_at = digest_at + digest_len
+    lengths_at = path_at + path_len
+    try:
+        scheduler = _from_utf8(blob[text_at:digest_at])
+        digest = _from_utf8(blob[digest_at:path_at])
+        path = _from_utf8(blob[path_at:lengths_at])
+        names = _from_utf8(blob[lengths_at + 4 * n :])
+    except UnicodeDecodeError:
+        raise ValueError("packed result text is not UTF-8") from None
+    name_lengths = np.frombuffer(blob, "<u4", n, lengths_at)
+    if name_lengths.sum() != len(names):
+        raise ValueError("packed result name lengths do not add up to its names text")
+    at = _BLOB_HEADER.size
+    job_ints = np.frombuffer(blob, "<i8", 3 * n, at).reshape(3, n)
+    at += 24 * n
+    job_floats = np.frombuffer(blob, "<f8", 5 * n, at).reshape(5, n)
+    at += 40 * n
+    record_ints = np.frombuffer(blob, "<i8", 2 * m, at).reshape(2, m)
+    at += 16 * m
+    record_floats = np.frombuffer(blob, "<f8", 3 * m, at).reshape(3, m)
+    at += 24 * m
+    flags = np.frombuffer(blob, np.uint8, 4 * (n + m), at)
     if (flags > 1).any():
         raise ValueError("packed result flag is neither 0 nor 1")
-    head = _blob_head(blob[offset + 4 * (n + m) :], n)
+    job_nulls = flags[: 4 * n].view(bool).reshape(4, n)
     return SimulationResult(
-        scheduler_name=head["scheduler"],
-        jobs=JobColumns(
-            blocks=(job_ints, job_floats, flags[: 4 * n].view(bool).reshape(4, n), head["names"])
-        ),
+        scheduler_name=scheduler,
+        jobs=JobColumns(blocks=(job_ints, job_floats, job_nulls, name_lengths, names)),
         task_records=RecordColumns(
             blocks=(record_ints, record_floats, flags[4 * n :].reshape(4, m))
         ),
-        makespan=head["makespan"],
-        events_processed=head["events_processed"],
-        wall_clock_seconds=head["wall_clock_seconds"],
-        event_digest=head["event_digest"],
-        engine_path=head["engine_path"],
+        makespan=makespan,
+        events_processed=events,
+        wall_clock_seconds=wall,
+        event_digest=None if nones & _NO_DIGEST else digest,
+        engine_path=None if nones & _NO_PATH else path,
     )
 
 

@@ -522,7 +522,8 @@ def _simulate_many(
     total = len(tasks)
     done = 0
     outcomes: list[Optional[SimOutcome]] = [None] * total
-    pending: list[tuple[int, SimTask, int, Optional[str]]] = []  # (index, task, seed, key)
+    # (index, task, seed, key, scheduler_id) of each task left to run.
+    pending: list[tuple[int, SimTask, int, Optional[str], str]] = []
 
     def finish(index: int, outcome: SimOutcome) -> None:
         nonlocal done
@@ -531,7 +532,8 @@ def _simulate_many(
         if progress is not None:
             progress(done, total, outcome)
 
-    # Phase 1: content keys, deterministic seeds, cache lookups.
+    # Phase 1: content keys and deterministic seeds, then one cache
+    # lookup for every cacheable task.
     for index, task in enumerate(tasks):
         trace_dig = digests[task.trace_id]
         config_text = config_json(task.engine_config())
@@ -542,22 +544,28 @@ def _simulate_many(
             scheduler_id = f"inline:{task.scheduler.name}"
             key = None
         seed = _derive_seed(trace_dig, scheduler_id, config_text)
-        if cache is not None and key is not None and not fresh:
-            hit = cache.get(key)
+        pending.append((index, task, seed, key, scheduler_id))
+    if cache is not None and not fresh:
+        lookups = [p for p in pending if p[3] is not None]
+        hits = cache.get_many([key for _, _, _, key, _ in lookups])
+        for (index, task, seed, key, _), hit in zip(lookups, hits):
             if hit is not None:
                 finish(index, SimOutcome(task, hit, cached=True, key=key, seed=seed))
-                continue
-        pending.append((index, task, seed, key))
+        pending = [p for p in pending if outcomes[p[0]] is None]
 
     def store(
-        task: SimTask, seed: int, key: Optional[str], result: SimulationResult
+        task: SimTask,
+        seed: int,
+        key: Optional[str],
+        scheduler_id: str,
+        result: SimulationResult,
     ) -> SimOutcome:
         if key is not None and cache is not None:
             cache.put(
                 key,
                 result,
                 trace_digest=digests[task.trace_id],
-                scheduler_id=task.scheduler.identity(),
+                scheduler_id=scheduler_id,
             )
         return SimOutcome(task, result, cached=False, key=key, seed=seed)
 
@@ -566,7 +574,7 @@ def _simulate_many(
     inline = [p for p in pending if not p[1].scheduler.cacheable]
     if workers > 1 and len(parallel) > 1:
         used_traces = {
-            task.trace_id: traces[task.trace_id] for _, task, _, _ in parallel
+            task.trace_id: traces[task.trace_id] for _, task, _, _, _ in parallel
         }
         ctx = multiprocessing.get_context()
         nproc = min(workers, len(parallel))
@@ -575,16 +583,15 @@ def _simulate_many(
             with ctx.Pool(
                 nproc, initializer=_init_worker, initargs=(published.sources,)
             ) as pool:
-                items = [(i, task, seed, digest) for i, task, seed, _ in parallel]
-                by_index = {i: (task, seed, key) for i, task, seed, key in parallel}
+                items = [(i, task, seed, digest) for i, task, seed, _, _ in parallel]
+                by_index = {p[0]: p[1:] for p in parallel}
                 for index, payload in pool.imap_unordered(_run_in_worker, items):
-                    task, seed, key = by_index[index]
-                    finish(index, store(task, seed, key, result_from_bytes(payload)))
+                    finish(index, store(*by_index[index], result_from_bytes(payload)))
     else:
         inline = pending  # run everything in-process, in submission order
-    for index, task, seed, key in inline:
+    for index, task, seed, key, scheduler_id in inline:
         result = _execute(traces[task.trace_id], task, seed, digest)
-        finish(index, store(task, seed, key, result))
+        finish(index, store(task, seed, key, scheduler_id, result))
 
     assert all(o is not None for o in outcomes)
     return outcomes  # type: ignore[return-value]

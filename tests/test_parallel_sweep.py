@@ -12,6 +12,7 @@ The properties under test are the tentpole guarantees:
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -106,6 +107,55 @@ class TestResultCache:
             assert cache.get("k") is None
             assert cache.stats.misses == 1
             assert not cache.contains("k")  # corrupt row was evicted
+
+    @staticmethod
+    def _filled(result):
+        """A cache holding ``a`` and ``b`` (hits), ``text`` (a TEXT row
+        that is not JSON) and ``blob`` (a BLOB that is not a result)."""
+        cache = ResultCache(":memory:")
+        for key in ("a", "b", "text", "blob"):
+            cache.put(key, result)
+        for key, payload in (("text", "{not json"), ("blob", b"SIMMRR\x02")):
+            cache._conn.execute("UPDATE results SET payload = ? WHERE key = ?", (payload, key))
+        cache._conn.commit()
+        return cache
+
+    def test_get_many_is_repeated_get(self, trace):
+        result = self.run_one(trace)
+        keys = ["a", "absent", "a", "text", "b", "text", "blob", "blob", "a"]
+        with self._filled(result) as one_by_one, self._filled(result) as batched:
+            expected = [one_by_one.get(key) for key in keys]
+            got = batched.get_many(keys)
+            assert got == expected
+            assert [r is not None for r in got] == [1, 0, 1, 0, 1, 0, 0, 0, 1]
+            assert batched.stats.to_dict() == one_by_one.stats.to_dict()
+            assert (batched.stats.hits, batched.stats.misses) == (4, 5)
+            assert list(batched.keys()) == list(one_by_one.keys()) == ["a", "b"]
+            assert got[0] is not got[2]  # each hit is its own result, as with get
+            assert batched.get_many([]) == [] and batched.stats.lookups == len(keys)
+
+    def test_get_many_reads_in_chunks(self, trace, monkeypatch):
+        from repro.parallel import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_KEYS_PER_QUERY", 2)
+        with self._filled(self.run_one(trace)) as cache:
+            statements = []
+            cache._conn.set_trace_callback(statements.append)
+            got = cache.get_many(["a", "b", "a", "absent", "b", "x", "y"])
+            cache._conn.set_trace_callback(None)
+        assert [r is not None for r in got] == [True, True, True, False, True, False, False]
+        assert sum(sql.startswith("SELECT") for sql in statements) == 3  # 5 distinct keys
+
+    @pytest.mark.skipif(not hasattr(sqlite3.Connection, "setlimit"),
+                        reason="Connection.setlimit is new in Python 3.11")
+    def test_get_many_past_the_variable_limit(self, trace):
+        keys = [f"k{i}" for i in range(2500)]
+        with ResultCache(":memory:") as cache:
+            cache._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+            cache.put("k1234", self.run_one(trace))
+            got = cache.get_many(keys)
+        assert [i for i, r in enumerate(got) if r is not None] == [1234]
+        assert (cache.stats.hits, cache.stats.misses) == (1, 2499)
 
     def test_persists_across_connections(self, trace, tmp_path):
         path = tmp_path / "cache.sqlite"
@@ -272,6 +322,22 @@ class TestSimulateMany:
         ]
         assert all(not o.cached for o in cold)
         assert all(o.cached for o in warm)
+
+    def test_warm_run_is_one_query(self, trace):
+        tasks = grid_tasks(n_schedulers=3)
+        tasks = tasks + tasks[:2]  # repeated tasks count a lookup each
+        inline = SimTask("t", SchedulerSpec.inline("own", FIFOScheduler))
+        with ResultCache(":memory:") as cache:
+            # Every lookup comes before any run: a repeated task misses too.
+            simulate_many({"t": trace}, tasks, cache=cache)
+            assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (0, 8, 8)
+            statements = []
+            cache._conn.set_trace_callback(statements.append)
+            warm = simulate_many({"t": trace}, [*tasks, inline], cache=cache)
+            cache._conn.set_trace_callback(None)
+            assert (cache.stats.hits, cache.stats.misses) == (8, 8)
+        assert [o.cached for o in warm] == [True] * 8 + [False]
+        assert sum(sql.startswith("SELECT") for sql in statements) == 1
 
     def test_outcomes_in_task_order(self, trace):
         tasks = grid_tasks(n_schedulers=3)

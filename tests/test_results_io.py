@@ -361,8 +361,11 @@ def _bits(value):
     return None if value is None else struct.pack("<d", value)
 
 
-#: Names the JSON head must carry: non-ASCII, astral, a lone surrogate.
-_ODD_NAMES = ("héllo", "\U0001f600 job", "\ud800", "a\udfffb", "", '"\\\n')
+#: Names the packed names text must carry: non-ASCII, astral, lone
+#: surrogates, a surrogate pair kept as two code points, empty, NUL.
+_ODD_NAMES = (
+    "héllo", "\U0001f600 job", "\ud800", "a\udfffb", "", '"\\\n', "\ud83d\ude00", "\x00", "a\x00b",
+)
 
 _odd_names_result = SimulationResult(
     scheduler_name="\udc80 sched",
@@ -519,49 +522,95 @@ def _items_bits(mapping: dict) -> list:
     return [(key, _bits(value)) for key, value in mapping.items()]
 
 
-def _with_head(blob: bytes, head: bytes) -> bytes:
-    """``blob`` with its JSON head replaced and the header's length fixed."""
-    header = results_io._BLOB_HEADER
-    magic, version, jobs, records, head_len = header.unpack_from(blob)
-    body = blob[header.size : len(blob) - head_len]
-    return header.pack(magic, version, jobs, records, len(head)) + body + head
+_TAIL_FIELDS = (
+    "makespan", "wall", "events", "nones", "scheduler_len", "digest_len", "path_len", "names_len",
+)
 
 
-def _head_of(blob: bytes) -> dict:
-    head_len = results_io._BLOB_HEADER.unpack_from(blob)[-1]
-    return json.loads(blob[len(blob) - head_len :])
+def _tail_at(blob: bytes) -> int:
+    """Where ``blob``'s tail starts: after the header and the blocks."""
+    _, _, jobs, records = results_io._BLOB_HEADER.unpack_from(blob)
+    blocks = jobs * results_io._JOB_BYTES + records * results_io._RECORD_BYTES
+    return results_io._BLOB_HEADER.size + blocks
+
+
+def _tail_of(blob: bytes) -> dict:
+    """``blob``'s tail fields, and the raw bytes of its texts and name lengths."""
+    at = _tail_at(blob)
+    tail = dict(zip(_TAIL_FIELDS, results_io._BLOB_TAIL.unpack_from(blob, at)))
+    at += results_io._BLOB_TAIL.size
+    for text, length in (("scheduler", tail["scheduler_len"]), ("digest", tail["digest_len"]),
+                         ("path", tail["path_len"])):
+        tail[text] = blob[at : at + length]
+        at += length
+    jobs = results_io._BLOB_HEADER.unpack_from(blob)[2]
+    tail["lengths"] = blob[at : at + 4 * jobs]
+    tail["names"] = blob[at + 4 * jobs :]
+    return tail
+
+
+def _with_tail(blob: bytes, **changes) -> bytes:
+    """``blob`` with tail fields or raw texts replaced.  A replaced text
+    gets its own byte length in the tail unless that length is given."""
+    tail = {**_tail_of(blob), **changes}
+    for text in ("scheduler", "digest", "path", "names"):
+        if f"{text}_len" not in changes:
+            tail[f"{text}_len"] = len(tail[text])
+    # A length taken below 0 wraps, as it would in the unsigned field.
+    packed = results_io._BLOB_TAIL.pack(
+        *(tail[field] % 2**64 if field.endswith("_len") else tail[field] for field in _TAIL_FIELDS)
+    )
+    texts = b"".join(tail[text] for text in ("scheduler", "digest", "path", "lengths", "names"))
+    return blob[: _tail_at(blob)] + packed + texts
+
+
+def _with_byte(blob: bytes, index: int, value: int) -> bytes:
+    changed = bytearray(blob)
+    changed[index] = value
+    return bytes(changed)
+
+
+def _name_lengths(*lengths: int) -> bytes:
+    return struct.pack(f"<{len(lengths)}I", *lengths)
 
 
 def _malformed_blobs(blob: bytes) -> dict:
-    """Named corruptions of ``blob``: each must decode to ValueError."""
-    header_size = results_io._BLOB_HEADER.size
-    head = _head_of(blob)
+    """Named corruptions of ``blob``: each must decode to ValueError.
+
+    ``blob`` must hold at least two jobs, an ASCII scheduler name, job
+    names and engine path, and no event digest (the fixture's run)."""
+    header = results_io._BLOB_HEADER
+    tail = _tail_of(blob)
+    assert tail["nones"] == results_io._NO_DIGEST and tail["path"] and tail["names"]
+    magic, version, jobs, records = header.unpack_from(blob)
+    first, *middle, last = struct.unpack(f"<{jobs}I", tail["lengths"])
     cases = {f"truncated-{k}": blob[:k] for k in range(len(blob))}
-    for i in range(header_size):
-        flipped = bytearray(blob)
-        flipped[i] ^= 0xFF
-        cases[f"header-byte-{i}"] = bytes(flipped)
+    for i in range(header.size):
+        cases[f"header-byte-{i}"] = _with_byte(blob, i, blob[i] ^ 0xFF)
     cases["trailing-byte"] = blob + b"\x00"
-    cases["extra-name"] = _with_head(blob, json.dumps({**head, "names": head["names"] + ["x"]}).encode())
-    cases["missing-name"] = _with_head(blob, json.dumps({**head, "names": head["names"][:-1]}).encode())
-    cases["name-not-str"] = _with_head(blob, json.dumps({**head, "names": [1] * len(head["names"])}).encode())
-    wrong_heads = {
-        "head-list": b"[]",
-        "head-empty": b"",
-        "head-not-json": b"{not json",
-        "head-non-ascii": json.dumps(head, ensure_ascii=False).encode()[:-1] + b"\xff}",
-        "head-deep": b"[" * 100_000,
-        "head-missing-key": json.dumps({k: v for k, v in head.items() if k != "makespan"}).encode(),
-        "head-extra-key": json.dumps({**head, "extra": 1}).encode(),
-        "head-scheduler-number": json.dumps({**head, "scheduler": 5}).encode(),
-        "head-events-bool": json.dumps({**head, "events_processed": True}).encode(),
-        "head-makespan-string": json.dumps({**head, "makespan": "1.0"}).encode(),
-        "head-names-object": json.dumps({**head, "names": {}}).encode(),
-    }
-    cases.update({name: _with_head(blob, raw) for name, raw in wrong_heads.items()})
-    flagged = bytearray(blob)
-    flagged[len(blob) - results_io._BLOB_HEADER.unpack_from(blob)[-1] - 1] = 2
-    cases["flag-2"] = bytes(flagged)
+    for delta in (-1, 1):
+        body = blob[header.size :]
+        cases[f"jobs{delta:+d}"] = header.pack(magic, version, jobs + delta, records) + body
+        cases[f"records{delta:+d}"] = header.pack(magic, version, jobs, records + delta) + body
+        for field in ("scheduler_len", "digest_len", "path_len", "names_len"):
+            cases[f"{field}{delta:+d}"] = _with_tail(blob, **{field: tail[field] + delta})
+        cases[f"first-name-length{delta:+d}"] = _with_tail(
+            blob, lengths=_name_lengths((first + delta) % 2**32, *middle, last))
+    cases["extra-name"] = _with_tail(
+        blob, lengths=tail["lengths"] + _name_lengths(1), names=tail["names"] + b"x")
+    cases["missing-name"] = _with_tail(blob, lengths=tail["lengths"][:-4])
+    cases["names-not-utf8"] = _with_tail(blob, names=b"\xff" + tail["names"][1:])
+    cases["names-cut-utf8"] = _with_tail(
+        blob, lengths=_name_lengths(first, *middle, last + 1), names=tail["names"] + b"\xc3")
+    cases["scheduler-not-utf8"] = _with_tail(blob, scheduler=b"\xff" + tail["scheduler"][1:])
+    cases["path-not-utf8"] = _with_tail(blob, path=b"\xed\xa0")
+    cases["digest-not-utf8"] = _with_tail(blob, nones=0, digest=b"ab\x80")
+    cases["none-bits-4"] = _with_tail(blob, nones=4)
+    cases["none-bits-255"] = _with_tail(blob, nones=255)
+    cases["no-digest-with-digest"] = _with_tail(blob, digest=b"ab")
+    cases["no-path-with-path"] = _with_tail(blob, nones=results_io._NO_DIGEST | results_io._NO_PATH)
+    cases["flag-2"] = _with_byte(blob, _tail_at(blob) - 1, 2)
+    cases["job-flag-2"] = _with_byte(blob, _tail_at(blob) - 4 * (jobs + records), 2)
     return cases
 
 
@@ -612,6 +661,118 @@ class TestMalformedBlob:
             assert p.result.task_records == s.result.task_records
             assert p.result.event_digest == s.result.event_digest
             assert p.result.makespan == s.result.makespan
+
+
+def _version_1_blob(result: SimulationResult) -> bytes:
+    """``result`` in packed layout version 1: the same blocks behind a
+    32-byte header that ends in the head's length, then a JSON head."""
+    blob = result_to_bytes(result)
+    head = json.dumps(
+        {
+            "scheduler": result.scheduler_name,
+            "makespan": result.makespan,
+            "events_processed": result.events_processed,
+            "wall_clock_seconds": result.wall_clock_seconds,
+            "event_digest": result.event_digest,
+            "engine_path": result.engine_path,
+            "names": [job.name for job in result.jobs],
+        },
+        separators=(",", ":"),
+    ).encode("ascii")
+    _, _, jobs, records = results_io._BLOB_HEADER.unpack_from(blob)
+    header = struct.pack("<6sHQQQ", results_io._BLOB_MAGIC, 1, jobs, records, len(head))
+    return header + blob[results_io._BLOB_HEADER.size : _tail_at(blob)] + head
+
+
+class TestLayoutVersion1:
+    """Rows packed in layout version 1 (a JSON head) no longer decode:
+    each is a miss that the cache drops and the next run re-stores."""
+
+    def test_raises_value_error(self, result):
+        with pytest.raises(ValueError, match="layout version 1"):
+            result_from_bytes(_version_1_blob(result))
+
+    def test_cache_row_is_a_miss_and_dropped(self, result):
+        with ResultCache() as cache:
+            cache.put("k", result)
+            cache._conn.execute("UPDATE results SET payload = ? WHERE key = ?",
+                                (_version_1_blob(result), "k"))
+            assert cache.get("k") is None
+            assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+            assert not cache.contains("k")
+
+    def test_warm_run_reruns_only_that_cell(self, tmp_path):
+        trace, task = _v2_fixture_replay()
+        tasks = [task, SimTask("t", SchedulerSpec(name="fifo"), ClusterConfig(4, 2), 0.05)]
+        path = tmp_path / "results.sqlite"
+        cold = simulate_many({"t": trace}, tasks, cache=path)
+        with ResultCache(path) as cache:
+            cache._conn.execute("UPDATE results SET payload = ? WHERE key = ?",
+                                (_version_1_blob(cold[0].result), cold[0].key))
+            cache._conn.commit()
+            warm = simulate_many({"t": trace}, tasks, cache=cache)
+            assert [o.cached for o in warm] == [False, True]
+            assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (1, 1, 1)
+            (payload,) = cache._conn.execute(
+                "SELECT payload FROM results WHERE key = ?", (cold[0].key,)).fetchone()
+        assert payload == result_to_bytes(warm[0].result)
+        assert [o.result.event_digest for o in warm] == [o.result.event_digest for o in cold]
+
+
+def _names_result(names) -> SimulationResult:
+    return SimulationResult(
+        "names",
+        [JobResult(i, name, 0.0, None, None, None, None, 1, 0) for i, name in enumerate(names)],
+        [], 0.0, 0, 0.0,
+    )
+
+
+class TestPackedNames:
+    """Job names travel as one UTF-8 text and a code-point length each;
+    the list is split out only when a reader asks for names."""
+
+    @pytest.mark.parametrize(
+        "names",
+        [[], [""], ["", "", ""], ["\x00"], ["a\x00", "\x00b", ""], ["\ud800"],
+         ["x\udfff", "\ud83d\ude00"], ["é" * 300, "\U0001f600"]],
+        ids=["no-jobs", "empty", "all-empty", "nul", "nuls", "lone-surrogate", "surrogates",
+             "wide"],
+    )
+    def test_round_trip(self, names):
+        result = _names_result(names)
+        blob = result_to_bytes(result)
+        rebuilt = result_from_bytes(blob)
+        assert [job.name for job in rebuilt.jobs] == names
+        assert len(rebuilt) == len(names)
+        assert result_to_bytes(result_from_bytes(blob)) == blob
+        assert rebuilt == result
+
+    def test_decode_builds_no_name_list(self, result, monkeypatch):
+        from repro.core import results
+
+        split = results._split_names
+        calls = []
+
+        def counting_split(lengths, names):
+            calls.append(names)
+            return split(lengths, names)
+
+        monkeypatch.setattr(results, "_split_names", counting_split)
+        blob = result_to_bytes(result)
+        rebuilt = result_from_bytes(blob)
+        assert result_to_bytes(rebuilt) == blob
+        rebuilt.relative_deadline_exceeded()
+        rebuilt.job_columns.durations()
+        assert len(rebuilt) == len(result)
+        assert calls == []
+        assert [job.name for job in rebuilt.jobs] == [job.name for job in result.jobs]
+        jobs_to_csv(rebuilt)
+        result_to_dict(rebuilt)
+        assert len(calls) == 1
+
+    def test_non_string_name_raises_value_error(self):
+        with pytest.raises(ValueError):
+            result_to_bytes(_names_result(["a", 5]))
 
 
 class TestCSV:

@@ -277,6 +277,23 @@ class TestWarmCellsFromColumns:
         durations = np.array([j.duration for j in jobs])
         assert self._bits(cell.mean_duration) == self._bits(float(durations.mean()))
 
+    def test_warm_cells_build_no_name_list(self, tmp_path, monkeypatch):
+        from repro.core import results
+
+        trace = [
+            TraceJob(make_constant_profile(f"job-{i}", num_maps=3, num_reduces=1), 2.0 * i,
+                     deadline=30.0)
+            for i in range(5)
+        ]
+        kwargs = dict(schedulers=("fifo", "minedf"), clusters=(ClusterConfig(4, 2),),
+                      cache=tmp_path / "results.sqlite")
+        cold = run_sweep(trace, **kwargs)
+        split = []
+        monkeypatch.setattr(results, "_split_names", lambda *args: split.append(args))
+        warm = run_sweep(trace, **kwargs)
+        assert warm.cache_hits == len(warm.cells) == len(cold.cells) == 2
+        assert split == []
+
 
 # Non-negative like job durations; a small pool makes ties common.
 _tied = st.sampled_from([0.0, 1.0, 2.5, 7.0, 1e-300])
