@@ -35,6 +35,11 @@ Beyond the static headline, the report carries one row per kernel
   ``choose_next_*`` dispatch is far more expensive there.  See
   docs/performance.md.
 
+Every timed kernel round starts on an empty map-side memo
+(``repro.core.kernel._MAP_MEMO``): the rounds replay one trace, and a
+round served from the memo would time the map chain once for several
+runs.  Each row is the throughput of one run on its own.
+
 The measured numbers are printed for EXPERIMENTS.md and written to
 ``BENCH_engine_throughput.json`` at the repo root, which doubles as the
 input to ``scripts/perf_gate.py`` (fresh run vs committed baseline; the
@@ -51,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine, TraceJob
+from repro.core import ClusterConfig, ColumnarEngine, SimulatorEngine, TraceJob, kernel
 from repro.experiments.performance import make_performance_trace
 from repro.sanitize.digest import DigestRecorder
 from repro.schedulers import (
@@ -118,12 +123,19 @@ def _deadline_trace(n: int, mean_interarrival: float, seed: int) -> list[TraceJo
     return trace
 
 
+def _cold_memo() -> None:
+    """Empty the kernel's map-side memo, so the next run is cold."""
+    kernel._MAP_MEMO = None
+
+
 def _time_engine(engine_factory, trace, rounds: int):
-    """Best-of-N (result, events/s) for a freshly built engine per round."""
+    """Best-of-N (result, events/s) for a freshly built engine per round,
+    each on an empty map-side memo."""
     best = float("inf")
     result = None
     for _ in range(rounds):
         engine = engine_factory()
+        _cold_memo()
         start = time.perf_counter()
         result = engine.run(trace)
         elapsed = time.perf_counter() - start
@@ -188,7 +200,9 @@ def test_engine_event_throughput(benchmark):
     trace = make_performance_trace(500, mean_interarrival=100.0, seed=0)
     engine = ColumnarEngine(CLUSTER, FIFOScheduler(), record_tasks=False)
 
-    result = benchmark.pedantic(engine.run, args=(trace,), rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        engine.run, args=(trace,), setup=_cold_memo, rounds=3, iterations=1
+    )
     assert engine.last_path == "kernel"
     assert engine.last_kernel_mode == "passes"
     eps = result.events_per_second

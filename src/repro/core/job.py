@@ -124,8 +124,9 @@ class JobProfile:
 
     The four duration arrays are read-only and share no writable memory
     with the caller (see :func:`_as_duration_array`), so a profile's
-    content never changes after construction and
-    :attr:`durations_digest` is computed at most once.
+    content never changes after construction, and
+    :attr:`durations_digest` and :attr:`duration_extrema` are computed
+    at most once.
     """
 
     name: str
@@ -171,7 +172,8 @@ class JobProfile:
 
     def __reduce__(self) -> tuple:
         # Rebuild through __init__: unpickled arrays come back writable
-        # and must be frozen again, and the cached digest is not carried.
+        # and must be frozen again, and the cached digest and extrema are
+        # not carried.
         return (
             JobProfile,
             (
@@ -201,6 +203,26 @@ class JobProfile:
             self.typical_shuffle_durations,
             self.reduce_durations,
         ))
+
+    @cached_property
+    def duration_extrema(self) -> tuple[float, float, float, float, float, float]:
+        """``(min, max)`` of the map, the shuffle and the reduce durations,
+        flattened to six floats; the shuffle pair spans the first-wave
+        and typical vectors together, and an empty phase reads ``(inf,
+        -inf)``.
+
+        :meth:`~repro.core.kernel.ColumnarEngine._has_instant_tasks`
+        reads these in place of the durations, so each run of a trace
+        checks it in O(jobs).
+        """
+        shuffles = np.concatenate((self.first_shuffle_durations, self.typical_shuffle_durations))
+        extrema: list[float] = []
+        for durations in (self.map_durations, shuffles, self.reduce_durations):
+            if durations.size:
+                extrema += (float(durations.min()), float(durations.max()))
+            else:
+                extrema += (math.inf, -math.inf)
+        return tuple(extrema)  # type: ignore[return-value]
 
     # -- shuffle fallback --------------------------------------------------
     #

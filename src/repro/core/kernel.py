@@ -33,6 +33,19 @@ materialising most of those events:
   byte-for-byte the one the heap loop produces (see
   ``docs/engine-internals.md``), so the digest matches and the
   sanitizer checks what pass mode emitted.
+* **one map side for many runs.**  The map side of a run — the map
+  dispatch log with its finish times, each job's map-stage end and its
+  final map — is a pure function (:func:`_map_side`) of the map slots,
+  the arrival order, the priority keys, the map durations and the
+  submits.  Slow-start and reduce slots stay outside it: maps never
+  wait on a reduce, and the slow-start gate only reads the map
+  departures, so each run derives its gate from the stored map side.
+  A one-entry memo keeps the last map side; a sweep's slow-start cells,
+  and cells that differ only in reduce slots, run the map chain once.
+  The memo holds read-only arrays and tuples, and its key is bit-exact:
+  the submits as their ``<f8`` bytes (``-0.0 == 0.0``, yet the chain
+  starts a job at its submit's bit pattern) and the profiles'
+  ``durations_digest``.
 
 Pass mode covers static-priority runs without live preemption, slot
 caps, zero-time tasks, a pluggable shuffle model, workflow dependencies
@@ -53,7 +66,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush, heapreplace
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,12 +95,12 @@ _EMPTY = np.empty(0)
 
 
 class _KJob:
-    """Per-job kernel state: dispatch counters + derived wave data."""
+    """Per-job kernel state: the gate and the reduce side's wave data."""
 
     __slots__ = (
         "job", "idx", "submit", "M", "R", "key",
-        # map side
-        "mdl", "md_np", "mdispatched", "mse", "fm",
+        # map side, copied from the run's :class:`_MapSide`
+        "mse", "fm",
         # reduce slow-start gate
         "gate_count", "gate_time", "gate_etype", "gate_tie",
         # reduce side
@@ -103,16 +116,7 @@ class _KJob:
         self.M = job.num_maps
         self.R = job.num_reduces
         self.key = (job.sched_key, idx)
-        profile = job.profile
-        if self.M:
-            self.md_np = _cycled(profile.map_durations, self.M)
-            self.mdl = self.md_np.tolist()
-        else:
-            self.md_np = None
-            self.mdl = None
-        self.mdispatched = 0
-        # Map-less jobs complete their map stage at submission.
-        self.mse = self.submit if self.M == 0 else _INF
+        self.mse = _INF
         self.fm = -1
         self.gate_count = gate_count
         self.gate_time: Optional[float] = None
@@ -135,9 +139,10 @@ class _DispatchLog:
     position in :attr:`starts`.  :meth:`freeze` expands the runs into numpy columns
     indexed by sequence number (``start``, ``job``, ``task``, ``pos``)
     plus ``seq_of``, the inverse map from a job-major task position
-    (``offsets[job] + task``) back to the sequence number.  Within a job
-    task ``i`` is its ``i``-th dispatch, and dispatch starts never
-    decrease (each chain step takes the earliest slot release).
+    (``offsets[job] + task``) back to the sequence number, and drops the
+    two lists.  Within a job task ``i`` is its ``i``-th dispatch, and
+    dispatch starts never decrease (each chain step takes the earliest
+    slot release).
     """
 
     __slots__ = (
@@ -155,6 +160,7 @@ class _DispatchLog:
         n = len(self.starts)
         self.start = np.asarray(self.starts, dtype=np.float64)
         jobs, first, counts = np.asarray(self.runs, dtype=np.int64).reshape(-1, 3).T
+        del self.starts, self.runs
         self.job = np.repeat(jobs, counts)
         # A run's seqs seq0 + i are its tasks task0 + i: task = seq - shift.
         shift = np.cumsum(counts) - counts - first
@@ -167,7 +173,153 @@ class _DispatchLog:
 
     def first_start(self, idx: int) -> float:
         """Start of job ``idx``'s first dispatch (task 0)."""
-        return self.starts[int(self.seq_of[self.offsets[idx]])]
+        return float(self.start[self.seq_of[self.offsets[idx]]])
+
+
+class _MapSide(NamedTuple):
+    """The map side of a pass-mode run, as :func:`_map_side` returns it.
+
+    ``log`` is the frozen map :class:`_DispatchLog` with ``end``;
+    ``dep`` lists the map dispatch seqs job-major, each job's in the
+    pop order of its departures, ``(end, seq)``; ``mse`` and ``fm`` hold
+    each job's map-stage end and the seq of its final map departure
+    (its submit and -1 for a job without maps).  Every array is
+    read-only: one value serves every run the memo hands it to.
+    """
+
+    log: _DispatchLog
+    dep: np.ndarray
+    mse: tuple[float, ...]
+    fm: tuple[int, ...]
+
+
+def _map_side(
+    map_slots: int,
+    order: Sequence[int],
+    keys: Sequence[tuple],
+    durations: Sequence[Optional[np.ndarray]],
+    submits: Sequence[float],
+) -> _MapSide:
+    """The map pass and its wave reduction, as a pure function.
+
+    ``order`` is the arrival order (trace indices by ``(submit,
+    index)``), ``keys[j]`` job ``j``'s static priority key, ``durations[j]``
+    its map durations cycled to its map count (``None`` without maps)
+    and ``submits[j]`` its submit time.  No slow-start and no reduce
+    slot enters: maps never wait on reduces.
+
+    Uncapped dispatch is a slot-release chain loop: every free slot goes
+    to the eligible job with the smallest ``(key, index)``, so each
+    dispatch is one chain step, ``start = max(earliest slot release,
+    submit)``.  The next-arrival boundary preserves the event heap's
+    tie-breaking (a ``MAP_TASK_DEPARTURE`` at time *t* is handled before
+    a ``JOB_ARRIVAL`` at *t*).  Finishes are then one column, and one
+    lexsort orders each job's departures.
+    """
+    sizes = [0 if d is None else d.size for d in durations]
+    mdls = [None if d is None else d.tolist() for d in durations]
+    dispatched = [0] * len(sizes)
+    log = _DispatchLog()
+    pool = [0.0] * map_slots  # already a valid heap
+    arrivals = [i for i in order if sizes[i]]
+    n_arr = len(arrivals)
+    ai = 0
+    # (key, index): a tie on the key falls to the trace index.
+    pending: list[tuple[tuple, int]] = []
+    starts_append = log.starts.append
+    runs_append = log.runs.append
+    while True:
+        while pending and dispatched[pending[0][1]] >= sizes[pending[0][1]]:
+            heappop(pending)
+        if not pending:
+            if ai >= n_arr:
+                break
+            i = arrivals[ai]
+            heappush(pending, (keys[i], i))
+            ai += 1
+            continue
+        j = pending[0][1]
+        a_j = submits[j]
+        boundary = submits[arrivals[ai]] if ai < n_arr else _INF
+        mdl = mdls[j]
+        k = k0 = dispatched[j]
+        limit = sizes[j]
+        while k < limit:
+            t0 = pool[0]
+            start = t0 if t0 > a_j else a_j
+            if start > boundary:
+                break
+            heapreplace(pool, start + mdl[k])
+            starts_append(start)
+            k += 1
+        if k > k0:
+            runs_append((j, k0, k - k0))
+            dispatched[j] = k
+        if k < limit:
+            # Blocked by the arrival boundary: admit the next job.
+            i = arrivals[ai]
+            heappush(pending, (keys[i], i))
+            ai += 1
+
+    log.freeze(sizes)
+    flat = np.concatenate([_EMPTY] + [d for d in durations if d is not None])
+    log.end = log.start + flat[log.pos]
+    dep = np.lexsort((np.arange(log.end.size), log.end, log.job))
+    # Each job's last departure in pop order is its final map: the
+    # latest finish, the later dispatch on a tie.
+    mse = list(submits)
+    fm = [-1] * len(sizes)
+    with_maps = [j for j, m in enumerate(sizes) if m]
+    last = dep[log.offsets[with_maps] + np.asarray(sizes, dtype=np.int64)[with_maps] - 1]
+    for j, seq, t in zip(with_maps, last.tolist(), log.end[last].tolist()):
+        mse[j] = t
+        fm[j] = seq
+    for arr in (log.start, log.job, log.task, log.pos, log.seq_of, log.offsets, log.end, dep):
+        arr.flags.writeable = False
+    return _MapSide(log, dep, tuple(mse), tuple(fm))
+
+
+#: The last map side computed and its key: ``(key, _MapSide)`` or None.
+#: One entry bounds what it holds; a sweep runs its cells grid-ordered,
+#: slow-starts innermost, so consecutive cells share a map side.
+_MAP_MEMO: Optional[tuple[tuple, _MapSide]] = None
+
+
+def _memo_map_side(map_slots: int, jobs: Sequence[Job], order: Sequence[int]) -> _MapSide:
+    """:func:`_map_side` of a run's jobs behind the one-entry memo.
+
+    The key holds everything the map side reads, bit for bit: the map
+    slots; the submits as their ``<f8`` bytes (``-0.0`` and ``0.0`` are
+    equal floats but start a chain at different bit patterns, and the
+    arrival order follows from them); each job's priority key, which
+    enters only through comparisons, so equal keys give one schedule;
+    and each job's map count and its profile's ``durations_digest``.
+    Service worker threads share the memo, so a run reads its reference
+    once: another thread may replace the entry between a check and a
+    use, and each entry is read-only.
+    """
+    global _MAP_MEMO
+    submits = [job.submit_time for job in jobs]
+    keys = [job.sched_key for job in jobs]
+    key = (
+        map_slots,
+        np.asarray(submits, dtype="<f8").tobytes(),
+        tuple(keys),
+        tuple((job.num_maps, job.profile.durations_digest) for job in jobs),
+    )
+    memo = _MAP_MEMO
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    side = _map_side(
+        map_slots,
+        order,
+        keys,
+        [_cycled(job.profile.map_durations, job.num_maps) if job.num_maps else None
+         for job in jobs],
+        submits,
+    )
+    _MAP_MEMO = (key, side)
+    return side
 
 
 class ColumnarEngine(_EngineBase):
@@ -250,24 +402,23 @@ class ColumnarEngine(_EngineBase):
         A horizon that overflows to infinity absorbs every duration (its
         spacing is NaN, so the comparison below reads "zero").  The sums
         are Python floats, which overflow to infinity without a warning.
+        The extrema come cached per profile
+        (:attr:`~repro.core.job.JobProfile.duration_extrema`), so the
+        check costs O(jobs).
         """
-        profiles = [tj.profile for tj in trace]
         horizon = max((tj.submit_time for tj in trace), default=0.0)
         shortest = np.inf
-        with_m = [p for p in profiles if p.num_maps]
+        with_m = [tj.profile for tj in trace if tj.profile.num_maps]
         if with_m:
-            maps = np.concatenate([p.map_durations for p in with_m])
-            shortest = float(maps.min())
-            horizon += sum(p.num_maps for p in with_m) * float(maps.max())
-        with_r = [p for p in profiles if p.num_reduces]
+            ext = [p.duration_extrema for p in with_m]
+            shortest = min(e[0] for e in ext)
+            horizon += sum(p.num_maps for p in with_m) * max(e[1] for e in ext)
+        with_r = [tj.profile for tj in trace if tj.profile.num_reduces]
         if with_r:
-            shuffles = np.concatenate(
-                [a for p in with_r for a in (p.first_shuffle_durations, p.typical_shuffle_durations)]
-            )
-            reduces = np.concatenate([p.reduce_durations for p in with_r])
-            shortest = min(shortest, float(shuffles.min()) + float(reduces.min()))
+            ext = [p.duration_extrema for p in with_r]
+            shortest = min(shortest, min(e[2] for e in ext) + min(e[4] for e in ext))
             horizon += sum(p.num_reduces for p in with_r) * (
-                float(shuffles.max()) + float(reduces.max())
+                max(e[3] for e in ext) + max(e[5] for e in ext)
             )
         return not shortest > np.spacing(horizon)
 
@@ -353,9 +504,12 @@ class ColumnarEngine(_EngineBase):
             gate_count = 0 if gate_val <= 0 else math.ceil(gate_val)
             states[i] = _KJob(job, i, gate_count)
 
-        maps = _DispatchLog()
-        self._map_pass_chain([states[i] for i in order], maps)
-        self._derive_map_results(states, maps)
+        side = _memo_map_side(cluster.map_slots, jobs, order)
+        maps = side.log
+        for st in states:
+            st.mse = side.mse[st.idx]
+            st.fm = side.fm[st.idx]
+        self._gates(states, side)
         reduces = _DispatchLog()
         self._reduce_pass_chain(self._build_gates(states), reduces)
         self._reduce_columns(states, reduces)
@@ -398,96 +552,23 @@ class ColumnarEngine(_EngineBase):
             )
         return self._result(jobs, records, processed, wall_start, "kernel")
 
-    # ------------------------------------------------------------------ #
-    # map pass
-    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _gates(states: list[_KJob], side: _MapSide) -> None:
+        """Each job's reduce slow-start gate event, from the map side.
 
-    def _map_pass_chain(self, arr_states: list[_KJob], log: _DispatchLog) -> None:
-        """Uncapped map dispatch: slot-release chain loop.
-
-        With no slot caps, every free slot goes to the eligible job with
-        the smallest priority key, so each dispatch is one chain step:
-        ``start = max(earliest slot release, job availability)``.  The
-        next-arrival boundary preserves the event heap's tie-breaking
-        (a ``MAP_TASK_DEPARTURE`` at time *t* is handled before a
-        ``JOB_ARRIVAL`` at *t*).
+        The gate of a job with ``k > 0`` maps to wait for is its ``k``-th
+        map departure in pop order, ``(end, seq)``; at slow-start 1 that
+        is the final map departure, ``(mse, fm)``.  Map-less and
+        zero-gate jobs become reduce-eligible at arrival.
         """
-        pool = [0.0] * self.cluster.map_slots  # already a valid heap
-        arrivals = [st for st in arr_states if st.M > 0]
-        n_arr = len(arrivals)
-        ai = 0
-        pending: list[tuple[tuple, int]] = []  # (key, order position)
-        by_pos: dict[int, _KJob] = {}
-        starts_append = log.starts.append
-        runs_append = log.runs.append
-        while True:
-            while pending and by_pos[pending[0][1]].mdispatched >= by_pos[pending[0][1]].M:
-                heappop(pending)
-            if not pending:
-                if ai >= n_arr:
-                    break
-                st = arrivals[ai]
-                by_pos[ai] = st
-                heappush(pending, (st.key, ai))
-                ai += 1
-                continue
-            st = by_pos[pending[0][1]]
-            a_j = st.submit
-            boundary = arrivals[ai].submit if ai < n_arr else _INF
-            mdl = st.mdl
-            k = st.mdispatched
-            limit = st.M
-            while k < limit:
-                t0 = pool[0]
-                start = t0 if t0 > a_j else a_j
-                if start > boundary:
-                    break
-                heapreplace(pool, start + mdl[k])
-                starts_append(start)
-                k += 1
-            if k > st.mdispatched:
-                runs_append((st.idx, st.mdispatched, k - st.mdispatched))
-                st.mdispatched = k
-            if k < limit:
-                # Blocked by the arrival boundary: admit the next job.
-                st2 = arrivals[ai]
-                by_pos[ai] = st2
-                heappush(pending, (st2.key, ai))
-                ai += 1
-
-    def _derive_map_results(self, states: list[_KJob], maps: _DispatchLog) -> None:
-        """Map finishes as one column, then per job the map-stage end and
-        the slow-start gate event."""
-        maps.freeze([st.M for st in states])
-        durations = np.concatenate([_EMPTY] + [st.md_np for st in states if st.M])
-        maps.end = maps.start + durations[maps.pos]
-        offsets = maps.offsets.tolist()
-        for st in states:
-            m = st.M
-            if m == 0:
-                continue
-            # The job's maps are its tasks 0 .. m-1, in seq order.
-            seqs = maps.seq_of[offsets[st.idx] : offsets[st.idx] + m]
-            fin = maps.end[seqs]
-            # Last occurrence of the max: the final departure's dispatch
-            # sequence breaks (time, seq) ties.
-            last = m - 1 - int(fin[::-1].argmax())
-            st.mse = float(fin[last])
-            st.fm = int(seqs[last])
-            k = st.gate_count
-            if k == m:
-                # Slow-start 1: the gate is the final map departure.
-                st.gate_time = st.mse
+        gated = [st for st in states if st.M and st.gate_count]
+        if gated:
+            at = side.log.offsets[[st.idx for st in gated]] + [st.gate_count - 1 for st in gated]
+            seqs = side.dep[at]
+            for st, seq, t in zip(gated, seqs.tolist(), side.log.end[seqs].tolist()):
+                st.gate_time = t
                 st.gate_etype = _MAP_DEP
-                st.gate_tie = st.fm
-            elif k > 0:
-                # The k-th map departure in (finish, dispatch-seq) pop
-                # order crosses the reduce slow-start gate.
-                gi = int(np.lexsort((seqs, fin))[k - 1])
-                st.gate_time = float(fin[gi])
-                st.gate_etype = _MAP_DEP
-                st.gate_tie = int(seqs[gi])
-        # Map-less / zero-gate jobs become reduce-eligible at arrival.
+                st.gate_tie = seq
         for st in states:
             if st.M == 0 or st.gate_count == 0:
                 st.gate_time = st.submit
@@ -625,8 +706,8 @@ class ColumnarEngine(_EngineBase):
         one stable sort by start over the map then reduce columns, each
         already in seq order.
         """
-        n_maps = len(maps.starts)
-        n_reduces = len(reduces.starts)
+        n_maps = len(maps.start)
+        n_reduces = len(reduces.start)
         is_reduce = np.repeat(np.array([0, 1], dtype=np.uint8), (n_maps, n_reduces))
         order = np.argsort(np.concatenate((maps.start, reduces.start)), kind="stable")
         ints = np.array(
@@ -691,7 +772,7 @@ class ColumnarEngine(_EngineBase):
         filler = reduces.filler
         fm = np.asarray([st.fm for st in states], dtype=np.int64)
         rd_order = np.lexsort((
-            np.where(filler, fm[reduces.job], len(maps.starts)),
+            np.where(filler, fm[reduces.job], len(maps.start)),
             np.where(filler, reduces.stage_end, reduces.start),
         ))
 
@@ -704,7 +785,7 @@ class ColumnarEngine(_EngineBase):
         has_r = np.asarray([st.R > 0 for st in states], dtype=bool)
         last = np.asarray([st.maxend_i for st in states], dtype=np.int64)[has_r]
         trigger = fm.copy()
-        trigger[has_r] = len(maps.starts) + rd_rank[
+        trigger[has_r] = len(maps.start) + rd_rank[
             reduces.seq_of[reduces.offsets[has_r] + last]
         ]
         jd_order = np.argsort(trigger, kind="stable")

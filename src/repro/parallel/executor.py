@@ -533,15 +533,23 @@ def _simulate_many(
             progress(done, total, outcome)
 
     # Phase 1: content keys and deterministic seeds, then one cache
-    # lookup for every cacheable task.
+    # lookup for every cacheable task.  A sweep's cells share a few spec
+    # objects, so each one's identity is derived once.  The table is
+    # keyed by object, not by spec equality: equal specs may still
+    # differ in identity (kwargs ``1`` and ``1.0`` compare equal but
+    # dump differently).
+    identities: dict[int, str] = {}
     for index, task in enumerate(tasks):
         trace_dig = digests[task.trace_id]
         config_text = config_json(task.engine_config())
-        if task.scheduler.cacheable:
-            scheduler_id = task.scheduler.identity()
+        spec = task.scheduler
+        if spec.cacheable:
+            scheduler_id = identities.get(id(spec))
+            if scheduler_id is None:
+                scheduler_id = identities[id(spec)] = spec.identity()
             key = cache_key_from_json(trace_dig, scheduler_id, config_text)
         else:
-            scheduler_id = f"inline:{task.scheduler.name}"
+            scheduler_id = f"inline:{spec.name}"
             key = None
         seed = _derive_seed(trace_dig, scheduler_id, config_text)
         pending.append((index, task, seed, key, scheduler_id))

@@ -160,6 +160,18 @@ class TestDurationArraysOwnTheirContent:
         assert "durations_digest" not in vars(q)
         assert q.durations_digest == digest and q.name == p.name
 
+    def test_duration_extrema_are_cached_min_and_max(self):
+        p = JobProfile("x", 3, 2, [2.0, 0.5, 4.0], [3.0], [1.0, 6.0], [2.5, 0.25])
+        assert p.duration_extrema == (0.5, 4.0, 1.0, 6.0, 0.25, 2.5)
+        assert vars(p)["duration_extrema"] is p.duration_extrema
+        import pickle
+
+        assert "duration_extrema" not in vars(pickle.loads(pickle.dumps(p)))
+
+    def test_empty_phases_read_inf(self):
+        inf = float("inf")
+        assert map_only([1.0, 2.0]).duration_extrema == (1.0, 2.0, inf, -inf, inf, -inf)
+
     def test_in_memory_columns_are_not_copied(self):
         shared = np.array([3.0, 1.0, 2.0])
         trace = [TraceJob(map_only(shared), 0.0), TraceJob(map_only(shared), 1.0)]

@@ -27,6 +27,7 @@ from repro.parallel import (
     simulate_many,
 )
 from repro.parallel import executor
+from repro.parallel.cache import config_json
 from repro.parallel.executor import _derive_seed, spec_kinds
 from repro.sanitize import Sanitizer
 from repro.sanitize.digest import DigestRecorder, EventDigest, trace_digest
@@ -338,6 +339,42 @@ class TestSimulateMany:
             assert (cache.stats.hits, cache.stats.misses) == (8, 8)
         assert [o.cached for o in warm] == [True] * 8 + [False]
         assert sum(sql.startswith("SELECT") for sql in statements) == 1
+
+    def test_identity_once_per_spec(self, trace, monkeypatch):
+        """A spec object shared by several tasks, as a sweep's grid shares
+        them, is dumped once per batch, and every key and seed is the one
+        of its task's own identity."""
+        # Equal specs from two objects: 1 == True, but they dump
+        # differently, so each keeps its own identity.
+        one = SchedulerSpec(name="maxedf", kwargs=(("preemptive", 1),))
+        true = SchedulerSpec(name="maxedf", kwargs=(("preemptive", True),))
+        assert one == true and one.identity() != true.identity()
+        specs = [SchedulerSpec(name=name) for name in ("fifo", "maxedf", "minedf")]
+        tasks = [
+            SimTask("t", spec, cluster=ClusterConfig(slots, slots))
+            for spec in specs + [one, true, one]
+            for slots in (16, 64)
+        ]
+        digest = trace_digest(trace)
+        want = [
+            (
+                cache_key(digest, t.scheduler.identity(), t.engine_config()),
+                _derive_seed(digest, t.scheduler.identity(), config_json(t.engine_config())),
+            )
+            for t in tasks
+        ]
+        calls = []
+        original = SchedulerSpec.identity
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(SchedulerSpec, "identity", counting)
+        with ResultCache(":memory:") as cache:
+            outcomes = simulate_many({"t": trace}, tasks, cache=cache)
+        assert len(calls) == 5
+        assert [(o.key, o.seed) for o in outcomes] == want
 
     def test_outcomes_in_task_order(self, trace):
         tasks = grid_tasks(n_schedulers=3)
