@@ -29,10 +29,9 @@ from repro.sanitize.digest import DigestRecorder, EventDigest
 from test_columnar_kernel import _PASS_SCHEDULERS, _tie_traces
 from test_heap_golden import CASES, make_case
 
-#: Pass-mode policies: the kernel tests' static set, which holds every
-#: static zoo policy (see ``test_static_zoo_policies_covered``).
-_POLICIES = _PASS_SCHEDULERS
-_POLICY_NAMES = sorted(_POLICIES)
+#: The kernel tests' static policies hold every static zoo policy (see
+#: ``test_static_zoo_policies_covered``); the capped ones take replay
+#: mode whenever their cap is set.
 _UNCAPPED = ("FIFO", "MaxEDF", "MinEDF")
 
 
@@ -59,7 +58,7 @@ def _run(trace, policy, cluster, slowstart) -> tuple:
     message."""
     recorder = DigestRecorder(EventDigest(keep_events=False))
     engine = ColumnarEngine(
-        ClusterConfig(*cluster), _POLICIES[policy](),
+        ClusterConfig(*cluster), _PASS_SCHEDULERS[policy](),
         min_map_percent_completed=slowstart, record_tasks=True, sanitizer=recorder,
     )
     try:
@@ -101,7 +100,7 @@ class TestHitIsColdRun:
         static = {
             factory for factory in ZOO_POLICIES.values() if factory().static_priority
         }
-        assert static and static <= set(_POLICIES.values())
+        assert static and static <= set(_PASS_SCHEDULERS.values())
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     def test_heap_corpus(self, computed, order):
@@ -121,7 +120,7 @@ class TestHitIsColdRun:
 
     @given(
         trace=_tie_traces(),
-        policy=st.sampled_from(_POLICY_NAMES),
+        policy=st.sampled_from(sorted(_PASS_SCHEDULERS)),
         cluster=st.sampled_from(((1, 1), (2, 1), (3, 2), (128, 128))),
         slowstarts=st.lists(
             st.sampled_from((0.0, 0.05, 0.5, 1.0)), min_size=2, max_size=3, unique=True
@@ -220,47 +219,67 @@ class TestMemoEntry:
             assert not hasattr(log, name)
 
 
+def _thread_trace() -> list[TraceJob]:
+    rng = np.random.default_rng(3)
+    return [
+        TraceJob(
+            JobProfile(
+                name="t", num_maps=int(rng.integers(1, 30)), num_reduces=int(rng.integers(0, 6)),
+                map_durations=rng.uniform(1.0, 9.0, 5).tolist(),
+                first_shuffle_durations=[1.0], typical_shuffle_durations=[2.0],
+                reduce_durations=rng.uniform(1.0, 4.0, 3).tolist(),
+            ),
+            float(rng.integers(0, 40)),
+        )
+        for _ in range(30)
+    ]
+
+
+#: Event digests of ``_thread_trace()`` under FIFO on (map slots, 3)
+#: clusters, pinned from the kernel before it had a map-side memo.
+_THREAD_PINS = {
+    ((2, 3), 0.05): "7cc6579cfd503d2f57f27af000d2bd59",
+    ((2, 3), 1.0): "fc86bdff8eaca46aace325ebc4eb5e96",
+    ((5, 3), 0.05): "de5ba10c8a99c0804dd81ce8b402132a",
+    ((5, 3), 1.0): "c9c2b1c38889a916957d51bf6b21213d",
+    ((9, 3), 0.05): "35f6081d359da90209f82fb18d04bd07",
+    ((9, 3), 1.0): "01a810fb675525ffeeb662e801e29589",
+}
+
+
 class TestThreads:
     def test_interleaved_map_slots_keep_digests(self, computed):
-        """Two threads alternate map-slot counts over one shared memo;
-        every run reproduces its cold digest."""
-        rng = np.random.default_rng(3)
-        trace = [
-            TraceJob(
-                JobProfile(
-                    name="t", num_maps=int(rng.integers(1, 30)), num_reduces=int(rng.integers(0, 6)),
-                    map_durations=rng.uniform(1.0, 9.0, 5).tolist(),
-                    first_shuffle_durations=[1.0], typical_shuffle_durations=[2.0],
-                    reduce_durations=rng.uniform(1.0, 4.0, 3).tolist(),
-                ),
-                float(rng.integers(0, 40)),
-            )
-            for _ in range(30)
-        ]
-        cells = [((m, 3), s) for m in (2, 5, 9) for s in (0.05, 1.0)]
-        pinned = {cell: _cold(trace, "FIFO", *cell)[0][0] for cell in cells}
+        """More threads than cores share the memo, each cycling through
+        the map-slot counts from its own offset, with a short switch
+        interval; every run reproduces its pinned digest."""
+        trace = _thread_trace()
+        cells = list(_THREAD_PINS)
+        assert {cell: _cold(trace, "FIFO", *cell)[0][0] for cell in cells} == _THREAD_PINS
         kernel._MAP_MEMO = None
-        got: dict[int, list] = {0: [], 1: []}
-        barrier = threading.Barrier(2)
+        n_threads, reps = 4, 4
+        got: dict[int, list] = {t: [] for t in range(n_threads)}
+        barrier = threading.Barrier(n_threads)
 
         def work(t: int) -> None:
-            barrier.wait()
-            for rep in range(4):
+            barrier.wait(timeout=60)
+            for rep in range(reps):
                 for i in range(len(cells)):
                     cell = cells[(i + 3 * t + rep) % len(cells)]
                     got[t].append((cell, _run(trace, "FIFO", *cell)[0][0]))
 
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        for t in (0, 1):
-            assert len(got[t]) == 4 * len(cells)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(n_threads):
+            assert len(got[t]) == reps * len(cells)
             for cell, digest in got[t]:
-                assert digest == pinned[cell], cell
+                assert digest == _THREAD_PINS[cell], (t, cell)
+        assert len(computed) > 1
