@@ -280,8 +280,9 @@ def _map_side(
 
 
 #: The last map side computed and its key: ``(key, _MapSide)`` or None.
-#: One entry bounds what it holds; a sweep runs its cells grid-ordered,
-#: slow-starts innermost, so consecutive cells share a map side.
+#: One entry bounds what it holds; an in-process sweep runs its cells
+#: grid-ordered, slow-starts innermost, so consecutive cells share a map
+#: side.
 _MAP_MEMO: Optional[tuple[tuple, _MapSide]] = None
 
 
